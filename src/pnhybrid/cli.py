@@ -14,10 +14,8 @@ import sys
 import numpy as np
 
 from . import bounds as bd
-from . import grid as gr
 from . import harness as hn
 from . import harmonics as sh
-from . import hybrid as hy
 from . import transport as tr
 
 
@@ -96,12 +94,7 @@ def _cmd_solve_pn(args) -> int:
 def _cmd_solve_hybrid(args) -> int:
     rs = _load(args)
     mf = _manufacture(rs)
-    spec = mf.spec
-    grid = tr.default_grid(spec)
-    n1 = hn.reference_degree(rs.N, rs.n_ref)
-    dt_run = float(tr._as_fraction(rs.dt)) if rs.dt is not None else float(spec.dt)
-    quad = hn.measurement_quadrature(spec, max(rs.N + 1, n1), dt_run)
-    res = hy.run_hybrid(spec, rs.N, dt=rs.dt, grid=grid, quad=quad)
+    dt_run = float(tr._as_fraction(rs.dt)) if rs.dt is not None else float(mf.spec.dt)
     out = hn.run_single(mf, "hybrid", rs.N, dt=rs.dt, n_ref=rs.n_ref, s=rs.s)
     print(f"problem        {rs.problem}")
     print(f"solver         hybrid  N={rs.N}  dt={dt_run:g}  eps={rs.eps:g}"
@@ -111,7 +104,7 @@ def _cmd_solve_hybrid(args) -> int:
     if out.report is not None:
         print(out.report.to_text())
     print("interval  t_end      |psi_u|        |psi_c|        remap_resid")
-    for rec in res.records:
+    for rec in out.hybrid.records:
         print(f"{rec.m:8d}  {rec.t_end:<9.4g}  {rec.norm_u:<13.6e}  "
               f"{rec.norm_c:<13.6e}  {rec.remap_residual:.3e}")
     return 0

@@ -106,6 +106,59 @@ def basis_eval(l: int, k: int, direction) -> float:
     return float(row[0, ordinal(l, k)])
 
 
+# Lattice symmetries.  An orthogonal g that negates and swaps coordinate
+# axes acts on the basis by a signed permutation S_g, Y(g Omega) =
+# S_g Y(Omega), stored as (perm, sign): Y_i(g Omega) = sign[i] *
+# Y_perm[i](Omega).  So S_g M S_g^T is outer(sign, sign) * M[perm][:, perm].
+
+
+def _degree_order(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree l and signed order k of every ordinal up to degree N."""
+    pos = np.arange(n_moments(N))
+    l = np.floor(np.sqrt(pos)).astype(int)
+    return l, pos - l * l - l
+
+
+def _reflection_signs(N: int, axis: int) -> np.ndarray:
+    """Signs of the harmonics under Omega_axis -> -Omega_axis (0-based axis);
+    the permutation part of a reflection is the identity."""
+    l, k = _degree_order(N)
+    m = np.abs(k)
+    if axis == 0:  # phi -> pi - phi: cos(m phi) gains (-1)^m, sin (-1)^(m+1)
+        return np.where(k >= 0, 1.0, -1.0) * (-1.0) ** m
+    if axis == 1:  # phi -> -phi: the sine harmonics flip
+        return np.where(k >= 0, 1.0, -1.0)
+    if axis == 2:  # theta -> pi - theta: A_{l,m} has parity (-1)^(l+m)
+        return (-1.0) ** (l + m)
+    raise ValueError(f"axis must be 0, 1, or 2, got {axis}")
+
+
+def _swap_xy(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of Omega_1 <-> Omega_2, i.e. phi -> pi/2 - phi: even
+    orders keep their type with sign (-1)^(m/2) on cos and -(-1)^(m/2) on
+    sin; odd orders trade cos and sin with sign (-1)^((m-1)/2)."""
+    l, k = _degree_order(N)
+    m = np.abs(k)
+    odd = m % 2 == 1
+    perm = np.where(odd, l * l + l - k, l * l + l + k)
+    sign = np.where(odd, (-1.0) ** ((m - 1) // 2),
+                    np.where(k >= 0, 1.0, -1.0) * (-1.0) ** (m // 2))
+    return perm, sign
+
+
+def lattice_symmetry(N: int, flips, swap: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of g = (negate the axes flagged in flips) o (swap
+    Omega_1 and Omega_2 when swap is true)."""
+    if swap:
+        perm, sign = _swap_xy(N)
+    else:
+        perm, sign = np.arange(n_moments(N)), np.ones(n_moments(N))
+    for axis, flip in enumerate(flips):
+        if flip:
+            sign = sign * _reflection_signs(N, axis)
+    return perm, sign
+
+
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Nodes and positive weights integrating spherical polynomials exactly
@@ -353,15 +406,3 @@ def tail_moments(u: np.ndarray, N: int) -> np.ndarray:
     u[..., : min(nm, u.shape[-1])] = 0.0
     return u
 
-
-def coupling_to_csv_rows(cs: CouplingSet):
-    """Debug serialization: one row per nonzero entry (axis, l, r, c, value)."""
-    rows = []
-    for ax in (1, 2, 3):
-        for l in range(1, cs.N + 1):
-            a = cs.block(ax, l)
-            for r in range(a.shape[0]):
-                for c in range(a.shape[1]):
-                    if a[r, c] != 0.0:
-                        rows.append((ax, l, r, c, a[r, c]))
-    return rows

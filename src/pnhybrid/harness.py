@@ -427,6 +427,7 @@ class SingleResult:
     bound: float
     branch: str
     report: bd.BoundReport | None = None
+    hybrid: hy.HybridResult | None = None  # the hybrid solve, when there was one
 
 
 def _evaluate_bound(spec, solver, s_eff, N, dt_run, grid):
@@ -487,6 +488,7 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
         else:
             n1 = reference_degree(N, n_ref)
             quad = measurement_quadrature(spec, max(N + 1, n1), dt_run)
+        res = None
         if solver == "hybrid":
             res = hy.run_hybrid(spec, N, dt=dt_run, grid=grid, quad=quad)
             total = res.total
@@ -511,7 +513,7 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
             bound, branch, rep = _evaluate_bound(spec, solver, s_eff, N, dt_run, grid)
         else:
             bound, branch, rep = 0.0, "none", None
-        return SingleResult(err, unc, bound, branch, rep)
+        return SingleResult(err, unc, bound, branch, rep, hybrid=res)
 
     raise ConfigError(f"unknown solver {solver!r}")
 

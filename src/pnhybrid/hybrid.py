@@ -77,7 +77,7 @@ class IntervalRecord:
     norm_u: float          # ||psi_u|| at t_end^-
     norm_c: float          # ||psi_c|| at t_end^-
     remap_residual: float
-    source_quad_residual: float
+    top_band_energy: float  # _band_energy_fraction of psi_u at t_end^-
     error: float | None = None
     norm_merged: float = 0.0  # ||psi_u|| just after the remap at t_end
 
@@ -178,7 +178,7 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
             err = gr.nodal_error_norm(total, reference(b))
         norm_u = gr.l2_norm(psi_u)
         norm_c = gr.l2_norm(psi_c)
-        quad_resid = _band_energy_fraction(psi_u)
+        top_band = _band_energy_fraction(psi_u)
         psi_u, psi_c, resid = remap(psi_u, psi_c)
         records.append(IntervalRecord(
             m=m + 1,
@@ -186,7 +186,7 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
             norm_u=norm_u,
             norm_c=norm_c,
             remap_residual=resid,
-            source_quad_residual=quad_resid,
+            top_band_energy=top_band,
             error=err,
             norm_merged=gr.l2_norm(psi_u),
         ))

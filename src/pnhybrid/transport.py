@@ -5,12 +5,15 @@
 on the periodic box, plus the exact uncollided (pure-streaming-and-decay)
 solver, the diffusion-limit solution, and the absorption change of variables.
 
-Spatial modes decouple, so each wavenumber k evolves under its own dense
-moment-space generator
+Spatial modes decouple, so each wavenumber k evolves under the moment-space
+generator
 
     L_k = -(i/eps) sum_i k_i A^(i) - (sigma/eps^2) (I - Pi_0) - sigma_a I,
 
-advanced by matrix exponentials; time-dependent sources are folded in with
+advanced by matrix exponentials.  Axis reflections and the x <-> y swap of k
+conjugate L_k by signed permutations of the real harmonic basis, so only one
+representative per symmetry orbit gets a dense generator and an expm; the
+other modes reuse its propagator.  Time-dependent sources are folded in with
 Gauss-Legendre Duhamel quadrature on substeps short enough that the rule is
 accurate to near machine precision.
 """
@@ -35,15 +38,18 @@ _SUBSTEP_BUDGET = 3.0
 _DEFAULT_DUHAMEL_NODES = 12
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, name="time") -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(Decimal(repr(x)))
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, float):
+            return Fraction(Decimal(repr(x)))
+    except (ValueError, OverflowError):
+        raise ValueError(f"{name} must be a finite number, got {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact time")
 
 
@@ -63,6 +69,10 @@ class ProblemSpec:
     dt: Fraction
 
     def __post_init__(self):
+        for name in ("eps", "sigma_t", "sigma_a", "T", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.sigma_t < 0.0:
@@ -71,8 +81,10 @@ class ProblemSpec:
             raise ValueError(
                 f"sigma_a must satisfy 0 <= sigma_a <= sigma_t, got {self.sigma_a}"
             )
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError("T and dt must be positive")
+        if self.T <= 0:
+            raise ValueError(f"T must be positive, got {self.T}")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if (self.T / self.dt).denominator != 1:
             raise ValueError(f"M*dt != T: dt={self.dt} does not divide T={self.T}")
 
@@ -95,8 +107,8 @@ class ProblemSpec:
 
 def problem(name, eps, sigma_t, g, q=(), sigma_a=0.0, T=1, dt=None) -> ProblemSpec:
     """Build a ProblemSpec, accepting floats/strings/Fractions for times."""
-    Tf = _as_fraction(T)
-    dtf = _as_fraction(dt) if dt is not None else Tf
+    Tf = _as_fraction(T, "T")
+    dtf = _as_fraction(dt, "dt") if dt is not None else Tf
     return ProblemSpec(
         name=name,
         eps=float(eps),
@@ -168,8 +180,12 @@ def assemble_mode_operator(
 
 
 class PnOperator:
-    """Per-mode generators for one discretization, with cached matrix
-    exponentials so repeated equal-length steps cost one expm each."""
+    """Propagators of one discretization.  A generator is assembled, and an
+    expm taken, only for one representative wavevector per orbit of the
+    lattice symmetries (axis reflections and the x <-> y swap); every other
+    mode's propagator is the representative's conjugated by a signed
+    permutation of the moment basis.  Propagators are cached per (mode, h)
+    so repeated equal-length steps cost nothing after the first."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0, coupling=None):
         self.grid = grid
@@ -180,12 +196,23 @@ class PnOperator:
         if coupling is None or coupling.N < N:
             coupling = sh.assemble_coupling(max(N, 1))
         self.nm = sh.n_moments(N)
-        self._mats = {}
+        self._gens = {}    # representative c -> dense generator L_c
+        self._orbit = {}   # mode index -> (c, (perm, sign) or None if k == c)
         self._rates = {}
         for idx, k in self.modes():
-            self._mats[idx] = assemble_mode_operator(k, N, eps, sigma, coupling, sigma_a)
+            a = [abs(x) for x in k]
+            # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
+            c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
+            if c not in self._gens:
+                self._gens[c] = assemble_mode_operator(c, N, eps, sigma, coupling, sigma_a)
+            if k == c:
+                self._orbit[idx] = (c, None)
+            else:
+                flips = [x < 0 for x in k]
+                self._orbit[idx] = (c, sh.lattice_symmetry(self.N, flips, a[0] < a[1]))
             knorm = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
             self._rates[idx] = sigma / eps**2 + sigma_a + knorm / eps
+        self._rep_props: dict = {}
         self._props: dict = {}
 
     def modes(self):
@@ -194,9 +221,6 @@ class PnOperator:
             k = tuple(int(g.wavenumbers(ax)[idx[ax]]) for ax in range(3))
             yield idx, k
 
-    def matrix(self, idx) -> np.ndarray:
-        return self._mats[idx]
-
     def rate(self, idx) -> float:
         return self._rates[idx]
 
@@ -204,7 +228,15 @@ class PnOperator:
         key = (idx, float(h))
         P = self._props.get(key)
         if P is None:
-            P = expm(h * self._mats[idx])
+            c, sym = self._orbit[idx]
+            P = self._rep_props.get((c, key[1]))
+            if P is None:
+                P = expm(h * self._gens[c])
+                self._rep_props[(c, key[1])] = P
+            if sym is not None:
+                # P_k = S_g P_c S_g^T, applied by indexing.
+                perm, sign = sym
+                P = np.multiply.outer(sign, sign) * P[np.ix_(perm, perm)]
             self._props[key] = P
         return P
 
@@ -236,16 +268,6 @@ class PnOperator:
                     u = u + wts[m] * (self.propagator(idx, hs - taus[m]) @ q_samples[m][idx])
                 out[idx] = u
         return out
-
-
-def step_pn(state: gr.MomentField, h, eps, sigma, q_sample=None, t0=0.0,
-            sigma_a=0.0, coupling=None, duhamel_nodes=_DEFAULT_DUHAMEL_NODES,
-            substeps=None) -> gr.MomentField:
-    """One-shot step helper; builds the operator, steps, and returns."""
-    op = PnOperator(state.grid, state.N, eps, sigma, sigma_a, coupling)
-    coeffs = op.step(state.coeffs, h, source=q_sample, t0=t0,
-                     duhamel_nodes=duhamel_nodes, substeps=substeps)
-    return gr.MomentField(state.grid, state.N, coeffs)
 
 
 @dataclass

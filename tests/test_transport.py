@@ -1,8 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
@@ -28,6 +32,25 @@ def test_problem_validation():
         tr.problem("p", eps=1.0, sigma_t=1.0, g=g, sigma_a=2.0)
     with pytest.raises(ValueError, match="M\\*dt != T"):
         tr.problem("p", eps=1.0, sigma_t=1.0, g=g, T=1, dt="0.3")
+
+
+@pytest.mark.parametrize("field", ["eps", "sigma_t", "sigma_a", "T", "dt"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_non_finite(field, bad):
+    kwargs = dict(eps=1.0, sigma_t=1.0, sigma_a=0.0, T=1, dt=None)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        tr.problem("p", g=[_iso_cosine()], **kwargs)
+
+
+@pytest.mark.parametrize("field", ["eps", "sigma_t", "sigma_a", "T", "dt"])
+def test_problem_spec_rejects_nan_fields(field):
+    # Direct construction skips problem(); the spec itself must still refuse.
+    kwargs = dict(name="p", eps=1.0, sigma_t=1.0, sigma_a=0.0, g=(), q=(),
+                  T=Fraction(1), dt=Fraction(1))
+    kwargs[field] = math.nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        tr.ProblemSpec(**kwargs)
 
 
 def test_problem_fraction_schedule():
@@ -266,3 +289,70 @@ def test_solver_reality_preserved():
     spec = tr.problem("iso", eps=0.5, sigma_t=1.0, g=[_iso_cosine()], T="0.5")
     res = tr.solve_pn(spec, N=3)
     assert gr.reality_residual(res.final) < 1e-13
+
+
+def _group():
+    """The 16 lattice symmetries as (flips, swap, orthogonal matrix g)."""
+    for flips in itertools.product((False, True), repeat=3):
+        for swap in (False, True):
+            W = np.eye(3)[[1, 0, 2]] if swap else np.eye(3)
+            g = np.diag([-1.0 if f else 1.0 for f in flips]) @ W
+            yield flips, swap, g
+
+
+def test_lattice_symmetry_matches_basis_at_moved_nodes():
+    N = 6
+    nodes = sh.build_sphere_quadrature(5).nodes
+    B = sh.basis_matrix(N, nodes)
+    elements = list(_group())
+    assert len(elements) == 16
+    for flips, swap, g in elements:
+        perm, sign = sh.lattice_symmetry(N, flips, swap)
+        S = np.zeros((sh.n_moments(N), sh.n_moments(N)))
+        S[np.arange(S.shape[0]), perm] = sign
+        moved = sh.basis_matrix(N, nodes @ g.T)
+        assert np.max(np.abs(moved - B @ S.T)) < 1e-13, (flips, swap)
+
+
+_GRID7 = gr.SpatialGrid(3, 7)
+
+
+@given(
+    k=st.tuples(*[st.integers(-3, 3)] * 3),
+    N=st.integers(1, 8),
+    eps=st.floats(0.1, 2.0),
+    sigma_t=st.floats(0.0, 5.0),
+    absorb=st.floats(0.0, 1.0),
+    h=st.floats(0.01, 1.0),
+)
+@settings(max_examples=40)
+def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
+    sigma_a = absorb * sigma_t
+    op = tr.PnOperator(_GRID7, N, eps, sigma_t, sigma_a)
+    P = op.propagator(_GRID7.index_of(k), h)
+    oracle = tr.assemble_mode_operator(k, N, eps, sigma_t, sh.assemble_coupling(N), sigma_a)
+    Q = expm(h * oracle)
+    assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
+    if abs(k[0]) >= abs(k[1]):
+        # Reached from its representative by reflections alone: a pure sign
+        # change, which expm reproduces exactly.
+        assert np.array_equal(P, Q)
+
+
+def test_one_expm_per_orbit(monkeypatch):
+    calls = []
+    real = tr.expm
+
+    def counting(A):
+        calls.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(tr, "expm", counting)
+    op = tr.PnOperator(gr.SpatialGrid(3, 5), 3, 0.5, 1.0)
+    for idx, _ in op.modes():
+        op.propagator(idx, 0.125)
+    # Representatives (a, b, c) with 2 >= a >= b >= 0 and 0 <= c <= 2.
+    assert len(calls) == 18
+    for idx, _ in op.modes():
+        op.propagator(idx, 0.125)
+    assert len(calls) == 18
