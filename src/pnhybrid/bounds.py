@@ -241,7 +241,6 @@ class BoundInputs:
     sigma_a: float = 0.0
     g_norms: dict = dc_field(default_factory=dict)
     q_sup_norms: dict = dc_field(default_factory=dict)
-    q_l1_norms: dict = dc_field(default_factory=dict)
 
 
 def _need(norms: dict, r: int, s: int, what: str) -> float:
@@ -361,7 +360,6 @@ def absorbing_bounds(bi: BoundInputs, family: str = "pn", C: float = 1.0) -> Bou
         sigma_a=0.0,
         g_norms={k: damp * v for k, v in bi.g_norms.items()},
         q_sup_norms=dict(bi.q_sup_norms),
-        q_l1_norms=dict(bi.q_l1_norms),
     )
     if family == "pn":
         rep = pn_error_bound(damped, C)
@@ -625,9 +623,6 @@ def audit_inequalities(s_max: int = 5, l_max: int = 64, n_samples: int = 1000,
     return AuditReport(checks_run=checks, violations=violations)
 
 
-_PAIRS_CACHE_NODES = 48
-
-
 def required_pairs(s: int, family: str = "pn") -> list:
     """The (r, s) mixed-norm pairs a bound family consumes."""
     if family == "pn":
@@ -640,22 +635,19 @@ def required_pairs(s: int, family: str = "pn") -> list:
 
 
 def data_norms(spec: tr.ProblemSpec, pairs, grid=None, max_degree=None):
-    """Mixed seminorms |.|_{H^(r,s)} of g and of q (sup and L^1 in time)
-    for each requested (r, s) pair.
+    """Mixed seminorms |.|_{H^(r,s)} of g and of q (sup in time) for each
+    requested (r, s) pair.
 
     The descriptors are finite expansions, so every norm is exact up to the
-    time quadrature; max_degree, when given, rejects pairs whose angular
-    weight would touch degrees above it.
+    time sampling of the sup; max_degree, when given, rejects pairs whose
+    angular weight would touch degrees above it.
     """
     if grid is None:
         grid = tr.default_grid(spec)
     Lg = gr.angular_band(spec.g)
     Lq = gr.angular_band(spec.q) if spec.q else 0
-    g_out, qs_out, ql_out = {}, {}, {}
+    g_out, qs_out = {}, {}
     T = spec.t_final
-    xg, wg = np.polynomial.legendre.leggauss(_PAIRS_CACHE_NODES)
-    t_l1 = 0.5 * T * (xg + 1.0)
-    w_l1 = 0.5 * T * wg
     t_sup = np.concatenate(
         [[0.0, T], 0.5 * T * (1.0 + np.cos(np.pi * np.arange(1, 32) / 32.0))]
     )
@@ -674,25 +666,19 @@ def data_norms(spec: tr.ProblemSpec, pairs, grid=None, max_degree=None):
                 for t in t_sup
             ]
             qs_out[(r, s)] = max(vals)
-            l1 = sum(
-                w * gr.hrs_seminorm(gr.moment_field(grid, Lq_eff, spec.q, t), r, s)
-                for t, w in zip(t_l1, w_l1)
-            )
-            ql_out[(r, s)] = float(l1)
         else:
             qs_out[(r, s)] = 0.0
-            ql_out[(r, s)] = 0.0
-    return g_out, qs_out, ql_out
+    return g_out, qs_out
 
 
 def bound_inputs(spec: tr.ProblemSpec, s: int, N: int, dt=None, grid=None,
                  family: str = "pn") -> BoundInputs:
     """Assemble BoundInputs for a problem by measuring its data norms."""
     pairs = required_pairs(s, family)
-    g_norms, q_sup, q_l1 = data_norms(spec, pairs, grid)
+    g_norms, q_sup = data_norms(spec, pairs, grid)
     return BoundInputs(
         s=s, N=N, eps=spec.eps, sigma=spec.sigma_t, T=spec.t_final,
         dt=float(dt) if dt is not None else float(spec.dt),
         sigma_a=spec.sigma_a,
-        g_norms=g_norms, q_sup_norms=q_sup, q_l1_norms=q_l1,
+        g_norms=g_norms, q_sup_norms=q_sup,
     )

@@ -31,7 +31,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p, config_required=True):
     p.add_argument("--config", required=config_required, help="run config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed (audit randomness)")
 
@@ -117,7 +116,7 @@ def _csv_path(rs: hn.RunSpec, out_dir: str) -> str:
 def _cmd_sweep(args) -> int:
     rs = _load(args)
     try:
-        rows = hn.run_sweep(rs, jobs=args.jobs)
+        rows = hn.run_sweep(rs)
     except hn.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -140,7 +139,7 @@ def _cmd_verify_bounds(args) -> int:
         print(f"reusing {len(rows)} rows from {path}")
     else:
         try:
-            rows = hn.run_sweep(rs, jobs=args.jobs)
+            rows = hn.run_sweep(rs)
         except hn.ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
@@ -207,11 +206,6 @@ def parse_config_text(lines) -> RunSpec:
     rs.out_csv = take_str("out_csv", "")
     rs.plot_axis = take_str("plot_axis", "")
 
-    if rs.N < 0:
-        raise ConfigError(f"N must be nonnegative, got {rs.N}")
-    if rs.eps <= 0:
-        raise ConfigError(f"eps must be positive, got {rs.eps}")
-
     def split_list(key, conv):
         if key not in sweep:
             return ()
@@ -233,6 +227,24 @@ def parse_config_text(lines) -> RunSpec:
     rs.sweep_dt = split_list("dt", lambda p, no, key: _check_number(p, no, key))
     rs.sweep_eps = split_list("eps", lambda p, no, key: float(_check_number(p, no, key)))
     rs.sweep_sigma = split_list("sigma", lambda p, no, key: float(_check_number(p, no, key)))
+
+    Ns = (rs.N,) + rs.sweep_N
+    sigma_min = min((rs.sigma_t,) + rs.sweep_sigma)
+    for key, values, ok, need in (
+        ("N", Ns, lambda v: v >= 0, "nonnegative"),
+        ("eps", (rs.eps,) + rs.sweep_eps, lambda v: v > 0, "positive"),
+        ("sigma_t", (rs.sigma_t,), lambda v: v >= 0, "nonnegative"),
+        ("sigma", rs.sweep_sigma, lambda v: v >= 0, "nonnegative"),
+        ("sigma_a", (rs.sigma_a,), lambda v: 0 <= v <= sigma_min,
+         f"in [0, {sigma_min:g}], the smallest sigma_t"),
+        ("s", (rs.s,), lambda v: v is None or v >= 1, "at least 1"),
+        ("band", (rs.band,), lambda v: v >= 0, "nonnegative"),
+        ("n_ref", (rs.n_ref,), lambda v: v is None or v > max(Ns),
+         f"above the largest N ({max(Ns)})"),
+    ):
+        for v in values:
+            if not ok(v):
+                raise ConfigError(f"{key} must be {need}, got {v}")
 
     Tf = Fraction(rs.T)
     if Tf <= 0:
@@ -291,21 +303,59 @@ def emit_config(rs: RunSpec) -> str:
 
 @dataclass(frozen=True)
 class Manufactured:
+    """A registry problem and its oracle.
+
+    `reference` gives what a solution at T is measured against, together
+    with the reference's own uncertainty.  Reference P_N solves are memoized
+    by degree, so every run that shares this object (a sweep's N and dt
+    points) solves each reference degree once; solve_pn does not read
+    spec.dt, so the memo holds across dt.
+    """
+
     spec: tr.ProblemSpec
     exact: str      # "", "decay", or "characteristics"
     default_s: int  # regularity order used for bounds when the run sets none
+    _solves: dict = dc_field(default_factory=dict, init=False, compare=False,
+                             repr=False)
+
+    def reference(self, solver: str, N: int, quad=None, n_ref=None):
+        """(reference, uncertainty) for a degree-N run of `solver` at T.
+
+        The diffusion solver is measured against the diffusion-limit flux.
+        Every other solver gets the problem's exact handle (decay moments,
+        or characteristics values at the nodes of `quad`), or else the P_N
+        solve at reference_degree(N, n_ref), whose uncertainty is its
+        distance to the solve four degrees higher.
+        """
+        spec, T = self.spec, self.spec.t_final
+        grid = tr.default_grid(spec)
+        if solver == "diffusion":
+            return tr.solve_diffusion(spec, T, grid), 0.0
+        if self.exact == "decay":
+            return decay_solution(spec, grid, N, T), 0.0
+        if self.exact == "characteristics":
+            return tr.characteristics_solution(spec, quad, T, grid), 0.0
+        n1 = reference_degree(N, n_ref)
+        for n in (n1, n1 + 4):
+            if n not in self._solves:
+                self._solves[n] = tr.solve_pn(spec, n, grid=grid).final
+        ref, ref2 = self._solves[n1], self._solves[n1 + 4]
+        return ref, moment_distance(ref, ref2)
 
 
 def _cosine_spatial():
     return {(1, 0, 0): 0.5, (-1, 0, 0): 0.5}
 
 
-def _build_iso_smooth(eps, sigma_t, sigma_a, T, dt, s, band):
-    g = [gr.isotropic_term(_cosine_spatial())]
-    return Manufactured(
-        tr.problem("iso-smooth", eps, sigma_t, g, sigma_a=sigma_a, T=T, dt=dt),
-        exact="", default_s=2,
-    )
+def _isotropic_cosine(name):
+    """Builder of an isotropic cos(x1) problem measured against P_N references."""
+    def build(eps, sigma_t, sigma_a, T, dt, s, band):
+        g = [gr.isotropic_term(_cosine_spatial())]
+        return Manufactured(
+            tr.problem(name, eps, sigma_t, g, sigma_a=sigma_a, T=T, dt=dt),
+            exact="", default_s=2,
+        )
+    return build
 
 
 def _build_aniso_decay(eps, sigma_t, sigma_a, T, dt, s, band):
@@ -341,20 +391,12 @@ def _build_sobolev(eps, sigma_t, sigma_a, T, dt, s, band):
     )
 
 
-def _build_diffusion_check(eps, sigma_t, sigma_a, T, dt, s, band):
-    g = [gr.isotropic_term(_cosine_spatial())]
-    return Manufactured(
-        tr.problem("diffusion-check", eps, sigma_t, g, sigma_a=sigma_a, T=T, dt=dt),
-        exact="", default_s=2,
-    )
-
-
 PROBLEMS = {
-    "iso-smooth": _build_iso_smooth,
+    "iso-smooth": _isotropic_cosine("iso-smooth"),
     "aniso-decay": _build_aniso_decay,
     "streaming": _build_streaming,
     "sobolev-s": _build_sobolev,
-    "diffusion-check": _build_diffusion_check,
+    "diffusion-check": _isotropic_cosine("diffusion-check"),
 }
 
 
@@ -398,6 +440,22 @@ def moment_distance(a: gr.MomentField, b: gr.MomentField) -> float:
     N = max(a.N, b.N)
     diff = _pad_coeffs(a, N) - _pad_coeffs(b, N)
     return gr.l2_norm(gr.MomentField(a.grid, N, diff))
+
+
+def distance(solution, reference) -> float:
+    """L^2 distance between a solution and its reference, in the
+    representation their types call for: a flux reference compares scalar
+    fluxes, two moment fields compare moments, and a nodal operand compares
+    values at its quadrature nodes."""
+    if isinstance(reference, np.ndarray):
+        return tr.flux_error(solution, reference)
+    if isinstance(solution, gr.MomentField):
+        if isinstance(reference, gr.MomentField):
+            return moment_distance(solution, reference)
+        return gr.l2_norm(gr.evaluate_field(solution, reference.quad) - reference)
+    if isinstance(reference, gr.MomentField):
+        return gr.nodal_error_norm(solution, reference)
+    return gr.l2_norm(solution - reference)
 
 
 def reference_degree(N: int, override=None) -> int:
@@ -450,72 +508,36 @@ def _evaluate_bound(spec, solver, s_eff, N, dt_run, grid):
 
 def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
                s=None) -> SingleResult:
-    """Solve one parameter point and measure its error against the best
-    available oracle; evaluate the matching bound with C = 1."""
-    spec = mf.spec
+    """Solve one parameter point, measure its error against the problem's
+    oracle, and evaluate the matching bound with C = 1."""
+    if solver not in _SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}")
+    spec, T = mf.spec, mf.spec.t_final
     grid = tr.default_grid(spec)
-    T = spec.t_final
     dt_run = float(tr._as_fraction(dt)) if dt is not None else float(spec.dt)
     s_eff = mf.default_s if s is None else int(s)
 
-    if solver == "diffusion":
-        f = tr.solve_pn(spec, N, grid=grid).final
-        err = tr.flux_error(f, tr.solve_diffusion(spec, T, grid))
-        return SingleResult(err, 0.0, 0.0, "none")
-
-    if solver == "pn":
-        f = tr.solve_pn(spec, N, grid=grid).final
-        if mf.exact == "decay":
-            err = moment_distance(f, decay_solution(spec, grid, N, T))
-            unc = 0.0
-        elif mf.exact == "characteristics":
+    res = quad = None
+    if solver in ("pn", "diffusion"):
+        solution = tr.solve_pn(spec, N, grid=grid).final
+        if solver == "pn" and mf.exact == "characteristics":
             quad = measurement_quadrature(spec, N, T)
-            exact = tr.characteristics_solution(spec, quad, T, grid)
-            err = gr.l2_norm(gr.evaluate_field(f, quad) - exact)
-            unc = 0.0
-        else:
-            n1 = reference_degree(N, n_ref)
-            ref1 = tr.solve_pn(spec, n1, grid=grid).final
-            ref2 = tr.solve_pn(spec, n1 + 4, grid=grid).final
-            err = moment_distance(f, ref1)
-            unc = moment_distance(ref1, ref2)
-        bound, branch, rep = _evaluate_bound(spec, solver, s_eff, N, dt_run, grid)
-        return SingleResult(err, unc, bound, branch, rep)
-
-    if solver in ("hybrid", "uncollided"):
-        if mf.exact in ("decay", "characteristics"):
-            quad = measurement_quadrature(spec, N + 1, dt_run)
-        else:
-            n1 = reference_degree(N, n_ref)
-            quad = measurement_quadrature(spec, max(N + 1, n1), dt_run)
-        res = None
+    else:
+        # Nodal solvers: the quadrature also resolves the reference degree.
+        degree = N + 1 if mf.exact else max(N + 1, reference_degree(N, n_ref))
+        quad = measurement_quadrature(spec, degree, dt_run)
         if solver == "hybrid":
             res = hy.run_hybrid(spec, N, dt=dt_run, grid=grid, quad=quad)
-            total = res.total
+            solution = res.total
         else:
-            state = gr.nodal_field(grid, quad, spec.g)
-            total = tr.solve_uncollided(state, 0.0, T, spec.eps, spec.sigma_t,
-                                        spec.sigma_a, q_terms=spec.q)
-        if mf.exact == "characteristics":
-            exact = tr.characteristics_solution(spec, quad, T, grid)
-            err = gr.l2_norm(total - exact)
-            unc = 0.0
-        elif mf.exact == "decay":
-            err = gr.nodal_error_norm(total, decay_solution(spec, grid, N, T))
-            unc = 0.0
-        else:
-            n1 = reference_degree(N, n_ref)
-            ref1 = tr.solve_pn(spec, n1, grid=grid).final
-            ref2 = tr.solve_pn(spec, n1 + 4, grid=grid).final
-            err = gr.nodal_error_norm(total, ref1)
-            unc = moment_distance(ref1, ref2)
-        if solver == "hybrid":
-            bound, branch, rep = _evaluate_bound(spec, solver, s_eff, N, dt_run, grid)
-        else:
-            bound, branch, rep = 0.0, "none", None
-        return SingleResult(err, unc, bound, branch, rep, hybrid=res)
+            solution = tr.solve_uncollided(gr.nodal_field(grid, quad, spec.g), 0.0, T,
+                                           spec.eps, spec.sigma_t, spec.sigma_a,
+                                           q_terms=spec.q)
 
-    raise ConfigError(f"unknown solver {solver!r}")
+    reference, unc = mf.reference(solver, N, quad, n_ref)
+    bound, branch, rep = _evaluate_bound(spec, solver, s_eff, N, dt_run, grid)
+    return SingleResult(distance(solution, reference), unc, bound, branch, rep,
+                        hybrid=res)
 
 
 def sweep_points(rs: RunSpec):
@@ -532,31 +554,30 @@ def sweep_points(rs: RunSpec):
     ]
 
 
-def run_sweep(rs: RunSpec, jobs: int = 1) -> list[SweepRow]:
-    """Run every point of the sweep grid; rows come back in grid order
-    regardless of scheduling, so output depends only on the RunSpec."""
-    points = sweep_points(rs)
-
-    def work(point):
-        N, dt, eps, sigma = point
+def run_sweep(rs: RunSpec) -> list[SweepRow]:
+    """Run every point of the sweep grid in grid order.  Points with the
+    same (eps, sigma) share one Manufactured, and so its reference solves."""
+    problems: dict = {}
+    rows = []
+    for N, dt, eps, sigma in sweep_points(rs):
         t0 = time.perf_counter()
-        mf = manufactured(rs.problem, eps=eps, sigma_t=sigma, sigma_a=rs.sigma_a,
-                          T=rs.T, dt=dt, s=rs.s, band=rs.band)
+        mf = problems.get((eps, sigma))
+        if mf is None:
+            mf = problems[(eps, sigma)] = manufactured(
+                rs.problem, eps=eps, sigma_t=sigma, sigma_a=rs.sigma_a, T=rs.T,
+                s=rs.s, band=rs.band,
+            )
         out = run_single(mf, rs.solver, N, dt=dt, n_ref=rs.n_ref, s=rs.s)
-        wall = time.perf_counter() - t0
-        return SweepRow(
+        rows.append(SweepRow(
             problem=rs.problem, solver=rs.solver, N=N,
             dt=float(tr._as_fraction(dt)), eps=eps,
             sigma_t=float(mf.spec.sigma_t), sigma_a=rs.sigma_a,
             T=float(Fraction(rs.T)), error=out.error,
             oracle_uncertainty=out.oracle_uncertainty,
-            bound=out.bound, branch=out.branch, walltime_s=wall,
-        )
-
-    if jobs <= 1:
-        return [work(p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, points))
+            bound=out.bound, branch=out.branch,
+            walltime_s=time.perf_counter() - t0,
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,7 @@ class HybridResult:
 
 
 def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
-                op: tr.PnOperator, q_terms=(),
-                duhamel_nodes=tr._DEFAULT_DUHAMEL_NODES):
+                op: tr.PnOperator, q_terms=()):
     """Advance the pair over [a, b] without remapping.
 
     The collided moments absorb the isotropic re-emission of the decaying
@@ -121,8 +120,7 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
         def sample(t: float) -> np.ndarray:
             if q_terms:
                 vals = tr.solve_uncollided(psi_u, a, t, eps, sigma, sigma_a,
-                                           q_terms=q_terms,
-                                           duhamel_nodes=duhamel_nodes).values
+                                           q_terms=q_terms).values
             else:
                 vals = psi_u.values * np.exp(-lam * (t - a))
             avg = (vals @ w) / _FOUR_PI
@@ -131,17 +129,14 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
             return out
 
         nsub = op.substeps_for(h, extra_rate=max(op._rates.values()))
-        coeffs = op.step(psi_c.coeffs, h, source=sample, t0=a,
-                         duhamel_nodes=duhamel_nodes, substeps=nsub)
+        coeffs = op.step(psi_c.coeffs, h, source=sample, t0=a, substeps=nsub)
         new_c = gr.MomentField(psi_u.grid, psi_c.N, coeffs)
-    new_u = tr.solve_uncollided(psi_u, a, b, eps, sigma, sigma_a, q_terms=q_terms,
-                                duhamel_nodes=duhamel_nodes)
+    new_u = tr.solve_uncollided(psi_u, a, b, eps, sigma, sigma_a, q_terms=q_terms)
     return new_u, new_c
 
 
 def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
-               coupling=None, reference=None,
-               duhamel_nodes=tr._DEFAULT_DUHAMEL_NODES) -> HybridResult:
+               reference=None) -> HybridResult:
     """Full hybrid solve over [0, T] with remaps at every interval end.
 
     reference, if given, is a callable t -> MomentField evaluated at the
@@ -163,15 +158,14 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
     M = int(spec.T / dtf)
     edges = [float(dtf * m) for m in range(M + 1)]
 
-    op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a, coupling)
+    op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
     psi_u = gr.nodal_field(grid, quad, spec.g)
     psi_c = gr.zero_moment_field(grid, N)
     records = []
     total = None
     for m in range(M):
         a, b = edges[m], edges[m + 1]
-        psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, q_terms=spec.q,
-                                   duhamel_nodes=duhamel_nodes)
+        psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, q_terms=spec.q)
         total = psi_u + gr.evaluate_field(psi_c, quad)
         err = None
         if reference is not None:

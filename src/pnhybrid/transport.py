@@ -31,11 +31,11 @@ from scipy.linalg import expm
 from . import grid as gr
 from . import harmonics as sh
 
-# Target on |fastest rate| * substep so 12-node Gauss Duhamel stays near
-# machine accuracy (error ~ (rho*h)^(2n)/(2n)! with n nodes).
+# Gauss-Legendre nodes per Duhamel substep, and the target on
+# |fastest rate| * substep that keeps the rule near machine accuracy
+# (error ~ (rho*h)^(2n)/(2n)! with n nodes).
+_DUHAMEL_NODES = 12
 _SUBSTEP_BUDGET = 3.0
-
-_DEFAULT_DUHAMEL_NODES = 12
 
 
 def _as_fraction(x, name="time") -> Fraction:
@@ -187,14 +187,13 @@ class PnOperator:
     permutation of the moment basis.  Propagators are cached per (mode, h)
     so repeated equal-length steps cost nothing after the first."""
 
-    def __init__(self, grid, N, eps, sigma, sigma_a=0.0, coupling=None):
+    def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         self.grid = grid
         self.N = int(N)
         self.eps = float(eps)
         self.sigma = float(sigma)
         self.sigma_a = float(sigma_a)
-        if coupling is None or coupling.N < N:
-            coupling = sh.assemble_coupling(max(N, 1))
+        coupling = sh.assemble_coupling(max(N, 1))
         self.nm = sh.n_moments(N)
         self._gens = {}    # representative c -> dense generator L_c
         self._orbit = {}   # mode index -> (c, (perm, sign) or None if k == c)
@@ -244,8 +243,7 @@ class PnOperator:
         rho = max(self._rates.values()) + extra_rate
         return max(1, math.ceil(rho * h / _SUBSTEP_BUDGET))
 
-    def step(self, coeffs, h, source=None, t0=0.0, duhamel_nodes=_DEFAULT_DUHAMEL_NODES,
-             substeps=None):
+    def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
         """Advance coefficients by h: exact exponential when source is None,
         otherwise exponential plus Gauss-Legendre Duhamel on substeps."""
         out = np.array(coeffs, dtype=complex, copy=True)
@@ -255,7 +253,7 @@ class PnOperator:
             return out
         nsub = substeps if substeps is not None else self.substeps_for(h)
         hs = h / nsub
-        x, w = np.polynomial.legendre.leggauss(duhamel_nodes)
+        x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
         # Source samples are shared across modes; propagators are per mode.
@@ -264,7 +262,7 @@ class PnOperator:
             q_samples = [source(ta + tau) for tau in taus]
             for idx, _ in self.modes():
                 u = self.propagator(idx, hs) @ out[idx]
-                for m in range(duhamel_nodes):
+                for m in range(_DUHAMEL_NODES):
                     u = u + wts[m] * (self.propagator(idx, hs - taus[m]) @ q_samples[m][idx])
                 out[idx] = u
         return out
@@ -280,9 +278,8 @@ class SolveResult:
         return self.fields[-1]
 
 
-def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None, coupling=None,
-             record_times=(), duhamel_nodes=_DEFAULT_DUHAMEL_NODES,
-             operator=None) -> SolveResult:
+def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None,
+             record_times=()) -> SolveResult:
     """Monolithic spherical-harmonic solve from t = 0 to t_end (default T).
 
     Absorption, when present, acts directly through the generator; see
@@ -292,7 +289,7 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None, coupling=None,
         grid = default_grid(spec)
     if t_end is None:
         t_end = spec.t_final
-    op = operator or PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a, coupling)
+    op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
     state = initial_field(spec, grid, N)
     sampler = source_sampler(spec, grid, N)
     times = sorted(set(float(t) for t in record_times) | {float(t_end)})
@@ -308,8 +305,7 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None, coupling=None,
         if h > 0:
             extra = source_rate(spec) if sampler is not None else 0.0
             nsub = op.substeps_for(h, extra) if sampler is not None else None
-            coeffs = op.step(coeffs, h, source=sampler, t0=t,
-                             duhamel_nodes=duhamel_nodes, substeps=nsub)
+            coeffs = op.step(coeffs, h, source=sampler, t0=t, substeps=nsub)
             t = target
         out_times.append(t)
         out_fields.append(gr.MomentField(grid, N, coeffs))
@@ -317,19 +313,19 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None, coupling=None,
 
 
 def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
-                          t0=0.0, coupling=None, nodes=_DEFAULT_DUHAMEL_NODES):
+                          t0=0.0):
     """Residual of the balance law over one step, relative to the initial
     squared norm: the decrease of ||psi||^2 must match the dissipation
     (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
     """
-    op = PnOperator(state.grid, state.N, eps, sigma, 0.0, coupling)
+    op = PnOperator(state.grid, state.N, eps, sigma, 0.0)
     measure = state.grid.measure
     u0 = state.coeffs
     u1 = op.step(u0, h, source=source, t0=t0)
     lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
 
     nsub = op.substeps_for(h, 0.0)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
     total = 0.0
     hs = h / nsub
     coeffs = np.array(u0, copy=True)
@@ -364,8 +360,7 @@ def uncollided_rates(grid: gr.SpatialGrid, quad: sh.SphereQuadrature,
 
 
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
-                     sigma: float, sigma_a: float = 0.0, q_terms=(),
-                     duhamel_nodes=_DEFAULT_DUHAMEL_NODES) -> gr.NodalField:
+                     sigma: float, sigma_a: float = 0.0, q_terms=()) -> gr.NodalField:
     """Exact evolution of d_t v = -lambda v + q along each (mode, direction)
     characteristic; the homogeneous part is a closed-form exponential and the
     source integral is Gauss quadrature on substeps sized by |lambda| (b-a).
@@ -381,7 +376,7 @@ def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
         )
         nsub = max(1, math.ceil(rho * span / _SUBSTEP_BUDGET))
         hs = span / nsub
-        x, w = np.polynomial.legendre.leggauss(duhamel_nodes)
+        x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
         for j in range(nsub):
             for xi, wi in zip(x, w):
                 tau = a + j * hs + 0.5 * hs * (xi + 1.0)

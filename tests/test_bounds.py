@@ -374,15 +374,14 @@ def test_data_norms_for_cosine_problem():
         T=1, dt="0.5",
     )
     pairs = [(0, 1), (2, 0), (1, 1)]
-    g_n, q_sup, q_l1 = bd.data_norms(spec, pairs)
+    g_n, q_sup = bd.data_norms(spec, pairs)
     # g = cos(x1) isotropic: every pure-spatial seminorm is 2 pi, every
     # angular-weighted one vanishes.
     assert g_n[(0, 1)] == 0.0
     assert g_n[(2, 0)] == pytest.approx(2.0 * math.pi, rel=1e-13)
     assert g_n[(1, 1)] == 0.0
-    # q(t) = (1 + t) cos(x1): sup at t = T, L1 = integral of (1+t) = 1.5.
+    # q(t) = (1 + t) cos(x1): sup at t = T.
     assert q_sup[(2, 0)] == pytest.approx(4.0 * math.pi, rel=1e-13)
-    assert q_l1[(2, 0)] == pytest.approx(2.0 * math.pi * 1.5, rel=1e-12)
 
 
 def test_bound_inputs_assembly():

@@ -145,13 +145,21 @@ def test_sweep_streaming_below_tolerance():
     assert all(r.error < 1e-8 for r in rows)
 
 
-def test_sweep_deterministic_and_parallel_identical(tmp_path):
+def test_sweep_rows_equal_fresh_single_runs(tmp_path):
+    # The sweep shares one Manufactured (and its reference solves) per
+    # (eps, sigma); every row must still equal a run on a fresh one.
     rs = _parse_text(
         "[run]\nproblem = iso-smooth\nsolver = pn\n"
-        "[sweep]\nN = 1, 2, 3\n"
+        "[sweep]\nN = 1, 2, 3\neps = 0.5, 1\n"
     )
-    rows1 = hn.run_sweep(rs, jobs=1)
-    rows2 = hn.run_sweep(rs, jobs=3)
+    rows1 = hn.run_sweep(rs)
+    assert [(r.N, r.eps) for r in rows1] == [(N, e) for N in (1, 2, 3) for e in (0.5, 1.0)]
+    for r in rows1:
+        mf = hn.manufactured(rs.problem, eps=r.eps, sigma_t=r.sigma_t, T=rs.T)
+        out = hn.run_single(mf, rs.solver, r.N, dt=rs.T)
+        assert (r.error, r.oracle_uncertainty, r.bound, r.branch) == (
+            out.error, out.oracle_uncertainty, out.bound, out.branch)
+    rows2 = hn.run_sweep(rs)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     hn.write_csv(rows1, p1)
@@ -161,6 +169,70 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path):
         return [ln.rsplit(",", 1)[0] for ln in open(path).read().splitlines()]
 
     assert strip_walltime(p1) == strip_walltime(p2)
+
+
+def _reference_degrees(monkeypatch, rs):
+    """Degrees of the P_N solves a sweep makes, the solved points excluded."""
+    degrees = []
+    solve_pn = tr.solve_pn
+
+    def counting(spec, N, *args, **kwargs):
+        degrees.append(N)
+        return solve_pn(spec, N, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "solve_pn", counting)
+    hn.run_sweep(rs)
+    return [d for d in degrees if rs.solver != "pn" or d not in rs.sweep_N]
+
+
+def test_sweep_solves_each_reference_degree_once(monkeypatch):
+    # References sit at 2N+6 and 2N+10, so N = 1, 3, 5 needs 8, 12, 16, 20.
+    rs = _parse_text(
+        "[run]\nproblem = sobolev-s\nsolver = pn\ns = 2\n"
+        "[sweep]\nN = 1, 3, 5\n"
+    )
+    assert _reference_degrees(monkeypatch, rs) == [8, 12, 16, 20]
+
+
+def test_hybrid_dt_sweep_shares_references(monkeypatch):
+    rs = _parse_text(
+        "[run]\nproblem = iso-smooth\nsolver = hybrid\nN = 1\n"
+        "[sweep]\ndt = 1, 0.5, 0.25, 0.125\n"
+    )
+    assert _reference_degrees(monkeypatch, rs) == [8, 12]
+
+
+_BAD_VALUES = [
+    ("N = 3\ns = 0", "s"),
+    ("N = 3\nband = -1", "band"),
+    ("N = 5\nn_ref = 5", "n_ref"),
+    ("N = 1\nn_ref = 4\n[sweep]\nN = 1, 5", "n_ref"),
+    ("sigma_t = -1", "sigma_t"),
+    ("[sweep]\nsigma = 1, -0.5", "sigma"),
+    ("[sweep]\neps = 1, 0", "eps"),
+    ("sigma_a = 1.5", "sigma_a"),
+    ("sigma_a = -0.1", "sigma_a"),
+    ("sigma_a = 0.5\n[sweep]\nsigma = 1, 0.25", "sigma_a"),
+]
+
+
+@pytest.mark.parametrize("body,key", _BAD_VALUES)
+def test_bad_values_rejected_at_parse(tmp_path, capsys, body, key):
+    text = "[run]\nproblem = sobolev-s\n" + body + "\n"
+    with pytest.raises(hn.ConfigError, match=f"^{key} must"):
+        _parse_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must")
+    assert "Traceback" not in err
+
+
+def test_edge_values_accepted():
+    rs = _parse_text("[run]\nproblem = sobolev-s\nN = 5\nn_ref = 6\ns = 1\n"
+                     "band = 0\nsigma_t = 0.5\nsigma_a = 0.5\n")
+    assert (rs.n_ref, rs.s, rs.band, rs.sigma_a) == (6, 1, 0, 0.5)
 
 
 def test_csv_round_trip(tmp_path):
