@@ -594,32 +594,55 @@ def audit_inequalities(s_max: int = 5, l_max: int = 64, n_samples: int = 1000,
                     ("degree-weight-difference", {"s": s, "l": l, "lhs": lhs, "rhs": rhs})
                 )
 
+    # Draw in the order of one pass per sample (the vector, then s and N of
+    # its approximation check), then judge all samples at once from their
+    # per-degree energies, summed by degree as angular_seminorm sums them.
     L = 12
     nm = sh.n_moments(L)
+    U = np.empty((n_samples, nm))
+    S = np.empty(n_samples, dtype=int)
+    Ns = np.empty(n_samples, dtype=int)
     for i in range(n_samples):
-        u = rng.standard_normal(nm)
-        for s in (0, 1, 2, 3):
-            c1, c2 = sh.equivalence_constants(s)
-            full = sh.angular_norm(u, s)
-            alldeg = sh.angular_norm_all_degrees(u, s)
-            checks += 1
-            if c1 * full > alldeg * (1.0 + 1e-12) or alldeg > c2 * full * (1.0 + 1e-12):
-                violations.append(
-                    ("norm-equivalence", {"sample": i, "s": s,
-                                          "c1*full": c1 * full, "alldeg": alldeg,
-                                          "c2*full": c2 * full})
-                )
-        s = int(rng.integers(1, 4))
-        N = int(rng.integers(max(0, s - 1), L))
-        tail = sh.tail_moments(u, N)
-        lhs = float(np.linalg.norm(tail))
-        rhs = (N + 1.0) ** (-s) * sh.angular_seminorm(tail, s)
-        checks += 1
-        if lhs > rhs + 1e-13:
-            violations.append(
-                ("approximation-property", {"sample": i, "s": s, "N": N,
-                                            "lhs": lhs, "rhs": rhs})
-            )
+        U[i] = rng.standard_normal(nm)
+        S[i] = rng.integers(1, 4)
+        Ns[i] = rng.integers(max(0, S[i] - 1), L)
+    energy = np.stack(
+        [np.sum(U[:, sh.degree_slice(l)] ** 2, axis=1) for l in range(L + 1)], axis=1
+    )
+    degrees = np.arange(L + 1)
+
+    def degree_sum(weights, keep):
+        total = np.zeros(n_samples)
+        for l in range(L + 1):
+            total = total + np.where(keep[..., l], weights[..., l] * energy[:, l], 0.0)
+        return total
+
+    found = []  # (sample, position within the sample's checks, violation)
+    plain = np.sum(U ** 2, axis=1)
+    for pos, s in enumerate((0, 1, 2, 3)):
+        c1, c2 = sh.equivalence_constants(s)
+        weights = (degrees + 0.5) ** (2 * s)
+        full = np.sqrt(s * plain + degree_sum(weights, degrees >= s))
+        alldeg = np.sqrt(degree_sum(weights, degrees >= 0))
+        checks += n_samples
+        bad = (c1 * full > alldeg * (1.0 + 1e-12)) | (alldeg > c2 * full * (1.0 + 1e-12))
+        for i in np.flatnonzero(bad):
+            found.append((i, pos, ("norm-equivalence", {
+                "sample": int(i), "s": s, "c1*full": float(c1 * full[i]),
+                "alldeg": float(alldeg[i]), "c2*full": float(c2 * full[i])})))
+
+    # Approximation property: the tail above degree N, of which only
+    # degrees l > N >= s - 1 carry energy.
+    tail = degrees[None, :] > Ns[:, None]
+    lhs = np.sqrt(degree_sum(np.ones(L + 1), tail))
+    weights = (degrees[None, :] + 0.5) ** (2 * S[:, None])
+    rhs = (Ns + 1.0) ** (-S) * np.sqrt(degree_sum(weights, tail))
+    checks += n_samples
+    for i in np.flatnonzero(lhs > rhs + 1e-13):
+        found.append((i, 4, ("approximation-property", {
+            "sample": int(i), "s": int(S[i]), "N": int(Ns[i]),
+            "lhs": float(lhs[i]), "rhs": float(rhs[i])})))
+    violations += [v for _, _, v in sorted(found, key=lambda f: f[:2])]
     return AuditReport(checks_run=checks, violations=violations)
 
 

@@ -196,7 +196,8 @@ def parse_config_text(lines) -> RunSpec:
     rs.N = take_int("N", rs.N)
     rs.dt = take_time("dt", None)
     rs.eps = take_float("eps", rs.eps)
-    rs.sigma_t = take_float("sigma_t", rs.sigma_t)
+    # The scattering-free problem has no cross sections to default to 1.
+    rs.sigma_t = take_float("sigma_t", 0.0 if rs.problem == "streaming" else rs.sigma_t)
     rs.sigma_a = take_float("sigma_a", rs.sigma_a)
     rs.T = take_time("T", rs.T)
     rs.s = take_int("s", None)
@@ -227,6 +228,16 @@ def parse_config_text(lines) -> RunSpec:
     rs.sweep_dt = split_list("dt", lambda p, no, key: _check_number(p, no, key))
     rs.sweep_eps = split_list("eps", lambda p, no, key: float(_check_number(p, no, key)))
     rs.sweep_sigma = split_list("sigma", lambda p, no, key: float(_check_number(p, no, key)))
+
+    if rs.problem == "streaming":
+        for key, values in (("sigma_t", (rs.sigma_t,)), ("sigma_a", (rs.sigma_a,)),
+                            ("sigma", rs.sweep_sigma)):
+            for v in values:
+                if v != 0.0:
+                    raise ConfigError(
+                        f"{key} must be 0 for the scattering-free problem "
+                        f"'streaming', got {v}"
+                    )
 
     Ns = (rs.N,) + rs.sweep_N
     sigma_min = min((rs.sigma_t,) + rs.sweep_sigma)
@@ -367,6 +378,8 @@ def _build_aniso_decay(eps, sigma_t, sigma_a, T, dt, s, band):
 
 
 def _build_streaming(eps, sigma_t, sigma_a, T, dt, s, band):
+    """Scattering-free by definition: the cross sections are not read (the
+    config parser rejects nonzero ones for this problem)."""
     g = [
         gr.isotropic_term(_cosine_spatial()),
         gr.term(_cosine_spatial(), (0.0, 0.0, 0.5, 0.0)),
@@ -745,7 +758,9 @@ def fit_and_check(rows, tol: float = 1e-8) -> ConformanceReport:
 
 def emit_plot(rows, axis: str, svg_path=None, txt_path=None):
     """Log-log plot of error vs one sweep axis with the bound overlaid,
-    plus a plain-text table; both byte-deterministic functions of the rows."""
+    plus a plain-text table; both byte-deterministic functions of the rows.
+    A series with no positive point (an exact solver's zero errors) is left
+    out of the plot; with none left, the SVG says so and the table stays."""
     from . import svgplot
 
     rows = list(rows)
@@ -763,9 +778,14 @@ def emit_plot(rows, axis: str, svg_path=None, txt_path=None):
     )
     if bnd:
         series.append(("bound", bnd, "dashed"))
+    series = [sr for sr in series if any(x > 0.0 and y > 0.0 for x, y in sr[1])]
     label = {"N": "N+1", "dt": "dt", "eps": "eps", "sigma": "sigma_t"}[axis]
     title = f"{rows[0].problem} / {rows[0].solver}"
-    svg = svgplot.log_log_plot(series, title=title, xlabel=label, ylabel="L2 error")
+    if series:
+        svg = svgplot.log_log_plot(series, title=title, xlabel=label, ylabel="L2 error")
+    else:
+        svg = svgplot.note_plot("no positive error or bound to plot on log axes",
+                                title=title)
 
     widths = (14, 24, 24, 14)
     header = ("%-*s %-*s %-*s %-*s" % (

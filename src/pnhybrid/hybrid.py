@@ -99,7 +99,8 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
     """Advance the pair over [a, b] without remapping.
 
     The collided moments absorb the isotropic re-emission of the decaying
-    uncollided average; the uncollided carrier then advances exactly,
+    uncollided average (Duhamel quadrature over the closed-form uncollided
+    field, source included); the uncollided carrier then advances exactly,
     picking up the external source.
     """
     if psi_u.quad.exactness < 2 * psi_c.N:
@@ -116,13 +117,12 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
         w = psi_u.quad.weights
         nm = op.nm
         emit = sigma / eps**2 * math.sqrt(_FOUR_PI)
+        profiles = tr.nodal_source(psi_u.grid, psi_u.quad, q_terms)
 
         def sample(t: float) -> np.ndarray:
-            if q_terms:
-                vals = tr.solve_uncollided(psi_u, a, t, eps, sigma, sigma_a,
-                                           q_terms=q_terms).values
-            else:
-                vals = psi_u.values * np.exp(-lam * (t - a))
+            vals = psi_u.values * np.exp(-lam * (t - a))
+            if profiles:
+                vals = vals + tr.source_response(lam, a, t, profiles)
             avg = (vals @ w) / _FOUR_PI
             out = np.zeros(psi_u.grid.shape + (nm,), dtype=complex)
             out[..., 0] = emit * avg

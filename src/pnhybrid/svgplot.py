@@ -36,6 +36,30 @@ def _tick_label(exp: int) -> str:
     return f"1e{exp:+03d}"
 
 
+def _header(title: str) -> list:
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}" '
+        f'height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">',
+        f'<rect x="0" y="0" width="{int(_WIDTH)}" height="{int(_HEIGHT)}" '
+        f'fill="white"/>',
+    ]
+    if title:
+        out.append(f'<text x="{_f(_WIDTH / 2)}" y="22" text-anchor="middle" '
+                   f'font-family="monospace" font-size="14">{title}</text>')
+    return out
+
+
+def note_plot(note: str, title: str = "") -> str:
+    """An axis-free figure carrying only a title and a centered note, for
+    data that has nothing to draw on log-log axes."""
+    out = _header(title)
+    out.append(f'<text x="{_f(_WIDTH / 2)}" y="{_f(_HEIGHT / 2)}" '
+               f'text-anchor="middle" font-family="monospace" '
+               f'font-size="12">{note}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
 def log_log_plot(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render series = [(label, [(x, y), ...], style), ...] on log-log axes.
 
@@ -75,16 +99,7 @@ def log_log_plot(series, title: str = "", xlabel: str = "", ylabel: str = "") ->
     def py(ly: float) -> float:
         return _MT + (ly1 - ly) / (ly1 - ly0) * ih
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_WIDTH)}" '
-        f'height="{int(_HEIGHT)}" viewBox="0 0 {int(_WIDTH)} {int(_HEIGHT)}">'
-    )
-    out.append(f'<rect x="0" y="0" width="{int(_WIDTH)}" height="{int(_HEIGHT)}" '
-               f'fill="white"/>')
-    if title:
-        out.append(f'<text x="{_f(_WIDTH / 2)}" y="22" text-anchor="middle" '
-                   f'font-family="monospace" font-size="14">{title}</text>')
+    out = _header(title)
 
     # frame
     out.append(

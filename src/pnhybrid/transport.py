@@ -13,15 +13,22 @@ generator
 advanced by matrix exponentials.  Axis reflections and the x <-> y swap of k
 conjugate L_k by signed permutations of the real harmonic basis, so only one
 representative per symmetry orbit gets a dense generator and an expm; the
-other modes reuse its propagator.  Time-dependent sources are folded in with
-Gauss-Legendre Duhamel quadrature on substeps short enough that the rule is
-accurate to near machine precision.
+other modes reuse its propagator.
+
+External sources are finite sums of polynomial-times-exponential terms and
+are integrated exactly in time: in moment space by one exponential of the
+mode generator augmented with the source's time factors (Van Loan, IEEE TAC
+23(3), 1978), along characteristics by phi-functions (Hochbruck-Ostermann,
+Acta Numerica 2010).  PnOperator.step still accepts an arbitrary source
+callable, folded in by Gauss-Legendre Duhamel quadrature on substeps short
+enough that the rule is accurate to near machine precision; the hybrid
+re-emission uses that path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,6 +43,15 @@ from . import harmonics as sh
 # (error ~ (rho*h)^(2n)/(2n)! with n nodes).
 _DUHAMEL_NODES = 12
 _SUBSTEP_BUDGET = 3.0
+
+# Below this |z| the phi-functions are summed from their Taylor series, where
+# the recurrence phi_(j+1)(z) = (phi_j(z) - 1/j!)/z cancels (z = 0 occurs
+# exactly: no scattering, a constant source, k.Omega = 0).  The 20-term
+# series leaves a truncation below 1e-18 there, and above the switch the
+# recurrence stays within 1e-14 relative of phi_0..phi_4 (checked against
+# 50-digit arithmetic); the same split as bounds.TAU_STAR.
+PHI_SERIES_BELOW = 1.0
+_PHI_SERIES_TERMS = 20
 
 
 def _as_fraction(x, name="time") -> Fraction:
@@ -144,9 +160,34 @@ def source_sampler(spec: ProblemSpec, grid: gr.SpatialGrid, N: int):
     return sample
 
 
-def source_rate(spec: ProblemSpec) -> float:
-    """Fastest intrinsic time scale of the source terms."""
-    return max((abs(tm.time_exp) for tm in spec.q), default=0.0)
+def poly_derivatives(poly, t: float) -> list:
+    """[p(t), p'(t), ..., p^(d)(t)] for coefficients low order first."""
+    c = np.asarray(poly, dtype=float)
+    out = []
+    for _ in range(len(c)):
+        out.append(float(np.polynomial.polynomial.polyval(t, c)))
+        c = np.polynomial.polynomial.polyder(c)
+    return out
+
+
+def phi_functions(z, n: int) -> list:
+    """[phi_0(z), ..., phi_n(z)] elementwise, phi_0(z) = e^z and
+    phi_j(z) = sum_m z^m/(m+j)!, so phi_(j+1)(z) = (phi_j(z) - 1/j!)/z.
+    The recurrence is used for |z| >= PHI_SERIES_BELOW, the series below."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < PHI_SERIES_BELOW
+    z_big = np.where(small, 1.0, z)
+    z_small = np.where(small, z, 0.0)
+    out = [np.exp(z)]
+    for j in range(1, n + 1):
+        rec = (out[-1] - 1.0 / math.factorial(j - 1)) / z_big
+        if small.any():
+            ser = np.zeros_like(z_small)
+            for m in reversed(range(_PHI_SERIES_TERMS)):
+                ser = ser * z_small + 1.0 / math.factorial(m + j)
+            rec = np.where(small, ser, rec)
+        out.append(rec)
+    return out
 
 
 def assemble_mode_operator(
@@ -223,19 +264,29 @@ class PnOperator:
     def rate(self, idx) -> float:
         return self._rates[idx]
 
+    def _to_mode(self, idx, X: np.ndarray) -> np.ndarray:
+        """Map a representative-frame matrix X_c to mode idx: S_g X_c S_g^T,
+        applied by indexing."""
+        sym = self._orbit[idx][1]
+        if sym is None:
+            return X
+        perm, sign = sym
+        return np.multiply.outer(sign, sign) * X[np.ix_(perm, perm)]
+
+    def generator(self, idx) -> np.ndarray:
+        """Dense generator L_k of mode idx."""
+        return self._to_mode(idx, self._gens[self._orbit[idx][0]])
+
     def propagator(self, idx, h: float) -> np.ndarray:
         key = (idx, float(h))
         P = self._props.get(key)
         if P is None:
-            c, sym = self._orbit[idx]
+            c = self._orbit[idx][0]
             P = self._rep_props.get((c, key[1]))
             if P is None:
                 P = expm(h * self._gens[c])
                 self._rep_props[(c, key[1])] = P
-            if sym is not None:
-                # P_k = S_g P_c S_g^T, applied by indexing.
-                perm, sign = sym
-                P = np.multiply.outer(sign, sign) * P[np.ix_(perm, perm)]
+            P = self._to_mode(idx, P)
             self._props[key] = P
         return P
 
@@ -268,6 +319,71 @@ class PnOperator:
         return out
 
 
+class SourcedModes:
+    """Exact time integration of an external source in moment space.
+
+    A source term p(t) e^(mu t) x (spatial modes) x (angular profile) with
+    deg p = d is generated by w' = J w, w_j(t) = p^(j)(t) e^(mu t), where J
+    has mu on the diagonal and 1 above it.  On a mode k the terms reach,
+    (u, w) therefore evolves under the augmented generator
+    [[L_k, B], [0, J]], B = (profile) e_0^T per term, and one expm of it
+    advances the mode over a whole step with the Duhamel integral in closed
+    form (Van Loan 1978).  The term amplitudes enter through w(t0), so the
+    augmented propagator is cached per (mode, h).  Modes no term reaches
+    keep the operator's plain propagators.
+    """
+
+    def __init__(self, op: PnOperator, terms):
+        self.op = op
+        self._pieces = {}  # mode index -> [(amplitude, term, truncated profile)]
+        for tm in terms:
+            if not tm.time_poly:
+                continue
+            ang = np.zeros(op.nm)
+            n = min(op.nm, len(tm.angular))
+            ang[:n] = tm.angular[:n]
+            for k, amp in tm.spatial:
+                self._pieces.setdefault(op.grid.index_of(k), []).append((amp, tm, ang))
+        self._props = {}
+
+    def propagator(self, idx, h: float) -> np.ndarray:
+        """expm(h [[L_k, B], [0, J]]) of a mode the source reaches."""
+        key = (idx, float(h))
+        E = self._props.get(key)
+        if E is None:
+            nm = self.op.nm
+            pieces = self._pieces[idx]
+            size = nm + sum(len(tm.time_poly) for _, tm, _ in pieces)
+            A = np.zeros((size, size), dtype=complex)
+            A[:nm, :nm] = self.op.generator(idx)
+            col = nm
+            for _, tm, ang in pieces:
+                d = len(tm.time_poly)
+                A[:nm, col] = ang
+                A[col:col + d, col:col + d] = tm.time_exp * np.eye(d) + np.eye(d, k=1)
+                col += d
+            E = expm(h * A)
+            self._props[key] = E
+        return E
+
+    def step(self, coeffs, h: float, t0: float) -> np.ndarray:
+        """Advance coefficients from t0 to t0 + h, source included."""
+        op, nm = self.op, self.op.nm
+        out = np.array(coeffs, dtype=complex, copy=True)
+        for idx, _ in op.modes():
+            pieces = self._pieces.get(idx)
+            if pieces is None:
+                out[idx] = op.propagator(idx, h) @ out[idx]
+                continue
+            w0 = np.concatenate([
+                amp * math.exp(tm.time_exp * t0) * np.array(poly_derivatives(tm.time_poly, t0))
+                for amp, tm, _ in pieces
+            ])
+            E = self.propagator(idx, h)
+            out[idx] = E[:nm, :nm] @ out[idx] + E[:nm, nm:] @ w0
+        return out
+
+
 @dataclass
 class SolveResult:
     times: list
@@ -283,15 +399,16 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None,
     """Monolithic spherical-harmonic solve from t = 0 to t_end (default T).
 
     Absorption, when present, acts directly through the generator; see
-    absorption_wrap for the equivalent change-of-variables route.
+    absorption_wrap for the equivalent change-of-variables route.  The
+    source is integrated exactly in time (SourcedModes).
     """
     if grid is None:
         grid = default_grid(spec)
     if t_end is None:
         t_end = spec.t_final
     op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
+    sourced = SourcedModes(op, spec.q) if spec.q else None
     state = initial_field(spec, grid, N)
-    sampler = source_sampler(spec, grid, N)
     times = sorted(set(float(t) for t in record_times) | {float(t_end)})
     if any(t < 0 or t > float(t_end) + 1e-15 for t in times):
         raise ValueError("record times must lie in [0, t_end]")
@@ -303,9 +420,7 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None,
     for target in times:
         h = target - t
         if h > 0:
-            extra = source_rate(spec) if sampler is not None else 0.0
-            nsub = op.substeps_for(h, extra) if sampler is not None else None
-            coeffs = op.step(coeffs, h, source=sampler, t0=t, substeps=nsub)
+            coeffs = op.step(coeffs, h) if sourced is None else sourced.step(coeffs, h, t)
             t = target
         out_times.append(t)
         out_fields.append(gr.MomentField(grid, N, coeffs))
@@ -359,29 +474,42 @@ def uncollided_rates(grid: gr.SpatialGrid, quad: sh.SphereQuadrature,
     return (sigma / eps**2 + sigma_a) + 1j * kdot / eps
 
 
+def nodal_source(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, q_terms) -> list:
+    """The source's space-angle factors at the quadrature nodes: one
+    (term, values[k1, k2, k3, node]) pair per term, time factor left out."""
+    return [
+        (tm, gr.nodal_field(grid, quad, [replace(tm, time_poly=(1.0,), time_exp=0.0)]).values)
+        for tm in q_terms
+    ]
+
+
+def source_response(lam: np.ndarray, a: float, b: float, profiles) -> np.ndarray:
+    """Exact integral over [a, b] of exp(-lam (b - tau)) q(tau), per (mode,
+    node), for q given by nodal_source profiles.  With h = b - a, a term
+    p(t) e^(mu t) x profile contributes
+    e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(-(lam + mu) h) x profile."""
+    h = b - a
+    out = np.zeros(lam.shape, dtype=complex)
+    for tm, profile in profiles:
+        derivs = poly_derivatives(tm.time_poly, a)
+        phis = phi_functions(-(lam + tm.time_exp) * h, len(derivs))
+        acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
+        out += math.exp(tm.time_exp * b) * acc * profile
+    return out
+
+
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
                      sigma: float, sigma_a: float = 0.0, q_terms=()) -> gr.NodalField:
     """Exact evolution of d_t v = -lambda v + q along each (mode, direction)
-    characteristic; the homogeneous part is a closed-form exponential and the
-    source integral is Gauss quadrature on substeps sized by |lambda| (b-a).
+    characteristic: the homogeneous part is a closed-form exponential and
+    the source integral is closed-form in phi-functions (source_response).
     """
     if b < a:
         raise ValueError(f"interval end {b} precedes start {a}")
     lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
-    span = b - a
-    vals = state.values * np.exp(-lam * span)
+    vals = state.values * np.exp(-lam * (b - a))
     if q_terms:
-        rho = float(np.max(np.abs(lam))) + max(
-            (abs(tm.time_exp) for tm in q_terms), default=0.0
-        )
-        nsub = max(1, math.ceil(rho * span / _SUBSTEP_BUDGET))
-        hs = span / nsub
-        x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
-        for j in range(nsub):
-            for xi, wi in zip(x, w):
-                tau = a + j * hs + 0.5 * hs * (xi + 1.0)
-                qv = gr.nodal_field(state.grid, state.quad, q_terms, tau).values
-                vals = vals + (0.5 * hs * wi) * np.exp(-lam * (b - tau)) * qv
+        vals = vals + source_response(lam, a, b, nodal_source(state.grid, state.quad, q_terms))
     return gr.NodalField(state.grid, state.quad, vals)
 
 

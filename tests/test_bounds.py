@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from pnhybrid import bounds as bd
 from pnhybrid import grid as gr
+from pnhybrid import harmonics as sh
 from pnhybrid import transport as tr
 
 
@@ -351,6 +352,85 @@ def test_audit_inequalities_clean():
     rep = bd.audit_inequalities(s_max=5, l_max=64, n_samples=200, seed=3)
     assert rep.ok, rep.violations[:3]
     assert rep.checks_run > 5 * 60
+
+
+def _audit_loop_oracle(s_max=5, l_max=64, n_samples=1000, seed=0):
+    """The per-sample loop audit_inequalities replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    violations = []
+    checks = 0
+    for s in range(1, s_max + 1):
+        for l in range(s, l_max + 1):
+            gamma_sl = 0.0 if l == s else 1.0
+            lhs = (l + 0.5) ** (2 * s) - gamma_sl * (l - 0.5) ** (2 * s)
+            rhs = 2.0 * math.e * s * (l + 0.5) ** s * (l - 0.5) ** (s - 1)
+            checks += 1
+            if lhs > rhs * (1.0 + 1e-12):
+                violations.append(
+                    ("degree-weight-difference", {"s": s, "l": l, "lhs": lhs, "rhs": rhs})
+                )
+    L = 12
+    nm = sh.n_moments(L)
+    for i in range(n_samples):
+        u = rng.standard_normal(nm)
+        for s in (0, 1, 2, 3):
+            c1, c2 = sh.equivalence_constants(s)
+            full = sh.angular_norm(u, s)
+            alldeg = sh.angular_norm_all_degrees(u, s)
+            checks += 1
+            if c1 * full > alldeg * (1.0 + 1e-12) or alldeg > c2 * full * (1.0 + 1e-12):
+                violations.append(
+                    ("norm-equivalence", {"sample": i, "s": s,
+                                          "c1*full": c1 * full, "alldeg": alldeg,
+                                          "c2*full": c2 * full})
+                )
+        s = int(rng.integers(1, 4))
+        N = int(rng.integers(max(0, s - 1), L))
+        tail = sh.tail_moments(u, N)
+        lhs = float(np.linalg.norm(tail))
+        rhs = (N + 1.0) ** (-s) * sh.angular_seminorm(tail, s)
+        checks += 1
+        if lhs > rhs + 1e-13:
+            violations.append(
+                ("approximation-property", {"sample": i, "s": s, "N": N,
+                                            "lhs": lhs, "rhs": rhs})
+            )
+    return bd.AuditReport(checks_run=checks, violations=violations)
+
+
+def _assert_same_audit(got, want):
+    assert got.checks_run == want.checks_run
+    assert len(got.violations) == len(want.violations)
+    for (kind_g, g), (kind_w, w) in zip(got.violations, want.violations):
+        assert kind_g == kind_w and g.keys() == w.keys()
+        for key, value in w.items():
+            if isinstance(value, int):
+                assert g[key] == value and type(g[key]) is int, (kind_w, key)
+            else:
+                # Summation order differs from the loop's: rounding only.
+                assert g[key] == pytest.approx(value, rel=1e-13, abs=0.0), (kind_w, key)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audit_inequalities_matches_loop_oracle(seed):
+    got = bd.audit_inequalities(seed=seed)
+    assert got.checks_run == 5310
+    _assert_same_audit(got, _audit_loop_oracle(seed=seed))
+
+
+def test_audit_inequalities_matches_loop_oracle_on_violations(monkeypatch):
+    # c2 near the median of alldeg/full over these samples, so about half of
+    # them violate the upper bound at each s >= 1.
+    tight = {1: 0.9941, 2: 0.9999, 3: 1.0000016}
+    real = sh.equivalence_constants
+    monkeypatch.setattr(sh, "equivalence_constants",
+                        lambda s: (real(s)[0], tight[s]) if s else real(s))
+    got = bd.audit_inequalities(n_samples=300, seed=5)
+    want = _audit_loop_oracle(n_samples=300, seed=5)
+    assert {kind for kind, _ in want.violations} == {"norm-equivalence"}
+    assert {v["s"] for _, v in want.violations} == {1, 2, 3}
+    assert 300 < len(want.violations) < 3 * 300
+    _assert_same_audit(got, want)
 
 
 def test_bound_report_serialization():

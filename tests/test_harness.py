@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,3 +385,73 @@ def test_cli_usage_error_is_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["sweep"])  # missing --config
     assert exc.value.code == 1
+
+
+def test_streaming_cross_sections_default_to_zero():
+    rs = _parse_text("[run]\nproblem = streaming\nsolver = hybrid\n")
+    assert (rs.sigma_t, rs.sigma_a) == (0.0, 0.0)
+    rs = _parse_text("[run]\nproblem = streaming\nsigma_t = 0\nsigma_a = 0.0\n"
+                     "[sweep]\nsigma = 0, 0.0\n")
+    assert (rs.sigma_t, rs.sigma_a, rs.sweep_sigma) == (0.0, 0.0, (0.0, 0.0))
+    # Other problems keep the unit default.
+    assert _parse_text("[run]\nproblem = iso-smooth\n").sigma_t == 1.0
+    # The shipped config round-trips with its cross section written out.
+    rs = hn.parse_config(os.path.join(CONFIG_DIR, "streaming-dt.cfg"))
+    text = hn.emit_config(rs)
+    assert "sigma_t = 0.0\n" in text
+    assert hn.parse_config_text(text.splitlines()) == rs
+
+
+@pytest.mark.parametrize("body,key", [
+    ("sigma_t = 1", "sigma_t"),
+    ("sigma_a = 0.5", "sigma_a"),
+    ("sigma_t = 0.5\nsigma_a = 0.5", "sigma_t"),
+    ("[sweep]\nsigma = 0, 1", "sigma"),
+])
+def test_streaming_rejects_cross_sections(tmp_path, capsys, body, key):
+    text = "[run]\nproblem = streaming\nsolver = hybrid\n" + body + "\n"
+    with pytest.raises(hn.ConfigError, match=f"^{key} must be 0 for the "
+                                             "scattering-free problem 'streaming'"):
+        _parse_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    for command in ("solve-pn", "sweep"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be 0")
+        assert "Traceback" not in err
+
+
+def test_streaming_solve_reports_zero_sigma(tmp_path, capsys):
+    cfg = os.path.join(CONFIG_DIR, "streaming-dt.cfg")
+    assert cli.main(["solve-pn", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "sigma_t=0  sigma_a=0" in out
+
+
+def test_plot_of_exact_solver_sweep(tmp_path, capsys):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("[run]\nproblem = streaming\nsolver = uncollided\n"
+                   "out_csv = exact.csv\n[sweep]\nN = 1, 2, 3\n")
+    out = str(tmp_path)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", out]) == 0
+    rows = hn.read_csv(tmp_path / "exact.csv")
+    assert [r.error for r in rows] == [0.0, 0.0, 0.0]
+    assert cli.main(["plot", "--config", str(cfg), "--out", out]) == 0
+    assert "plot error" not in capsys.readouterr().err
+    svg = (tmp_path / "exact.svg").read_text()
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert "no positive error or bound to plot" in svg
+    assert "<circle" not in svg and "<polyline" not in svg
+    txt = (tmp_path / "exact.txt").read_text().splitlines()
+    assert txt[0].split() == ["N+1", "error", "bound", "branch"]
+    assert [line.split()[:2] for line in txt[1:]] == [["2", "0"], ["3", "0"], ["4", "0"]]
+
+
+def test_plot_drops_only_the_empty_series():
+    rows = _synthetic_rows()
+    svg, _ = hn.emit_plot([replace(r, bound=0.0) for r in rows], "N")
+    assert svg.count("<circle") == len(rows)
+    assert "stroke-dasharray" not in svg  # no bound series left
+    svg, _ = hn.emit_plot([replace(r, error=0.0) for r in rows], "N")
+    assert "<circle" not in svg and "stroke-dasharray" in svg

@@ -220,3 +220,42 @@ def test_absorbing_hybrid_matches_transformed():
     transformed = hy.run_hybrid(pure, N=3, quad=quad)
     want = transformed.total.values * scale(spec.t_final)
     assert np.max(np.abs(direct.total.values - want)) < 1e-10
+
+
+def _sourced_spec():
+    g = [gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (math.sqrt(4.0 * math.pi), 0.0, 0.3, 0.0))]
+    q = [gr.term({(0, 0, 0): 1.0, (1, 0, 0): 0.5, (-1, 0, 0): 0.5},
+                 (math.sqrt(4.0 * math.pi), 0.0, 0.4, 0.0),
+                 time_poly=(1.0, 0.5), time_exp=-1.0)]
+    return tr.problem("sourced", eps=1.0, sigma_t=1.0, g=g, q=q, T=1, dt="1/4")
+
+
+def test_sourced_hybrid_approaches_high_degree_pn():
+    spec = _sourced_spec()
+    quad = sh.build_sphere_quadrature(14)
+    ref = tr.solve_pn(spec, 12).final
+    unforced = tr.solve_pn(tr.problem("bare", 1.0, 1.0, spec.g, T=1), 12).final
+    errs = [gr.nodal_error_norm(hy.run_hybrid(spec, N, quad=quad).total, ref)
+            for N in (1, 3, 5)]
+    assert errs[0] > 100.0 * errs[1] > 1e4 * errs[2]
+    # Far below the source's own contribution to the solution.
+    assert errs[2] < 1e-6 * gr.l2_norm(ref - unforced)
+
+
+def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
+    spec = _sourced_spec()
+    grid = tr.default_grid(spec)
+    quad = sh.build_sphere_quadrature(6)
+    op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t)
+    psi_u = gr.nodal_field(grid, quad, spec.g)
+    psi_c = gr.zero_moment_field(grid, 3)
+    calls = {"solve_uncollided": 0, "nodal_field": 0}
+    for mod, name in ((tr, "solve_uncollided"), (gr, "nodal_field")):
+        def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counting)
+    hy.hybrid_step(psi_u, psi_c, 0.0, 0.25, op, q_terms=spec.q)
+    # One closed-form advance of the carrier, and the source's nodal profile
+    # built once for the re-emission samples and once for that advance.
+    assert calls == {"solve_uncollided": 1, "nodal_field": 2}

@@ -356,3 +356,142 @@ def test_one_expm_per_orbit(monkeypatch):
     for idx, _ in op.modes():
         op.propagator(idx, 0.125)
     assert len(calls) == 18
+
+
+# ---------------------------------------------------------------------------
+# Exact-in-time sources, against the Gauss-Legendre Duhamel quadrature kept
+# in PnOperator.step(source=...) and the loop solve_uncollided used to run.
+
+_GRID3 = gr.SpatialGrid(3, 3)
+# Along an axis, genuinely 3D, and reached from their orbit representative
+# through the x <-> y swap (|k1| < |k2|).
+_SOURCE_KS = [(1, 0, 0), (0, 0, 1), (1, -1, 1), (0, 1, 0), (0, -1, 1), (-1, 1, 0)]
+
+
+@st.composite
+def _source_terms(draw, sigma, sigma_a, eps):
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        ks = draw(st.lists(st.sampled_from(_SOURCE_KS), min_size=1, max_size=2,
+                           unique=True))
+        deg = draw(st.integers(0, 2))
+        poly = draw(st.lists(st.floats(-1.0, 1.0), min_size=deg + 1, max_size=deg + 1))
+        mu = draw(st.sampled_from([0.0, -sigma_a, -(sigma / eps**2 + sigma_a), None]))
+        if mu is None:
+            mu = draw(st.floats(-2.0, 1.0))
+        ang = draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+        amps = {k: complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+                for k in ks}
+        terms.append(gr.term(amps, ang, time_poly=poly, time_exp=mu))
+    return terms
+
+
+@given(data=st.data(), N=st.integers(1, 5), eps=st.floats(0.5, 2.0),
+       sigma=st.floats(0.0, 2.0), absorb=st.floats(0.0, 1.0),
+       T=st.floats(0.05, 1.0))
+@settings(max_examples=25)
+def test_exact_source_matches_quadrature_oracle(data, N, eps, sigma, absorb, T):
+    sigma_a = absorb * sigma
+    q = data.draw(_source_terms(sigma, sigma_a, eps))
+    g = [gr.term({(0, 0, 0): 1.0, (0, 1, 1): 0.5j}, (1.0, 0.2, -0.3, 0.1))]
+    spec = tr.problem("q", eps, sigma, g, q=q, sigma_a=sigma_a, T=T)
+    t_mid = T / 3.0  # a second step starting at t0 > 0
+    res = tr.solve_pn(spec, N, grid=_GRID3, record_times=(t_mid,))
+
+    op = tr.PnOperator(_GRID3, N, eps, sigma, sigma_a)
+    sampler = tr.source_sampler(spec, _GRID3, N)
+    fastest = max(abs(tm.time_exp) for tm in q)
+    u = tr.initial_field(spec, _GRID3, N).coeffs
+    for t0, t1, got in ((0.0, t_mid, res.fields[1]), (t_mid, T, res.final)):
+        h = t1 - t0
+        u = op.step(u, h, source=sampler, t0=t0,
+                    substeps=4 * op.substeps_for(h, fastest))
+        assert np.max(np.abs(got.coeffs - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_solve_pn_integrates_source_without_quadrature(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_pn must not sample the source")
+
+    monkeypatch.setattr(tr, "source_sampler", forbidden)
+    monkeypatch.setattr(tr.PnOperator, "substeps_for", forbidden)
+    q = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, time_poly=(1.0, 2.0),
+                           time_exp=-0.5)]
+    spec = tr.problem("q", 0.5, 1.0, [_iso_cosine()], q=q, T=1)
+    assert np.all(np.isfinite(tr.solve_pn(spec, 3).final.coeffs))
+
+
+def test_modes_without_source_are_unchanged():
+    g = [gr.term({(0, 0, 0): 1.0, (1, 2, 0): 0.5, (-1, -2, 0): 0.5,
+                  (2, 1, 0): 0.25}, (1.0, 0.3, -0.2, 0.1))]
+    q = [gr.term({(1, 0, 0): 1.0}, (1.0, 0.0, 0.5, 0.0), time_poly=(0.5, 1.0))]
+    grid = gr.SpatialGrid(2, 5)
+    bare = tr.problem("bare", 0.7, 1.2, g, sigma_a=0.3, T=1)
+    forced = tr.problem("forced", 0.7, 1.2, g, q=q, sigma_a=0.3, T=1)
+    a = tr.solve_pn(bare, 4, grid=grid).final.coeffs
+    b = tr.solve_pn(forced, 4, grid=grid).final.coeffs
+    reached = grid.index_of((1, 0, 0))
+    assert not np.array_equal(a[reached], b[reached])
+    b[reached] = a[reached]
+    assert np.array_equal(a, b)
+
+
+def test_phi_functions_match_long_series_around_switch():
+    # phi_j(z) = sum_m z^m/(m+j)!, summed to 60 terms: accurate for |z| <= 2.
+    for radius in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.0):
+        z = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 37))
+        got = tr.phi_functions(z, 4)
+        for j in range(5):
+            want = sum(z**m / math.factorial(m + j) for m in range(60))
+            assert np.max(np.abs(got[j] - want) / np.abs(want)) < 1e-13, (radius, j)
+    at_zero = tr.phi_functions(np.zeros(1), 4)
+    assert [complex(p[0]) for p in at_zero] == [1.0 / math.factorial(j) for j in range(5)]
+
+
+def _uncollided_loop_oracle(state, a, b, eps, sigma, sigma_a, q_terms, refine):
+    """The Gauss-Legendre substep loop solve_uncollided ran before its source
+    integral had a closed form, with `refine` times its substeps."""
+    lam = tr.uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
+    span = b - a
+    vals = state.values * np.exp(-lam * span)
+    rho = float(np.max(np.abs(lam))) + max(abs(tm.time_exp) for tm in q_terms)
+    nsub = refine * max(1, math.ceil(rho * span / 3.0))
+    hs = span / nsub
+    x, w = np.polynomial.legendre.leggauss(12)
+    for j in range(nsub):
+        for xi, wi in zip(x, w):
+            tau = a + j * hs + 0.5 * hs * (xi + 1.0)
+            qv = gr.nodal_field(state.grid, state.quad, q_terms, tau).values
+            vals = vals + (0.5 * hs * wi) * np.exp(-lam * (b - tau)) * qv
+    return vals
+
+
+@pytest.mark.parametrize("eps,sigma,sigma_a,mu,branches", [
+    (1.0, 0.0, 0.0, 0.0, "both"),           # z = 0 exactly on the k = 0 mode
+    (0.5, 1.0, 0.25, -4.25, "both"),        # mu = -(sigma/eps^2 + sigma_a)
+    (0.5, 1.0, 0.25, -0.25, "recurrence"),  # mu = -sigma_a
+    (0.8, 2.0, 0.0, 0.7, "recurrence"),
+    (4.0, 0.2, 0.0, -0.3, "series"),
+])
+def test_uncollided_source_matches_loop_oracle(eps, sigma, sigma_a, mu, branches):
+    q = [gr.term({(0, 0, 0): 1.0, (1, 0, 0): 0.5 - 0.25j, (-1, 0, 0): 0.5 + 0.25j},
+                 (1.0, 0.0, 0.6, 0.2), time_poly=(0.3, -1.0, 0.5), time_exp=mu),
+         gr.isotropic_term({(1, 0, 0): 0.2, (-1, 0, 0): 0.2}, time_exp=mu)]
+    g = [_iso_cosine()]
+    grid = gr.grid_for(g, q)
+    quad = sh.build_sphere_quadrature(6)
+    state = gr.nodal_field(grid, quad, g)
+    a, b = 0.3, 2.3
+    lam = tr.uncollided_rates(grid, quad, eps, sigma, sigma_a)
+    z = np.abs((lam + mu) * (b - a))
+    series = z < tr.PHI_SERIES_BELOW
+    assert {"both": series.any() and not series.all(),
+            "series": series.all(), "recurrence": not series.any()}[branches]
+    if sigma == 0.0 and mu == 0.0:
+        assert np.any(z == 0.0)
+    got = tr.solve_uncollided(state, a, b, eps, sigma, sigma_a, q).values
+    want = _uncollided_loop_oracle(state, a, b, eps, sigma, sigma_a, q, refine=4)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # A zero-length interval adds nothing.
+    same = tr.solve_uncollided(state, a, a, eps, sigma, sigma_a, q).values
+    assert np.array_equal(same, state.values)
