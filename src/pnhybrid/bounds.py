@@ -211,12 +211,6 @@ class BoundReport:
     constant: float = 1.0
     notes: str = ""
 
-    def csv_rows(self):
-        rows = [("theorem", self.theorem, ""), ("total", repr(self.total), "")]
-        for t in self.terms:
-            rows.append((t.name, repr(t.value), t.branch))
-        return rows
-
     def to_text(self) -> str:
         lines = [f"{self.theorem}: total = {self.total:.6e} (constant {self.constant:g})"]
         for t in self.terms:

@@ -260,19 +260,6 @@ def nodal_field(grid: SpatialGrid, quad: sh.SphereQuadrature, terms, t: float = 
     return NodalField(grid, quad, out)
 
 
-def spatial_derivative(field, axis: int):
-    """d/dx_axis in spectral form (axis is 0-based; inactive axes give zero)."""
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1, or 2, got {axis}")
-    k = field.grid.wavenumbers(axis)
-    shape = [1, 1, 1, 1]
-    shape[axis] = k.shape[0]
-    mul = (1j * k).reshape(shape)
-    if isinstance(field, MomentField):
-        return MomentField(field.grid, field.N, field.coeffs * mul)
-    return NodalField(field.grid, field.quad, field.values * mul)
-
-
 def l2_norm(field) -> float:
     """L^2(X x S^2) norm over the active axes of the box."""
     if isinstance(field, MomentField):
@@ -350,23 +337,3 @@ def nodal_error_norm(nodal: NodalField, ref: MomentField) -> float:
     """
     ref_nodal = evaluate_field(ref, nodal.quad)
     return l2_norm(nodal - ref_nodal)
-
-
-def physical_samples(field, x: np.ndarray) -> np.ndarray:
-    """Evaluate the spatial Fourier sum at points x of shape (npts, 3).
-
-    Returns (npts, trailing) complex samples; a layer for tests that want
-    physical-space values rather than mode coefficients.
-    """
-    data = field.coeffs if isinstance(field, MomentField) else field.values
-    g = field.grid
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    flat = data.reshape(-1, data.shape[-1])
-    k1, k2, k3 = g.k_grids()
-    kvecs = np.stack(
-        [np.broadcast_to(k1, g.shape).ravel(),
-         np.broadcast_to(k2, g.shape).ravel(),
-         np.broadcast_to(k3, g.shape).ravel()], axis=1
-    ).astype(float)
-    phase = np.exp(1j * x @ kvecs.T)
-    return phase @ flat

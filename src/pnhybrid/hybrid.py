@@ -25,17 +25,6 @@ from . import transport as tr
 _FOUR_PI = 4.0 * math.pi
 
 
-def uncollided_average_source(state: gr.NodalField, tau: float, eps: float,
-                              sigma: float, sigma_a: float = 0.0) -> np.ndarray:
-    """Spherical average of the uncollided field tau after its snapshot,
-    one complex value per spatial mode."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    lam = tr.uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
-    vals = state.values * np.exp(-lam * tau)
-    return (vals @ state.quad.weights) / _FOUR_PI
-
-
 def remap(u: gr.NodalField, c: gr.MomentField):
     """Fold the collided moments into the nodal carrier and zero them.
 
@@ -88,10 +77,6 @@ class HybridResult:
     uncollided: gr.NodalField   # carrier after the final remap
     collided: gr.MomentField    # zero moments after the final remap
     records: list
-
-    @property
-    def final_error(self):
-        return self.records[-1].error if self.records else None
 
 
 def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,

@@ -12,8 +12,10 @@ generator
 
 advanced by matrix exponentials.  Axis reflections and the x <-> y swap of k
 conjugate L_k by signed permutations of the real harmonic basis, so only one
-representative per symmetry orbit gets a dense generator and an expm; the
-other modes reuse its propagator.
+representative per symmetry orbit gets a dense generator and an expm; every
+other mode applies the representative's propagator with the signed
+permutation acting on the vector.  One propagator is stored per orbit and
+step length, none per mode.
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by one exponential of the
@@ -220,15 +222,32 @@ def assemble_mode_operator(
     return L
 
 
+def _step_length(h) -> float:
+    h = float(h)
+    if not (math.isfinite(h) and h >= 0.0):
+        raise ValueError(f"h must be finite and nonnegative, got {h}")
+    return h
+
+
 class PnOperator:
     """Propagators of one discretization.  A generator is assembled, and an
-    expm taken, only for one representative wavevector per orbit of the
-    lattice symmetries (axis reflections and the x <-> y swap); every other
-    mode's propagator is the representative's conjugated by a signed
-    permutation of the moment basis.  Propagators are cached per (mode, h)
-    so repeated equal-length steps cost nothing after the first."""
+    expm taken, only for one representative wavevector c per orbit of the
+    lattice symmetries (axis reflections and the x <-> y swap).  A mode
+    k = g c is advanced in its representative's frame, P_k v = S_g P_c S_g^T v,
+    with the signed permutation S_g applied to the vector, so no per-mode
+    matrix is ever formed.  The representatives' propagators are cached per
+    (orbit, h): memory grows with orbits and step lengths, not with modes,
+    and repeated equal-length steps cost no further expm."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
+        if N < 0:
+            raise ValueError(f"N must be nonnegative, got {N}")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+        if not 0.0 <= sigma_a <= sigma:
+            raise ValueError(f"sigma_a must satisfy 0 <= sigma_a <= sigma, got {sigma_a}")
         self.grid = grid
         self.N = int(N)
         self.eps = float(eps)
@@ -236,10 +255,16 @@ class PnOperator:
         self.sigma_a = float(sigma_a)
         coupling = sh.assemble_coupling(max(N, 1))
         self.nm = sh.n_moments(N)
+        self._modes = [
+            (idx, tuple(int(grid.wavenumbers(ax)[idx[ax]]) for ax in range(3)))
+            for idx in np.ndindex(grid.shape)
+        ]
         self._gens = {}    # representative c -> dense generator L_c
-        self._orbit = {}   # mode index -> (c, (perm, sign) or None if k == c)
+        # mode index -> (c, S_g): S_g is None when k == c, else (perm, sign)
+        # with perm None when g swaps no axes.
+        self._orbit = {}
         self._rates = {}
-        for idx, k in self.modes():
+        for idx, k in self._modes:
             a = [abs(x) for x in k]
             # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
             c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
@@ -248,21 +273,45 @@ class PnOperator:
             if k == c:
                 self._orbit[idx] = (c, None)
             else:
-                flips = [x < 0 for x in k]
-                self._orbit[idx] = (c, sh.lattice_symmetry(self.N, flips, a[0] < a[1]))
+                swap = a[0] < a[1]
+                perm, sign = sh.lattice_symmetry(self.N, [x < 0 for x in k], swap)
+                self._orbit[idx] = (c, (perm if swap else None, sign))
             knorm = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
             self._rates[idx] = sigma / eps**2 + sigma_a + knorm / eps
-        self._rep_props: dict = {}
-        self._props: dict = {}
+        self._reps: dict = {}  # (c, h) -> expm(h L_c)
 
-    def modes(self):
-        g = self.grid
-        for idx in np.ndindex(g.shape):
-            k = tuple(int(g.wavenumbers(ax)[idx[ax]]) for ax in range(3))
-            yield idx, k
+    def modes(self) -> list:
+        """[(index, wavevector)] of every spatial mode of the grid."""
+        return self._modes
 
     def rate(self, idx) -> float:
         return self._rates[idx]
+
+    @staticmethod
+    def _into_rep(sym, v: np.ndarray) -> np.ndarray:
+        """S_g^T v: x with x[perm] = sign * v."""
+        if sym is None:
+            return v
+        perm, sign = sym
+        if perm is None:
+            return sign * v
+        x = np.empty_like(v)
+        x[perm] = sign * v
+        return x
+
+    @staticmethod
+    def _from_rep(sym, x: np.ndarray) -> np.ndarray:
+        """S_g x = sign * x[perm]."""
+        if sym is None:
+            return x
+        perm, sign = sym
+        return sign * (x if perm is None else x[perm])
+
+    def _rep(self, c, h: float) -> np.ndarray:
+        P = self._reps.get((c, h))
+        if P is None:
+            P = self._reps[(c, h)] = expm(h * self._gens[c])
+        return P
 
     def _to_mode(self, idx, X: np.ndarray) -> np.ndarray:
         """Map a representative-frame matrix X_c to mode idx: S_g X_c S_g^T,
@@ -271,6 +320,8 @@ class PnOperator:
         if sym is None:
             return X
         perm, sign = sym
+        if perm is None:
+            return np.multiply.outer(sign, sign) * X
         return np.multiply.outer(sign, sign) * X[np.ix_(perm, perm)]
 
     def generator(self, idx) -> np.ndarray:
@@ -278,17 +329,17 @@ class PnOperator:
         return self._to_mode(idx, self._gens[self._orbit[idx][0]])
 
     def propagator(self, idx, h: float) -> np.ndarray:
-        key = (idx, float(h))
-        P = self._props.get(key)
-        if P is None:
-            c = self._orbit[idx][0]
-            P = self._rep_props.get((c, key[1]))
-            if P is None:
-                P = expm(h * self._gens[c])
-                self._rep_props[(c, key[1])] = P
-            P = self._to_mode(idx, P)
-            self._props[key] = P
-        return P
+        """Dense propagator expm(h L_k) of mode idx: the cached representative
+        mapped to the mode on each call, never stored.  The solvers use
+        apply; this is the dense form the oracle tests compare against."""
+        return self._to_mode(idx, self._rep(self._orbit[idx][0], _step_length(h)))
+
+    def apply(self, idx, h: float, v: np.ndarray) -> np.ndarray:
+        """expm(h L_k) v for mode idx.  When only reflections reach k from
+        its representative this is the same matrix-vector product as
+        propagator(idx, h) @ v on sign-flipped operands, so bit-identical."""
+        c, sym = self._orbit[idx]
+        return self._from_rep(sym, self._rep(c, _step_length(h)) @ self._into_rep(sym, v))
 
     def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
         rho = max(self._rates.values()) + extra_rate
@@ -297,25 +348,34 @@ class PnOperator:
     def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
         """Advance coefficients by h: exact exponential when source is None,
         otherwise exponential plus Gauss-Legendre Duhamel on substeps."""
+        h = _step_length(h)
         out = np.array(coeffs, dtype=complex, copy=True)
         if source is None:
-            for idx, _ in self.modes():
-                out[idx] = self.propagator(idx, h) @ out[idx]
+            for idx, _ in self._modes:
+                out[idx] = self.apply(idx, h, out[idx])
             return out
         nsub = substeps if substeps is not None else self.substeps_for(h)
         hs = h / nsub
         x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
-        # Source samples are shared across modes; propagators are per mode.
+        # Per orbit: the propagators over a substep and from each node to its end.
+        reps = {c: (self._rep(c, hs), [self._rep(c, float(hs - tau)) for tau in taus])
+                for c in self._gens}
+        # Source samples are shared across modes.  Each mode accumulates its
+        # Duhamel sum in its representative's frame: S_g acts elementwise, so
+        # it commutes exactly with the weighted sum and the result equals
+        # applying every term by apply.
         for j in range(nsub):
             ta = t0 + j * hs
             q_samples = [source(ta + tau) for tau in taus]
-            for idx, _ in self.modes():
-                u = self.propagator(idx, hs) @ out[idx]
+            for idx, _ in self._modes:
+                c, sym = self._orbit[idx]
+                P, node_props = reps[c]
+                u = P @ self._into_rep(sym, out[idx])
                 for m in range(_DUHAMEL_NODES):
-                    u = u + wts[m] * (self.propagator(idx, hs - taus[m]) @ q_samples[m][idx])
-                out[idx] = u
+                    u = u + wts[m] * (node_props[m] @ self._into_rep(sym, q_samples[m][idx]))
+                out[idx] = self._from_rep(sym, u)
         return out
 
 
@@ -330,7 +390,7 @@ class SourcedModes:
     advances the mode over a whole step with the Duhamel integral in closed
     form (Van Loan 1978).  The term amplitudes enter through w(t0), so the
     augmented propagator is cached per (mode, h).  Modes no term reaches
-    keep the operator's plain propagators.
+    are advanced by PnOperator.apply.
     """
 
     def __init__(self, op: PnOperator, terms):
@@ -344,12 +404,12 @@ class SourcedModes:
             ang[:n] = tm.angular[:n]
             for k, amp in tm.spatial:
                 self._pieces.setdefault(op.grid.index_of(k), []).append((amp, tm, ang))
-        self._props = {}
+        self._augmented = {}  # (reached mode, h) -> augmented propagator
 
     def propagator(self, idx, h: float) -> np.ndarray:
         """expm(h [[L_k, B], [0, J]]) of a mode the source reaches."""
         key = (idx, float(h))
-        E = self._props.get(key)
+        E = self._augmented.get(key)
         if E is None:
             nm = self.op.nm
             pieces = self._pieces[idx]
@@ -363,7 +423,7 @@ class SourcedModes:
                 A[col:col + d, col:col + d] = tm.time_exp * np.eye(d) + np.eye(d, k=1)
                 col += d
             E = expm(h * A)
-            self._props[key] = E
+            self._augmented[key] = E
         return E
 
     def step(self, coeffs, h: float, t0: float) -> np.ndarray:
@@ -373,7 +433,7 @@ class SourcedModes:
         for idx, _ in op.modes():
             pieces = self._pieces.get(idx)
             if pieces is None:
-                out[idx] = op.propagator(idx, h) @ out[idx]
+                out[idx] = op.apply(idx, h, out[idx])
                 continue
             w0 = np.concatenate([
                 amp * math.exp(tm.time_exp * t0) * np.array(poly_derivatives(tm.time_poly, t0))

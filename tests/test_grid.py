@@ -64,20 +64,6 @@ def test_moment_field_band_rejection():
         gr.moment_field(g, 1, [gr.term({(0, 0, 0): 1.0}, [0.0] * 9)])
 
 
-def test_spatial_derivative_matches_physical():
-    g = gr.SpatialGrid(dim=1, modes=5)
-    tms = [gr.isotropic_term({(2, 0, 0): 0.5, (-2, 0, 0): 0.5})]  # cos(2 x1)
-    f = gr.moment_field(g, 1, tms)
-    df = gr.spatial_derivative(f, 0)
-    x = np.array([[0.3, 0.0, 0.0], [1.7, 0.0, 0.0]])
-    vals = gr.physical_samples(df, x)[:, 0] / math.sqrt(4.0 * math.pi)
-    # d/dx cos(2x) = -2 sin(2x); moment (0,0) carries sqrt(4pi) x the average.
-    assert np.allclose(vals.real, -2.0 * np.sin(2.0 * x[:, 0]), atol=1e-13)
-    assert np.max(np.abs(vals.imag)) < 1e-13
-    # Derivative along an inactive axis vanishes.
-    assert gr.l2_norm(gr.spatial_derivative(f, 2)) == 0.0
-
-
 def test_l2_norm_nodal_matches_moment():
     rng = np.random.default_rng(2)
     g = gr.SpatialGrid(dim=1, modes=3)

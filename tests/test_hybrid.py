@@ -17,39 +17,6 @@ def _aniso_cosine():
     return gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.0, 0.0, 1.0, 0.0))
 
 
-def test_average_source_isotropic_passthrough():
-    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
-    grid = tr.default_grid(spec)
-    quad = sh.build_sphere_quadrature(6)
-    state = gr.nodal_field(grid, quad, spec.g)
-    avg = hy.uncollided_average_source(state, 0.0, 1.0, 1.0)
-    # The average of an isotropic field is the field itself: per mode the
-    # nodal values are constant across directions and equal to the average.
-    want = state.values[..., 0]
-    assert np.max(np.abs(avg - want)) < 1e-14
-
-
-def test_average_source_kills_degree_one():
-    grid = gr.SpatialGrid(1, 1)
-    quad = sh.build_sphere_quadrature(6)
-    state = gr.nodal_field(grid, quad, [gr.term({(0, 0, 0): 1.0}, (0.0, 0.0, 1.0, 0.0))])
-    avg = hy.uncollided_average_source(state, 0.0, 1.0, 1.0)
-    assert np.max(np.abs(avg)) < 1e-15
-
-
-def test_average_source_decay_factor():
-    # A spatially constant mode has a direction-independent rate, so time
-    # shifts scale the average by exp(-sigma tau / eps^2).
-    grid = gr.SpatialGrid(1, 1)
-    quad = sh.build_sphere_quadrature(6)
-    state = gr.nodal_field(grid, quad, [gr.isotropic_term({(0, 0, 0): 2.0})])
-    a0 = hy.uncollided_average_source(state, 0.0, 0.5, 1.3)
-    a1 = hy.uncollided_average_source(state, 0.7, 0.5, 1.3)
-    assert np.max(np.abs(a1 - a0 * math.exp(-1.3 * 0.7 / 0.25))) < 1e-14
-    with pytest.raises(ValueError):
-        hy.uncollided_average_source(state, -0.1, 0.5, 1.3)
-
-
 def test_remap_zero_collided_is_identity():
     spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
     grid = tr.default_grid(spec)
@@ -188,10 +155,9 @@ def test_reference_callable_fills_errors():
     by_time = dict(zip(ref_res.times, ref_res.fields))
     quad = sh.build_sphere_quadrature(12)
     res = hy.run_hybrid(spec, N=5, quad=quad, reference=lambda t: by_time[t])
-    assert res.final_error is not None
     for rec in res.records:
         assert rec.error is not None and rec.error >= 0.0
-    assert res.final_error < 1e-3
+    assert res.records[-1].error < 1e-3
 
 
 def test_quadrature_refinement_stability():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -265,16 +266,6 @@ def test_substep_count_follows_stiffness():
     assert op.substeps_for(1e-6) == 1
 
 
-def test_propagator_cache_identity():
-    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
-    grid = tr.default_grid(spec)
-    op = tr.PnOperator(grid, 3, 1.0, 1.0)
-    idx = next(op.modes())[0]
-    P1 = op.propagator(idx, 0.25)
-    P2 = op.propagator(idx, 0.25)
-    assert P1 is P2
-
-
 def test_mode_operator_dissipative_spectrum():
     cs = sh.assemble_coupling(5)
     A = tr.assemble_mode_operator((2, 0, -1), 5, 0.5, 1.0, cs, sigma_a=0.25)
@@ -356,6 +347,87 @@ def test_one_expm_per_orbit(monkeypatch):
     for idx, _ in op.modes():
         op.propagator(idx, 0.125)
     assert len(calls) == 18
+
+
+def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
+    calls = []
+    real = tr.expm
+
+    def counting(A):
+        calls.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(tr, "expm", counting)
+    op = tr.PnOperator(gr.SpatialGrid(3, 5), 5, 0.5, 1.0)
+    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+    matrix_bytes = op.nm**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for h in (0.125, 0.25):
+            op.step(u, h)
+        retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # 125 modes in 18 orbits, two step lengths.
+    assert len(calls) == 2 * 18
+    for h in (0.125, 0.25):
+        op.step(u, h)
+    assert len(calls) == 2 * 18
+    # What the operator keeps is the 2 x 18 representatives' propagators;
+    # 2 x 125 per-mode copies never exist, not even during a step.
+    assert 2 * 18 <= retained / matrix_bytes < 2 * 18 + 2
+    assert peak / matrix_bytes < 2 * 18 + 20
+
+
+@given(
+    k=st.tuples(*[st.integers(-3, 3)] * 3),
+    N=st.integers(1, 8),
+    eps=st.floats(0.1, 2.0),
+    sigma_t=st.floats(0.0, 5.0),
+    absorb=st.floats(0.0, 1.0),
+    h=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40)
+def test_apply_matches_propagator_and_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
+    sigma_a = absorb * sigma_t
+    op = tr.PnOperator(_GRID7, N, eps, sigma_t, sigma_a)
+    idx = _GRID7.index_of(k)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.nm) + 1j * rng.standard_normal(op.nm)
+    got = op.apply(idx, h, v)
+    oracle = tr.assemble_mode_operator(k, N, eps, sigma_t, sh.assemble_coupling(N), sigma_a)
+    want = expm(h * oracle) @ v
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if abs(k[0]) >= abs(k[1]):
+        # Sign flips only: the same product as the dense accessor's.
+        assert np.array_equal(got, op.propagator(idx, h) @ v)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -0.5),
+    ("sigma", math.nan), ("sigma", math.inf), ("sigma", -0.5),
+    ("sigma_a", math.nan), ("sigma_a", -0.1), ("sigma_a", 1.5),
+    ("N", -1),
+])
+def test_operator_rejects_bad_input(field, value):
+    kwargs = dict(N=3, eps=1.0, sigma=1.0, sigma_a=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        tr.PnOperator(gr.SpatialGrid(1, 3), **kwargs)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.25])
+def test_operator_rejects_bad_step_length(h):
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 2, 1.0, 1.0)
+    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+    with pytest.raises(ValueError, match="^h must"):
+        op.step(u, h)
+    with pytest.raises(ValueError, match="^h must"):
+        op.step(u, h, source=lambda t: u)
+    with pytest.raises(ValueError, match="^h must"):
+        op.apply((1, 0, 0), h, u[1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
