@@ -113,7 +113,7 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
             out[..., 0] = emit * avg
             return out
 
-        nsub = op.substeps_for(h, extra_rate=max(op._rates.values()))
+        nsub = op.substeps_for(h, extra_rate=op.max_rate)
         coeffs = op.step(psi_c.coeffs, h, source=sample, t0=a, substeps=nsub)
         new_c = gr.MomentField(psi_u.grid, psi_c.N, coeffs)
     new_u = tr.solve_uncollided(psi_u, a, b, eps, sigma, sigma_a, q_terms=q_terms)
@@ -127,47 +127,49 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
     reference, if given, is a callable t -> MomentField evaluated at the
     interval ends to fill the cumulative error column of the records.
     The returned total is the left limit at T: the pair just before the
-    final remap, evaluated at the quadrature directions.
+    final remap, evaluated at the quadrature directions.  BLAS threads
+    follow transport.blas_scope(N), reference included.
     """
-    if grid is None:
-        grid = tr.default_grid(spec)
-    if quad is None:
-        quad = sh.build_sphere_quadrature(N + 1)
-    if quad.exactness < 2 * N:
-        raise ValueError(
-            f"quadrature exactness {quad.exactness} < {2 * N} required for N={N}"
-        )
-    dtf = tr._as_fraction(dt) if dt is not None else spec.dt
-    if (spec.T / dtf).denominator != 1:
-        raise ValueError(f"M*dt != T: dt={dtf} does not divide T={spec.T}")
-    M = int(spec.T / dtf)
-    edges = [float(dtf * m) for m in range(M + 1)]
+    with tr.blas_scope(N):
+        if grid is None:
+            grid = tr.default_grid(spec)
+        if quad is None:
+            quad = sh.build_sphere_quadrature(N + 1)
+        if quad.exactness < 2 * N:
+            raise ValueError(
+                f"quadrature exactness {quad.exactness} < {2 * N} required for N={N}"
+            )
+        dtf = tr._as_fraction(dt) if dt is not None else spec.dt
+        if (spec.T / dtf).denominator != 1:
+            raise ValueError(f"M*dt != T: dt={dtf} does not divide T={spec.T}")
+        M = int(spec.T / dtf)
+        edges = [float(dtf * m) for m in range(M + 1)]
 
-    op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
-    psi_u = gr.nodal_field(grid, quad, spec.g)
-    psi_c = gr.zero_moment_field(grid, N)
-    records = []
-    total = None
-    for m in range(M):
-        a, b = edges[m], edges[m + 1]
-        psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, q_terms=spec.q)
-        total = psi_u + gr.evaluate_field(psi_c, quad)
-        err = None
-        if reference is not None:
-            err = gr.nodal_error_norm(total, reference(b))
-        norm_u = gr.l2_norm(psi_u)
-        norm_c = gr.l2_norm(psi_c)
-        top_band = _band_energy_fraction(psi_u)
-        psi_u, psi_c, resid = remap(psi_u, psi_c)
-        records.append(IntervalRecord(
-            m=m + 1,
-            t_end=b,
-            norm_u=norm_u,
-            norm_c=norm_c,
-            remap_residual=resid,
-            top_band_energy=top_band,
-            error=err,
-            norm_merged=gr.l2_norm(psi_u),
-        ))
-    return HybridResult(total=total, uncollided=psi_u, collided=psi_c,
-                        records=records)
+        op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
+        psi_u = gr.nodal_field(grid, quad, spec.g)
+        psi_c = gr.zero_moment_field(grid, N)
+        records = []
+        total = None
+        for m in range(M):
+            a, b = edges[m], edges[m + 1]
+            psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, q_terms=spec.q)
+            total = psi_u + gr.evaluate_field(psi_c, quad)
+            err = None
+            if reference is not None:
+                err = gr.nodal_error_norm(total, reference(b))
+            norm_u = gr.l2_norm(psi_u)
+            norm_c = gr.l2_norm(psi_c)
+            top_band = _band_energy_fraction(psi_u)
+            psi_u, psi_c, resid = remap(psi_u, psi_c)
+            records.append(IntervalRecord(
+                m=m + 1,
+                t_end=b,
+                norm_u=norm_u,
+                norm_c=norm_c,
+                remap_residual=resid,
+                top_band_energy=top_band,
+                error=err,
+                norm_merged=gr.l2_norm(psi_u),
+            ))
+        return HybridResult(total=total, uncollided=psi_u, collided=psi_c,
+                            records=records)

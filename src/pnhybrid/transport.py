@@ -25,11 +25,19 @@ Acta Numerica 2010).  PnOperator.step still accepts an arbitrary source
 callable, folded in by Gauss-Legendre Duhamel quadrature on substeps short
 enough that the rule is accurate to near machine precision; the hybrid
 re-emission uses that path.
+
+Each mode's matrices are small, and OpenBLAS threads cost more than they
+give on them, so solve_pn (and hybrid.run_hybrid) run with every OpenBLAS
+pool at one thread when the moment space is at most SERIAL_BLAS_MAX_MOMENTS
+wide (N <= 11), restoring the pools' counts when the solve returns or
+raises (blas.single_thread).  Wider solves, such as the high-degree
+references, keep the user's thread count.  Other BLAS builds are untouched.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -37,6 +45,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
+from . import blas
 from . import grid as gr
 from . import harmonics as sh
 
@@ -54,6 +63,16 @@ _SUBSTEP_BUDGET = 3.0
 # 50-digit arithmetic); the same split as bounds.TAU_STAR.
 PHI_SERIES_BELOW = 1.0
 _PHI_SERIES_TERMS = 20
+
+# Widest moment space, n_moments(N) = (N+1)^2, whose solves run on one BLAS
+# thread (N <= 11).  expm is scaling and squaring, a handful of nm x nm
+# products, too small at these widths for threads to pay: on a 2-core
+# machine with 2-thread OpenBLAS pools a 36-wide expm took 8.0 ms threaded
+# and 0.24 ms serial, a 64-wide one 88 ms and 0.77 ms.  There, the perfbench
+# records of every solve up to this width were bit-identical on one thread
+# (a 3D solve with a source moved by 1e-18 relative), while those of the
+# 169-wide (N = 12) and wider reference solves changed in the last bits.
+SERIAL_BLAS_MAX_MOMENTS = 144
 
 
 def _as_fraction(x, name="time") -> Fraction:
@@ -222,6 +241,15 @@ def assemble_mode_operator(
     return L
 
 
+def blas_scope(N: int):
+    """The BLAS thread scope of a degree-N solve: every OpenBLAS pool at one
+    thread when the moment space is at most SERIAL_BLAS_MAX_MOMENTS wide,
+    the user's thread count otherwise."""
+    if sh.n_moments(N) <= SERIAL_BLAS_MAX_MOMENTS:
+        return blas.single_thread()
+    return nullcontext()
+
+
 def _step_length(h) -> float:
     h = float(h)
     if not (math.isfinite(h) and h >= 0.0):
@@ -263,7 +291,6 @@ class PnOperator:
         # mode index -> (c, S_g): S_g is None when k == c, else (perm, sign)
         # with perm None when g swaps no axes.
         self._orbit = {}
-        self._rates = {}
         for idx, k in self._modes:
             a = [abs(x) for x in k]
             # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
@@ -276,16 +303,17 @@ class PnOperator:
                 swap = a[0] < a[1]
                 perm, sign = sh.lattice_symmetry(self.N, [x < 0 for x in k], swap)
                 self._orbit[idx] = (c, (perm if swap else None, sign))
-            knorm = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
-            self._rates[idx] = sigma / eps**2 + sigma_a + knorm / eps
+        # Fastest rate of any mode, a bound on the spectral radius of L_k:
+        # scattering, absorption and the streaming speed |k|/eps.
+        self.max_rate = max(
+            sigma / eps**2 + sigma_a + math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) / eps
+            for _, k in self._modes
+        )
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
 
     def modes(self) -> list:
         """[(index, wavevector)] of every spatial mode of the grid."""
         return self._modes
-
-    def rate(self, idx) -> float:
-        return self._rates[idx]
 
     @staticmethod
     def _into_rep(sym, v: np.ndarray) -> np.ndarray:
@@ -342,7 +370,7 @@ class PnOperator:
         return self._from_rep(sym, self._rep(c, _step_length(h)) @ self._into_rep(sym, v))
 
     def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
-        rho = max(self._rates.values()) + extra_rate
+        rho = self.max_rate + extra_rate
         return max(1, math.ceil(rho * h / _SUBSTEP_BUDGET))
 
     def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
@@ -460,31 +488,33 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None,
 
     Absorption, when present, acts directly through the generator; see
     absorption_wrap for the equivalent change-of-variables route.  The
-    source is integrated exactly in time (SourcedModes).
+    source is integrated exactly in time (SourcedModes).  BLAS threads
+    follow blas_scope(N).
     """
-    if grid is None:
-        grid = default_grid(spec)
-    if t_end is None:
-        t_end = spec.t_final
-    op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
-    sourced = SourcedModes(op, spec.q) if spec.q else None
-    state = initial_field(spec, grid, N)
-    times = sorted(set(float(t) for t in record_times) | {float(t_end)})
-    if any(t < 0 or t > float(t_end) + 1e-15 for t in times):
-        raise ValueError("record times must lie in [0, t_end]")
-    times = [t for t in times if t > 0.0]
-    out_times = [0.0]
-    out_fields = [state]
-    t = 0.0
-    coeffs = state.coeffs
-    for target in times:
-        h = target - t
-        if h > 0:
-            coeffs = op.step(coeffs, h) if sourced is None else sourced.step(coeffs, h, t)
-            t = target
-        out_times.append(t)
-        out_fields.append(gr.MomentField(grid, N, coeffs))
-    return SolveResult(times=out_times, fields=out_fields)
+    with blas_scope(N):
+        if grid is None:
+            grid = default_grid(spec)
+        if t_end is None:
+            t_end = spec.t_final
+        op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
+        sourced = SourcedModes(op, spec.q) if spec.q else None
+        state = initial_field(spec, grid, N)
+        times = sorted(set(float(t) for t in record_times) | {float(t_end)})
+        if any(t < 0 or t > float(t_end) + 1e-15 for t in times):
+            raise ValueError("record times must lie in [0, t_end]")
+        times = [t for t in times if t > 0.0]
+        out_times = [0.0]
+        out_fields = [state]
+        t = 0.0
+        coeffs = state.coeffs
+        for target in times:
+            h = target - t
+            if h > 0:
+                coeffs = op.step(coeffs, h) if sourced is None else sourced.step(coeffs, h, t)
+                t = target
+            out_times.append(t)
+            out_fields.append(gr.MomentField(grid, N, coeffs))
+        return SolveResult(times=out_times, fields=out_fields)
 
 
 def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
@@ -564,8 +594,16 @@ def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
     characteristic: the homogeneous part is a closed-form exponential and
     the source integral is closed-form in phi-functions (source_response).
     """
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if b < a:
         raise ValueError(f"interval end {b} precedes start {a}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
     vals = state.values * np.exp(-lam * (b - a))
     if q_terms:

@@ -567,3 +567,18 @@ def test_uncollided_source_matches_loop_oracle(eps, sigma, sigma_a, mu, branches
     # A zero-length interval adds nothing.
     same = tr.solve_uncollided(state, a, a, eps, sigma, sigma_a, q).values
     assert np.array_equal(same, state.values)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", math.nan), ("a", -math.inf), ("b", math.nan), ("b", math.inf),
+    ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1.0),
+    ("sigma", math.nan), ("sigma", math.inf), ("sigma", -0.5),
+    ("sigma_a", math.nan), ("sigma_a", math.inf), ("sigma_a", -0.1),
+])
+def test_uncollided_rejects_bad_input(field, value):
+    quad = sh.build_sphere_quadrature(2)
+    state = gr.nodal_field(gr.SpatialGrid(1, 3), quad, [_iso_cosine()])
+    kwargs = dict(a=0.0, b=0.5, eps=1.0, sigma=1.0, sigma_a=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        tr.solve_uncollided(state, **kwargs)
