@@ -44,11 +44,9 @@ _BETA2_SER = _series_coeffs(
 _BETA3_SER = _series_coeffs(
     lambda k: Fraction(2 * (-1) ** k, (k + 4) * (k + 3) * (k + 2) * math.factorial(k))
 )
+# Gamma(sigma, t)/t^2 and (1 - gamma(tau))/tau share this series; the latter
+# gives the sigma -> 0 limits of the /sigma terms.
 _BIGGAMMA_SER = _series_coeffs(lambda k: Fraction((-1) ** k, math.factorial(k + 2)))
-# (1 - gamma(tau))/tau, used for the sigma -> 0 limits of the /sigma terms.
-_ONE_MINUS_GAMMA_SER = _series_coeffs(
-    lambda k: Fraction((-1) ** k, math.factorial(k + 2))
-)
 
 
 def _check_tau(tau: float):
@@ -157,7 +155,7 @@ def _one_minus_gamma_over_sigma(sigma: float, t: float) -> float:
     """[1 - gamma(sigma t)]/sigma, finite as sigma -> 0 (limit t/2)."""
     tau = sigma * t
     if tau < TAU_STAR:
-        return t * float(np.polyval(_ONE_MINUS_GAMMA_SER, tau))
+        return t * float(np.polyval(_BIGGAMMA_SER, tau))
     return (1.0 - gamma_fn(tau)) / sigma
 
 

@@ -113,6 +113,14 @@ def _csv_path(rs: hn.RunSpec, out_dir: str) -> str:
     return os.path.join(out_dir, rs.csv_name())
 
 
+def _read_csv(path: str) -> list:
+    try:
+        return hn.read_csv(path)
+    except ValueError as exc:
+        print(f"csv error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _cmd_sweep(args) -> int:
     rs = _load(args)
     try:
@@ -135,7 +143,7 @@ def _cmd_verify_bounds(args) -> int:
     rs = _load(args)
     path = _csv_path(rs, args.out)
     if os.path.exists(path):
-        rows = hn.read_csv(path)
+        rows = _read_csv(path)
         print(f"reusing {len(rows)} rows from {path}")
     else:
         try:
@@ -202,7 +210,7 @@ def _cmd_plot(args) -> int:
     if not os.path.exists(path):
         print(f"no CSV at {path}; run the sweep first", file=sys.stderr)
         return 1
-    rows = hn.read_csv(path)
+    rows = _read_csv(path)
     axis = rs.plot_axis
     if not axis:
         for cand in ("N", "dt", "eps", "sigma"):

@@ -84,6 +84,10 @@ class SweepRow:
     walltime_s: float
 
     def __post_init__(self):
+        for name in ("error", "oracle_uncertainty", "bound"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.error < 0.0:
             raise ValueError("error must be nonnegative")
         if self.bound < 0.0:
@@ -630,13 +634,16 @@ def read_csv(path) -> list[SweepRow]:
             raise ValueError(f"{path}: malformed row {ln!r}")
         if parts[0] != "1":
             raise ValueError(f"{path}: unsupported schema version {parts[0]!r}")
-        rows.append(SweepRow(
-            problem=parts[1], solver=parts[2], N=int(parts[3]),
-            dt=float(parts[4]), eps=float(parts[5]), sigma_t=float(parts[6]),
-            sigma_a=float(parts[7]), T=float(parts[8]), error=float(parts[9]),
-            oracle_uncertainty=float(parts[10]), bound=float(parts[11]),
-            branch=parts[12], walltime_s=float(parts[13]),
-        ))
+        try:
+            rows.append(SweepRow(
+                problem=parts[1], solver=parts[2], N=int(parts[3]),
+                dt=float(parts[4]), eps=float(parts[5]), sigma_t=float(parts[6]),
+                sigma_a=float(parts[7]), T=float(parts[8]), error=float(parts[9]),
+                oracle_uncertainty=float(parts[10]), bound=float(parts[11]),
+                branch=parts[12], walltime_s=float(parts[13]),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} in row {ln!r}") from None
     return rows
 
 

@@ -9,12 +9,17 @@ evaluated at the quadrature directions, folded into the nodal carrier, and
 the moment state is reset to zero.  The external source feeds the
 uncollided part.  Reported states use left limits: the value at t_m is the
 pair just before the remap at t_m.
+
+run_hybrid returns that state at T and one IntervalRecord per interval
+(norms of both parts at t_end^-, remap residual, merged norm, and the error
+against an optional reference).  The remap evaluates the collided field at
+the nodes, once per interval, and its merged carrier is the reported state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,20 +50,6 @@ def remap(u: gr.NodalField, c: gr.MomentField):
     return merged, gr.zero_moment_field(u.grid, c.N), residual
 
 
-def _band_energy_fraction(state: gr.NodalField) -> float:
-    """Share of the quadrature-resolvable energy sitting in the top degree
-    band; a growing value flags an under-resolved angular quadrature."""
-    L = state.quad.exactness // 2
-    if L < 2:
-        return 0.0
-    proj = gr.project_field(state, L)
-    total = float(np.sum(np.abs(proj.coeffs) ** 2))
-    if total == 0.0:
-        return 0.0
-    top = proj.coeffs[..., sh.degree_slice(L - 1).start:]
-    return math.sqrt(float(np.sum(np.abs(top) ** 2)) / total)
-
-
 @dataclass
 class IntervalRecord:
     m: int
@@ -66,17 +57,14 @@ class IntervalRecord:
     norm_u: float          # ||psi_u|| at t_end^-
     norm_c: float          # ||psi_c|| at t_end^-
     remap_residual: float
-    top_band_energy: float  # _band_energy_fraction of psi_u at t_end^-
     error: float | None = None
     norm_merged: float = 0.0  # ||psi_u|| just after the remap at t_end
 
 
 @dataclass
 class HybridResult:
-    total: gr.NodalField        # psi_u + psi_c evaluated at T^-
-    uncollided: gr.NodalField   # carrier after the final remap
-    collided: gr.MomentField    # zero moments after the final remap
-    records: list
+    total: gr.NodalField  # psi_u + psi_c evaluated at T^-
+    records: list         # one IntervalRecord per interval
 
 
 def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
@@ -124,10 +112,13 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
                reference=None) -> HybridResult:
     """Full hybrid solve over [0, T] with remaps at every interval end.
 
-    reference, if given, is a callable t -> MomentField evaluated at the
-    interval ends to fill the cumulative error column of the records.
-    The returned total is the left limit at T: the pair just before the
-    final remap, evaluated at the quadrature directions.  BLAS threads
+    dt, if given, replaces spec.dt and the schedule is the problem's own
+    (ProblemSpec.M, interval_edges), so a dt that is not positive or does
+    not divide T raises ValueError.  reference, if given, is a callable
+    t -> MomentField evaluated at the interval ends to fill the error
+    column of the records.  The returned total is the left limit at T: the
+    pair just before the final remap, evaluated at the quadrature
+    directions, which is the carrier that remap returns.  BLAS threads
     follow transport.blas_scope(N), reference included.
     """
     with tr.blas_scope(N):
@@ -139,37 +130,31 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
             raise ValueError(
                 f"quadrature exactness {quad.exactness} < {2 * N} required for N={N}"
             )
-        dtf = tr._as_fraction(dt) if dt is not None else spec.dt
-        if (spec.T / dtf).denominator != 1:
-            raise ValueError(f"M*dt != T: dt={dtf} does not divide T={spec.T}")
-        M = int(spec.T / dtf)
-        edges = [float(dtf * m) for m in range(M + 1)]
+        if dt is not None:
+            spec = replace(spec, dt=tr._as_fraction(dt, "dt"))
+        edges = spec.interval_edges()
 
         op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
         psi_u = gr.nodal_field(grid, quad, spec.g)
         psi_c = gr.zero_moment_field(grid, N)
         records = []
-        total = None
-        for m in range(M):
+        for m in range(spec.M):
             a, b = edges[m], edges[m + 1]
             psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, q_terms=spec.q)
-            total = psi_u + gr.evaluate_field(psi_c, quad)
-            err = None
-            if reference is not None:
-                err = gr.nodal_error_norm(total, reference(b))
             norm_u = gr.l2_norm(psi_u)
             norm_c = gr.l2_norm(psi_c)
-            top_band = _band_energy_fraction(psi_u)
+            # The merged carrier is the pair's sum at b^-, the reported state.
             psi_u, psi_c, resid = remap(psi_u, psi_c)
+            err = None
+            if reference is not None:
+                err = gr.nodal_error_norm(psi_u, reference(b))
             records.append(IntervalRecord(
                 m=m + 1,
                 t_end=b,
                 norm_u=norm_u,
                 norm_c=norm_c,
                 remap_residual=resid,
-                top_band_energy=top_band,
                 error=err,
                 norm_merged=gr.l2_norm(psi_u),
             ))
-        return HybridResult(total=total, uncollided=psi_u, collided=psi_c,
-                            records=records)
+        return HybridResult(total=psi_u, records=records)

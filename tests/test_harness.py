@@ -271,6 +271,17 @@ def test_sweep_row_validation():
                     1.0, 0.0, -2.0, "none", 0.0)
 
 
+@pytest.mark.parametrize("field", ["error", "oracle_uncertainty", "bound"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sweep_row_rejects_non_finite(field, value):
+    fields = dict(error=1.0, oracle_uncertainty=0.0, bound=1.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        hn.SweepRow("p", "pn", 1, 1.0, 1.0, 1.0, 0.0, 1.0,
+                    fields["error"], fields["oracle_uncertainty"], fields["bound"],
+                    "none", 0.0)
+
+
 def _synthetic_rows():
     rows = []
     for N in (1, 3, 7, 15):
@@ -379,6 +390,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     hn.write_csv(rows, tmp_path / "v.csv")
     assert cli.main(["verify-bounds", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("column, text", [("error", "nan"), ("error", "inf"),
+                                          ("bound", "nan")])
+@pytest.mark.parametrize("command", ["verify-bounds", "plot"])
+def test_cli_rejects_non_finite_csv_rows(tmp_path, capsys, command, column, text):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[run]\nproblem = sobolev-s\nsolver = pn\nout_csv = v.csv\n"
+                   "[sweep]\nN = 1, 3\n")
+    hn.write_csv(_synthetic_rows(), tmp_path / "v.csv")
+    lines = (tmp_path / "v.csv").read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[hn.CSV_COLUMNS.index(column)] = text
+    lines[2] = ",".join(parts)
+    (tmp_path / "v.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "conformant" not in captured.out
+    assert captured.err.startswith(f"csv error: {tmp_path / 'v.csv'}: {column} must be finite")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_usage_error_is_exit_one(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +178,13 @@ def test_dt_gate_message():
         hy.run_hybrid(spec, N=3, dt="0.3")
 
 
+@pytest.mark.parametrize("dt", [-0.25, 0, "0"], ids=["negative", "zero", "zero-text"])
+def test_nonpositive_dt_rejected(dt):
+    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        hy.run_hybrid(spec, N=3, dt=dt)
+
+
 def test_absorbing_hybrid_matches_transformed():
     spec = tr.problem("abs", eps=0.6, sigma_t=1.0, sigma_a=0.4,
                       g=[_iso_cosine(), _aniso_cosine()], T="0.5", dt="1/4")
@@ -225,3 +233,55 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
     # One closed-form advance of the carrier, and the source's nodal profile
     # built once for the re-emission samples and once for that advance.
     assert calls == {"solve_uncollided": 1, "nodal_field": 2}
+
+
+def test_run_hybrid_equals_hand_written_loop():
+    # Four intervals of hybrid_step + remap, with a source and absorption,
+    # reported the way the method defines them: norms and the sum of the
+    # pair at t_end^-, then the remap.
+    spec = replace(_sourced_spec(), sigma_a=0.3)
+    grid = tr.default_grid(spec)
+    quad = sh.build_sphere_quadrature(8)
+    edges = spec.interval_edges()
+    ref_res = tr.solve_pn(spec, 7, record_times=edges)
+    by_time = dict(zip(ref_res.times, ref_res.fields))
+    res = hy.run_hybrid(spec, 3, grid=grid, quad=quad, reference=by_time.__getitem__)
+
+    want = []
+    with tr.blas_scope(3):
+        op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t, spec.sigma_a)
+        u = gr.nodal_field(grid, quad, spec.g)
+        c = gr.zero_moment_field(grid, 3)
+        for m, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
+            u, c = hy.hybrid_step(u, c, a, b, op, q_terms=spec.q)
+            total = u + gr.evaluate_field(c, quad)
+            err = gr.nodal_error_norm(total, by_time[b])
+            norm_u, norm_c = gr.l2_norm(u), gr.l2_norm(c)
+            u, c, resid = hy.remap(u, c)
+            want.append(hy.IntervalRecord(m, b, norm_u, norm_c, resid, err,
+                                          gr.l2_norm(u)))
+    assert len(want) == 4
+    assert np.array_equal(res.total.values, total.values)
+    assert res.records == want
+
+
+def test_collided_field_evaluated_once_per_interval(monkeypatch):
+    spec = replace(_sourced_spec(), sigma_a=0.3)
+    N = 3
+    evaluated, projected = [], []
+    real_evaluate, real_project = gr.evaluate_field, gr.project_field
+
+    def evaluate(field, quad):
+        evaluated.append(field.N)
+        return real_evaluate(field, quad)
+
+    def project(field, degree):
+        projected.append(degree)
+        return real_project(field, degree)
+
+    monkeypatch.setattr(gr, "evaluate_field", evaluate)
+    monkeypatch.setattr(gr, "project_field", project)
+    res = hy.run_hybrid(spec, N, quad=sh.build_sphere_quadrature(8))
+    assert len(res.records) == spec.M == 4
+    assert evaluated == [N] * spec.M
+    assert projected and max(projected) <= N
