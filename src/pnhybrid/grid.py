@@ -207,8 +207,8 @@ class NodalField:
             )
 
     def __add__(self, other: "NodalField") -> "NodalField":
-        if self.grid != other.grid or len(self.quad) != len(other.quad):
-            raise ValueError("nodal fields live on different grids")
+        if self.grid != other.grid or not self.quad.same_rule(other.quad):
+            raise ValueError("nodal fields live on different grids or quadratures")
         return NodalField(self.grid, self.quad, self.values + other.values)
 
     def __sub__(self, other: "NodalField") -> "NodalField":

@@ -11,7 +11,7 @@ A flat ordinal l*l + l + k enumerates (l, k) pairs degree by degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,6 +167,8 @@ class SphereQuadrature:
     nodes: np.ndarray    # (n, 3) unit vectors
     weights: np.ndarray  # (n,) positive, summing to 4*pi
     exactness: int
+    # degree N -> basis_matrix(N, nodes), read-only
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norms = np.linalg.norm(self.nodes, axis=1)
@@ -177,6 +179,21 @@ class SphereQuadrature:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+    def basis(self, N: int) -> np.ndarray:
+        """basis_matrix(N, nodes), built on first use per degree and shared
+        read-only by every later caller."""
+        B = self._bases.get(N)
+        if B is None:
+            B = basis_matrix(N, self.nodes)
+            B.flags.writeable = False
+            self._bases[N] = B
+        return B
+
+    def same_rule(self, other: "SphereQuadrature") -> bool:
+        """True for the same object, or equal nodes and weights."""
+        return self is other or (np.array_equal(self.nodes, other.nodes)
+                                 and np.array_equal(self.weights, other.weights))
 
 
 def build_sphere_quadrature(polar_order: int) -> SphereQuadrature:
@@ -302,7 +319,7 @@ def coupling_oracle(N: int, quad: SphereQuadrature) -> CouplingSet:
         raise ValueError(
             f"quadrature exactness {quad.exactness} < {2 * N + 1} required for N={N}"
         )
-    B = basis_matrix(N, quad.nodes)
+    B = quad.basis(N)
     w = quad.weights
     axes = []
     for i in range(3):
@@ -328,19 +345,22 @@ def project(values: np.ndarray, N: int, quad: SphereQuadrature) -> np.ndarray:
         raise ValueError(
             f"quadrature exactness {quad.exactness} < {2 * N} required for N={N}"
         )
-    B = basis_matrix(N, quad.nodes)
+    B = quad.basis(N)
     return np.asarray(values) @ (quad.weights[:, None] * B)
 
 
 def evaluate_expansion(moments: np.ndarray, dirs_or_quad) -> np.ndarray:
-    """Evaluate a moment expansion at directions (or quadrature nodes)."""
+    """Evaluate a moment expansion at directions (or quadrature nodes, with
+    the quadrature's shared basis)."""
     m = np.asarray(moments)
     nm = m.shape[-1]
     N = int(math.isqrt(nm)) - 1
     if n_moments(N) != nm:
         raise ValueError(f"moment axis length {nm} is not a perfect square")
-    nodes = dirs_or_quad.nodes if isinstance(dirs_or_quad, SphereQuadrature) else dirs_or_quad
-    B = basis_matrix(N, np.asarray(nodes, dtype=float))
+    if isinstance(dirs_or_quad, SphereQuadrature):
+        B = dirs_or_quad.basis(N)
+    else:
+        B = basis_matrix(N, np.asarray(dirs_or_quad, dtype=float))
     return m @ B.T
 
 

@@ -15,7 +15,13 @@ conjugate L_k by signed permutations of the real harmonic basis, so only one
 representative per symmetry orbit gets a dense generator and an expm; every
 other mode applies the representative's propagator with the signed
 permutation acting on the vector.  One propagator is stored per orbit and
-step length, none per mode.
+step length, none per mode, and a generator lives only while its orbit's
+exponentials are taken.  A step gathers the modes of each orbit into the
+representative's frame and multiplies the stack by the propagator as
+P @ X[..., None]: numpy runs one gemv per stacked vector, the same product
+in the same summation order as on a single mode, so the results are
+bit-identical to a loop over modes (a gemm, einsum or tensordot over the
+stack would sum in another order and move last bits).
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by one exponential of the
@@ -257,6 +263,72 @@ def _step_length(h) -> float:
     return h
 
 
+class _OrbitStack:
+    """Spatial modes grouped by lattice orbit, for stacked products.
+
+    Row i is mode rows[i], a flat index into the mode box, whose orbit
+    representative is rep[i].  Its vector v enters the representative's
+    frame as S_g^T v = sign_in * v[inv] and leaves it as S_g y = sign * y[perm].
+    Rows with signed false are the representatives themselves (S_g = I) and
+    get no sign, so their values pass through untouched.  An orbit's rows
+    are contiguous with its representative first; orbits lists (c, slice)
+    in order of first appearance."""
+
+    def __init__(self, nm, rows, rep, perm, sign, signed):
+        self.nm = nm
+        self.rows, self.rep = rows, rep
+        self.perm, self.sign, self.signed = perm, sign, signed
+        self.inv = np.argsort(perm, axis=1)
+        self.sign_in = np.take_along_axis(sign, self.inv, axis=1)
+        self._gather = rows[:, None] * nm + self.inv
+        self.orbits = []
+        start = 0
+        for end in range(1, len(rows) + 1):
+            if end == len(rows) or rep[end] != rep[start]:
+                self.orbits.append((rep[start], slice(start, end)))
+                start = end
+
+    @classmethod
+    def of_modes(cls, modes, N):
+        """The stack of modes, a list of (index, wavevector) in box order."""
+        nm = sh.n_moments(N)
+        order = {}  # representative -> rank of first appearance
+        keyed = []
+        for row, (_, k) in enumerate(modes):
+            a = [abs(x) for x in k]
+            # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
+            c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
+            keyed.append((order.setdefault(c, len(order)), k != c, row, c, k))
+        keyed.sort(key=lambda e: e[:3])
+        perm = np.tile(np.arange(nm), (len(keyed), 1))
+        sign = np.ones((len(keyed), nm))
+        for i, (_, moved, _, _, k) in enumerate(keyed):
+            if moved:
+                perm[i], sign[i] = sh.lattice_symmetry(N, [x < 0 for x in k],
+                                                       abs(k[0]) < abs(k[1]))
+        return cls(nm, np.array([e[2] for e in keyed], dtype=np.intp),
+                   [e[3] for e in keyed], perm, sign,
+                   np.array([e[1] for e in keyed], dtype=bool))
+
+    def select(self, keep: np.ndarray) -> "_OrbitStack":
+        """The rows where keep is true, in the same order."""
+        return _OrbitStack(self.nm, self.rows[keep], [c for c, kp in zip(self.rep, keep) if kp],
+                           self.perm[keep], self.sign[keep], self.signed[keep])
+
+    def into_rep(self, flat: np.ndarray) -> np.ndarray:
+        """S_g^T of every row's vector: flat holds the mode box's vectors
+        along its last axis, (..., modes * nm); the result is (..., rows, nm)."""
+        x = flat.take(self._gather, axis=-1)
+        np.multiply(x, self.sign_in, out=x, where=self.signed[:, None])
+        return x
+
+    def from_rep(self, y: np.ndarray, box: np.ndarray) -> None:
+        """box[rows] = S_g y for representative-frame vectors y (rows, nm)."""
+        z = np.take_along_axis(y, self.perm, axis=1)
+        np.multiply(z, self.sign, out=z, where=self.signed[:, None])
+        box[self.rows] = z
+
+
 class PnOperator:
     """Propagators of one discretization.  A generator is assembled, and an
     expm taken, only for one representative wavevector c per orbit of the
@@ -265,7 +337,11 @@ class PnOperator:
     with the signed permutation S_g applied to the vector, so no per-mode
     matrix is ever formed.  The representatives' propagators are cached per
     (orbit, h): memory grows with orbits and step lengths, not with modes,
-    and repeated equal-length steps cost no further expm."""
+    and repeated equal-length steps cost no further expm.  A generator is
+    assembled for each batch of expm calls on its orbit (one step length, or
+    one Duhamel substep's propagators) and dropped after it.  step advances
+    each orbit's modes together, as one stacked gemv per propagator in the
+    representative's frame (_OrbitStack), bit-identical to a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         if N < 0:
@@ -281,28 +357,14 @@ class PnOperator:
         self.eps = float(eps)
         self.sigma = float(sigma)
         self.sigma_a = float(sigma_a)
-        coupling = sh.assemble_coupling(max(N, 1))
+        self._coupling = sh.assemble_coupling(max(N, 1))
         self.nm = sh.n_moments(N)
         self._modes = [
             (idx, tuple(int(grid.wavenumbers(ax)[idx[ax]]) for ax in range(3)))
             for idx in np.ndindex(grid.shape)
         ]
-        self._gens = {}    # representative c -> dense generator L_c
-        # mode index -> (c, S_g): S_g is None when k == c, else (perm, sign)
-        # with perm None when g swaps no axes.
-        self._orbit = {}
-        for idx, k in self._modes:
-            a = [abs(x) for x in k]
-            # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
-            c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
-            if c not in self._gens:
-                self._gens[c] = assemble_mode_operator(c, N, eps, sigma, coupling, sigma_a)
-            if k == c:
-                self._orbit[idx] = (c, None)
-            else:
-                swap = a[0] < a[1]
-                perm, sign = sh.lattice_symmetry(self.N, [x < 0 for x in k], swap)
-                self._orbit[idx] = (c, (perm if swap else None, sign))
+        self._stack = _OrbitStack.of_modes(self._modes, self.N)
+        self._row = {self._modes[r][0]: i for i, r in enumerate(self._stack.rows)}
         # Fastest rate of any mode, a bound on the spectral radius of L_k:
         # scattering, absorption and the streaming speed |k|/eps.
         self.max_rate = max(
@@ -310,64 +372,78 @@ class PnOperator:
             for _, k in self._modes
         )
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
+        self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c), (nodes, 1, nm, nm)
 
     def modes(self) -> list:
         """[(index, wavevector)] of every spatial mode of the grid."""
         return self._modes
 
-    @staticmethod
-    def _into_rep(sym, v: np.ndarray) -> np.ndarray:
-        """S_g^T v: x with x[perm] = sign * v."""
-        if sym is None:
-            return v
-        perm, sign = sym
-        if perm is None:
-            return sign * v
-        x = np.empty_like(v)
-        x[perm] = sign * v
-        return x
-
-    @staticmethod
-    def _from_rep(sym, x: np.ndarray) -> np.ndarray:
-        """S_g x = sign * x[perm]."""
-        if sym is None:
-            return x
-        perm, sign = sym
-        return sign * (x if perm is None else x[perm])
+    def _generator(self, c) -> np.ndarray:
+        return assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
+                                      self.sigma_a)
 
     def _rep(self, c, h: float) -> np.ndarray:
         P = self._reps.get((c, h))
         if P is None:
-            P = self._reps[(c, h)] = expm(h * self._gens[c])
+            P = self._reps[(c, h)] = expm(h * self._generator(c))
         return P
+
+    def _substep(self, c, hs: float, taus) -> tuple:
+        """(expm(hs L_c), stacked expm((hs - tau) L_c) per Duhamel node)."""
+        P, nodes = self._reps.get((c, hs)), self._nodes.get((c, hs))
+        if P is None or nodes is None:
+            L = self._generator(c)
+            if P is None:
+                P = self._reps[(c, hs)] = expm(hs * L)
+            if nodes is None:
+                nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
+                for m, tau in enumerate(taus):
+                    nodes[m, 0] = expm(float(hs - tau) * L)
+                self._nodes[(c, hs)] = nodes
+        return P, nodes
 
     def _to_mode(self, idx, X: np.ndarray) -> np.ndarray:
         """Map a representative-frame matrix X_c to mode idx: S_g X_c S_g^T,
         applied by indexing."""
-        sym = self._orbit[idx][1]
-        if sym is None:
+        st, i = self._stack, self._row[idx]
+        if not st.signed[i]:
             return X
-        perm, sign = sym
-        if perm is None:
-            return np.multiply.outer(sign, sign) * X
-        return np.multiply.outer(sign, sign) * X[np.ix_(perm, perm)]
+        return np.multiply.outer(st.sign[i], st.sign[i]) * X[np.ix_(st.perm[i], st.perm[i])]
 
     def generator(self, idx) -> np.ndarray:
         """Dense generator L_k of mode idx."""
-        return self._to_mode(idx, self._gens[self._orbit[idx][0]])
+        return self._to_mode(idx, self._generator(self._stack.rep[self._row[idx]]))
 
     def propagator(self, idx, h: float) -> np.ndarray:
         """Dense propagator expm(h L_k) of mode idx: the cached representative
         mapped to the mode on each call, never stored.  The solvers use
         apply; this is the dense form the oracle tests compare against."""
-        return self._to_mode(idx, self._rep(self._orbit[idx][0], _step_length(h)))
+        return self._to_mode(idx, self._rep(self._stack.rep[self._row[idx]], _step_length(h)))
 
     def apply(self, idx, h: float, v: np.ndarray) -> np.ndarray:
         """expm(h L_k) v for mode idx.  When only reflections reach k from
         its representative this is the same matrix-vector product as
         propagator(idx, h) @ v on sign-flipped operands, so bit-identical."""
-        c, sym = self._orbit[idx]
-        return self._from_rep(sym, self._rep(c, _step_length(h)) @ self._into_rep(sym, v))
+        st, i = self._stack, self._row[idx]
+        x = st.sign_in[i] * v[st.inv[i]] if st.signed[i] else v
+        y = self._rep(st.rep[i], _step_length(h)) @ x
+        return st.sign[i] * y[st.perm[i]] if st.signed[i] else y
+
+    def _box(self, out: np.ndarray) -> np.ndarray:
+        """out, shaped (modes, nm) without a copy."""
+        if out.shape != self.grid.shape + (self.nm,):
+            raise ValueError(f"coefficient shape {out.shape} does not match "
+                             f"{self.grid.shape + (self.nm,)}")
+        return out.reshape(-1, self.nm)
+
+    def _advance(self, out: np.ndarray, h: float, stack: _OrbitStack) -> None:
+        """out[mode] <- expm(h L_k) out[mode] for the modes of stack, in place."""
+        box = self._box(out)
+        x = stack.into_rep(box.reshape(-1))
+        y = np.empty_like(x)
+        for c, rows in stack.orbits:
+            np.matmul(self._rep(c, h), x[rows, :, None], out=y[rows, :, None])
+        stack.from_rep(y, box)
 
     def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
         rho = self.max_rate + extra_rate
@@ -379,31 +455,34 @@ class PnOperator:
         h = _step_length(h)
         out = np.array(coeffs, dtype=complex, copy=True)
         if source is None:
-            for idx, _ in self._modes:
-                out[idx] = self.apply(idx, h, out[idx])
+            self._advance(out, h, self._stack)
             return out
         nsub = substeps if substeps is not None else self.substeps_for(h)
         hs = h / nsub
         x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
-        # Per orbit: the propagators over a substep and from each node to its end.
-        reps = {c: (self._rep(c, hs), [self._rep(c, float(hs - tau)) for tau in taus])
-                for c in self._gens}
-        # Source samples are shared across modes.  Each mode accumulates its
-        # Duhamel sum in its representative's frame: S_g acts elementwise, so
-        # it commutes exactly with the weighted sum and the result equals
-        # applying every term by apply.
+        stack = self._stack
+        props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.orbits]
+        box = self._box(out)
+        u = np.empty((len(stack.rows), self.nm), dtype=complex)
+        t = np.empty((_DUHAMEL_NODES,) + u.shape, dtype=complex)
+        # The source samples are shared across modes.  Each orbit takes two
+        # stacked products per substep, the propagated state and every node's
+        # propagated sample, and the weighted sum runs node by node in the
+        # representatives' frames: S_g acts elementwise, so it commutes
+        # exactly with that sum, and every entry is the per-mode loop's.
         for j in range(nsub):
             ta = t0 + j * hs
-            q_samples = [source(ta + tau) for tau in taus]
-            for idx, _ in self._modes:
-                c, sym = self._orbit[idx]
-                P, node_props = reps[c]
-                u = P @ self._into_rep(sym, out[idx])
-                for m in range(_DUHAMEL_NODES):
-                    u = u + wts[m] * (node_props[m] @ self._into_rep(sym, q_samples[m][idx]))
-                out[idx] = self._from_rep(sym, u)
+            q = np.stack([source(ta + tau) for tau in taus])
+            q = stack.into_rep(q.reshape(_DUHAMEL_NODES, -1))
+            v = stack.into_rep(box.reshape(-1))
+            for rows, P, nodes in props:
+                np.matmul(P, v[rows, :, None], out=u[rows, :, None])
+                np.matmul(nodes, q[:, rows, :, None], out=t[:, rows, :, None])
+            for m in range(_DUHAMEL_NODES):
+                u += wts[m] * t[m]
+            stack.from_rep(u, box)
         return out
 
 
@@ -418,7 +497,7 @@ class SourcedModes:
     advances the mode over a whole step with the Duhamel integral in closed
     form (Van Loan 1978).  The term amplitudes enter through w(t0), so the
     augmented propagator is cached per (mode, h).  Modes no term reaches
-    are advanced by PnOperator.apply.
+    are advanced by the operator's stacked per-orbit products.
     """
 
     def __init__(self, op: PnOperator, terms):
@@ -432,6 +511,8 @@ class SourcedModes:
             ang[:n] = tm.angular[:n]
             for k, amp in tm.spatial:
                 self._pieces.setdefault(op.grid.index_of(k), []).append((amp, tm, ang))
+        reached = [np.ravel_multi_index(idx, op.grid.shape) for idx in self._pieces]
+        self._free = op._stack.select(~np.isin(op._stack.rows, reached))
         self._augmented = {}  # (reached mode, h) -> augmented propagator
 
     def propagator(self, idx, h: float) -> np.ndarray:
@@ -456,13 +537,10 @@ class SourcedModes:
 
     def step(self, coeffs, h: float, t0: float) -> np.ndarray:
         """Advance coefficients from t0 to t0 + h, source included."""
-        op, nm = self.op, self.op.nm
+        nm = self.op.nm
         out = np.array(coeffs, dtype=complex, copy=True)
-        for idx, _ in op.modes():
-            pieces = self._pieces.get(idx)
-            if pieces is None:
-                out[idx] = op.apply(idx, h, out[idx])
-                continue
+        self.op._advance(out, _step_length(h), self._free)
+        for idx, pieces in self._pieces.items():
             w0 = np.concatenate([
                 amp * math.exp(tm.time_exp * t0) * np.array(poly_derivatives(tm.time_poly, t0))
                 for amp, tm, _ in pieces
@@ -589,10 +667,14 @@ def source_response(lam: np.ndarray, a: float, b: float, profiles) -> np.ndarray
 
 
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
-                     sigma: float, sigma_a: float = 0.0, q_terms=()) -> gr.NodalField:
+                     sigma: float, sigma_a: float = 0.0, q_terms=(), lam=None,
+                     profiles=None) -> gr.NodalField:
     """Exact evolution of d_t v = -lambda v + q along each (mode, direction)
     characteristic: the homogeneous part is a closed-form exponential and
     the source integral is closed-form in phi-functions (source_response).
+    lam and profiles, when given, are uncollided_rates and nodal_source of
+    the state's grid and quadrature with these cross sections and q_terms,
+    computed once by a caller that advances many intervals.
     """
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
@@ -604,10 +686,13 @@ def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
     for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
+    if lam is None:
+        lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
     vals = state.values * np.exp(-lam * (b - a))
     if q_terms:
-        vals = vals + source_response(lam, a, b, nodal_source(state.grid, state.quad, q_terms))
+        if profiles is None:
+            profiles = nodal_source(state.grid, state.quad, q_terms)
+        vals = vals + source_response(lam, a, b, profiles)
     return gr.NodalField(state.grid, state.quad, vals)
 
 

@@ -145,3 +145,25 @@ def test_field_arithmetic_checks_discretization():
     t = f.truncate(3)
     assert t.N == 3
     assert (t + h).N == 3
+
+
+def test_nodal_fields_add_only_on_the_same_quadrature():
+    g = gr.SpatialGrid(dim=1, modes=3)
+    terms = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5})]
+    quad = sh.build_sphere_quadrature(3)
+    a = gr.nodal_field(g, quad, terms)
+    # An equal rule built again adds like the same object.
+    b = gr.nodal_field(g, sh.build_sphere_quadrature(3), terms)
+    assert np.array_equal((a + b).values, 2.0 * a.values)
+    # Same node count, other nodes: the azimuths turned by a quarter step.
+    turn = math.pi / 12.0
+    rot = np.array([[math.cos(turn), -math.sin(turn), 0.0],
+                    [math.sin(turn), math.cos(turn), 0.0],
+                    [0.0, 0.0, 1.0]])
+    turned = sh.SphereQuadrature(quad.nodes @ rot.T, quad.weights, quad.exactness)
+    assert len(turned) == len(quad)
+    c = gr.nodal_field(g, turned, terms)
+    with pytest.raises(ValueError, match="quadratures"):
+        _ = a + c
+    with pytest.raises(ValueError, match="quadratures"):
+        _ = a - c

@@ -221,3 +221,31 @@ def test_project_moments_and_tail():
     up = sh.project_moments(low, 4)
     assert up.shape == u.shape
     assert np.all(up[9:] == 0.0)
+
+
+def test_quadrature_basis_built_once_per_degree_and_read_only(monkeypatch):
+    built = []
+    real = sh.basis_matrix
+
+    def counting(N, directions):
+        built.append(N)
+        return real(N, directions)
+
+    monkeypatch.setattr(sh, "basis_matrix", counting)
+    q = sh.build_sphere_quadrature(5)
+    rng = np.random.default_rng(4)
+    moments = rng.standard_normal((2, sh.n_moments(3)))
+    for _ in range(3):
+        values = sh.evaluate_expansion(moments, q)
+        back = sh.project(values, 3, q)
+        sh.project(values, 2, q)
+    assert np.max(np.abs(back - moments)) < 1e-12
+    assert built == [3, 2]
+    B = q.basis(3)
+    assert B is q.basis(3)
+    assert np.array_equal(B, real(3, q.nodes))
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
+    # Another quadrature instance keeps its own bases.
+    sh.build_sphere_quadrature(5).basis(3)
+    assert built == [3, 2, 3]

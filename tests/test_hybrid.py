@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,8 +232,21 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
         monkeypatch.setattr(mod, name, counting)
     hy.hybrid_step(psi_u, psi_c, 0.0, 0.25, op, q_terms=spec.q)
     # One closed-form advance of the carrier, and the source's nodal profile
-    # built once for the re-emission samples and once for that advance.
-    assert calls == {"solve_uncollided": 1, "nodal_field": 2}
+    # built once, shared by the re-emission samples and that advance.
+    assert calls == {"solve_uncollided": 1, "nodal_field": 1}
+
+
+def test_run_hybrid_builds_rates_and_source_profiles_once(monkeypatch):
+    spec = replace(_sourced_spec(), dt=Fraction(1, 8))
+    calls = {"uncollided_rates": 0, "nodal_source": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(tr, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(tr, name, counting)
+    res = hy.run_hybrid(spec, 3, quad=sh.build_sphere_quadrature(8))
+    assert len(res.records) == 8
+    assert calls == {"uncollided_rates": 1, "nodal_source": 1}
 
 
 def test_run_hybrid_equals_hand_written_loop():
