@@ -206,11 +206,10 @@ class BoundReport:
     theorem: str
     total: float
     terms: tuple
-    constant: float = 1.0
     notes: str = ""
 
     def to_text(self) -> str:
-        lines = [f"{self.theorem}: total = {self.total:.6e} (constant {self.constant:g})"]
+        lines = [f"{self.theorem}: total = {self.total:.6e} (constant 1)"]
         for t in self.terms:
             tag = f"  [{t.branch}]" if t.branch else ""
             lines.append(f"  {t.name} = {t.value:.6e}{tag}")
@@ -246,7 +245,7 @@ def _min_branch(a: float, a_name: str, b: float, b_name: str):
     return (a, a_name) if a <= b else (b, b_name)
 
 
-def pn_error_bound(bi: BoundInputs, C: float = 1.0) -> BoundReport:
+def pn_error_bound(bi: BoundInputs) -> BoundReport:
     """Five-term bound on the monolithic solver error at time T in L^2.
 
     Purely isotropic data (all angular-derivative norms zero) reduces the
@@ -281,12 +280,12 @@ def pn_error_bound(bi: BoundInputs, C: float = 1.0) -> BoundReport:
     diff3 = math.inf if sigma == 0.0 else eps ** (s - 1) * math.factorial(s) * T / sigma**s
     stream3 = (T / eps) ** (s + 1)
     v3, b3 = _min_branch(diff3, "diffusive", stream3, "streaming")
-    terms.append(BoundTerm("mixed-regularity", 2.0 * C * proj * (g_s1 + T * q_s1) * v3, b3))
+    terms.append(BoundTerm("mixed-regularity", 2.0 * proj * (g_s1 + T * q_s1) * v3, b3))
 
     t4 = 0.0
     for i in range(s):
         t4 += g_mix[i] * math.comb(s, i) * T ** (i + 1) / eps ** (i + 1)
-    terms.append(BoundTerm("initial-cross", 2.0 * C * proj * damp * t4))
+    terms.append(BoundTerm("initial-cross", 2.0 * proj * damp * t4))
 
     for i in range(s):
         diff5 = math.inf if sigma == 0.0 else eps ** (i + 1) * T / sigma ** (i + 1)
@@ -294,7 +293,7 @@ def pn_error_bound(bi: BoundInputs, C: float = 1.0) -> BoundReport:
         v5, b5 = _min_branch(diff5, "diffusive", stream5, "streaming")
         coeff = math.factorial(s) / math.factorial(s - i)
         terms.append(
-            BoundTerm(f"source-cross[i={i}]", 2.0 * C * proj * q_mix[i] * coeff * v5, b5)
+            BoundTerm(f"source-cross[i={i}]", 2.0 * proj * q_mix[i] * coeff * v5, b5)
         )
 
     iso = (
@@ -306,13 +305,13 @@ def pn_error_bound(bi: BoundInputs, C: float = 1.0) -> BoundReport:
     if iso:
         keep = [t for t in terms if t.name == "mixed-regularity"]
         total = sum(t.value for t in keep)
-        return BoundReport("pn-isotropic", total, tuple(keep), C,
+        return BoundReport("pn-isotropic", total, tuple(keep),
                            notes="isotropic data: only the mixed-regularity term survives")
     total = sum(t.value for t in terms)
-    return BoundReport("pn", total, tuple(terms), C)
+    return BoundReport("pn", total, tuple(terms))
 
 
-def hybrid_error_bound(bi: BoundInputs, C: float = 1.0) -> BoundReport:
+def hybrid_error_bound(bi: BoundInputs) -> BoundReport:
     """Bound on the hybrid error at the left limit of T."""
     s, N, eps, sigma, T, dt = bi.s, bi.N, bi.eps, bi.sigma, bi.T, bi.dt
     if dt is None:
@@ -327,15 +326,15 @@ def hybrid_error_bound(bi: BoundInputs, C: float = 1.0) -> BoundReport:
     diff = math.inf if sigma == 0.0 else eps ** (s - 1) * math.factorial(s) * T / sigma**s
     stream = (dt**s * T / eps ** (s + 1)) * min(1.0, dt * sigma / eps**2)
     v, b = _min_branch(diff, "diffusive", stream, "interval")
-    total = 2.0 * C * proj * (g_s1 + T * q_s1) * v
+    total = 2.0 * proj * (g_s1 + T * q_s1) * v
     return BoundReport(
         "hybrid", total,
-        (BoundTerm("mixed-regularity", total, b),), C,
+        (BoundTerm("mixed-regularity", total, b),),
         notes="zero exactly when sigma = 0" if sigma == 0.0 else "",
     )
 
 
-def absorbing_bounds(bi: BoundInputs, family: str = "pn", C: float = 1.0) -> BoundReport:
+def absorbing_bounds(bi: BoundInputs, family: str = "pn") -> BoundReport:
     """Bounds for problems with absorption: the pure-scattering bound at
     sigma = sigma_t with every initial-data term damped by exp(-sigma_a T).
 
@@ -354,16 +353,15 @@ def absorbing_bounds(bi: BoundInputs, family: str = "pn", C: float = 1.0) -> Bou
         q_sup_norms=dict(bi.q_sup_norms),
     )
     if family == "pn":
-        rep = pn_error_bound(damped, C)
+        rep = pn_error_bound(damped)
     elif family == "hybrid":
-        rep = hybrid_error_bound(damped, C)
+        rep = hybrid_error_bound(damped)
     else:
         raise ValueError(f"unknown bound family {family!r}")
     return BoundReport(
         theorem=rep.theorem + "-absorbing",
         total=rep.total,
         terms=rep.terms,
-        constant=rep.constant,
         notes=f"initial-data terms damped by exp(-sigma_a T) = {damp:.6e}",
     )
 
@@ -442,7 +440,7 @@ def interval_integrated_bound(sigma: float, dt: float, t_m: float,
 
 
 def hybrid_aggregate_bound(sigma: float, T: float, dt: float, N: int,
-                           norms: UnscaledDataNorms, C: float = 1.0) -> float:
+                           norms: UnscaledDataNorms) -> float:
     """Aggregated unscaled hybrid estimate, O(1/N) times kernel weights."""
     tau = sigma * dt
     first = T * beta1(tau) * norms.dx_g + (
@@ -451,11 +449,11 @@ def hybrid_aggregate_bound(sigma: float, T: float, dt: float, N: int,
     second = dt * T * beta2(tau) * norms.d2x_g + (
         0.5 * dt * T**2 * beta2(tau) + dt**2 * T * beta3(tau)
     ) * norms.d2x_q
-    return (C / N) * (first + second)
+    return (1.0 / N) * (first + second)
 
 
 def monolithic_isotropic_bound(sigma: float, T: float, N: int,
-                               norms: UnscaledDataNorms, C: float = 1.0) -> float:
+                               norms: UnscaledDataNorms) -> float:
     """Unscaled monolithic estimate for isotropic data, O(1/N)."""
     tau = sigma * T
     first = T * gamma_fn(tau) * norms.dx_g + _one_minus_gamma_over_sigma(
@@ -468,7 +466,7 @@ def monolithic_isotropic_bound(sigma: float, T: float, N: int,
     else:
         last = (T * T - big_gamma(sigma, T)) / sigma * norms.d2x_q
     second = big_gamma(sigma, T) * norms.d2x_g + last
-    return (C / N) * (first + second)
+    return (1.0 / N) * (first + second)
 
 
 @dataclass(frozen=True)
@@ -482,8 +480,7 @@ class UnscaledReport:
 
 
 def unscaled_bounds(sigma: float, T: float, norms: UnscaledDataNorms,
-                    dt: float | None = None, N: int | None = None,
-                    C: float = 1.0) -> UnscaledReport:
+                    dt: float | None = None, N: int | None = None) -> UnscaledReport:
     """Evaluate the whole unscaled family at once; interval and aggregate
     entries are filled only when dt (and N for the O(1/N) forms) is given."""
     if sigma < 0 or T <= 0:
@@ -496,9 +493,9 @@ def unscaled_bounds(sigma: float, T: float, norms: UnscaledDataNorms,
         endpoint = interval_endpoint_bound(sigma, dt, m_last, norms)
         integrated = interval_integrated_bound(sigma, dt, T - dt, norms)
         if N is not None:
-            aggregate = hybrid_aggregate_bound(sigma, T, dt, N, norms, C)
+            aggregate = hybrid_aggregate_bound(sigma, T, dt, N, norms)
     if N is not None:
-        mono = monolithic_isotropic_bound(sigma, T, N, norms, C)
+        mono = monolithic_isotropic_bound(sigma, T, N, norms)
     return UnscaledReport(e1, e2, endpoint, integrated, aggregate, mono)
 
 
@@ -510,18 +507,13 @@ class RegimeAdvice:
     detail: str
 
 
-def regime_advisor(eps: float, sigma: float, T: float, s: int,
-                   dt_policy: tuple | None = None) -> RegimeAdvice:
+def regime_advisor(eps: float, sigma: float, T: float, s: int) -> RegimeAdvice:
     """Locate the step size at which the hybrid bound's interval branch
-    overtakes its diffusive branch, and classify the problem against a
-    policy range of candidate steps (default T/64 .. T)."""
+    overtakes its diffusive branch, and classify the problem against the
+    range of candidate steps T/64 .. T."""
     if eps <= 0 or T <= 0 or s < 1:
         raise ValueError("need eps > 0, T > 0, s >= 1")
-    if dt_policy is None:
-        dt_policy = (T / 64.0, T)
-    lo, hi = dt_policy
-    if not 0 < lo <= hi:
-        raise ValueError(f"bad dt policy ({lo}, {hi})")
+    lo, hi = T / 64.0, T
     if sigma == 0.0:
         return RegimeAdvice(
             "streaming-exact", math.inf, 0.0,
@@ -649,40 +641,27 @@ def required_pairs(s: int, family: str = "pn") -> list:
     return pairs
 
 
-def data_norms(spec: tr.ProblemSpec, pairs, grid=None, max_degree=None):
+def data_norms(spec: tr.ProblemSpec, pairs, grid=None):
     """Mixed seminorms |.|_{H^(r,s)} of g and of q (sup in time) for each
     requested (r, s) pair.
 
     The descriptors are finite expansions, so every norm is exact up to the
-    time sampling of the sup; max_degree, when given, rejects pairs whose
-    angular weight would touch degrees above it.
+    time sampling of the sup.  The sampled q fields are built once and
+    shared by every pair.
     """
     if grid is None:
         grid = tr.default_grid(spec)
-    Lg = gr.angular_band(spec.g)
-    Lq = gr.angular_band(spec.q) if spec.q else 0
     g_out, qs_out = {}, {}
     T = spec.t_final
     t_sup = np.concatenate(
         [[0.0, T], 0.5 * T * (1.0 + np.cos(np.pi * np.arange(1, 32) / 32.0))]
     )
-    gf = gr.moment_field(grid, max(Lg, 1), spec.g) if spec.g else None
+    gf = gr.moment_field(grid, max(gr.angular_band(spec.g), 1), spec.g) if spec.g else None
+    Lq = max(gr.angular_band(spec.q), 1)
+    qfs = [gr.moment_field(grid, Lq, spec.q, t) for t in t_sup] if spec.q else []
     for (r, s) in pairs:
-        if max_degree is not None and max(Lg, Lq) > max_degree:
-            raise ValueError(
-                f"cannot resolve data norm H^({r},{s}): angular degree "
-                f"{max(Lg, Lq)} exceeds the cap {max_degree}"
-            )
         g_out[(r, s)] = gr.hrs_seminorm(gf, r, s) if gf is not None else 0.0
-        if spec.q:
-            Lq_eff = max(Lq, 1)
-            vals = [
-                gr.hrs_seminorm(gr.moment_field(grid, Lq_eff, spec.q, t), r, s)
-                for t in t_sup
-            ]
-            qs_out[(r, s)] = max(vals)
-        else:
-            qs_out[(r, s)] = 0.0
+        qs_out[(r, s)] = max(gr.hrs_seminorm(qf, r, s) for qf in qfs) if qfs else 0.0
     return g_out, qs_out
 
 

@@ -31,8 +31,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p, config_required=True):
     p.add_argument("--config", required=config_required, help="run config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed (audit randomness)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the audit's random draws; every subcommand "
+                        "accepts it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,8 +63,6 @@ def _load(args) -> hn.RunSpec:
     except hn.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(1)
-    if args.seed is not None:
-        rs.seed = args.seed
     return rs
 
 
@@ -164,10 +163,9 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     failures = 0
 
-    rep = bd.audit_inequalities(seed=seed)
+    rep = bd.audit_inequalities(seed=args.seed)
     print(f"inequality audit: {rep.checks_run} checks, "
           f"{len(rep.violations)} violations")
     for v in rep.violations[:10]:

@@ -149,10 +149,10 @@ def angular_band(terms) -> int:
     return max((tm.angular_degree for tm in terms), default=0)
 
 
-def grid_for(terms, extra_terms=(), min_dim: int = 1) -> SpatialGrid:
+def grid_for(terms, extra_terms=()) -> SpatialGrid:
     """Smallest grid holding every term's spatial band."""
     band = spatial_band(tuple(terms) + tuple(extra_terms))
-    dim = min_dim
+    dim = 1
     for ax in range(3):
         if band[ax] > 0:
             dim = max(dim, ax + 1)
@@ -286,11 +286,11 @@ def hrs_seminorm(field: MomentField, r: int, s: int) -> float:
         raise ValueError("r must be >= 0")
     if r == 0:
         return hs_seminorm(field, s)
-    k1, k2, k3 = field.grid.k_grids()
-    kk = (k1.astype(float), k2.astype(float), k3.astype(float))
+    kk = tuple(k.astype(float) for k in field.grid.k_grids())
+    ones = np.ones(field.grid.shape)
     total = 0.0
     for combo in itertools.product(range(3), repeat=r):
-        w = np.ones_like(field.grid.k_norm2())
+        w = ones
         for ax in combo:
             w = w * kk[ax]
         if not np.any(w):

@@ -349,19 +349,15 @@ def project(values: np.ndarray, N: int, quad: SphereQuadrature) -> np.ndarray:
     return np.asarray(values) @ (quad.weights[:, None] * B)
 
 
-def evaluate_expansion(moments: np.ndarray, dirs_or_quad) -> np.ndarray:
-    """Evaluate a moment expansion at directions (or quadrature nodes, with
-    the quadrature's shared basis)."""
+def evaluate_expansion(moments: np.ndarray, quad: SphereQuadrature) -> np.ndarray:
+    """Evaluate a moment expansion at the quadrature's nodes, with the
+    quadrature's shared basis."""
     m = np.asarray(moments)
     nm = m.shape[-1]
     N = int(math.isqrt(nm)) - 1
     if n_moments(N) != nm:
         raise ValueError(f"moment axis length {nm} is not a perfect square")
-    if isinstance(dirs_or_quad, SphereQuadrature):
-        B = dirs_or_quad.basis(N)
-    else:
-        B = basis_matrix(N, np.asarray(dirs_or_quad, dtype=float))
-    return m @ B.T
+    return m @ quad.basis(N).T
 
 
 def angular_seminorm(u: np.ndarray, s: int) -> float:

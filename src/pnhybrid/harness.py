@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,7 @@ _SOLVERS = ("pn", "hybrid", "uncollided", "diffusion")
 
 _RUN_KEYS = (
     "problem", "solver", "N", "dt", "eps", "sigma_t", "sigma_a", "T",
-    "s", "band", "n_ref", "seed", "out_csv", "plot_axis",
+    "s", "band", "n_ref", "out_csv", "plot_axis",
 )
 _SWEEP_KEYS = ("N", "dt", "eps", "sigma")
 
@@ -55,7 +55,6 @@ class RunSpec:
     s: int | None = None
     band: int = 16
     n_ref: int | None = None
-    seed: int = 0
     out_csv: str = ""
     plot_axis: str = ""
     sweep_N: tuple = ()
@@ -207,7 +206,6 @@ def parse_config_text(lines) -> RunSpec:
     rs.s = take_int("s", None)
     rs.band = take_int("band", rs.band)
     rs.n_ref = take_int("n_ref", None)
-    rs.seed = take_int("seed", rs.seed)
     rs.out_csv = take_str("out_csv", "")
     rs.plot_axis = take_str("plot_axis", "")
 
@@ -292,7 +290,6 @@ def emit_config(rs: RunSpec) -> str:
     lines.append(f"band = {rs.band}")
     if rs.n_ref is not None:
         lines.append(f"n_ref = {rs.n_ref}")
-    lines.append(f"seed = {rs.seed}")
     if rs.out_csv:
         lines.append(f"out_csv = {rs.out_csv}")
     if rs.plot_axis:
@@ -324,7 +321,9 @@ class Manufactured:
     with the reference's own uncertainty.  Reference P_N solves are memoized
     by degree, so every run that shares this object (a sweep's N and dt
     points) solves each reference degree once; solve_pn does not read
-    spec.dt, so the memo holds across dt.
+    spec.dt, so the memo holds across dt.  Measurement quadratures are
+    memoized by polar order the same way, so a sweep's points share each
+    rule and its basis cache.
     """
 
     spec: tr.ProblemSpec
@@ -332,6 +331,14 @@ class Manufactured:
     default_s: int  # regularity order used for bounds when the run sets none
     _solves: dict = dc_field(default_factory=dict, init=False, compare=False,
                              repr=False)
+    _quads: dict = dc_field(default_factory=dict, init=False, compare=False,
+                            repr=False)
+
+    def quadrature(self, polar_order: int) -> sh.SphereQuadrature:
+        """build_sphere_quadrature(polar_order), built once per object."""
+        if polar_order not in self._quads:
+            self._quads[polar_order] = sh.build_sphere_quadrature(polar_order)
+        return self._quads[polar_order]
 
     def reference(self, solver: str, N: int, quad=None, n_ref=None):
         """(reference, uncertainty) for a degree-N run of `solver` at T.
@@ -481,9 +488,11 @@ def reference_degree(N: int, override=None) -> int:
     return int(override) if override is not None else 2 * N + 6
 
 
-def measurement_quadrature(spec: tr.ProblemSpec, degree: int, dt_run: float):
+def measurement_quadrature(mf: Manufactured, degree: int, dt_run: float):
     """Quadrature able to project streaming phase content up to the horizon
-    where scattering has damped it below noticeability."""
+    where scattering has damped it below noticeability, shared through mf
+    by every run that asks for the same polar order."""
+    spec = mf.spec
     grid = tr.default_grid(spec)
     kmax = math.sqrt(float(np.max(grid.k_norm2())))
     if spec.sigma_t > 0.0:
@@ -491,7 +500,7 @@ def measurement_quadrature(spec: tr.ProblemSpec, degree: int, dt_run: float):
     else:
         horizon = dt_run
     margin = math.ceil(kmax * horizon / spec.eps) + 8
-    return sh.build_sphere_quadrature(degree + margin)
+    return mf.quadrature(degree + margin)
 
 
 @dataclass
@@ -538,11 +547,11 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
     if solver in ("pn", "diffusion"):
         solution = tr.solve_pn(spec, N, grid=grid).final
         if solver == "pn" and mf.exact == "characteristics":
-            quad = measurement_quadrature(spec, N, T)
+            quad = measurement_quadrature(mf, N, T)
     else:
         # Nodal solvers: the quadrature also resolves the reference degree.
         degree = N + 1 if mf.exact else max(N + 1, reference_degree(N, n_ref))
-        quad = measurement_quadrature(spec, degree, dt_run)
+        quad = measurement_quadrature(mf, degree, dt_run)
         if solver == "hybrid":
             res = hy.run_hybrid(spec, N, dt=dt_run, grid=grid, quad=quad)
             solution = res.total
@@ -653,6 +662,10 @@ def read_csv(path) -> list[SweepRow]:
 
 _AXES = ("N", "dt", "eps", "sigma")
 
+# Largest error a row with a zero bound may carry: an exact solver's
+# round-off.
+ZERO_BOUND_TOL = 1e-8
+
 
 def _axis_value(row: SweepRow, axis: str) -> float:
     if axis == "N":
@@ -702,10 +715,11 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def fit_and_check(rows, tol: float = 1e-8) -> ConformanceReport:
+def fit_and_check(rows) -> ConformanceReport:
     """Fit one constant per (problem, solver) pair as C = max(error/bound),
     measure log-log slopes along every varying axis, and collect violations:
-    a zero bound facing an error above tol, or usage of flagged rows."""
+    a zero bound facing an error above ZERO_BOUND_TOL.  Flagged rows are
+    excluded."""
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError(f"conformance needs at least 3 rows, got {len(rows)}")
@@ -718,10 +732,10 @@ def fit_and_check(rows, tol: float = 1e-8) -> ConformanceReport:
         if r.branch == "none":
             continue
         if r.bound == 0.0:
-            if r.error > tol:
+            if r.error > ZERO_BOUND_TOL:
                 rep.violations.append(
                     f"{r.problem}/{r.solver} N={r.N} dt={r.dt:g}: bound is 0 "
-                    f"but error {r.error:.3e} exceeds {tol:g}"
+                    f"but error {r.error:.3e} exceeds {ZERO_BOUND_TOL:g}"
                 )
             continue
         key = (r.problem, r.solver)

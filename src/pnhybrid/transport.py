@@ -132,11 +132,6 @@ class ProblemSpec:
             raise ValueError(f"M*dt != T: dt={self.dt} does not divide T={self.T}")
 
     @property
-    def sigma(self) -> float:
-        """Scattering rate used by the scaled equation (total cross section)."""
-        return self.sigma_t
-
-    @property
     def M(self) -> int:
         return int(self.T / self.dt)
 
@@ -416,18 +411,10 @@ class PnOperator:
 
     def propagator(self, idx, h: float) -> np.ndarray:
         """Dense propagator expm(h L_k) of mode idx: the cached representative
-        mapped to the mode on each call, never stored.  The solvers use
-        apply; this is the dense form the oracle tests compare against."""
+        mapped to the mode on each call, never stored.  The solvers advance
+        modes through step; this is the dense form the oracle tests compare
+        against."""
         return self._to_mode(idx, self._rep(self._stack.rep[self._row[idx]], _step_length(h)))
-
-    def apply(self, idx, h: float, v: np.ndarray) -> np.ndarray:
-        """expm(h L_k) v for mode idx.  When only reflections reach k from
-        its representative this is the same matrix-vector product as
-        propagator(idx, h) @ v on sign-flipped operands, so bit-identical."""
-        st, i = self._stack, self._row[idx]
-        x = st.sign_in[i] * v[st.inv[i]] if st.signed[i] else v
-        y = self._rep(st.rep[i], _step_length(h)) @ x
-        return st.sign[i] * y[st.perm[i]] if st.signed[i] else y
 
     def _box(self, out: np.ndarray) -> np.ndarray:
         """out, shaped (modes, nm) without a copy."""
@@ -560,9 +547,8 @@ class SolveResult:
         return self.fields[-1]
 
 
-def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None,
-             record_times=()) -> SolveResult:
-    """Monolithic spherical-harmonic solve from t = 0 to t_end (default T).
+def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResult:
+    """Monolithic spherical-harmonic solve from t = 0 to T.
 
     Absorption, when present, acts directly through the generator; see
     absorption_wrap for the equivalent change-of-variables route.  The
@@ -572,14 +558,13 @@ def solve_pn(spec: ProblemSpec, N: int, t_end=None, grid=None,
     with blas_scope(N):
         if grid is None:
             grid = default_grid(spec)
-        if t_end is None:
-            t_end = spec.t_final
+        t_end = spec.t_final
         op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
         sourced = SourcedModes(op, spec.q) if spec.q else None
         state = initial_field(spec, grid, N)
-        times = sorted(set(float(t) for t in record_times) | {float(t_end)})
-        if any(t < 0 or t > float(t_end) + 1e-15 for t in times):
-            raise ValueError("record times must lie in [0, t_end]")
+        times = sorted(set(float(t) for t in record_times) | {t_end})
+        if any(t < 0 or t > t_end + 1e-15 for t in times):
+            raise ValueError("record times must lie in [0, T]")
         times = [t for t in times if t > 0.0]
         out_times = [0.0]
         out_fields = [state]
@@ -736,18 +721,6 @@ def absorption_wrap(spec: ProblemSpec):
     sa = spec.sigma_a
     if sa == 0.0:
         return spec, (lambda t: 1.0)
-    wrapped_q = tuple(
-        gr.FieldTerm(tm.spatial, tm.angular, tm.time_poly, tm.time_exp + sa)
-        for tm in spec.q
-    )
-    pure = ProblemSpec(
-        name=spec.name + "+absorption-removed",
-        eps=spec.eps,
-        sigma_t=spec.sigma_t,
-        sigma_a=0.0,
-        g=spec.g,
-        q=wrapped_q,
-        T=spec.T,
-        dt=spec.dt,
-    )
+    pure = replace(spec, name=spec.name + "+absorption-removed", sigma_a=0.0,
+                   q=tuple(replace(tm, time_exp=tm.time_exp + sa) for tm in spec.q))
     return pure, (lambda t: math.exp(-sa * t))

@@ -459,6 +459,37 @@ def test_data_norms_for_cosine_problem():
     assert q_sup[(2, 0)] == pytest.approx(4.0 * math.pi, rel=1e-13)
 
 
+def test_data_norms_samples_the_source_once_for_all_pairs(monkeypatch):
+    spec = tr.problem(
+        "iso", eps=1.0, sigma_t=1.0,
+        g=[gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5})],
+        q=[gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.3, 0.0, 0.2, 0.0),
+                   time_poly=(1.0, 0.5), time_exp=-1.0)],
+        T=1, dt="0.5",
+    )
+    pairs = bd.required_pairs(2, "pn")
+    grid = tr.default_grid(spec)
+    # Oracle: a fresh sampled q field per (pair, time), matched exactly.
+    T = spec.t_final
+    t_sup = np.concatenate(
+        [[0.0, T], 0.5 * T * (1.0 + np.cos(np.pi * np.arange(1, 32) / 32.0))]
+    )
+    want = {(r, s): max(gr.hrs_seminorm(gr.moment_field(grid, 1, spec.q, t), r, s)
+                        for t in t_sup) for r, s in pairs}
+    built = []
+    real = gr.moment_field
+
+    def moment_field(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "moment_field", moment_field)
+    _, q_sup = bd.data_norms(spec, pairs, grid)
+    assert q_sup == want
+    # One g field and 33 sampled q fields, however many pairs.
+    assert len(pairs) == 4 and len(built) == 1 + len(t_sup)
+
+
 def test_bound_inputs_assembly():
     spec = tr.problem(
         "iso", eps=0.5, sigma_t=1.0,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -110,6 +111,33 @@ def test_hrs_seminorm_counts_ordered_tuples():
     assert gr.hrs_seminorm(f2, 1, 0) == pytest.approx(2.0 * b2, rel=1e-14)
     # Order 2: tuples (1,1),(1,2),(2,1),(2,2) all give |k_i k_j| = 1.
     assert gr.hrs_seminorm(f2, 2, 0) == pytest.approx(4.0 * b2, rel=1e-14)
+
+
+def test_hrs_seminorm_reads_the_wavenumbers_once(monkeypatch):
+    g = gr.SpatialGrid(dim=3, modes=5)
+    rng = np.random.default_rng(8)
+    coeffs = rng.standard_normal(g.shape + (sh.n_moments(2),)) + 0j
+    f = gr.MomentField(g, 2, coeffs)
+    # Oracle: the weights rebuilt from k_norm2 for every derivative tuple;
+    # the seminorm must match it bit for bit.
+    kk = [k.astype(float) for k in g.k_grids()]
+    want = 0.0
+    for combo in itertools.product(range(3), repeat=3):
+        w = np.ones_like(g.k_norm2())
+        for ax in combo:
+            w = w * kk[ax]
+        want += gr.hs_seminorm(gr.MomentField(g, 2, coeffs * w[..., None]), 1)
+    calls = []
+    real = gr.SpatialGrid.k_grids
+
+    def k_grids(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(gr.SpatialGrid, "k_grids", k_grids)
+    assert gr.hrs_seminorm(f, 3, 1) == want
+    # One read of the wavenumbers for the 27 tuples; k_norm2 would be another.
+    assert len(calls) == 1
 
 
 def test_scalar_flux_of_isotropic_field():

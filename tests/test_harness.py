@@ -8,6 +8,7 @@ import pytest
 
 from pnhybrid import cli
 from pnhybrid import grid as gr
+from pnhybrid import harmonics as sh
 from pnhybrid import harness as hn
 from pnhybrid import transport as tr
 
@@ -201,6 +202,34 @@ def test_hybrid_dt_sweep_shares_references(monkeypatch):
         "[sweep]\ndt = 1, 0.5, 0.25, 0.125\n"
     )
     assert _reference_degrees(monkeypatch, rs) == [8, 12]
+
+
+def test_sweep_builds_each_measurement_quadrature_once(monkeypatch):
+    # Every point of this hybrid dt sweep asks for the same polar order; the
+    # points share one Manufactured and, through it, one rule per order.
+    built, asked = [], []
+    real_build = sh.build_sphere_quadrature
+    real_measure = hn.measurement_quadrature
+
+    def build(polar_order):
+        built.append(polar_order)
+        return real_build(polar_order)
+
+    def measure(*args):
+        quad = real_measure(*args)
+        asked.append(quad)
+        return quad
+
+    monkeypatch.setattr(sh, "build_sphere_quadrature", build)
+    monkeypatch.setattr(hn, "measurement_quadrature", measure)
+    rs = _parse_text(
+        "[run]\nproblem = iso-smooth\nsolver = hybrid\nN = 1\n"
+        "[sweep]\ndt = 1, 0.5, 0.25, 0.125\n"
+    )
+    hn.run_sweep(rs)
+    assert len(asked) == 4
+    assert sorted(built) == sorted(set(built))  # one build per polar order
+    assert len({id(q) for q in asked}) == len(built)
 
 
 _BAD_VALUES = [
@@ -410,6 +439,40 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, capsys, command, column, text
     assert "conformant" not in captured.out
     assert captured.err.startswith(f"csv error: {tmp_path / 'v.csv'}: {column} must be finite")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_every_subcommand_accepts_seed(tmp_path, capsys):
+    # The option stays on every subcommand and changes no exit code; only
+    # the audit reads it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nproblem = aniso-decay\nsolver = pn\nN = 1\n"
+                   "out_csv = run.csv\nplot_axis = N\n[sweep]\nN = 1, 2, 3\n")
+    for command in ("solve-pn", "solve-hybrid", "sweep", "verify-bounds", "plot",
+                    "audit"):
+        argv = [command, "--out", str(tmp_path)]
+        if command != "audit":
+            argv += ["--config", str(cfg)]
+        plain = cli.main(argv)
+        plain_out = capsys.readouterr().out
+        assert cli.main(argv + ["--seed", "3"]) == plain == 0, command
+        if command != "audit":
+            assert capsys.readouterr().out == plain_out, command
+    with pytest.raises(hn.ConfigError, match="unknown key 'seed'"):
+        _parse_text("[run]\nproblem = iso-smooth\nseed = 0\n")
+
+
+def test_audit_seed_reaches_the_audit_rng(tmp_path, monkeypatch, capsys):
+    seeds = []
+    real = np.random.default_rng
+
+    def rng(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    assert cli.main(["audit", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert cli.main(["audit", "--out", str(tmp_path)]) == 0
+    assert seeds == [3, 0]
 
 
 def test_cli_usage_error_is_exit_one(capsys):

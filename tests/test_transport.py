@@ -390,13 +390,15 @@ def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40)
-def test_apply_matches_propagator_and_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
+def test_step_matches_propagator_and_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
     sigma_a = absorb * sigma_t
     op = tr.PnOperator(_GRID7, N, eps, sigma_t, sigma_a)
     idx = _GRID7.index_of(k)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.nm) + 1j * rng.standard_normal(op.nm)
-    got = op.apply(idx, h, v)
+    box = np.zeros(_GRID7.shape + (op.nm,), dtype=complex)
+    box[idx] = v  # one-hot: only mode k carries a vector
+    got = op.step(box, h)[idx]
     oracle = tr.assemble_mode_operator(k, N, eps, sigma_t, sh.assemble_coupling(N), sigma_a)
     want = expm(h * oracle) @ v
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -426,8 +428,6 @@ def test_operator_rejects_bad_step_length(h):
         op.step(u, h)
     with pytest.raises(ValueError, match="^h must"):
         op.step(u, h, source=lambda t: u)
-    with pytest.raises(ValueError, match="^h must"):
-        op.apply((1, 0, 0), h, u[1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
