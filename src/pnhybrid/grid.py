@@ -272,11 +272,7 @@ def hs_seminorm(field: MomentField, s: int) -> float:
     """Angular H^s seminorm combined with the spatial L^2 sum."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    total = 0.0
-    for l in range(s, field.N + 1):
-        block = field.coeffs[..., sh.degree_slice(l)]
-        total += (l + 0.5) ** (2 * s) * float(np.sum(np.abs(block) ** 2))
-    return math.sqrt(field.grid.measure * total)
+    return math.sqrt(field.grid.measure * sh.degree_energy(field.coeffs, s, s))
 
 
 def hrs_seminorm(field: MomentField, r: int, s: int) -> float:

@@ -360,17 +360,23 @@ def evaluate_expansion(moments: np.ndarray, quad: SphereQuadrature) -> np.ndarra
     return m @ quad.basis(N).T
 
 
+def degree_energy(u: np.ndarray, s: int, lmin: int) -> float:
+    """Degree-weighted energy sum_(l >= lmin) (l+1/2)^(2s) ||u_l||^2, summed
+    degree by degree over every leading axis of u."""
+    u = np.asarray(u)
+    N = int(math.isqrt(u.shape[-1])) - 1
+    total = 0.0
+    for l in range(lmin, N + 1):
+        block = u[..., degree_slice(l)]
+        total += (l + 0.5) ** (2 * s) * float(np.sum(np.abs(block) ** 2))
+    return total
+
+
 def angular_seminorm(u: np.ndarray, s: int) -> float:
     """H^s(S^2) semi-norm: degrees l >= s weighted by (l+1/2)^(2s)."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    u = np.asarray(u)
-    N = int(math.isqrt(u.shape[-1])) - 1
-    total = 0.0
-    for l in range(s, N + 1):
-        block = u[..., degree_slice(l)]
-        total += (l + 0.5) ** (2 * s) * float(np.sum(np.abs(block) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(degree_energy(u, s, s))
 
 
 def angular_norm(u: np.ndarray, s: int) -> float:
@@ -382,13 +388,7 @@ def angular_norm(u: np.ndarray, s: int) -> float:
 
 def angular_norm_all_degrees(u: np.ndarray, s: int) -> float:
     """Norm with weights (l+1/2)^(2s) applied at every degree from zero."""
-    u = np.asarray(u)
-    N = int(math.isqrt(u.shape[-1])) - 1
-    total = 0.0
-    for l in range(0, N + 1):
-        block = u[..., degree_slice(l)]
-        total += (l + 0.5) ** (2 * s) * float(np.sum(np.abs(block) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(degree_energy(u, s, 0))
 
 
 def equivalence_constants(s: int) -> tuple[float, float]:

@@ -453,16 +453,10 @@ def decay_solution(spec: tr.ProblemSpec, grid, N: int, t: float) -> gr.MomentFie
 # Error measurement
 
 
-def _pad_coeffs(f: gr.MomentField, N: int) -> np.ndarray:
-    out = np.zeros(f.grid.shape + (sh.n_moments(N),), dtype=complex)
-    out[..., : sh.n_moments(f.N)] = f.coeffs
-    return out
-
-
 def moment_distance(a: gr.MomentField, b: gr.MomentField) -> float:
     """L^2 distance between moment fields of possibly different degrees."""
     N = max(a.N, b.N)
-    diff = _pad_coeffs(a, N) - _pad_coeffs(b, N)
+    diff = sh.project_moments(a.coeffs, N) - sh.project_moments(b.coeffs, N)
     return gr.l2_norm(gr.MomentField(a.grid, N, diff))
 
 

@@ -10,27 +10,30 @@ generator
 
     L_k = -(i/eps) sum_i k_i A^(i) - (sigma/eps^2) (I - Pi_0) - sigma_a I,
 
-advanced by matrix exponentials.  Axis reflections and the x <-> y swap of k
-conjugate L_k by signed permutations of the real harmonic basis, so only one
-representative per symmetry orbit gets a dense generator and an expm; every
-other mode applies the representative's propagator with the signed
-permutation acting on the vector.  One propagator is stored per orbit and
-step length, none per mode, and a generator lives only while its orbit's
-exponentials are taken.  A step gathers the modes of each orbit into the
-representative's frame and multiplies the stack by the propagator as
-P @ X[..., None]: numpy runs one gemv per stacked vector, the same product
-in the same summation order as on a single mode, so the results are
-bit-identical to a loop over modes (a gemm, einsum or tensordot over the
-stack would sum in another order and move last bits).
+advanced by matrix exponentials.  PnOperator.step is the only way a mode is
+advanced.  Axis reflections and the x <-> y swap of k conjugate L_k by
+signed permutations of the real harmonic basis, so only one representative
+per symmetry orbit gets a dense generator and an expm; every other mode
+applies the representative's propagator with the signed permutation acting
+on the vector.  One propagator is stored per orbit and step length, none
+per mode, and a generator lives only while its orbit's exponentials are
+taken.  A step gathers the modes of each orbit into the representative's
+frame and multiplies the stack by the propagator as P @ X[..., None]: numpy
+runs one gemv per stacked vector, the same product in the same summation
+order as on a single mode, so the results are bit-identical to a loop over
+modes (a gemm, einsum or tensordot over the stack would sum in another
+order and move last bits).  assemble_mode_operator is the one builder of a
+dense generator: an orbit representative's, a sourced mode's (inside its
+augmented generator), and the tests' dense oracle.
 
 External sources are finite sums of polynomial-times-exponential terms and
-are integrated exactly in time: in moment space by one exponential of the
-mode generator augmented with the source's time factors (Van Loan, IEEE TAC
-23(3), 1978), along characteristics by phi-functions (Hochbruck-Ostermann,
-Acta Numerica 2010).  PnOperator.step still accepts an arbitrary source
-callable, folded in by Gauss-Legendre Duhamel quadrature on substeps short
-enough that the rule is accurate to near machine precision; the hybrid
-re-emission uses that path.
+are integrated exactly in time: in moment space by a step plus the source
+block of one exponential of the mode generator augmented with the source's
+time factors (Van Loan, IEEE TAC 23(3), 1978), along characteristics by
+phi-functions (Hochbruck-Ostermann, Acta Numerica 2010).  PnOperator.step
+also accepts an arbitrary source callable, folded in by Gauss-Legendre
+Duhamel quadrature on substeps short enough that the rule is accurate to
+near machine precision; the hybrid re-emission uses that path.
 
 Each mode's matrices are small, and OpenBLAS threads cost more than they
 give on them, so solve_pn (and hybrid.run_hybrid) run with every OpenBLAS
@@ -220,22 +223,15 @@ def assemble_mode_operator(
     coupling: sh.CouplingSet,
     sigma_a: float = 0.0,
 ) -> np.ndarray:
-    """Dense generator of spatial mode k in moment space."""
+    """Dense generator of spatial mode k in moment space, from a coupling
+    set of degree N or above."""
     if coupling.N < N:
         raise ValueError(f"coupling set holds degrees <= {coupling.N} < N={N}")
     nm = sh.n_moments(N)
     L = np.zeros((nm, nm), dtype=complex)
     for ax in range(3):
         if k[ax] != 0:
-            A = coupling.full_matrix(ax + 1) if coupling.N == N else None
-            if A is None:
-                # Trim a larger coupling set down to degree N.
-                A = np.zeros((nm, nm))
-                for l in range(1, N + 1):
-                    a = coupling.block(ax + 1, l)
-                    A[sh.degree_slice(l - 1), sh.degree_slice(l)] = a
-                    A[sh.degree_slice(l), sh.degree_slice(l - 1)] = a.T
-            L += (-1j * k[ax] / eps) * A
+            L += (-1j * k[ax] / eps) * coupling.full_matrix(ax + 1)[:nm, :nm]
     scatter = np.full(nm, -sigma / eps**2)
     scatter[0] = 0.0
     L[np.diag_indices(nm)] += scatter - sigma_a
@@ -259,33 +255,18 @@ def _step_length(h) -> float:
 
 
 class _OrbitStack:
-    """Spatial modes grouped by lattice orbit, for stacked products.
+    """The spatial modes of a box, grouped by lattice orbit for stacked
+    products.
 
-    Row i is mode rows[i], a flat index into the mode box, whose orbit
-    representative is rep[i].  Its vector v enters the representative's
-    frame as S_g^T v = sign_in * v[inv] and leaves it as S_g y = sign * y[perm].
-    Rows with signed false are the representatives themselves (S_g = I) and
-    get no sign, so their values pass through untouched.  An orbit's rows
-    are contiguous with its representative first; orbits lists (c, slice)
-    in order of first appearance."""
+    modes lists (index, wavevector) in box order.  Row i is mode rows[i], a
+    flat index into the mode box, whose orbit representative is rep[i].  Its
+    vector v enters the representative's frame as S_g^T v = sign_in * v[inv]
+    and leaves it as S_g y = sign * y[perm]; a representative's own row has
+    the identity permutation and all-ones signs, which multiply exactly.  An
+    orbit's rows are contiguous with its representative first; orbits lists
+    (c, slice) in order of first appearance."""
 
-    def __init__(self, nm, rows, rep, perm, sign, signed):
-        self.nm = nm
-        self.rows, self.rep = rows, rep
-        self.perm, self.sign, self.signed = perm, sign, signed
-        self.inv = np.argsort(perm, axis=1)
-        self.sign_in = np.take_along_axis(sign, self.inv, axis=1)
-        self._gather = rows[:, None] * nm + self.inv
-        self.orbits = []
-        start = 0
-        for end in range(1, len(rows) + 1):
-            if end == len(rows) or rep[end] != rep[start]:
-                self.orbits.append((rep[start], slice(start, end)))
-                start = end
-
-    @classmethod
-    def of_modes(cls, modes, N):
-        """The stack of modes, a list of (index, wavevector) in box order."""
+    def __init__(self, modes, N):
         nm = sh.n_moments(N)
         order = {}  # representative -> rank of first appearance
         keyed = []
@@ -295,47 +276,51 @@ class _OrbitStack:
             c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
             keyed.append((order.setdefault(c, len(order)), k != c, row, c, k))
         keyed.sort(key=lambda e: e[:3])
-        perm = np.tile(np.arange(nm), (len(keyed), 1))
-        sign = np.ones((len(keyed), nm))
+        self.perm = np.tile(np.arange(nm), (len(keyed), 1))
+        self.sign = np.ones((len(keyed), nm))
         for i, (_, moved, _, _, k) in enumerate(keyed):
             if moved:
-                perm[i], sign[i] = sh.lattice_symmetry(N, [x < 0 for x in k],
-                                                       abs(k[0]) < abs(k[1]))
-        return cls(nm, np.array([e[2] for e in keyed], dtype=np.intp),
-                   [e[3] for e in keyed], perm, sign,
-                   np.array([e[1] for e in keyed], dtype=bool))
-
-    def select(self, keep: np.ndarray) -> "_OrbitStack":
-        """The rows where keep is true, in the same order."""
-        return _OrbitStack(self.nm, self.rows[keep], [c for c, kp in zip(self.rep, keep) if kp],
-                           self.perm[keep], self.sign[keep], self.signed[keep])
+                self.perm[i], self.sign[i] = sh.lattice_symmetry(
+                    N, [x < 0 for x in k], abs(k[0]) < abs(k[1]))
+        self.rows = np.array([e[2] for e in keyed], dtype=np.intp)
+        self.rep = [e[3] for e in keyed]
+        self.inv = np.argsort(self.perm, axis=1)
+        self.sign_in = np.take_along_axis(self.sign, self.inv, axis=1)
+        self._gather = self.rows[:, None] * nm + self.inv
+        self.orbits = []
+        start = 0
+        for end in range(1, len(keyed) + 1):
+            if end == len(keyed) or self.rep[end] != self.rep[start]:
+                self.orbits.append((self.rep[start], slice(start, end)))
+                start = end
 
     def into_rep(self, flat: np.ndarray) -> np.ndarray:
         """S_g^T of every row's vector: flat holds the mode box's vectors
         along its last axis, (..., modes * nm); the result is (..., rows, nm)."""
         x = flat.take(self._gather, axis=-1)
-        np.multiply(x, self.sign_in, out=x, where=self.signed[:, None])
+        x *= self.sign_in
         return x
 
     def from_rep(self, y: np.ndarray, box: np.ndarray) -> None:
         """box[rows] = S_g y for representative-frame vectors y (rows, nm)."""
         z = np.take_along_axis(y, self.perm, axis=1)
-        np.multiply(z, self.sign, out=z, where=self.signed[:, None])
+        z *= self.sign
         box[self.rows] = z
 
 
 class PnOperator:
-    """Propagators of one discretization.  A generator is assembled, and an
-    expm taken, only for one representative wavevector c per orbit of the
-    lattice symmetries (axis reflections and the x <-> y swap).  A mode
-    k = g c is advanced in its representative's frame, P_k v = S_g P_c S_g^T v,
-    with the signed permutation S_g applied to the vector, so no per-mode
-    matrix is ever formed.  The representatives' propagators are cached per
-    (orbit, h): memory grows with orbits and step lengths, not with modes,
-    and repeated equal-length steps cost no further expm.  A generator is
-    assembled for each batch of expm calls on its orbit (one step length, or
-    one Duhamel substep's propagators) and dropped after it.  step advances
-    each orbit's modes together, as one stacked gemv per propagator in the
+    """Propagators of one discretization, applied only through step.  A
+    generator is assembled, and an expm taken, only for one representative
+    wavevector c per orbit of the lattice symmetries (axis reflections and
+    the x <-> y swap).  A mode k = g c is advanced in its representative's
+    frame, P_k v = S_g P_c S_g^T v, with the signed permutation S_g applied
+    to the vector, so no per-mode matrix is ever formed.  The
+    representatives' propagators are cached per (orbit, h) in _rep: memory
+    grows with orbits and step lengths, not with modes, and repeated
+    equal-length steps cost no further expm.  A generator is assembled for
+    each batch of expm calls on its orbit (one step length, or one Duhamel
+    substep's propagators) and dropped after it.  step advances each orbit's
+    modes together, as one stacked gemv per propagator in the
     representative's frame (_OrbitStack), bit-identical to a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
@@ -358,8 +343,7 @@ class PnOperator:
             (idx, tuple(int(grid.wavenumbers(ax)[idx[ax]]) for ax in range(3)))
             for idx in np.ndindex(grid.shape)
         ]
-        self._stack = _OrbitStack.of_modes(self._modes, self.N)
-        self._row = {self._modes[r][0]: i for i, r in enumerate(self._stack.rows)}
+        self._stack = _OrbitStack(self._modes, self.N)
         # Fastest rate of any mode, a bound on the spectral radius of L_k:
         # scattering, absorption and the streaming speed |k|/eps.
         self.max_rate = max(
@@ -397,40 +381,12 @@ class PnOperator:
                 self._nodes[(c, hs)] = nodes
         return P, nodes
 
-    def _to_mode(self, idx, X: np.ndarray) -> np.ndarray:
-        """Map a representative-frame matrix X_c to mode idx: S_g X_c S_g^T,
-        applied by indexing."""
-        st, i = self._stack, self._row[idx]
-        if not st.signed[i]:
-            return X
-        return np.multiply.outer(st.sign[i], st.sign[i]) * X[np.ix_(st.perm[i], st.perm[i])]
-
-    def generator(self, idx) -> np.ndarray:
-        """Dense generator L_k of mode idx."""
-        return self._to_mode(idx, self._generator(self._stack.rep[self._row[idx]]))
-
-    def propagator(self, idx, h: float) -> np.ndarray:
-        """Dense propagator expm(h L_k) of mode idx: the cached representative
-        mapped to the mode on each call, never stored.  The solvers advance
-        modes through step; this is the dense form the oracle tests compare
-        against."""
-        return self._to_mode(idx, self._rep(self._stack.rep[self._row[idx]], _step_length(h)))
-
     def _box(self, out: np.ndarray) -> np.ndarray:
         """out, shaped (modes, nm) without a copy."""
         if out.shape != self.grid.shape + (self.nm,):
             raise ValueError(f"coefficient shape {out.shape} does not match "
                              f"{self.grid.shape + (self.nm,)}")
         return out.reshape(-1, self.nm)
-
-    def _advance(self, out: np.ndarray, h: float, stack: _OrbitStack) -> None:
-        """out[mode] <- expm(h L_k) out[mode] for the modes of stack, in place."""
-        box = self._box(out)
-        x = stack.into_rep(box.reshape(-1))
-        y = np.empty_like(x)
-        for c, rows in stack.orbits:
-            np.matmul(self._rep(c, h), x[rows, :, None], out=y[rows, :, None])
-        stack.from_rep(y, box)
 
     def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
         rho = self.max_rate + extra_rate
@@ -441,17 +397,21 @@ class PnOperator:
         otherwise exponential plus Gauss-Legendre Duhamel on substeps."""
         h = _step_length(h)
         out = np.array(coeffs, dtype=complex, copy=True)
+        stack = self._stack
+        box = self._box(out)
         if source is None:
-            self._advance(out, h, self._stack)
+            x = stack.into_rep(box.reshape(-1))
+            y = np.empty_like(x)
+            for c, rows in stack.orbits:
+                np.matmul(self._rep(c, h), x[rows, :, None], out=y[rows, :, None])
+            stack.from_rep(y, box)
             return out
         nsub = substeps if substeps is not None else self.substeps_for(h)
         hs = h / nsub
         x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
-        stack = self._stack
         props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.orbits]
-        box = self._box(out)
         u = np.empty((len(stack.rows), self.nm), dtype=complex)
         t = np.empty((_DUHAMEL_NODES,) + u.shape, dtype=complex)
         # The source samples are shared across modes.  Each orbit takes two
@@ -480,11 +440,13 @@ class SourcedModes:
     deg p = d is generated by w' = J w, w_j(t) = p^(j)(t) e^(mu t), where J
     has mu on the diagonal and 1 above it.  On a mode k the terms reach,
     (u, w) therefore evolves under the augmented generator
-    [[L_k, B], [0, J]], B = (profile) e_0^T per term, and one expm of it
-    advances the mode over a whole step with the Duhamel integral in closed
-    form (Van Loan 1978).  The term amplitudes enter through w(t0), so the
-    augmented propagator is cached per (mode, h).  Modes no term reaches
-    are advanced by the operator's stacked per-orbit products.
+    [[L_k, B], [0, J]], B = (profile) e_0^T per term, whose exponential is
+    [[expm(h L_k), F], [0, expm(h J)]] (Van Loan 1978): over a step, u goes
+    to expm(h L_k) u + F w(t0), with the Duhamel integral in closed form in
+    F.  So every mode, reached or not, is advanced by PnOperator.step, and
+    each reached mode then adds F w(t0).  F, the nm x d top-right block of
+    one expm of the augmented generator, is all that is cached, per
+    (mode, h); the term amplitudes enter through w(t0).
     """
 
     def __init__(self, op: PnOperator, terms):
@@ -498,42 +460,38 @@ class SourcedModes:
             ang[:n] = tm.angular[:n]
             for k, amp in tm.spatial:
                 self._pieces.setdefault(op.grid.index_of(k), []).append((amp, tm, ang))
-        reached = [np.ravel_multi_index(idx, op.grid.shape) for idx in self._pieces]
-        self._free = op._stack.select(~np.isin(op._stack.rows, reached))
-        self._augmented = {}  # (reached mode, h) -> augmented propagator
+        self._wavevector = dict(op.modes())
+        self._forcing = {}  # (reached mode, h) -> F
 
-    def propagator(self, idx, h: float) -> np.ndarray:
-        """expm(h [[L_k, B], [0, J]]) of a mode the source reaches."""
-        key = (idx, float(h))
-        E = self._augmented.get(key)
-        if E is None:
-            nm = self.op.nm
+    def _forcing_block(self, idx, h: float) -> np.ndarray:
+        """F, the top-right nm x d block of expm(h [[L_k, B], [0, J]])."""
+        F = self._forcing.get((idx, h))
+        if F is None:
+            op, nm = self.op, self.op.nm
             pieces = self._pieces[idx]
             size = nm + sum(len(tm.time_poly) for _, tm, _ in pieces)
             A = np.zeros((size, size), dtype=complex)
-            A[:nm, :nm] = self.op.generator(idx)
+            A[:nm, :nm] = assemble_mode_operator(self._wavevector[idx], op.N, op.eps,
+                                                 op.sigma, op._coupling, op.sigma_a)
             col = nm
             for _, tm, ang in pieces:
                 d = len(tm.time_poly)
                 A[:nm, col] = ang
                 A[col:col + d, col:col + d] = tm.time_exp * np.eye(d) + np.eye(d, k=1)
                 col += d
-            E = expm(h * A)
-            self._augmented[key] = E
-        return E
+            F = self._forcing[(idx, h)] = expm(h * A)[:nm, nm:].copy()
+        return F
 
     def step(self, coeffs, h: float, t0: float) -> np.ndarray:
         """Advance coefficients from t0 to t0 + h, source included."""
-        nm = self.op.nm
-        out = np.array(coeffs, dtype=complex, copy=True)
-        self.op._advance(out, _step_length(h), self._free)
+        h = _step_length(h)
+        out = self.op.step(coeffs, h)
         for idx, pieces in self._pieces.items():
             w0 = np.concatenate([
                 amp * math.exp(tm.time_exp * t0) * np.array(poly_derivatives(tm.time_poly, t0))
                 for amp, tm, _ in pieces
             ])
-            E = self.propagator(idx, h)
-            out[idx] = E[:nm, :nm] @ out[idx] + E[:nm, nm:] @ w0
+            out[idx] += self._forcing_block(idx, h) @ w0
         return out
 
 
@@ -562,10 +520,11 @@ def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResu
         op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
         sourced = SourcedModes(op, spec.q) if spec.q else None
         state = initial_field(spec, grid, N)
-        times = sorted(set(float(t) for t in record_times) | {t_end})
-        if any(t < 0 or t > t_end + 1e-15 for t in times):
+        times = [float(t) for t in record_times]
+        if not all(0.0 <= t <= t_end + 1e-15 for t in times):
             raise ValueError("record times must lie in [0, T]")
-        times = [t for t in times if t > 0.0]
+        # A time past T by no more than the slack is recorded at T.
+        times = [t for t in sorted({min(t, t_end) for t in times} | {t_end}) if t > 0.0]
         out_times = [0.0]
         out_fields = [state]
         t = 0.0

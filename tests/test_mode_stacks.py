@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
@@ -54,12 +55,10 @@ def _from_rep(sym, x):
 
 def _oracle_step(op, coeffs, h, source=None, t0=0.0, substeps=None):
     """PnOperator.step as a loop over modes, with the operator's own
-    representative propagators (the dense accessor returns them unchanged
-    for k == c)."""
-    grid = op.grid
+    cached representative propagators."""
 
     def rep(c, length):
-        return op.propagator(grid.index_of(c), length)
+        return op._rep(c, float(length))
 
     out = np.array(coeffs, dtype=complex, copy=True)
     syms = {idx: _symmetry(k, op.N) for idx, k in op.modes()}
@@ -135,29 +134,81 @@ def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
         op.step(u[..., :-1], 0.25)
 
 
-def test_sourced_modes_advance_unreached_modes_like_the_loop():
-    # Unreached modes take the stacked path, reached ones their augmented
-    # product; both equal the per-mode loop that used apply and E @ (u, w0).
-    grid = gr.SpatialGrid(3, 3)
-    N = 3
-    q = [gr.term({(1, 0, 0): 1.0, (0, -1, 1): 0.5j}, (1.0, 0.0, 0.5, 0.0),
+_SOURCE_GRID = gr.SpatialGrid(3, 3)
+_SOURCE_REACHES = ((1, 0, 0), (0, -1, 1))
+
+
+def _sourced_operator():
+    """(operator, SourcedModes) of a two-mode, degree-1-in-time source."""
+    q = [gr.term(dict(zip(_SOURCE_REACHES, (1.0, 0.5j))), (1.0, 0.0, 0.5, 0.0),
                  time_poly=(0.5, 1.0), time_exp=-0.7)]
-    op = tr.PnOperator(grid, N, 0.7, 1.2, 0.3)
-    sourced = tr.SourcedModes(op, q)
-    rng = np.random.default_rng(11)
-    shape = grid.shape + (op.nm,)
-    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    h, t0 = 0.3, 0.2
-    got = sourced.step(u, h, t0)
-    want = _oracle_step(op, u, h)
+    op = tr.PnOperator(_SOURCE_GRID, 3, 0.7, 1.2, 0.3)
+    return op, tr.SourcedModes(op, q)
+
+
+def _random_box(op, seed):
+    rng = np.random.default_rng(seed)
+    shape = op.grid.shape + (op.nm,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_sourced_modes_advance_unreached_modes_like_the_loop():
+    # Modes no term reaches get the operator's step and nothing more.
+    op, sourced = _sourced_operator()
+    u = _random_box(op, 11)
+    got = sourced.step(u, 0.3, 0.2)
+    want = _oracle_step(op, u, 0.3)
+    reached = np.zeros(op.grid.shape, dtype=bool)
+    for k in _SOURCE_REACHES:
+        reached[op.grid.index_of(k)] = True
+    assert np.array_equal(got[~reached], want[~reached])
+    assert not np.array_equal(got[reached], want[reached])
+
+
+def _augmented_forcing(op, k, pieces, h):
+    """F, the top-right nm x d block of expm(h [[L_k, B], [0, J]]), from the
+    dense generator."""
     nm = op.nm
-    for k in ((1, 0, 0), (0, -1, 1)):
-        idx = grid.index_of(k)
-        pieces = sourced._pieces[idx]
-        w0 = np.concatenate([
-            amp * math.exp(tm.time_exp * t0) * np.array(tr.poly_derivatives(tm.time_poly, t0))
-            for amp, tm, _ in pieces
-        ])
-        E = sourced.propagator(idx, h)
-        want[idx] = E[:nm, :nm] @ u[idx] + E[:nm, nm:] @ w0
-    assert np.array_equal(got, want)
+    d = sum(len(tm.time_poly) for _, tm, _ in pieces)
+    A = np.zeros((nm + d, nm + d), dtype=complex)
+    A[:nm, :nm] = tr.assemble_mode_operator(k, op.N, op.eps, op.sigma,
+                                            sh.assemble_coupling(op.N), op.sigma_a)
+    col = nm
+    for _, tm, ang in pieces:
+        n = len(tm.time_poly)
+        A[:nm, col] = ang
+        A[col:col + n, col:col + n] = tm.time_exp * np.eye(n) + np.eye(n, k=1)
+        col += n
+    return expm(h * A)[:nm, nm:]
+
+
+def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
+    # Each mode the source reaches takes the operator's step (the per-mode
+    # loop) and then adds F w(t0), with F from one augmented expm per
+    # (reached mode, h).
+    sizes = []
+    real = tr.expm
+
+    def counting(A):
+        sizes.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(tr, "expm", counting)
+    op, sourced = _sourced_operator()
+    u = _random_box(op, 11)
+    for h, t0 in ((0.3, 0.2), (0.3, 0.5), (0.15, 0.8)):
+        got = sourced.step(u, h, t0)
+        want = _oracle_step(op, u, h)
+        for k in _SOURCE_REACHES:
+            idx = op.grid.index_of(k)
+            pieces = sourced._pieces[idx]
+            w0 = np.concatenate([
+                amp * math.exp(tm.time_exp * t0) * np.array(tr.poly_derivatives(tm.time_poly, t0))
+                for amp, tm, _ in pieces
+            ])
+            want[idx] = want[idx] + _augmented_forcing(op, k, pieces, h) @ w0
+        assert np.array_equal(got, want)
+    # Two step lengths and two reached modes: four augmented expms, nm + 2
+    # wide; the plain ones are the orbits' propagators, one per (orbit, h).
+    assert sizes.count(op.nm + 2) == 4
+    assert sizes.count(op.nm) == 2 * len(op._stack.orbits)

@@ -254,6 +254,15 @@ def test_record_times_filter_and_gate():
     assert len(res.fields) == 3
     with pytest.raises(ValueError):
         tr.solve_pn(spec, N=1, record_times=(1.5,))
+    with pytest.raises(ValueError):
+        tr.solve_pn(spec, N=1, record_times=(math.nan,))
+
+
+def test_record_time_within_the_slack_is_recorded_at_T():
+    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
+    res = tr.solve_pn(spec, N=3, record_times=(1 + 4e-16,))
+    assert res.times == [0.0, 1.0]
+    assert np.array_equal(res.final.coeffs, tr.solve_pn(spec, N=3).final.coeffs)
 
 
 def test_substep_count_follows_stiffness():
@@ -274,6 +283,10 @@ def test_mode_operator_dissipative_spectrum():
     # may sit right of -sigma_a.
     assert np.max(ev.real) <= -0.25 + 1e-12
     assert np.min(ev.real) >= -1.0 / 0.25 - 0.25 - 1e-12
+    # A coupling set of higher degree gives the same generator.
+    wide = tr.assemble_mode_operator((2, 0, -1), 5, 0.5, 1.0, sh.assemble_coupling(7),
+                                     sigma_a=0.25)
+    assert np.array_equal(wide, A)
 
 
 def test_solver_reality_preserved():
@@ -308,6 +321,19 @@ def test_lattice_symmetry_matches_basis_at_moved_nodes():
 _GRID7 = gr.SpatialGrid(3, 7)
 
 
+def _dense_oracle(k, N, eps, sigma_t, sigma_a, h):
+    """expm(h L_k) from the dense generator."""
+    L = tr.assemble_mode_operator(k, N, eps, sigma_t, sh.assemble_coupling(N), sigma_a)
+    return expm(h * L)
+
+
+def _one_hot(op, idx, v):
+    """A coefficient box in which only mode idx carries a vector, v."""
+    box = np.zeros(op.grid.shape + (op.nm,), dtype=complex)
+    box[idx] = v
+    return box
+
+
 @given(
     k=st.tuples(*[st.integers(-3, 3)] * 3),
     N=st.integers(1, 8),
@@ -318,35 +344,17 @@ _GRID7 = gr.SpatialGrid(3, 7)
 )
 @settings(max_examples=40)
 def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
+    # Column j of mode k's propagator is step on the box holding e_j at k.
     sigma_a = absorb * sigma_t
     op = tr.PnOperator(_GRID7, N, eps, sigma_t, sigma_a)
-    P = op.propagator(_GRID7.index_of(k), h)
-    oracle = tr.assemble_mode_operator(k, N, eps, sigma_t, sh.assemble_coupling(N), sigma_a)
-    Q = expm(h * oracle)
+    idx = _GRID7.index_of(k)
+    P = np.stack([op.step(_one_hot(op, idx, e), h)[idx] for e in np.eye(op.nm)], axis=1)
+    Q = _dense_oracle(k, N, eps, sigma_t, sigma_a, h)
     assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
     if abs(k[0]) >= abs(k[1]):
         # Reached from its representative by reflections alone: a pure sign
         # change, which expm reproduces exactly.
         assert np.array_equal(P, Q)
-
-
-def test_one_expm_per_orbit(monkeypatch):
-    calls = []
-    real = tr.expm
-
-    def counting(A):
-        calls.append(A.shape[0])
-        return real(A)
-
-    monkeypatch.setattr(tr, "expm", counting)
-    op = tr.PnOperator(gr.SpatialGrid(3, 5), 3, 0.5, 1.0)
-    for idx, _ in op.modes():
-        op.propagator(idx, 0.125)
-    # Representatives (a, b, c) with 2 >= a >= b >= 0 and 0 <= c <= 2.
-    assert len(calls) == 18
-    for idx, _ in op.modes():
-        op.propagator(idx, 0.125)
-    assert len(calls) == 18
 
 
 def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
@@ -390,21 +398,19 @@ def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40)
-def test_step_matches_propagator_and_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
+def test_step_matches_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
     sigma_a = absorb * sigma_t
     op = tr.PnOperator(_GRID7, N, eps, sigma_t, sigma_a)
     idx = _GRID7.index_of(k)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.nm) + 1j * rng.standard_normal(op.nm)
-    box = np.zeros(_GRID7.shape + (op.nm,), dtype=complex)
-    box[idx] = v  # one-hot: only mode k carries a vector
-    got = op.step(box, h)[idx]
-    oracle = tr.assemble_mode_operator(k, N, eps, sigma_t, sh.assemble_coupling(N), sigma_a)
-    want = expm(h * oracle) @ v
+    got = op.step(_one_hot(op, idx, v), h)[idx]
+    want = _dense_oracle(k, N, eps, sigma_t, sigma_a, h) @ v
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     if abs(k[0]) >= abs(k[1]):
-        # Sign flips only: the same product as the dense accessor's.
-        assert np.array_equal(got, op.propagator(idx, h) @ v)
+        # Sign flips only: the dense propagator is the representative's with
+        # rows and columns negated, and the product sums in the same order.
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("field,value", [
