@@ -233,6 +233,16 @@ class BoundInputs:
     g_norms: dict = dc_field(default_factory=dict)
     q_sup_norms: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        checks = [("eps", self.eps, True), ("T", self.T, True),
+                  ("sigma", self.sigma, False), ("sigma_a", self.sigma_a, False)]
+        if self.dt is not None:
+            checks.append(("dt", self.dt, True))
+        for name, value, positive in checks:
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                need = "positive" if positive else "nonnegative"
+                raise ValueError(f"{name} must be finite and {need}, got {value}")
+
 
 def _need(norms: dict, r: int, s: int, what: str) -> float:
     key = (r, s)
@@ -256,8 +266,6 @@ def pn_error_bound(bi: BoundInputs) -> BoundReport:
         raise ValueError(f"the bound needs s >= 1, got s={s}")
     if N < s - 1:
         raise ValueError(f"the bound needs N >= s-1, got N={N}, s={s}")
-    if eps <= 0 or T <= 0 or sigma < 0:
-        raise ValueError("eps and T must be positive, sigma nonnegative")
     damp = math.exp(-sigma * T / eps**2)
     proj = (N + 1.0) ** (-s)
 
@@ -511,8 +519,10 @@ def regime_advisor(eps: float, sigma: float, T: float, s: int) -> RegimeAdvice:
     """Locate the step size at which the hybrid bound's interval branch
     overtakes its diffusive branch, and classify the problem against the
     range of candidate steps T/64 .. T."""
-    if eps <= 0 or T <= 0 or s < 1:
-        raise ValueError("need eps > 0, T > 0, s >= 1")
+    if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma >= 0
+            and math.isfinite(T) and T > 0 and s >= 1):
+        raise ValueError(f"need finite eps > 0, sigma >= 0, T > 0 and s >= 1, got "
+                         f"eps={eps}, sigma={sigma}, T={T}, s={s}")
     lo, hi = T / 64.0, T
     if sigma == 0.0:
         return RegimeAdvice(

@@ -211,7 +211,7 @@ def _cmd_plot(args) -> int:
     rows = _read_csv(path)
     axis = rs.plot_axis
     if not axis:
-        for cand in ("N", "dt", "eps", "sigma"):
+        for cand in hn._AXES:
             if len({hn._axis_value(r, cand) for r in rows}) > 1:
                 axis = cand
                 break

@@ -10,6 +10,7 @@ Inactive axes carry a single k = 0 plane.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -100,6 +101,14 @@ class FieldTerm:
     angular: tuple
     time_poly: tuple = (1.0,)
     time_exp: float = 0.0
+
+    def __post_init__(self):
+        for name, values in (("spatial amplitude", [a for _, a in self.spatial]),
+                             ("angular", self.angular), ("time_poly", self.time_poly),
+                             ("time_exp", (self.time_exp,))):
+            for v in values:
+                if not cmath.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
 
     def time_value(self, t: float) -> float:
         p = 0.0

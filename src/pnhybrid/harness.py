@@ -30,11 +30,16 @@ class ConfigError(ValueError):
 
 _SOLVERS = ("pn", "hybrid", "uncollided", "diffusion")
 
-_RUN_KEYS = (
-    "problem", "solver", "N", "dt", "eps", "sigma_t", "sigma_a", "T",
-    "s", "band", "n_ref", "out_csv", "plot_axis",
-)
-_SWEEP_KEYS = ("N", "dt", "eps", "sigma")
+# The config schema: each section's keys, in RunSpec field order, with the
+# kind its value is read as (see _convert).  A [sweep] key k is a
+# comma-separated list stored in RunSpec.sweep_k.
+_RUN_KINDS = {
+    "problem": str, "solver": str, "N": int, "dt": "time", "eps": float,
+    "sigma_t": float, "sigma_a": float, "T": "time", "s": int, "band": int,
+    "n_ref": int, "out_csv": str, "plot_axis": str,
+}
+_SWEEP_KINDS = {"N": int, "dt": "time", "eps": float, "sigma": float}
+_KINDS = {"run": _RUN_KINDS, "sweep": _SWEEP_KINDS}
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -83,14 +88,19 @@ class SweepRow:
     walltime_s: float
 
     def __post_init__(self):
-        for name in ("error", "oracle_uncertainty", "bound"):
+        if self.N < 0:
+            raise ValueError(f"N must be nonnegative, got {self.N}")
+        for name in ("dt", "eps", "T", "sigma_t", "sigma_a", "error",
+                     "oracle_uncertainty", "bound"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.error < 0.0:
-            raise ValueError("error must be nonnegative")
-        if self.bound < 0.0:
-            raise ValueError("bound must be nonnegative")
+        for name in ("dt", "eps", "T"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("sigma_t", "sigma_a", "error", "bound"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def flagged(self) -> bool:
@@ -146,90 +156,63 @@ def parse_config(path) -> RunSpec:
     return parse_config_text(lines)
 
 
+def _convert(kind, text: str, line_no: int, key: str):
+    """One config value read as its kind: str as written, int, float, or
+    "time", a numeral kept as its exact text so schedules divide evenly."""
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(
+                f"line {line_no}: value for '{key}' must be an integer, got {text!r}"
+            )
+    _check_number(text, line_no, key)
+    return float(text) if kind is float else text
+
+
 def parse_config_text(lines) -> RunSpec:
-    run: dict = {}
-    sweep: dict = {}
+    given: dict = {"run": {}, "sweep": {}}
     for no, section, key, value in _parse_lines(lines):
-        if section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"line {no}: unknown key '{key}' in [run]")
-            run[key] = (no, value)
-        else:
-            if key not in _SWEEP_KEYS:
-                raise ConfigError(f"line {no}: unknown key '{key}' in [sweep]")
-            sweep[key] = (no, value)
+        if key not in _KINDS[section]:
+            raise ConfigError(f"line {no}: unknown key '{key}' in [{section}]")
+        given[section][key] = (no, value)
+    run, sweep = given["run"], given["sweep"]
     if "problem" not in run:
         raise ConfigError("config must set 'problem' in [run]")
 
-    rs = RunSpec(problem=run.pop("problem")[1])
+    rs = RunSpec(problem=run["problem"][1])
     if rs.problem not in PROBLEMS:
         raise ConfigError(
             f"unknown problem {rs.problem!r}; known: {', '.join(sorted(PROBLEMS))}"
         )
-
-    def take_str(key, default):
-        return run.pop(key)[1] if key in run else default
-
-    def take_int(key, default):
-        if key not in run:
-            return default
-        no, v = run.pop(key)
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"line {no}: value for '{key}' must be an integer, got {v!r}")
-
-    def take_float(key, default):
-        if key not in run:
-            return default
-        no, v = run.pop(key)
-        _check_number(v, no, key)
-        return float(v)
-
-    def take_time(key, default):
-        if key not in run:
-            return default
-        no, v = run.pop(key)
-        _check_number(v, no, key)
-        return v
-
-    rs.solver = take_str("solver", rs.solver)
+    # The scattering-free problem has no cross sections to default to 1.
+    if rs.problem == "streaming":
+        rs.sigma_t = 0.0
+    for key, kind in _RUN_KINDS.items():
+        if key in run:
+            no, text = run[key]
+            setattr(rs, key, _convert(kind, text, no, key))
     if rs.solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {rs.solver!r}; known: {', '.join(_SOLVERS)}")
-    rs.N = take_int("N", rs.N)
-    rs.dt = take_time("dt", None)
-    rs.eps = take_float("eps", rs.eps)
-    # The scattering-free problem has no cross sections to default to 1.
-    rs.sigma_t = take_float("sigma_t", 0.0 if rs.problem == "streaming" else rs.sigma_t)
-    rs.sigma_a = take_float("sigma_a", rs.sigma_a)
-    rs.T = take_time("T", rs.T)
-    rs.s = take_int("s", None)
-    rs.band = take_int("band", rs.band)
-    rs.n_ref = take_int("n_ref", None)
-    rs.out_csv = take_str("out_csv", "")
-    rs.plot_axis = take_str("plot_axis", "")
 
-    def split_list(key, conv):
+    for key, kind in _SWEEP_KINDS.items():
         if key not in sweep:
-            return ()
-        no, v = sweep.pop(key)
-        items = [p.strip() for p in v.split(",") if p.strip()]
+            continue
+        no, text = sweep[key]
+        items = [p.strip() for p in text.split(",") if p.strip()]
         if not items:
             raise ConfigError(f"line {no}: empty sweep list for '{key}'")
-        out = []
+        values = []
         for p in items:
             try:
-                out.append(conv(p, no, key))
+                values.append(_convert(kind, p, no, key))
             except ConfigError:
-                raise
-            except ValueError:
+                if kind is not int:
+                    raise
                 raise ConfigError(f"line {no}: bad sweep value {p!r} for '{key}'")
-        return tuple(out)
-
-    rs.sweep_N = split_list("N", lambda p, no, key: int(p))
-    rs.sweep_dt = split_list("dt", lambda p, no, key: _check_number(p, no, key))
-    rs.sweep_eps = split_list("eps", lambda p, no, key: float(_check_number(p, no, key)))
-    rs.sweep_sigma = split_list("sigma", lambda p, no, key: float(_check_number(p, no, key)))
+        setattr(rs, "sweep_" + key, tuple(values))
 
     if rs.problem == "streaming":
         for key, values in (("sigma_t", (rs.sigma_t,)), ("sigma_a", (rs.sigma_a,)),
@@ -273,39 +256,22 @@ def parse_config_text(lines) -> RunSpec:
     return rs
 
 
+def _emit(kind, value) -> str:
+    return repr(value) if kind is float else str(value)
+
+
 def emit_config(rs: RunSpec) -> str:
     """Canonical text form; parse(emit(parse(x))) == parse(x)."""
     lines = ["[run]"]
-    lines.append(f"problem = {rs.problem}")
-    lines.append(f"solver = {rs.solver}")
-    lines.append(f"N = {rs.N}")
-    if rs.dt is not None:
-        lines.append(f"dt = {rs.dt}")
-    lines.append(f"eps = {rs.eps!r}")
-    lines.append(f"sigma_t = {rs.sigma_t!r}")
-    lines.append(f"sigma_a = {rs.sigma_a!r}")
-    lines.append(f"T = {rs.T}")
-    if rs.s is not None:
-        lines.append(f"s = {rs.s}")
-    lines.append(f"band = {rs.band}")
-    if rs.n_ref is not None:
-        lines.append(f"n_ref = {rs.n_ref}")
-    if rs.out_csv:
-        lines.append(f"out_csv = {rs.out_csv}")
-    if rs.plot_axis:
-        lines.append(f"plot_axis = {rs.plot_axis}")
-    axes = [
-        ("N", rs.sweep_N), ("dt", rs.sweep_dt),
-        ("eps", rs.sweep_eps), ("sigma", rs.sweep_sigma),
-    ]
-    if any(v for _, v in axes):
-        lines.append("")
-        lines.append("[sweep]")
-        for key, vals in axes:
-            if vals:
-                lines.append(f"{key} = " + ", ".join(
-                    str(v) if isinstance(v, (int, str)) else repr(v) for v in vals
-                ))
+    for key, kind in _RUN_KINDS.items():
+        value = getattr(rs, key)
+        if value is not None and value != "":
+            lines.append(f"{key} = {_emit(kind, value)}")
+    axes = [(key, kind, getattr(rs, "sweep_" + key)) for key, kind in _SWEEP_KINDS.items()]
+    if any(values for _, _, values in axes):
+        lines += ["", "[sweep]"]
+        lines += [f"{key} = " + ", ".join(_emit(kind, v) for v in values)
+                  for key, kind, values in axes if values]
     return "\n".join(lines) + "\n"
 
 
@@ -654,7 +620,7 @@ def read_csv(path) -> list[SweepRow]:
 # Conformance
 
 
-_AXES = ("N", "dt", "eps", "sigma")
+_AXES = tuple(_SWEEP_KINDS)
 
 # Largest error a row with a zero bound may carry: an exact solver's
 # round-off.

@@ -401,9 +401,12 @@ class PnOperator:
         box = self._box(out)
         if source is None:
             x = stack.into_rep(box.reshape(-1))
-            y = np.empty_like(x)
+            y = np.zeros_like(x)
             for c, rows in stack.orbits:
-                np.matmul(self._rep(c, h), x[rows, :, None], out=y[rows, :, None])
+                # Modes decouple, so an orbit holding only zeros stays zero
+                # and needs no propagator.
+                if x[rows].any():
+                    np.matmul(self._rep(c, h), x[rows, :, None], out=y[rows, :, None])
             stack.from_rep(y, box)
             return out
         nsub = substeps if substeps is not None else self.substeps_for(h)

@@ -212,6 +212,22 @@ def test_pn_error_bound_sigma_zero_picks_streaming():
     assert math.isfinite(rep.total)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("eps", 0.0), ("eps", -1.0), ("eps", math.nan), ("T", 0.0), ("T", math.inf),
+    ("sigma", -1.0), ("sigma", math.nan), ("dt", -0.25), ("dt", 0.0), ("dt", math.nan),
+    ("sigma_a", -0.5), ("sigma_a", math.inf),
+])
+def test_bound_inputs_reject_bad_values(field, value):
+    # Each of these once reached an evaluator: hybrid_error_bound returned
+    # -0.0625 for dt = -0.25 or sigma = -1, nan for eps = nan, and divided by
+    # zero for eps = 0.
+    kwargs = dict(s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
+                  g_norms={(3, 0): 1.0}, q_sup_norms={(3, 0): 2.0})
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite and"):
+        bd.BoundInputs(**kwargs)
+
+
 def test_hybrid_error_bound_frozen():
     bi = bd.BoundInputs(
         s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
@@ -346,6 +362,15 @@ def test_regime_advisor_crossover_and_labels():
     # No scattering.
     adv = bd.regime_advisor(eps=1.0, sigma=0.0, T=1.0, s=1)
     assert adv.label == "streaming-exact"
+
+
+@pytest.mark.parametrize("eps,sigma,T", [
+    (0.5, -1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+    (1.0, 1.0, math.inf), (0.0, 1.0, 1.0), (1.0, 1.0, -1.0),
+])
+def test_regime_advisor_rejects_bad_input(eps, sigma, T):
+    with pytest.raises(ValueError, match="^need finite eps > 0, sigma >= 0"):
+        bd.regime_advisor(eps, sigma, T, 2)
 
 
 def test_audit_inequalities_clean():

@@ -38,6 +38,21 @@ def test_term_validation_and_time_factor():
         gr.term({(0, 0, 0): 1.0}, [1.0, 2.0])  # length 2 is not a square
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("spatial amplitude", dict(spatial={(1, 0, 0): math.nan})),
+    ("spatial amplitude", dict(spatial={(1, 0, 0): complex(1.0, math.inf)})),
+    ("angular", dict(angular=(1.0, 0.0, math.nan, 0.0))),
+    ("time_poly", dict(time_poly=(1.0, math.inf))),
+    ("time_exp", dict(time_exp=math.inf)),
+    ("time_exp", dict(time_exp=math.nan)),
+])
+def test_term_rejects_non_finite(field, kwargs):
+    args = dict(spatial={(1, 0, 0): 0.5}, angular=(1.0, 0.0, 0.0, 0.0))
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        gr.term(**args)
+
+
 def test_grid_for_terms():
     tms = [gr.term({(2, 0, 0): 1.0}, [1.0]), gr.term({(0, -1, 0): 1.0}, [1.0])]
     g = gr.grid_for(tms)

@@ -73,6 +73,25 @@ def test_config_round_trip_bundled():
         assert again == rs, path
 
 
+def test_emit_config_writes_every_key_in_table_order():
+    text = ("[run]\nproblem = iso-smooth\nsolver = hybrid\nN = 3\ndt = 0.25\n"
+            "eps = 0.5\nsigma_t = 2.0\nsigma_a = 0.5\nT = 1\ns = 2\nband = 8\n"
+            "n_ref = 9\nout_csv = a.csv\nplot_axis = dt\n\n[sweep]\nN = 1, 3\n"
+            "dt = 0.5, 0.25\neps = 0.5, 1.0\nsigma = 1.0, 2.0\n")
+    # Shuffled keys and spacing, integer-looking floats: the same canonical text.
+    shuffled = ("[sweep]\nsigma = 1, 2\neps=.5,1\ndt = 0.5,0.25\nN = 1 , 3\n[run]\n"
+                "plot_axis = dt\nout_csv = a.csv\nn_ref = 9\nband = 8\ns = 2\nT = 1\n"
+                "sigma_a = 5e-1\nsigma_t = 2\neps = 0.5\ndt = 0.25\nN = 3\n"
+                "solver = hybrid\nproblem = iso-smooth\n")
+    for source in (text, shuffled):
+        assert hn.emit_config(_parse_text(source)) == text
+    # Unset optional keys and empty axes are left out.
+    assert hn.emit_config(hn.RunSpec(problem="iso-smooth")) == (
+        "[run]\nproblem = iso-smooth\nsolver = pn\nN = 5\neps = 1.0\n"
+        "sigma_t = 1.0\nsigma_a = 0.0\nT = 1\nband = 16\n"
+    )
+
+
 def test_registry_membership():
     for name in ("iso-smooth", "aniso-decay", "streaming", "sobolev-s",
                  "diffusion-check"):
@@ -421,8 +440,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("column, text", [("error", "nan"), ("error", "inf"),
-                                          ("bound", "nan")])
+@pytest.mark.parametrize("column, text", [
+    ("error", "nan"), ("error", "inf"), ("bound", "nan"),
+    ("dt", "nan"), ("dt", "inf"), ("dt", "0"), ("dt", "-0.25"),
+    ("eps", "nan"), ("eps", "0"), ("T", "inf"), ("T", "-1"),
+    ("sigma_t", "nan"), ("sigma_t", "-1"), ("sigma_a", "inf"), ("sigma_a", "-0.5"),
+    ("N", "-1"),
+])
 @pytest.mark.parametrize("command", ["verify-bounds", "plot"])
 def test_cli_rejects_non_finite_csv_rows(tmp_path, capsys, command, column, text):
     cfg = tmp_path / "v.cfg"
@@ -437,7 +461,11 @@ def test_cli_rejects_non_finite_csv_rows(tmp_path, capsys, command, column, text
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "conformant" not in captured.out
-    assert captured.err.startswith(f"csv error: {tmp_path / 'v.csv'}: {column} must be finite")
+    if not math.isfinite(float(text)):
+        need = "finite"
+    else:
+        need = "positive" if column in ("dt", "eps", "T") else "nonnegative"
+    assert captured.err.startswith(f"csv error: {tmp_path / 'v.csv'}: {column} must be {need}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 

@@ -388,6 +388,20 @@ def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
     assert peak / matrix_bytes < 2 * 18 + 20
 
 
+def test_step_takes_no_expm_for_orbits_holding_zeros(monkeypatch):
+    calls = []
+    real = tr.expm
+    monkeypatch.setattr(tr, "expm", lambda A: calls.append(A.shape[0]) or real(A))
+    op = tr.PnOperator(_GRID7, 8, 0.5, 1.0, 0.25)
+    idx = _GRID7.index_of((2, -1, 3))
+    out = op.step(_one_hot(op, idx, np.ones(op.nm)), 0.5)
+    # One of the grid's 40 orbits holds data; the others stay exactly zero.
+    assert calls == [op.nm]
+    assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 1
+    assert np.abs(out[idx]).max() > 0.0
+    assert not op.step(np.zeros_like(out), 0.5).any() and len(calls) == 1
+
+
 @given(
     k=st.tuples(*[st.integers(-3, 3)] * 3),
     N=st.integers(1, 8),
