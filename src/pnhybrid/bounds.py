@@ -13,7 +13,7 @@ per theorem and problem family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -218,10 +218,12 @@ class BoundReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundInputs:
     """Everything a bound evaluator needs: discretization, scaling, and the
-    mixed-seminorm sizes of the data, keyed by (spatial order, angular order)."""
+    mixed-seminorm sizes of the data, keyed by (spatial order, angular order).
+    Frozen, so the checks made at construction hold for every evaluator;
+    build a variant with dataclasses.replace."""
 
     s: int
     N: int
@@ -242,6 +244,14 @@ class BoundInputs:
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
                 need = "positive" if positive else "nonnegative"
                 raise ValueError(f"{name} must be finite and {need}, got {value}")
+        if self.s < 1:
+            raise ValueError(f"the bound needs s >= 1, got s={self.s}")
+        if self.N < self.s - 1:
+            raise ValueError(f"the bound needs N >= s-1, got N={self.N}, s={self.s}")
+        if self.sigma_a > self.sigma:
+            raise ValueError(
+                f"sigma_a must satisfy 0 <= sigma_a <= sigma_t, got {self.sigma_a}"
+            )
 
 
 def _need(norms: dict, r: int, s: int, what: str) -> float:
@@ -262,10 +272,6 @@ def pn_error_bound(bi: BoundInputs) -> BoundReport:
     bound to the single mixed-regularity term, reported as the corollary.
     """
     s, N, eps, sigma, T = bi.s, bi.N, bi.eps, bi.sigma, bi.T
-    if s < 1:
-        raise ValueError(f"the bound needs s >= 1, got s={s}")
-    if N < s - 1:
-        raise ValueError(f"the bound needs N >= s-1, got N={N}, s={s}")
     damp = math.exp(-sigma * T / eps**2)
     proj = (N + 1.0) ** (-s)
 
@@ -324,10 +330,6 @@ def hybrid_error_bound(bi: BoundInputs) -> BoundReport:
     s, N, eps, sigma, T, dt = bi.s, bi.N, bi.eps, bi.sigma, bi.T, bi.dt
     if dt is None:
         raise ValueError("the hybrid bound needs dt")
-    if s < 1:
-        raise ValueError(f"the bound needs s >= 1, got s={s}")
-    if N < s - 1:
-        raise ValueError(f"the bound needs N >= s-1, got N={N}, s={s}")
     g_s1 = _need(bi.g_norms, s + 1, 0, "g")
     q_s1 = _need(bi.q_sup_norms, s + 1, 0, "q")
     proj = (N + 1.0) ** (-s)
@@ -349,17 +351,8 @@ def absorbing_bounds(bi: BoundInputs, family: str = "pn") -> BoundReport:
     The change of variables behind this is exact, so source norms enter
     undamped (they are norms of the original source, not the rescaled one).
     """
-    if not 0.0 <= bi.sigma_a <= bi.sigma:
-        raise ValueError(
-            f"sigma_a must satisfy 0 <= sigma_a <= sigma_t, got {bi.sigma_a}"
-        )
     damp = math.exp(-bi.sigma_a * bi.T)
-    damped = BoundInputs(
-        s=bi.s, N=bi.N, eps=bi.eps, sigma=bi.sigma, T=bi.T, dt=bi.dt,
-        sigma_a=0.0,
-        g_norms={k: damp * v for k, v in bi.g_norms.items()},
-        q_sup_norms=dict(bi.q_sup_norms),
-    )
+    damped = replace(bi, sigma_a=0.0, g_norms={k: damp * v for k, v in bi.g_norms.items()})
     if family == "pn":
         rep = pn_error_bound(damped)
     elif family == "hybrid":

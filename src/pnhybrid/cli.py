@@ -209,15 +209,10 @@ def _cmd_plot(args) -> int:
         print(f"no CSV at {path}; run the sweep first", file=sys.stderr)
         return 1
     rows = _read_csv(path)
-    axis = rs.plot_axis
-    if not axis:
-        for cand in hn._AXES:
-            if len({hn._axis_value(r, cand) for r in rows}) > 1:
-                axis = cand
-                break
-        else:
-            print("no axis varies in the CSV; set plot_axis", file=sys.stderr)
-            return 1
+    axis = rs.plot_axis or hn.varying_axis(rows)
+    if axis is None:
+        print("no axis varies in the CSV; set plot_axis", file=sys.stderr)
+        return 1
     stem = os.path.splitext(path)[0]
     try:
         hn.emit_plot(rows, axis, svg_path=stem + ".svg", txt_path=stem + ".txt")

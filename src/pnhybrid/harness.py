@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -71,8 +71,12 @@ class RunSpec:
         return self.out_csv or f"{self.problem}-{self.solver}-sweep.csv"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepRow:
+    """One CSV row (schema 1), its columns in field order after the schema
+    column.  Frozen, so the checks made at construction hold for every
+    reader of the row."""
+
     problem: str
     solver: str
     N: int
@@ -109,10 +113,10 @@ class SweepRow:
         return self.oracle_uncertainty > 0.1 * self.error
 
 
-CSV_COLUMNS = (
-    "schema", "problem", "solver", "N", "dt", "eps", "sigma_t", "sigma_a",
-    "T", "error", "oracle_uncertainty", "bound", "branch", "walltime_s",
-)
+# (name, kind) of each SweepRow column; kind is str, int or float.
+_ROW_KINDS = tuple((f.name, {"str": str, "int": int, "float": float}[f.type])
+                   for f in fields(SweepRow))
+CSV_COLUMNS = ("schema",) + tuple(name for name, _ in _ROW_KINDS)
 
 
 def _check_number(text: str, line_no: int, key: str) -> str:
@@ -405,14 +409,12 @@ def manufactured(name, eps=1.0, sigma_t=1.0, sigma_a=0.0, T="1", dt=None,
 def decay_solution(spec: tr.ProblemSpec, grid, N: int, t: float) -> gr.MomentField:
     """Exact solution for spatially constant data: the mean moment sees only
     absorption, every higher moment decays at sigma/eps^2 + sigma_a."""
-    L = max(N, gr.angular_band(spec.g), 1)
-    f = gr.moment_field(grid, L, spec.g).truncate(max(N, 1))
-    coeffs = np.array(f.coeffs, copy=True)
+    L = max(N, gr.angular_band(spec.g))
+    coeffs = np.array(gr.moment_field(grid, L, spec.g).truncate(N).coeffs, copy=True)
     coeffs[..., 0] *= math.exp(-spec.sigma_a * t)
     rate = spec.sigma_t / spec.eps**2 + spec.sigma_a
     coeffs[..., 1:] *= math.exp(-rate * t)
-    out = gr.MomentField(grid, max(N, 1), coeffs)
-    return out.truncate(N) if N < out.N else out
+    return gr.MomentField(grid, N, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +573,7 @@ def run_sweep(rs: RunSpec) -> list[SweepRow]:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return f"{x:.17g}"
 
@@ -580,12 +582,8 @@ def write_csv(rows, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
-            fh.write(",".join([
-                "1", r.problem, r.solver, _fmt(r.N), _fmt(r.dt), _fmt(r.eps),
-                _fmt(r.sigma_t), _fmt(r.sigma_a), _fmt(r.T), _fmt(r.error),
-                _fmt(r.oracle_uncertainty), _fmt(r.bound), r.branch,
-                _fmt(r.walltime_s),
-            ]) + "\n")
+            cells = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[1:]]
+            fh.write(",".join(["1"] + cells) + "\n")
 
 
 def read_csv(path) -> list[SweepRow]:
@@ -604,13 +602,8 @@ def read_csv(path) -> list[SweepRow]:
         if parts[0] != "1":
             raise ValueError(f"{path}: unsupported schema version {parts[0]!r}")
         try:
-            rows.append(SweepRow(
-                problem=parts[1], solver=parts[2], N=int(parts[3]),
-                dt=float(parts[4]), eps=float(parts[5]), sigma_t=float(parts[6]),
-                sigma_a=float(parts[7]), T=float(parts[8]), error=float(parts[9]),
-                oracle_uncertainty=float(parts[10]), bound=float(parts[11]),
-                branch=parts[12], walltime_s=float(parts[13]),
-            ))
+            rows.append(SweepRow(*(kind(text) for (_, kind), text
+                                   in zip(_ROW_KINDS, parts[1:]))))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc} in row {ln!r}") from None
     return rows
@@ -620,27 +613,31 @@ def read_csv(path) -> list[SweepRow]:
 # Conformance
 
 
-_AXES = tuple(_SWEEP_KINDS)
+# Each sweep axis, in _SWEEP_KINDS order: its plot label and its
+# coordinate in a row.
+_AXES = {
+    "N": ("N+1", lambda r: float(r.N + 1)),
+    "dt": ("dt", lambda r: r.dt),
+    "eps": ("eps", lambda r: r.eps),
+    "sigma": ("sigma_t", lambda r: r.sigma_t),
+}
 
 # Largest error a row with a zero bound may carry: an exact solver's
 # round-off.
 ZERO_BOUND_TOL = 1e-8
 
 
-def _axis_value(row: SweepRow, axis: str) -> float:
-    if axis == "N":
-        return float(row.N + 1)
-    if axis == "dt":
-        return row.dt
-    if axis == "eps":
-        return row.eps
-    if axis == "sigma":
-        return row.sigma_t
-    raise ValueError(f"unknown axis {axis!r}")
+def varying_axis(rows) -> str | None:
+    """The first sweep axis along which the rows' coordinates differ, or
+    None when every row sits at the same point."""
+    for axis, (_, coord) in _AXES.items():
+        if len({coord(r) for r in rows}) > 1:
+            return axis
+    return None
 
 
 def _other_key(row: SweepRow, axis: str):
-    vals = {a: _axis_value(row, a) for a in _AXES if a != axis}
+    vals = {a: coord(row) for a, (_, coord) in _AXES.items() if a != axis}
     return (row.problem, row.solver, row.sigma_a, row.T,
             tuple(sorted(vals.items())))
 
@@ -685,7 +682,7 @@ def fit_and_check(rows) -> ConformanceReport:
         raise ValueError(f"conformance needs at least 3 rows, got {len(rows)}")
     rep = ConformanceReport()
     rep.flagged = [i for i, r in enumerate(rows) if r.flagged]
-    usable = [r for i, r in enumerate(rows) if i not in set(rep.flagged)]
+    usable = [r for r in rows if not r.flagged]
 
     ratios: dict = {}
     for r in usable:
@@ -703,14 +700,14 @@ def fit_and_check(rows) -> ConformanceReport:
     for key, vals in ratios.items():
         rep.fits[key] = max(vals)
 
-    for axis in _AXES:
+    for axis, (_, coord) in _AXES.items():
         groups: dict = {}
         for r in usable:
             groups.setdefault(_other_key(r, axis), []).append(r)
         slopes_here: dict = {}
         for members in groups.values():
             pts = sorted(
-                {( _axis_value(r, axis), r.error) for r in members if r.error > 0.0}
+                {(coord(r), r.error) for r in members if r.error > 0.0}
             )
             xs = sorted({p[0] for p in pts})
             if len(xs) < 3:
@@ -720,7 +717,7 @@ def fit_and_check(rows) -> ConformanceReport:
             slope = float(np.polyfit(lx, ly, 1)[0])
             key = (members[0].problem, members[0].solver, axis)
             slopes_here.setdefault(key, []).append(slope)
-            ordered = sorted(members, key=lambda r: _axis_value(r, axis))
+            ordered = sorted(members, key=coord)
             if axis == "N":
                 for a, b in zip(ordered, ordered[1:]):
                     if b.error > a.error * 1.05:
@@ -748,19 +745,19 @@ def emit_plot(rows, axis: str, svg_path=None, txt_path=None):
     if not rows:
         raise ValueError("cannot plot an empty CSV")
     if axis not in _AXES:
-        raise ValueError(f"unknown plot axis {axis!r}; choose one of {_AXES}")
-    pts = sorted((_axis_value(r, axis), r.error) for r in rows)
+        raise ValueError(f"unknown plot axis {axis!r}; choose one of {tuple(_AXES)}")
+    label, coord = _AXES[axis]
+    pts = sorted((coord(r), r.error) for r in rows)
     if len({p[0] for p in pts}) < 2:
         raise ValueError(f"axis {axis!r} does not vary across the rows")
     series = [("error", pts, "markers")]
     bnd = sorted(
-        (_axis_value(r, axis), r.bound)
+        (coord(r), r.bound)
         for r in rows if r.branch != "none" and r.bound > 0.0
     )
     if bnd:
         series.append(("bound", bnd, "dashed"))
     series = [sr for sr in series if any(x > 0.0 and y > 0.0 for x, y in sr[1])]
-    label = {"N": "N+1", "dt": "dt", "eps": "eps", "sigma": "sigma_t"}[axis]
     title = f"{rows[0].problem} / {rows[0].solver}"
     if series:
         svg = svgplot.log_log_plot(series, title=title, xlabel=label, ylabel="L2 error")
@@ -773,9 +770,9 @@ def emit_plot(rows, axis: str, svg_path=None, txt_path=None):
         widths[0], label, widths[1], "error", widths[2], "bound", widths[3], "branch",
     )).rstrip()
     body = [header]
-    for r in sorted(rows, key=lambda r: _axis_value(r, axis)):
+    for r in sorted(rows, key=coord):
         body.append(("%-*s %-*s %-*s %-*s" % (
-            widths[0], _fmt(_axis_value(r, axis)), widths[1], _fmt(r.error),
+            widths[0], _fmt(coord(r)), widths[1], _fmt(r.error),
             widths[2], _fmt(r.bound), widths[3], r.branch,
         )).rstrip())
     txt = "\n".join(body) + "\n"

@@ -68,28 +68,24 @@ class HybridResult:
 
 
 def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
-                op: tr.PnOperator, q_terms=(), lam=None, profiles=None):
+                op: tr.PnOperator, lam: np.ndarray, profiles):
     """Advance the pair over [a, b] without remapping.
 
     The collided moments absorb the isotropic re-emission of the decaying
     uncollided average (Duhamel quadrature over the closed-form uncollided
     field, source included); the uncollided carrier then advances exactly,
-    picking up the external source.  lam and profiles are
+    picking up the external source.  Both evaluate
+    transport.uncollided_values with lam and profiles, the
     transport.uncollided_rates and transport.nodal_source of psi_u's grid
-    and quadrature, op's cross sections and q_terms; they depend on no
-    interval, so run_hybrid computes them once per run, and they are
-    computed here when not given.
+    and quadrature, op's cross sections and the source terms; they depend
+    on no interval, so run_hybrid computes them once per run.
     """
     if psi_u.quad.exactness < 2 * psi_c.N:
         raise ValueError(
             f"quadrature exactness {psi_u.quad.exactness} < {2 * psi_c.N} "
             f"required for the hybrid step"
         )
-    eps, sigma, sigma_a = op.eps, op.sigma, op.sigma_a
-    if lam is None:
-        lam = tr.uncollided_rates(psi_u.grid, psi_u.quad, eps, sigma, sigma_a)
-    if profiles is None:
-        profiles = tr.nodal_source(psi_u.grid, psi_u.quad, q_terms)
+    eps, sigma = op.eps, op.sigma
     h = b - a
     if sigma == 0.0:
         new_c = psi_c  # no re-emission: collided part cannot be excited
@@ -99,9 +95,7 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
         emit = sigma / eps**2 * math.sqrt(_FOUR_PI)
 
         def sample(t: float) -> np.ndarray:
-            vals = psi_u.values * np.exp(-lam * (t - a))
-            if profiles:
-                vals = vals + tr.source_response(lam, a, t, profiles)
+            vals = tr.uncollided_values(psi_u.values, lam, a, t, profiles)
             avg = (vals @ w) / _FOUR_PI
             out = np.zeros(psi_u.grid.shape + (nm,), dtype=complex)
             out[..., 0] = emit * avg
@@ -110,8 +104,8 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
         nsub = op.substeps_for(h, extra_rate=op.max_rate)
         coeffs = op.step(psi_c.coeffs, h, source=sample, t0=a, substeps=nsub)
         new_c = gr.MomentField(psi_u.grid, psi_c.N, coeffs)
-    new_u = tr.solve_uncollided(psi_u, a, b, eps, sigma, sigma_a, q_terms=q_terms,
-                                lam=lam, profiles=profiles)
+    new_u = gr.NodalField(psi_u.grid, psi_u.quad,
+                          tr.uncollided_values(psi_u.values, lam, a, b, profiles))
     return new_u, new_c
 
 
@@ -149,8 +143,7 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
         records = []
         for m in range(spec.M):
             a, b = edges[m], edges[m + 1]
-            psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, q_terms=spec.q,
-                                       lam=lam, profiles=profiles)
+            psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, lam, profiles)
             norm_u = gr.l2_norm(psi_u)
             norm_c = gr.l2_norm(psi_c)
             # The merged carrier is the pair's sum at b^-, the reported state.

@@ -369,16 +369,14 @@ class PnOperator:
 
     def _substep(self, c, hs: float, taus) -> tuple:
         """(expm(hs L_c), stacked expm((hs - tau) L_c) per Duhamel node)."""
-        P, nodes = self._reps.get((c, hs)), self._nodes.get((c, hs))
-        if P is None or nodes is None:
+        P = self._rep(c, hs)
+        nodes = self._nodes.get((c, hs))
+        if nodes is None:
             L = self._generator(c)
-            if P is None:
-                P = self._reps[(c, hs)] = expm(hs * L)
-            if nodes is None:
-                nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
-                for m, tau in enumerate(taus):
-                    nodes[m, 0] = expm(float(hs - tau) * L)
-                self._nodes[(c, hs)] = nodes
+            nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
+            for m, tau in enumerate(taus):
+                nodes[m, 0] = expm(float(hs - tau) * L)
+            self._nodes[(c, hs)] = nodes
         return P, nodes
 
     def _box(self, out: np.ndarray) -> np.ndarray:
@@ -613,15 +611,23 @@ def source_response(lam: np.ndarray, a: float, b: float, profiles) -> np.ndarray
     return out
 
 
+def uncollided_values(values: np.ndarray, lam: np.ndarray, a: float, b: float,
+                      profiles) -> np.ndarray:
+    """Nodal values advanced from a to b along each (mode, direction)
+    characteristic of d_t v = -lambda v + q: the decay exp(-lam (b - a))
+    plus source_response.  lam and profiles are uncollided_rates and
+    nodal_source of the values' grid and quadrature."""
+    out = values * np.exp(-lam * (b - a))
+    if profiles:
+        out = out + source_response(lam, a, b, profiles)
+    return out
+
+
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
-                     sigma: float, sigma_a: float = 0.0, q_terms=(), lam=None,
-                     profiles=None) -> gr.NodalField:
+                     sigma: float, sigma_a: float = 0.0, q_terms=()) -> gr.NodalField:
     """Exact evolution of d_t v = -lambda v + q along each (mode, direction)
     characteristic: the homogeneous part is a closed-form exponential and
-    the source integral is closed-form in phi-functions (source_response).
-    lam and profiles, when given, are uncollided_rates and nodal_source of
-    the state's grid and quadrature with these cross sections and q_terms,
-    computed once by a caller that advances many intervals.
+    the source integral is closed-form in phi-functions (uncollided_values).
     """
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
@@ -633,14 +639,10 @@ def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
     for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    if lam is None:
-        lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
-    vals = state.values * np.exp(-lam * (b - a))
-    if q_terms:
-        if profiles is None:
-            profiles = nodal_source(state.grid, state.quad, q_terms)
-        vals = vals + source_response(lam, a, b, profiles)
-    return gr.NodalField(state.grid, state.quad, vals)
+    lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
+    profiles = nodal_source(state.grid, state.quad, q_terms)
+    return gr.NodalField(state.grid, state.quad,
+                         uncollided_values(state.values, lam, a, b, profiles))
 
 
 def characteristics_solution(spec: ProblemSpec, quad: sh.SphereQuadrature,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -180,13 +181,10 @@ def test_pn_error_bound_requires_norms():
 
 def test_pn_error_bound_validates_orders():
     bi = _inputs_s1()
-    bi.s = 0
-    with pytest.raises(ValueError):
-        bd.pn_error_bound(bi)
-    bi.s = 5
-    bi.N = 3
-    with pytest.raises(ValueError):
-        bd.pn_error_bound(bi)
+    with pytest.raises(ValueError, match=r"^the bound needs s >= 1, got s=0$"):
+        replace(bi, s=0)
+    with pytest.raises(ValueError, match=r"^the bound needs N >= s-1, got N=3, s=5$"):
+        replace(bi, s=5, N=3)
 
 
 def test_pn_error_bound_isotropic_route():
@@ -203,9 +201,7 @@ def test_pn_error_bound_isotropic_route():
 
 
 def test_pn_error_bound_sigma_zero_picks_streaming():
-    bi = _inputs_s1()
-    bi.sigma = 0.0
-    rep = bd.pn_error_bound(bi)
+    rep = bd.pn_error_bound(replace(_inputs_s1(), sigma=0.0))
     by_name = {t.name: t for t in rep.terms}
     assert by_name["source-tail"].branch == "T"
     assert by_name["mixed-regularity"].branch == "streaming"
@@ -228,6 +224,20 @@ def test_bound_inputs_reject_bad_values(field, value):
         bd.BoundInputs(**kwargs)
 
 
+def test_bound_inputs_are_frozen():
+    # Assigning dt = -0.25 to a valid record once made this bound
+    # -0.005859375; every check now holds for the record's lifetime.
+    bi = bd.BoundInputs(
+        s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
+        g_norms={(3, 0): 1.0}, q_sup_norms={(3, 0): 2.0},
+    )
+    with pytest.raises(FrozenInstanceError):
+        bi.dt = -0.25
+    with pytest.raises(ValueError, match="^dt must be finite and positive"):
+        replace(bi, dt=-0.25)
+    assert bd.hybrid_error_bound(bi).total > 0.0
+
+
 def test_hybrid_error_bound_frozen():
     bi = bd.BoundInputs(
         s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
@@ -246,8 +256,7 @@ def test_hybrid_error_bound_monotone_in_dt():
     )
     vals = []
     for dt in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        bi.dt = dt
-        vals.append(bd.hybrid_error_bound(bi).total)
+        vals.append(bd.hybrid_error_bound(replace(bi, dt=dt)).total)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -270,8 +279,7 @@ def test_absorbing_bounds_damping():
     # sigma_a = 0 must reproduce the pure bound exactly.
     bi0 = _inputs_s1()
     pure = bd.pn_error_bound(bi0)
-    bi0.sigma_a = 0.0
-    same = bd.absorbing_bounds(bi0, "pn")
+    same = bd.absorbing_bounds(replace(bi0, sigma_a=0.0), "pn")
     assert same.total == pytest.approx(pure.total, rel=1e-15)
     # Damping shrinks g-driven terms, leaves q-only terms alone.
     by_name = {t.name: t.value for t in rep.terms}
@@ -285,10 +293,10 @@ def test_absorbing_bounds_damping():
 
 
 def test_absorbing_bounds_gate():
-    bi = _inputs_s1()
-    bi.sigma_a = 3.0  # exceeds sigma_t = 2
-    with pytest.raises(ValueError):
-        bd.absorbing_bounds(bi, "pn")
+    # The gate is BoundInputs' own, so no evaluator sees sigma_a > sigma.
+    with pytest.raises(ValueError,
+                       match=r"^sigma_a must satisfy 0 <= sigma_a <= sigma_t, got 3.0$"):
+        replace(_inputs_s1(), sigma_a=3.0)  # exceeds sigma_t = 2
 
 
 def test_absorbing_hybrid_independent_of_sigma_a_when_g_zero():

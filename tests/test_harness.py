@@ -1,7 +1,7 @@
 import glob
 import math
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -295,8 +295,10 @@ def test_csv_round_trip(tmp_path):
     hn.write_csv(rows, path)
     back = hn.read_csv(path)
     assert back == rows
-    header = open(path).readline().strip().split(",")
-    assert tuple(header) == hn.CSV_COLUMNS
+    assert open(path).readline() == (
+        "schema,problem,solver,N,dt,eps,sigma_t,sigma_a,T,error,"
+        "oracle_uncertainty,bound,branch,walltime_s\n"
+    )
     assert open(path).readlines()[1].startswith("1,")
 
 
@@ -308,6 +310,14 @@ def test_csv_rejects_bad_input(tmp_path):
     path.write_text("a,b,c\n")
     with pytest.raises(ValueError, match="columns"):
         hn.read_csv(path)
+
+
+def test_sweep_rows_are_frozen():
+    row = _synthetic_rows()[0]
+    with pytest.raises(FrozenInstanceError):
+        row.error = -1.0
+    with pytest.raises(ValueError, match="^error must be nonnegative"):
+        replace(row, error=-1.0)
 
 
 def test_sweep_row_validation():
@@ -362,7 +372,7 @@ def test_fit_flags_zero_bound_with_error():
     assert not rep.ok
     assert any("bound is 0" in v for v in rep.violations)
     # A zero bound facing a tiny error is conformant.
-    rows[-1].error = 1e-12
+    rows[-1] = replace(rows[-1], error=1e-12)
     rep = hn.fit_and_check(rows)
     assert rep.ok
 
@@ -568,6 +578,25 @@ def test_plot_of_exact_solver_sweep(tmp_path, capsys):
     txt = (tmp_path / "exact.txt").read_text().splitlines()
     assert txt[0].split() == ["N+1", "error", "bound", "branch"]
     assert [line.split()[:2] for line in txt[1:]] == [["2", "0"], ["3", "0"], ["4", "0"]]
+
+
+def test_plot_picks_the_varying_axis(tmp_path, capsys):
+    # No plot_axis: plot takes the first axis along which the rows differ.
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text("[run]\nproblem = iso-smooth\nsolver = hybrid\nout_csv = dt.csv\n"
+                   "[sweep]\ndt = 1, 0.5, 0.25\n")
+    rows = [hn.SweepRow("iso-smooth", "hybrid", 5, dt, 1.0, 1.0, 0.0, 1.0,
+                        0.1 * dt, 0.0, dt, "interval", 0.0) for dt in (1.0, 0.5, 0.25)]
+    hn.write_csv(rows, tmp_path / "dt.csv")
+    assert cli.main(["plot", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    txt = (tmp_path / "dt.txt").read_text().splitlines()
+    assert txt[0].split() == ["dt", "error", "bound", "branch"]
+    assert [line.split()[0] for line in txt[1:]] == ["0.25", "0.5", "1"]
+
+    # Rows at a single point vary along no axis.
+    hn.write_csv(rows[:1] * 3, tmp_path / "dt.csv")
+    assert cli.main(["plot", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "no axis varies in the CSV; set plot_axis\n"
 
 
 def test_plot_drops_only_the_empty_series():

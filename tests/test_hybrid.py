@@ -19,6 +19,12 @@ def _aniso_cosine():
     return gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.0, 0.0, 1.0, 0.0))
 
 
+def _rates(u, op, q_terms=()):
+    """hybrid_step's lam and profiles for carrier u under op and q_terms."""
+    return (tr.uncollided_rates(u.grid, u.quad, op.eps, op.sigma, op.sigma_a),
+            tr.nodal_source(u.grid, u.quad, q_terms))
+
+
 def test_remap_zero_collided_is_identity():
     spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
     grid = tr.default_grid(spec)
@@ -79,7 +85,7 @@ def test_hybrid_step_requires_exact_quadrature():
     c = gr.zero_moment_field(grid, 3)
     op = tr.PnOperator(grid, 3, 1.0, 1.0)
     with pytest.raises(ValueError, match="exactness"):
-        hy.hybrid_step(u, c, 0.0, 0.5, op)
+        hy.hybrid_step(u, c, 0.0, 0.5, op, *_rates(u, op))
     with pytest.raises(ValueError, match="exactness"):
         hy.run_hybrid(spec, N=3, quad=quad)
 
@@ -112,7 +118,7 @@ def test_single_interval_matches_direct_step():
     op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t)
     u0 = gr.nodal_field(grid, quad, spec.g)
     c0 = gr.zero_moment_field(grid, 3)
-    u1, c1 = hy.hybrid_step(u0, c0, 0.0, 0.5, op)
+    u1, c1 = hy.hybrid_step(u0, c0, 0.0, 0.5, op, *_rates(u0, op))
     want = u1 + gr.evaluate_field(c1, quad)
     assert np.max(np.abs(res.total.values - want.values)) < 1e-12
     assert len(res.records) == 1
@@ -224,16 +230,19 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
     op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t)
     psi_u = gr.nodal_field(grid, quad, spec.g)
     psi_c = gr.zero_moment_field(grid, 3)
-    calls = {"solve_uncollided": 0, "nodal_field": 0}
-    for mod, name in ((tr, "solve_uncollided"), (gr, "nodal_field")):
+    lam, profiles = _rates(psi_u, op, spec.q)
+    calls = {"uncollided_values": 0, "nodal_field": 0}
+    for mod, name in ((tr, "uncollided_values"), (gr, "nodal_field")):
         def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(mod, name, counting)
-    hy.hybrid_step(psi_u, psi_c, 0.0, 0.25, op, q_terms=spec.q)
-    # One closed-form advance of the carrier, and the source's nodal profile
-    # built once, shared by the re-emission samples and that advance.
-    assert calls == {"solve_uncollided": 1, "nodal_field": 1}
+    hy.hybrid_step(psi_u, psi_c, 0.0, 0.25, op, lam, profiles)
+    # One closed-form sample of the uncollided field per Duhamel node of
+    # every substep, one closed-form advance of the carrier, and no nodal
+    # field built inside the step: the source profiles come from the caller.
+    nsub = op.substeps_for(0.25, extra_rate=op.max_rate)
+    assert calls == {"uncollided_values": 12 * nsub + 1, "nodal_field": 0}
 
 
 def test_run_hybrid_builds_rates_and_source_profiles_once(monkeypatch):
@@ -266,8 +275,9 @@ def test_run_hybrid_equals_hand_written_loop():
         op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t, spec.sigma_a)
         u = gr.nodal_field(grid, quad, spec.g)
         c = gr.zero_moment_field(grid, 3)
+        lam, profiles = _rates(u, op, spec.q)
         for m, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
-            u, c = hy.hybrid_step(u, c, a, b, op, q_terms=spec.q)
+            u, c = hy.hybrid_step(u, c, a, b, op, lam, profiles)
             total = u + gr.evaluate_field(c, quad)
             err = gr.nodal_error_norm(total, by_time[b])
             norm_u, norm_c = gr.l2_norm(u), gr.l2_norm(c)
