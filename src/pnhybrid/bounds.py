@@ -13,8 +13,10 @@ per theorem and problem family.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -222,8 +224,9 @@ class BoundReport:
 class BoundInputs:
     """Everything a bound evaluator needs: discretization, scaling, and the
     mixed-seminorm sizes of the data, keyed by (spatial order, angular order).
-    Frozen, so the checks made at construction hold for every evaluator;
-    build a variant with dataclasses.replace."""
+    Frozen, and the norms are kept as read-only copies, so the checks made
+    at construction hold for every evaluator; build a variant with
+    dataclasses.replace."""
 
     s: int
     N: int
@@ -232,8 +235,8 @@ class BoundInputs:
     T: float
     dt: float | None = None
     sigma_a: float = 0.0
-    g_norms: dict = dc_field(default_factory=dict)
-    q_sup_norms: dict = dc_field(default_factory=dict)
+    g_norms: Mapping = dc_field(default_factory=dict)
+    q_sup_norms: Mapping = dc_field(default_factory=dict)
 
     def __post_init__(self):
         checks = [("eps", self.eps, True), ("T", self.T, True),
@@ -252,9 +255,17 @@ class BoundInputs:
             raise ValueError(
                 f"sigma_a must satisfy 0 <= sigma_a <= sigma_t, got {self.sigma_a}"
             )
+        for name in ("g_norms", "q_sup_norms"):
+            norms = dict(getattr(self, name))
+            for key, value in norms.items():
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(
+                        f"{name}[{key}] must be finite and nonnegative, got {value}"
+                    )
+            object.__setattr__(self, name, MappingProxyType(norms))
 
 
-def _need(norms: dict, r: int, s: int, what: str) -> float:
+def _need(norms: Mapping, r: int, s: int, what: str) -> float:
     key = (r, s)
     if key not in norms:
         raise ValueError(f"missing data norm H^({r},{s}) of {what}")

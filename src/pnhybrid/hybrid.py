@@ -14,6 +14,10 @@ run_hybrid returns that state at T and one IntervalRecord per interval
 (norms of both parts at t_end^-, remap residual, merged norm, and the error
 against an optional reference).  The remap evaluates the collided field at
 the nodes, once per interval, and its merged carrier is the reported state.
+The uncollided field, sampled at every Duhamel node of the re-emission and
+advanced once per interval, is evaluated on the run's distinct decay rates
+(transport.UncollidedRates): the rates depend on (k, Omega) only through
+k.Omega, so each distinct exponential is taken once and gathered.
 """
 
 from __future__ import annotations
@@ -68,17 +72,19 @@ class HybridResult:
 
 
 def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
-                op: tr.PnOperator, lam: np.ndarray, profiles):
+                op: tr.PnOperator, rates: tr.UncollidedRates, profiles):
     """Advance the pair over [a, b] without remapping.
 
     The collided moments absorb the isotropic re-emission of the decaying
     uncollided average (Duhamel quadrature over the closed-form uncollided
     field, source included); the uncollided carrier then advances exactly,
     picking up the external source.  Both evaluate
-    transport.uncollided_values with lam and profiles, the
+    transport.uncollided_values with rates and profiles, the
     transport.uncollided_rates and transport.nodal_source of psi_u's grid
     and quadrature, op's cross sections and the source terms; they depend
-    on no interval, so run_hybrid computes them once per run.
+    on no interval, so run_hybrid computes them once per run.  Each of the
+    12 x substeps + 1 evaluations takes its exponentials and phi-functions
+    once per distinct rate, not once per (mode, node).
     """
     if psi_u.quad.exactness < 2 * psi_c.N:
         raise ValueError(
@@ -95,7 +101,7 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
         emit = sigma / eps**2 * math.sqrt(_FOUR_PI)
 
         def sample(t: float) -> np.ndarray:
-            vals = tr.uncollided_values(psi_u.values, lam, a, t, profiles)
+            vals = tr.uncollided_values(psi_u.values, rates, a, t, profiles)
             avg = (vals @ w) / _FOUR_PI
             out = np.zeros(psi_u.grid.shape + (nm,), dtype=complex)
             out[..., 0] = emit * avg
@@ -105,7 +111,7 @@ def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
         coeffs = op.step(psi_c.coeffs, h, source=sample, t0=a, substeps=nsub)
         new_c = gr.MomentField(psi_u.grid, psi_c.N, coeffs)
     new_u = gr.NodalField(psi_u.grid, psi_u.quad,
-                          tr.uncollided_values(psi_u.values, lam, a, b, profiles))
+                          tr.uncollided_values(psi_u.values, rates, a, b, profiles))
     return new_u, new_c
 
 
@@ -136,14 +142,14 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
         edges = spec.interval_edges()
 
         op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
-        lam = tr.uncollided_rates(grid, quad, op.eps, op.sigma, op.sigma_a)
+        rates = tr.uncollided_rates(grid, quad, op.eps, op.sigma, op.sigma_a)
         profiles = tr.nodal_source(grid, quad, spec.q)
         psi_u = gr.nodal_field(grid, quad, spec.g)
         psi_c = gr.zero_moment_field(grid, N)
         records = []
         for m in range(spec.M):
             a, b = edges[m], edges[m + 1]
-            psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, lam, profiles)
+            psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, rates, profiles)
             norm_u = gr.l2_norm(psi_u)
             norm_c = gr.l2_norm(psi_c)
             # The merged carrier is the pair's sum at b^-, the reported state.

@@ -33,12 +33,16 @@ time factors (Van Loan, IEEE TAC 23(3), 1978), along characteristics by
 phi-functions (Hochbruck-Ostermann, Acta Numerica 2010).  PnOperator.step
 also accepts an arbitrary source callable, folded in by Gauss-Legendre
 Duhamel quadrature on substeps short enough that the rule is accurate to
-near machine precision; the hybrid re-emission uses that path.
+near machine precision; the hybrid re-emission uses that path.  The
+uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
+so uncollided_rates stores each distinct rate once (UncollidedRates), and
+uncollided_values takes its exponentials and phi-functions on those alone
+and gathers them per (mode, node), bit for bit the full-array evaluation.
 
 Each mode's matrices are small, and OpenBLAS threads cost more than they
 give on them, so solve_pn (and hybrid.run_hybrid) run with every OpenBLAS
 pool at one thread when the moment space is at most SERIAL_BLAS_MAX_MOMENTS
-wide (N <= 11), restoring the pools' counts when the solve returns or
+wide (N <= 20), restoring the pools' counts when the solve returns or
 raises (blas.single_thread).  Wider solves, such as the high-degree
 references, keep the user's thread count.  Other BLAS builds are untouched.
 """
@@ -74,14 +78,17 @@ PHI_SERIES_BELOW = 1.0
 _PHI_SERIES_TERMS = 20
 
 # Widest moment space, n_moments(N) = (N+1)^2, whose solves run on one BLAS
-# thread (N <= 11).  expm is scaling and squaring, a handful of nm x nm
+# thread (N <= 20).  expm is scaling and squaring, a handful of nm x nm
 # products, too small at these widths for threads to pay: on a 2-core
 # machine with 2-thread OpenBLAS pools a 36-wide expm took 8.0 ms threaded
-# and 0.24 ms serial, a 64-wide one 88 ms and 0.77 ms.  There, the perfbench
-# records of every solve up to this width were bit-identical on one thread
-# (a 3D solve with a source moved by 1e-18 relative), while those of the
-# 169-wide (N = 12) and wider reference solves changed in the last bits.
-SERIAL_BLAS_MAX_MOMENTS = 144
+# and 0.24 ms serial, a 64-wide one 88 ms and 0.77 ms, and a 1D diffusive
+# solve_pn (eps = 0.05) took 0.037 s threaded and 0.016 s serial at N = 12,
+# 0.145 and 0.086 s at N = 16, 0.26 and 0.24 s at N = 20, while at N = 24
+# (625 wide) threads won, 0.51 against 0.66 s.  There, the perfbench records
+# of the P_N, ladder and sourced workloads were bit-identical on one thread;
+# in the hybrid dt sweeps only one reference's oracle uncertainty moved,
+# 1.37e-13 by 2e-14 relative.
+SERIAL_BLAS_MAX_MOMENTS = 441
 
 
 def _as_fraction(x, name="time") -> Fraction:
@@ -574,9 +581,34 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
     return abs(lhs - total) / denom
 
 
+@dataclass(frozen=True)
+class UncollidedRates:
+    """The complex decay rates lambda(k, Omega) = sigma/eps^2 + sigma_a
+    + i k.Omega/eps of the uncollided flow, each distinct value stored once.
+
+    The rates depend on (k, Omega) only through k.Omega, which repeats
+    across the quadrature's reflections, across +-k and over every node of
+    k = 0.  distinct holds each rate once, two rates being equal when their
+    16-byte bit patterns are (so +0 and -0 stay apart); index, shaped
+    grid.shape + (nodes,), holds each (mode, node)'s position in distinct.
+    An elementwise function of lambda is therefore taken on distinct and
+    gathered with index: equal input bits give equal output bits, so the
+    result is the full-array evaluation's, byte for byte.  Both arrays are
+    read-only."""
+
+    distinct: np.ndarray
+    index: np.ndarray
+
+
 def uncollided_rates(grid: gr.SpatialGrid, quad: sh.SphereQuadrature,
-                     eps: float, sigma: float, sigma_a: float = 0.0) -> np.ndarray:
-    """Complex decay rates lambda[k, node] of the uncollided flow."""
+                     eps: float, sigma: float, sigma_a: float = 0.0) -> UncollidedRates:
+    """The decay rates lambda[k, node] of the uncollided flow on the grid's
+    modes and the quadrature's nodes, as an UncollidedRates record."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     k1, k2, k3 = grid.k_grids()
     om = quad.nodes
     kdot = (
@@ -584,7 +616,14 @@ def uncollided_rates(grid: gr.SpatialGrid, quad: sh.SphereQuadrature,
         + k2[..., None] * om[:, 1]
         + k3[..., None] * om[:, 2]
     )
-    return (sigma / eps**2 + sigma_a) + 1j * kdot / eps
+    lam = (sigma / eps**2 + sigma_a) + 1j * kdot / eps
+    bits = lam.reshape(-1).view(np.dtype((np.void, lam.itemsize)))
+    distinct, index = np.unique(bits, return_inverse=True)
+    distinct = distinct.view(complex)
+    index = index.reshape(lam.shape)
+    distinct.flags.writeable = False
+    index.flags.writeable = False
+    return UncollidedRates(distinct, index)
 
 
 def nodal_source(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, q_terms) -> list:
@@ -596,30 +635,33 @@ def nodal_source(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, q_terms) -> li
     ]
 
 
-def source_response(lam: np.ndarray, a: float, b: float, profiles) -> np.ndarray:
+def source_response(rates: UncollidedRates, a: float, b: float, profiles) -> np.ndarray:
     """Exact integral over [a, b] of exp(-lam (b - tau)) q(tau), per (mode,
     node), for q given by nodal_source profiles.  With h = b - a, a term
     p(t) e^(mu t) x profile contributes
-    e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(-(lam + mu) h) x profile."""
+    e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(-(lam + mu) h) x profile;
+    everything before the profile is taken on the distinct rates and
+    gathered with rates.index."""
     h = b - a
-    out = np.zeros(lam.shape, dtype=complex)
+    out = np.zeros(rates.index.shape, dtype=complex)
     for tm, profile in profiles:
         derivs = poly_derivatives(tm.time_poly, a)
-        phis = phi_functions(-(lam + tm.time_exp) * h, len(derivs))
+        phis = phi_functions(-(rates.distinct + tm.time_exp) * h, len(derivs))
         acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
-        out += math.exp(tm.time_exp * b) * acc * profile
+        out += (math.exp(tm.time_exp * b) * acc)[rates.index] * profile
     return out
 
 
-def uncollided_values(values: np.ndarray, lam: np.ndarray, a: float, b: float,
+def uncollided_values(values: np.ndarray, rates: UncollidedRates, a: float, b: float,
                       profiles) -> np.ndarray:
     """Nodal values advanced from a to b along each (mode, direction)
-    characteristic of d_t v = -lambda v + q: the decay exp(-lam (b - a))
-    plus source_response.  lam and profiles are uncollided_rates and
+    characteristic of d_t v = -lambda v + q: the decay exp(-lam (b - a)),
+    taken once per distinct rate and gathered with rates.index, plus
+    source_response.  rates and profiles are uncollided_rates and
     nodal_source of the values' grid and quadrature."""
-    out = values * np.exp(-lam * (b - a))
+    out = values * np.exp(-rates.distinct * (b - a))[rates.index]
     if profiles:
-        out = out + source_response(lam, a, b, profiles)
+        out = out + source_response(rates, a, b, profiles)
     return out
 
 
@@ -628,21 +670,17 @@ def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
     """Exact evolution of d_t v = -lambda v + q along each (mode, direction)
     characteristic: the homogeneous part is a closed-form exponential and
     the source integral is closed-form in phi-functions (uncollided_values).
+    uncollided_rates checks eps, sigma and sigma_a.
     """
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if b < a:
         raise ValueError(f"interval end {b} precedes start {a}")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    lam = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
+    rates = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
     profiles = nodal_source(state.grid, state.quad, q_terms)
     return gr.NodalField(state.grid, state.quad,
-                         uncollided_values(state.values, lam, a, b, profiles))
+                         uncollided_values(state.values, rates, a, b, profiles))
 
 
 def characteristics_solution(spec: ProblemSpec, quad: sh.SphereQuadrature,
@@ -664,6 +702,8 @@ def solve_diffusion(spec: ProblemSpec, t: float, grid=None) -> np.ndarray:
         raise ValueError("diffusion limit requires sigma_t > 0")
     if spec.q:
         raise ValueError("diffusion-limit solution is defined for q = 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if grid is None:
         grid = default_grid(spec)
     L = gr.angular_band(spec.g)

@@ -70,11 +70,11 @@ def test_small_solves_run_on_one_thread(pools_found, expm_counts):
     assert _counts() == _DEFAULT
 
 
-def test_degree_12_solve_keeps_the_default_count(pools_found, expm_counts):
-    assert sh.n_moments(12) > tr.SERIAL_BLAS_MAX_MOMENTS
+def test_degree_21_solve_keeps_the_default_count(pools_found, expm_counts):
+    assert sh.n_moments(20) <= tr.SERIAL_BLAS_MAX_MOMENTS < sh.n_moments(21)
     g = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5})]
     spec = tr.problem("wide", eps=1.0, sigma_t=1.0, g=g, T="0.25")
-    tr.solve_pn(spec, 12, grid=gr.SpatialGrid(1, 3))
+    tr.solve_pn(spec, 21, grid=gr.SpatialGrid(1, 3))
     assert expm_counts and all(c == _DEFAULT for c in expm_counts)
 
 

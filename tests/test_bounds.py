@@ -174,9 +174,9 @@ def test_pn_error_bound_terms_frozen():
 
 def test_pn_error_bound_requires_norms():
     bi = _inputs_s1()
-    del bi.g_norms[(2, 0)]
+    g = {key: value for key, value in bi.g_norms.items() if key != (2, 0)}
     with pytest.raises(ValueError, match=r"H\^\(2,0\)"):
-        bd.pn_error_bound(bi)
+        bd.pn_error_bound(replace(bi, g_norms=g))
 
 
 def test_pn_error_bound_validates_orders():
@@ -224,17 +224,36 @@ def test_bound_inputs_reject_bad_values(field, value):
         bd.BoundInputs(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["g_norms", "q_sup_norms"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_bound_inputs_reject_bad_norms(name, value):
+    # A norm of -1 once made hybrid_error_bound return -0.001953125.
+    kwargs = dict(s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
+                  g_norms={(3, 0): 1.0}, q_sup_norms={(3, 0): 0.0})
+    kwargs[name] = {(3, 0): value}
+    with pytest.raises(ValueError,
+                       match=rf"^{name}\[\(3, 0\)\] must be finite and nonnegative"):
+        bd.BoundInputs(**kwargs)
+
+
 def test_bound_inputs_are_frozen():
     # Assigning dt = -0.25 to a valid record once made this bound
-    # -0.005859375; every check now holds for the record's lifetime.
+    # -0.005859375, and assigning a nan norm made it nan; every check now
+    # holds for the record's lifetime.
+    g = {(3, 0): 1.0}
     bi = bd.BoundInputs(
         s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
-        g_norms={(3, 0): 1.0}, q_sup_norms={(3, 0): 2.0},
+        g_norms=g, q_sup_norms={(3, 0): 2.0},
     )
     with pytest.raises(FrozenInstanceError):
         bi.dt = -0.25
     with pytest.raises(ValueError, match="^dt must be finite and positive"):
         replace(bi, dt=-0.25)
+    for norms in (bi.g_norms, bi.q_sup_norms):
+        with pytest.raises(TypeError):
+            norms[(3, 0)] = math.nan
+    g[(3, 0)] = -1.0  # the record holds its own copy
+    assert bi.g_norms == {(3, 0): 1.0}
     assert bd.hybrid_error_bound(bi).total > 0.0
 
 

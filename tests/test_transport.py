@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
+from pnhybrid import harness as hs
 from pnhybrid import transport as tr
 
 
@@ -154,13 +155,43 @@ def test_absorption_wrap_identity_when_pure():
     assert scale(17.0) == 1.0
 
 
+def _full_rates(grid, quad, eps, sigma, sigma_a):
+    """lambda[k, node] = sigma/eps^2 + sigma_a + i k.Omega/eps as one full
+    array, the way uncollided_rates built it before it kept each distinct
+    rate once."""
+    k1, k2, k3 = grid.k_grids()
+    om = quad.nodes
+    kdot = (
+        k1[..., None] * om[:, 0]
+        + k2[..., None] * om[:, 1]
+        + k3[..., None] * om[:, 2]
+    )
+    return (sigma / eps**2 + sigma_a) + 1j * kdot / eps
+
+
+def _full_uncollided_values(values, lam, a, b, profiles):
+    """uncollided_values with every exponential and phi-function taken per
+    (mode, node) on the full rate array lam."""
+    out = values * np.exp(-lam * (b - a))
+    if profiles:
+        h = b - a
+        resp = np.zeros(lam.shape, dtype=complex)
+        for tm, profile in profiles:
+            derivs = tr.poly_derivatives(tm.time_poly, a)
+            phis = tr.phi_functions(-(lam + tm.time_exp) * h, len(derivs))
+            acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
+            resp += math.exp(tm.time_exp * b) * acc * profile
+        out = out + resp
+    return out
+
+
 def test_uncollided_decay_against_rates():
     spec = tr.problem("s", eps=0.5, sigma_t=0.8, g=[_iso_cosine()], T=1)
     grid = tr.default_grid(spec)
     quad = sh.build_sphere_quadrature(6)
     state = gr.nodal_field(grid, quad, spec.g)
     out = tr.solve_uncollided(state, 0.2, 0.9, spec.eps, spec.sigma_t, 0.1)
-    lam = tr.uncollided_rates(grid, quad, spec.eps, spec.sigma_t, 0.1)
+    lam = _full_rates(grid, quad, spec.eps, spec.sigma_t, 0.1)
     want = state.values * np.exp(-lam * 0.7)
     assert np.max(np.abs(out.values - want)) < 1e-15
 
@@ -543,7 +574,7 @@ def test_phi_functions_match_long_series_around_switch():
 def _uncollided_loop_oracle(state, a, b, eps, sigma, sigma_a, q_terms, refine):
     """The Gauss-Legendre substep loop solve_uncollided ran before its source
     integral had a closed form, with `refine` times its substeps."""
-    lam = tr.uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
+    lam = _full_rates(state.grid, state.quad, eps, sigma, sigma_a)
     span = b - a
     vals = state.values * np.exp(-lam * span)
     rho = float(np.max(np.abs(lam))) + max(abs(tm.time_exp) for tm in q_terms)
@@ -574,7 +605,7 @@ def test_uncollided_source_matches_loop_oracle(eps, sigma, sigma_a, mu, branches
     quad = sh.build_sphere_quadrature(6)
     state = gr.nodal_field(grid, quad, g)
     a, b = 0.3, 2.3
-    lam = tr.uncollided_rates(grid, quad, eps, sigma, sigma_a)
+    lam = _full_rates(grid, quad, eps, sigma, sigma_a)
     z = np.abs((lam + mu) * (b - a))
     series = z < tr.PHI_SERIES_BELOW
     assert {"both": series.any() and not series.all(),
@@ -602,3 +633,79 @@ def test_uncollided_rejects_bad_input(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{field} must"):
         tr.solve_uncollided(state, **kwargs)
+    if field not in ("a", "b"):
+        # The rate builder is where these are checked: with eps = nan it
+        # once returned nan rates with only a RuntimeWarning.
+        del kwargs["a"], kwargs["b"]
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            tr.uncollided_rates(state.grid, state.quad, **kwargs)
+
+
+# The distinct-rate evaluation against the full-array formula, byte for
+# byte (np.array_equal would let +0 and -0 pass as equal).  Each grid's
+# source has mu = -(sigma/eps^2 + sigma_a), so z = -(lambda + mu) h is
+# -i k.Omega h/eps: exactly 0 on k = 0 (series branch) and large on the
+# streaming modes (recurrence branch).
+_BYTES_CASES = {
+    "1d": ({(1, 0, 0): 0.5 - 0.25j, (-1, 0, 0): 0.5 + 0.25j}, 0.5, 1.0, 0.25),
+    "2d": ({(1, 2, 0): 0.3j, (-1, -2, 0): -0.3j, (0, 1, 0): 0.4}, 0.8, 2.0, 0.0),
+    "3d": ({(1, -1, 1): 0.5, (-1, 1, -1): 0.5, (0, 0, 1): 0.2 + 0.1j}, 0.7, 1.2, 0.3),
+    "sigma0": ({(1, 0, 0): 0.5, (-1, 0, 1): 0.25j}, 1.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BYTES_CASES))
+def test_uncollided_values_match_full_array_formula_bytes(case):
+    amps, eps, sigma, sigma_a = _BYTES_CASES[case]
+    mu = -(sigma / eps**2 + sigma_a)
+    g = [gr.term({(0, 0, 0): 1.0, **amps}, (1.0, 0.2, -0.3, 0.1))]
+    q = [gr.term({(0, 0, 0): 0.7, **amps}, (1.0, 0.0, 0.6, 0.2),
+                 time_poly=(0.3, -1.0, 0.5), time_exp=mu),
+         gr.isotropic_term({(0, 0, 0): 0.2, **amps}, time_exp=-0.4)]
+    grid = gr.grid_for(g, q)
+    quad = sh.build_sphere_quadrature(7)
+    a, b = 0.3, 2.3
+    lam = _full_rates(grid, quad, eps, sigma, sigma_a)
+    rates = tr.uncollided_rates(grid, quad, eps, sigma, sigma_a)
+    assert rates.index.shape == lam.shape and rates.index.dtype == np.intp
+    assert rates.distinct[rates.index].tobytes() == lam.tobytes()
+    assert rates.distinct.size < lam.size
+    with pytest.raises(ValueError):
+        rates.distinct[0] = 0.0
+    with pytest.raises(ValueError):
+        rates.index[(0,) * rates.index.ndim] = 0
+    z = np.abs((lam + mu) * (b - a))
+    assert np.any(z == 0.0) and np.any(z >= tr.PHI_SERIES_BELOW)
+    if sigma == 0.0:
+        assert np.any(lam == 0.0)
+
+    profiles = tr.nodal_source(grid, quad, q)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
+    for prof in (profiles, []):
+        got = tr.uncollided_values(values, rates, a, b, prof)
+        assert got.tobytes() == _full_uncollided_values(values, lam, a, b, prof).tobytes()
+    state = gr.nodal_field(grid, quad, g)
+    for q_terms, prof in ((q, profiles), ((), [])):
+        got = tr.solve_uncollided(state, a, b, eps, sigma, sigma_a, q_terms).values
+        want = _full_uncollided_values(state.values, lam, a, b, prof)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_diffusive_hybrid_sweep_takes_each_distinct_rate_once():
+    # The hybrid-dt-diffusive config: iso-smooth, N = 3, eps = 0.05,
+    # sigma_t = 1, measured on the quadrature of its degree-12 reference.
+    mf = hs.manufactured("iso-smooth", eps=0.05, sigma_t=1.0)
+    grid = tr.default_grid(mf.spec)
+    quad = hs.measurement_quadrature(mf, hs.reference_degree(3), 1.0)
+    rates = tr.uncollided_rates(grid, quad, 0.05, 1.0)
+    assert rates.index.shape == (3, 1, 1, 968)
+    assert rates.distinct.size == 755
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_solve_diffusion_rejects_bad_time(t):
+    # t = nan once returned nan, and t = -1 values growing in time.
+    spec = tr.problem("d", eps=0.25, sigma_t=1.0, g=[_iso_cosine()], T=1)
+    with pytest.raises(ValueError, match="^t must be finite and nonnegative"):
+        tr.solve_diffusion(spec, t)
