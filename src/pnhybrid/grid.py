@@ -11,6 +11,7 @@ Inactive axes carry a single k = 0 plane.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ class SpatialGrid:
         if self.modes < 1 or self.modes % 2 == 0:
             raise ValueError(f"modes must be odd and positive, got {self.modes}")
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, int, int]:
         return tuple(self.modes if ax < self.dim else 1 for ax in range(3))
 

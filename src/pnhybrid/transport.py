@@ -26,6 +26,15 @@ order and move last bits).  assemble_mode_operator is the one builder of a
 dense generator: an orbit representative's, a sourced mode's (inside its
 augmented generator), and the tests' dense oracle.
 
+Up to a permutation a generator is block-diagonal (four blocks for k on
+the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
+generic k, a diagonal at k = 0), and so is its exponential.  A wide operator, one whose moment space is wider
+than SERIAL_BLAS_MAX_MOMENTS, finds each representative's blocks once
+(connected_blocks) and takes one stacked expm per block width: at N = 28
+and k = (1,0,0) the four blocks are at most 225 wide, where the dense
+generator is 841.  A narrow operator takes one dense expm, since there the
+split saves little and moves last bits of the propagators.
+
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
 block of one exponential of the mode generator augmented with the source's
@@ -44,12 +53,15 @@ give on them, so solve_pn (and hybrid.run_hybrid) run with every OpenBLAS
 pool at one thread when the moment space is at most SERIAL_BLAS_MAX_MOMENTS
 wide (N <= 20), restoring the pools' counts when the solve returns or
 raises (blas.single_thread).  Wider solves, such as the high-degree
-references, keep the user's thread count.  Other BLAS builds are untouched.
+references, keep the user's thread count: after the block split their
+largest blocks (225 wide at N = 28) still run faster on two threads than on
+one.  Other BLAS builds are untouched.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -245,13 +257,47 @@ def assemble_mode_operator(
     return L
 
 
+def is_narrow(N: int) -> bool:
+    """Whether the degree-N moment space is at most SERIAL_BLAS_MAX_MOMENTS
+    wide: the width below which a solve runs on one BLAS thread and takes
+    each representative's exponential as one dense expm."""
+    return sh.n_moments(N) <= SERIAL_BLAS_MAX_MOMENTS
+
+
 def blas_scope(N: int):
     """The BLAS thread scope of a degree-N solve: every OpenBLAS pool at one
-    thread when the moment space is at most SERIAL_BLAS_MAX_MOMENTS wide,
-    the user's thread count otherwise."""
-    if sh.n_moments(N) <= SERIAL_BLAS_MAX_MOMENTS:
+    thread when the moment space is narrow (is_narrow), the user's thread
+    count otherwise."""
+    if is_narrow(N):
         return blas.single_thread()
     return nullcontext()
+
+
+def connected_blocks(L: np.ndarray) -> list:
+    """The connected components of the nonzero pattern of the square matrix
+    L, symmetrised: one (blocks, w) index array per block width w, in
+    ascending w, each block's indices ascending.  L is block-diagonal under
+    the permutation that lists the blocks in turn, and so is every function
+    of it, expm(h L) included.  Labels are propagated along the nonzeros
+    (each index takes the least label of its neighbours, then its label's
+    label) until they settle on each component's least index."""
+    n = L.shape[0]
+    rows, cols = np.nonzero(L)
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # A stable sort keeps each component's indices ascending.
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    widths = np.diff(np.append(starts, n))
+    return [np.stack([order[s:s + w] for s in starts[widths == w]])
+            for w in np.unique(widths)]
 
 
 def _step_length(h) -> float:
@@ -326,11 +372,17 @@ class PnOperator:
     grows with orbits and step lengths, not with modes, and repeated
     equal-length steps cost no further expm.  A generator is assembled for
     each batch of expm calls on its orbit (one step length, or one Duhamel
-    substep's propagators) and dropped after it.  step advances each orbit's
-    modes together, as one stacked gemv per propagator in the
-    representative's frame (_OrbitStack), bit-identical to a loop over modes."""
+    substep's propagators) and dropped after it.  Every such exponential is
+    taken by _exp: one dense expm on a narrow operator (is_narrow), and on a
+    wide one one stacked expm per block width of the generator's connected
+    blocks, found once per representative, scattered into the dense
+    propagator.  step advances each orbit's modes together, as one stacked
+    gemv per propagator in the representative's frame (_OrbitStack),
+    bit-identical to a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
+        if not isinstance(N, numbers.Integral) or isinstance(N, bool):
+            raise ValueError(f"N must be an integer, got {N!r}")
         if N < 0:
             raise ValueError(f"N must be nonnegative, got {N}")
         if not (math.isfinite(eps) and eps > 0.0):
@@ -357,6 +409,8 @@ class PnOperator:
             sigma / eps**2 + sigma_a + math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) / eps
             for _, k in self._modes
         )
+        self._split = not is_narrow(self.N)
+        self._blocks: dict = {}  # c -> connected_blocks(L_c), wide operators only
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
         self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c), (nodes, 1, nm, nm)
 
@@ -365,13 +419,33 @@ class PnOperator:
         return self._modes
 
     def _generator(self, c) -> np.ndarray:
-        return assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
-                                      self.sigma_a)
+        """L_c; on a wide operator its connected blocks are found, and
+        kept, the first time."""
+        L = assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
+                                   self.sigma_a)
+        if self._split and c not in self._blocks:
+            self._blocks[c] = connected_blocks(L)
+        return L
+
+    def _exp(self, c, A: np.ndarray) -> np.ndarray:
+        """expm(A) for A = h L_c, a multiple of representative c's generator:
+        the one place a representative's exponential is taken.  A narrow
+        operator takes one dense expm.  A wide one takes one stacked expm
+        per block width of L_c's connected blocks, shaped (blocks, w, w),
+        and scatters the blocks into the dense propagator, whose other
+        entries are exactly zero."""
+        if not self._split:
+            return expm(A)
+        P = np.zeros_like(A)
+        for idx in self._blocks[c]:
+            square = (idx[:, :, None], idx[:, None, :])
+            P[square] = expm(A[square])
+        return P
 
     def _rep(self, c, h: float) -> np.ndarray:
         P = self._reps.get((c, h))
         if P is None:
-            P = self._reps[(c, h)] = expm(h * self._generator(c))
+            P = self._reps[(c, h)] = self._exp(c, h * self._generator(c))
         return P
 
     def _substep(self, c, hs: float, taus) -> tuple:
@@ -382,7 +456,7 @@ class PnOperator:
             L = self._generator(c)
             nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
             for m, tau in enumerate(taus):
-                nodes[m, 0] = expm(float(hs - tau) * L)
+                nodes[m, 0] = self._exp(c, float(hs - tau) * L)
             self._nodes[(c, hs)] = nodes
         return P, nodes
 

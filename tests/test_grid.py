@@ -11,6 +11,7 @@ from pnhybrid import harmonics as sh
 def test_grid_shape_and_wavenumbers():
     g = gr.SpatialGrid(dim=2, modes=5)
     assert g.shape == (5, 5, 1)
+    assert g.shape is g.shape  # computed once, not rebuilt per read
     assert g.kmax == 2
     assert list(g.wavenumbers(0)) == [-2, -1, 0, 1, 2]
     assert list(g.wavenumbers(2)) == [0]

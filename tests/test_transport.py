@@ -462,13 +462,143 @@ def test_step_matches_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
     ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -0.5),
     ("sigma", math.nan), ("sigma", math.inf), ("sigma", -0.5),
     ("sigma_a", math.nan), ("sigma_a", -0.1), ("sigma_a", 1.5),
-    ("N", -1),
+    ("N", -1), ("N", 2.5), ("N", True), ("N", "3"),
 ])
 def test_operator_rejects_bad_input(field, value):
     kwargs = dict(N=3, eps=1.0, sigma=1.0, sigma_a=0.0)
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{field} must"):
         tr.PnOperator(gr.SpatialGrid(1, 3), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Wide operators (more than SERIAL_BLAS_MAX_MOMENTS moments) take each
+# representative's exponential block by block, over the connected blocks of
+# its generator; narrow ones take one dense expm.
+
+# Axis, coordinate-plane, diagonal, generic and zero wavevectors.
+_BLOCK_KS = [(1, 0, 0), (0, 2, 0), (0, 0, 1), (0, 0, -3), (1, 1, 0), (1, 2, 0),
+             (0, 1, 2), (-2, 0, 1), (1, 1, 1), (2, -2, 2), (1, 2, 3), (-3, 1, 2),
+             (0, 0, 0)]
+
+
+def _wide_operator(N, eps, sigma, sigma_a):
+    """A PnOperator that splits its exponentials, whatever N is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "SERIAL_BLAS_MAX_MOMENTS", 0)
+        return tr.PnOperator(gr.SpatialGrid(1, 3), N, eps, sigma, sigma_a)
+
+
+@given(
+    k=st.one_of(st.sampled_from(_BLOCK_KS), st.tuples(*[st.integers(-3, 3)] * 3)),
+    N=st.integers(1, 12),
+    eps=st.floats(0.1, 2.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    absorb=st.floats(0.0, 1.0),
+    h=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=40)
+def test_block_split_exponential_matches_dense_oracle(k, N, eps, sigma, absorb, h):
+    sigma_a = absorb * sigma
+    op = _wide_operator(N, eps, sigma, sigma_a)
+    P = op._exp(k, h * op._generator(k))
+    Q = _dense_oracle(k, N, eps, sigma, sigma_a, h)
+    assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
+    if k == (0, 0, 0):
+        # A diagonal generator: 1-wide blocks take np.exp, as scipy's dense
+        # diagonal path does.
+        assert P.tobytes() == Q.tobytes()
+
+
+def _block_stacks(k, N):
+    L = tr.assemble_mode_operator(k, N, 0.5, 1.0, sh.assemble_coupling(N), 0.25)
+    return tr.connected_blocks(L)
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_connected_blocks_follow_the_lattice_symmetries(N):
+    nm = sh.n_moments(N)
+    counts = {(1, 0, 0): 4, (1, 1, 0): 2, (1, 2, 0): 2, (0, 0, 1): 2 * N + 1,
+              (1, 1, 1): 1, (1, 2, 3): 1, (0, 0, 0): nm}
+    for k, count in counts.items():
+        stacks = _block_stacks(k, N)
+        assert all(np.all(np.diff(idx, axis=1) > 0) for idx in stacks)
+        blocks = [frozenset(b) for idx in stacks for b in idx.tolist()]
+        assert len(blocks) == count, k
+        assert sorted(i for b in blocks for i in b) == list(range(nm))
+        classes = {}
+        for flips, swap, g in _group():
+            if not np.array_equal(g @ k, k):
+                continue
+            perm, sign = sh.lattice_symmetry(N, flips, swap)
+            # A symmetry fixing k commutes with L_k, so it permutes the
+            # blocks; on the z axis and at k = 0 the swap exchanges the
+            # cos(m phi) and sin(m phi) blocks of odd m.
+            assert {frozenset(perm[list(b)].tolist()) for b in blocks} == set(blocks)
+            if not swap:
+                # A reflection has one sign on each block.
+                assert all(len({sign[i] for i in b}) == 1 for b in blocks), (k, flips)
+                for i in range(nm):
+                    classes.setdefault(i, []).append(sign[i])
+        if k not in ((0, 0, 1), (0, 0, 0)):
+            # Off the z axis the blocks are exactly the reflections' joint
+            # sign classes; on it, rotations about z split them further.
+            joint = {}
+            for i, signs in classes.items():
+                joint.setdefault(tuple(signs), set()).add(i)
+            assert set(blocks) == {frozenset(c) for c in joint.values()}, k
+
+
+def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
+    calls = []
+    real = tr.expm
+
+    def counting(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(tr, "expm", counting)
+    h = 0.375
+    # At N = 20 (441 moments, narrow) one dense expm per orbit, byte for byte.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 20, 0.5, 1.0, 0.25)
+    for c in ((1, 0, 0), (0, 0, 0)):
+        calls.clear()
+        P = op._rep(c, h)
+        assert calls == [(op.nm, op.nm)]
+        assert P.tobytes() == real(h * op._generator(c)).tobytes()
+    # At N = 21 (484 moments, wide) one stacked expm per block width.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 21, 0.5, 1.0, 0.25)
+    assert not tr.is_narrow(21) and tr.is_narrow(20)
+    calls.clear()
+    P = op._rep((1, 0, 0), h)
+    widths = [idx.shape[1] for idx in _block_stacks((1, 0, 0), 21)]
+    assert [s[1] for s in calls] == widths and all(s[1] == s[2] for s in calls)
+    assert sum(s[0] for s in calls) == 4
+    Q = real(h * op._generator((1, 0, 0)))
+    assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
+    op._rep((1, 0, 0), h)
+    assert len(calls) == len(widths)
+    # k = 0 is diagonal: one stack of 1-wide blocks, also for each Duhamel
+    # node of a substep.
+    calls.clear()
+    taus = np.array([0.0, 0.125, 0.25])
+    op._substep((0, 0, 0), h, taus)
+    assert calls == [(op.nm, 1, 1)] * (1 + len(taus))
+
+
+def test_wide_solve_matches_dense_expm_loop():
+    N, grid = 21, gr.SpatialGrid(1, 3)
+    spec = tr.problem("cos", 0.5, 1.0, [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5})],
+                      sigma_a=0.25, T="0.5")
+    assert not tr.is_narrow(N)
+    got = tr.solve_pn(spec, N, grid=grid).final.coeffs
+    want = tr.initial_field(spec, grid, N).coeffs.copy()
+    coupling = sh.assemble_coupling(N)
+    for idx, k in tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a).modes():
+        L = tr.assemble_mode_operator(k, N, spec.eps, spec.sigma_t, coupling, spec.sigma_a)
+        want[idx] = expm(spec.t_final * L) @ want[idx]
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.25])
