@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> hn.RunSpec:
     try:
         rs = hn.parse_config(args.config)
-    except FileNotFoundError:
-        print(f"config not found: {args.config}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
+        print(f"cannot read config {args.config}: {why}", file=sys.stderr)
         raise SystemExit(1)
     except hn.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -120,18 +121,27 @@ def _read_csv(path: str) -> list:
         raise SystemExit(1)
 
 
-def _cmd_sweep(args) -> int:
-    rs = _load(args)
+def _run_sweep(rs: hn.RunSpec, out_dir: str) -> list:
+    """Run the sweep and write its CSV into out_dir, made first."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(1)
     try:
         rows = hn.run_sweep(rs)
     except hn.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    os.makedirs(args.out, exist_ok=True)
-    path = _csv_path(rs, args.out)
+        raise SystemExit(1)
+    path = _csv_path(rs, out_dir)
     hn.write_csv(rows, path)
-    flagged = [i for i, r in enumerate(rows) if r.flagged]
     print(f"wrote {len(rows)} rows to {path}")
+    return rows
+
+
+def _cmd_sweep(args) -> int:
+    rows = _run_sweep(_load(args), args.out)
+    flagged = [i for i, r in enumerate(rows) if r.flagged]
     if flagged:
         print(f"WARNING: {len(flagged)} rows have oracle uncertainty above 10% "
               f"of the measured error: rows {flagged}")
@@ -145,14 +155,7 @@ def _cmd_verify_bounds(args) -> int:
         rows = _read_csv(path)
         print(f"reusing {len(rows)} rows from {path}")
     else:
-        try:
-            rows = hn.run_sweep(rs)
-        except hn.ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        os.makedirs(args.out, exist_ok=True)
-        hn.write_csv(rows, path)
-        print(f"wrote {len(rows)} rows to {path}")
+        rows = _run_sweep(rs, args.out)
     try:
         report = hn.fit_and_check(rows)
     except ValueError as exc:

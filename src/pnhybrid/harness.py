@@ -173,7 +173,13 @@ def _convert(kind, text: str, line_no: int, key: str):
                 f"line {line_no}: value for '{key}' must be an integer, got {text!r}"
             )
     _check_number(text, line_no, key)
-    return float(text) if kind is float else text
+    value = float(text)
+    # A numeral past the float range would read as inf, or as 0 although
+    # its exact value, which schedules use for times, is not.
+    if math.isinf(value) or (value == 0.0 and Fraction(text) != 0):
+        raise ConfigError(f"{key} must be within the float range (0, or "
+                          f"magnitude 5e-324 to 1.8e308), got {text}")
+    return value if kind is float else text
 
 
 def parse_config_text(lines) -> RunSpec:

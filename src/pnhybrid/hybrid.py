@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import blas
 from . import grid as gr
 from . import harmonics as sh
 from . import transport as tr
@@ -125,10 +126,10 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
     t -> MomentField evaluated at the interval ends to fill the error
     column of the records.  The returned total is the left limit at T: the
     pair just before the final remap, evaluated at the quadrature
-    directions, which is the carrier that remap returns.  BLAS threads
-    follow transport.blas_scope(N), reference included.
+    directions, which is the carrier that remap returns.  Every OpenBLAS
+    pool runs at one thread (blas.single_thread), reference included.
     """
-    with tr.blas_scope(N):
+    with blas.single_thread():
         if grid is None:
             grid = tr.default_grid(spec)
         if quad is None:

@@ -28,12 +28,13 @@ augmented generator), and the tests' dense oracle.
 
 Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
-generic k, a diagonal at k = 0), and so is its exponential.  A wide operator, one whose moment space is wider
-than SERIAL_BLAS_MAX_MOMENTS, finds each representative's blocks once
-(connected_blocks) and takes one stacked expm per block width: at N = 28
-and k = (1,0,0) the four blocks are at most 225 wide, where the dense
-generator is 841.  A narrow operator takes one dense expm, since there the
-split saves little and moves last bits of the propagators.
+generic k, a diagonal at k = 0), and so is its exponential.  A wide
+operator, one whose moment space is wider than DENSE_EXPM_MAX_MOMENTS,
+finds each representative's blocks once (connected_blocks) and takes one
+stacked expm per block width: at N = 28 and k = (1,0,0) the four blocks
+are at most 225 wide, where the dense generator is 841.  A narrow
+operator takes one dense expm, since there the split saves little and
+moves last bits of the propagators.
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -49,20 +50,19 @@ uncollided_values takes its exponentials and phi-functions on those alone
 and gathers them per (mode, node), bit for bit the full-array evaluation.
 
 Each mode's matrices are small, and OpenBLAS threads cost more than they
-give on them, so solve_pn (and hybrid.run_hybrid) run with every OpenBLAS
-pool at one thread when the moment space is at most SERIAL_BLAS_MAX_MOMENTS
-wide (N <= 20), restoring the pools' counts when the solve returns or
-raises (blas.single_thread).  Wider solves, such as the high-degree
-references, keep the user's thread count: after the block split their
-largest blocks (225 wide at N = 28) still run faster on two threads than on
-one.  Other BLAS builds are untouched.
+give on them: on a 2-core machine with 2-thread pools a 36-wide expm took
+8.0 ms threaded and 0.24 ms serial, and a perfbench verify-pn pass, whose
+degree-24 and 28 references take the block-split exponentials, 0.60 s
+threaded and 0.51 s serial (medians, serial faster in 10 of 10 pairs).  So
+solve_pn (and hybrid.run_hybrid) run with every OpenBLAS pool at one
+thread, restoring the pools' counts when the solve returns or raises
+(blas.single_thread).  Other BLAS builds are untouched.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -89,18 +89,16 @@ _SUBSTEP_BUDGET = 3.0
 PHI_SERIES_BELOW = 1.0
 _PHI_SERIES_TERMS = 20
 
-# Widest moment space, n_moments(N) = (N+1)^2, whose solves run on one BLAS
-# thread (N <= 20).  expm is scaling and squaring, a handful of nm x nm
-# products, too small at these widths for threads to pay: on a 2-core
-# machine with 2-thread OpenBLAS pools a 36-wide expm took 8.0 ms threaded
-# and 0.24 ms serial, a 64-wide one 88 ms and 0.77 ms, and a 1D diffusive
-# solve_pn (eps = 0.05) took 0.037 s threaded and 0.016 s serial at N = 12,
-# 0.145 and 0.086 s at N = 16, 0.26 and 0.24 s at N = 20, while at N = 24
-# (625 wide) threads won, 0.51 against 0.66 s.  There, the perfbench records
-# of the P_N, ladder and sourced workloads were bit-identical on one thread;
-# in the hybrid dt sweeps only one reference's oracle uncertainty moved,
-# 1.37e-13 by 2e-14 relative.
-SERIAL_BLAS_MAX_MOMENTS = 441
+# Widest moment space, n_moments(N) = (N+1)^2, whose representatives take
+# one dense expm (N <= 20); wider ones split it over the generator's
+# connected blocks.  At 16 wide the split cost twice the dense expm (0.16
+# against 0.08 ms, plus 0.16 ms to find the blocks), and splitting the 169-
+# and 289-wide references of the hybrid dt sweeps moved last bits of the
+# plotted errors (2.1485115505547617e-06 -> 2.148511550556308e-06), which
+# the perfbench goldens compare as text.  On one thread the split expm of
+# k = (1,0,0) took 37 ms against 298 ms dense at N = 24, 77 against 683 ms
+# at N = 28.
+DENSE_EXPM_MAX_MOMENTS = 441
 
 
 def _as_fraction(x, name="time") -> Fraction:
@@ -258,19 +256,9 @@ def assemble_mode_operator(
 
 
 def is_narrow(N: int) -> bool:
-    """Whether the degree-N moment space is at most SERIAL_BLAS_MAX_MOMENTS
-    wide: the width below which a solve runs on one BLAS thread and takes
-    each representative's exponential as one dense expm."""
-    return sh.n_moments(N) <= SERIAL_BLAS_MAX_MOMENTS
-
-
-def blas_scope(N: int):
-    """The BLAS thread scope of a degree-N solve: every OpenBLAS pool at one
-    thread when the moment space is narrow (is_narrow), the user's thread
-    count otherwise."""
-    if is_narrow(N):
-        return blas.single_thread()
-    return nullcontext()
+    """Whether the degree-N moment space is at most DENSE_EXPM_MAX_MOMENTS
+    wide, so that each representative's exponential is one dense expm."""
+    return sh.n_moments(N) <= DENSE_EXPM_MAX_MOMENTS
 
 
 def connected_blocks(L: np.ndarray) -> list:
@@ -592,10 +580,10 @@ def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResu
 
     Absorption, when present, acts directly through the generator; see
     absorption_wrap for the equivalent change-of-variables route.  The
-    source is integrated exactly in time (SourcedModes).  BLAS threads
-    follow blas_scope(N).
+    source is integrated exactly in time (SourcedModes).  Every OpenBLAS
+    pool runs at one thread (blas.single_thread).
     """
-    with blas_scope(N):
+    with blas.single_thread():
         if grid is None:
             grid = default_grid(spec)
         t_end = spec.t_final

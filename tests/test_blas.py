@@ -1,7 +1,7 @@
-"""The BLAS thread policy: solves with at most SERIAL_BLAS_MAX_MOMENTS
-moments run every OpenBLAS pool at one thread, wider ones keep the user's
-count, and the counts are restored however a solve ends."""
+"""The BLAS thread policy: every solve runs every OpenBLAS pool at one
+thread, and the counts are restored however a solve ends."""
 
+import contextlib
 import sys
 import threading
 
@@ -10,7 +10,7 @@ import pytest
 
 from pnhybrid import blas
 from pnhybrid import grid as gr
-from pnhybrid import harmonics as sh
+from pnhybrid import harness as hn
 from pnhybrid import hybrid as hy
 from pnhybrid import transport as tr
 
@@ -70,12 +70,31 @@ def test_small_solves_run_on_one_thread(pools_found, expm_counts):
     assert _counts() == _DEFAULT
 
 
-def test_degree_21_solve_keeps_the_default_count(pools_found, expm_counts):
-    assert sh.n_moments(20) <= tr.SERIAL_BLAS_MAX_MOMENTS < sh.n_moments(21)
+def test_degree_21_solve_runs_on_one_thread(pools_found, expm_counts):
+    assert not tr.is_narrow(21)
     g = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5})]
     spec = tr.problem("wide", eps=1.0, sigma_t=1.0, g=g, T="0.25")
     tr.solve_pn(spec, 21, grid=gr.SpatialGrid(1, 3))
-    assert expm_counts and all(c == _DEFAULT for c in expm_counts)
+    assert expm_counts and all(c == [1] * len(_DEFAULT) for c in expm_counts)
+    assert _counts() == _DEFAULT
+
+
+def test_sweep_with_wide_reference_runs_on_one_thread(pools_found, expm_counts,
+                                                      monkeypatch):
+    degrees = []
+    solve_pn = tr.solve_pn
+
+    def recording(spec, N, **kwargs):
+        degrees.append(N)
+        return solve_pn(spec, N, **kwargs)
+
+    monkeypatch.setattr(tr, "solve_pn", recording)
+    rs = hn.parse_config_text(["[run]", "problem = iso-smooth", "n_ref = 21",
+                               "[sweep]", "N = 1, 2"])
+    assert len(hn.run_sweep(rs)) == 2
+    assert degrees == [1, 21, 25, 2] and not tr.is_narrow(21)
+    assert expm_counts and all(c == [1] * len(_DEFAULT) for c in expm_counts)
+    assert _counts() == _DEFAULT
 
 
 def test_counts_restored_after_solve_and_after_raise(pools_found, monkeypatch):
@@ -149,23 +168,29 @@ def test_policy_is_a_no_op_without_pools(pools_found, monkeypatch):
     assert seen and all(c == _DEFAULT for c in seen)
 
 
-def _pn_final(q):
-    return tr.solve_pn(_small_spec(q), 7, grid=_GRID3).final.coeffs
+def _pn_final(q, N=7):
+    return tr.solve_pn(_small_spec(q), N, grid=_GRID3).final.coeffs
+
+
+def _wide_pn_final(q):
+    return _pn_final(q, 21)
 
 
 def _hybrid_total(q):
     return hy.run_hybrid(_small_spec(q), 3, grid=_GRID3).total.values
 
 
-@pytest.mark.parametrize("solve, q", [(_pn_final, ()), (_pn_final, _Q), (_hybrid_total, ())],
-                         ids=["pn", "pn-source", "hybrid"])
+@pytest.mark.parametrize("solve, q", [(_pn_final, ()), (_pn_final, _Q), (_wide_pn_final, ()),
+                                      (_hybrid_total, ())],
+                         ids=["pn", "pn-source", "pn-wide", "hybrid"])
 def test_serial_results_match_threaded(solve, q, monkeypatch):
     serial = solve(q)
-    monkeypatch.setattr(tr, "SERIAL_BLAS_MAX_MOMENTS", 0)
+    monkeypatch.setattr(blas, "single_thread", contextlib.nullcontext)
     threaded = solve(q)
     scale = np.max(np.abs(threaded))
     assert scale > 0.0
     # With 2-thread OpenBLAS 0.3.30/0.3.31 the pn and hybrid cases are
-    # bit-identical and pn-source differs by 1e-18 relative; other builds
-    # may round differently, so the gate is the fast-path tolerance.
+    # bit-identical, pn-source differs by 5e-19 and pn-wide by 4e-18
+    # relative; other builds may round differently, so the gate is the
+    # fast-path tolerance.
     assert np.max(np.abs(serial - threaded)) <= 1e-12 * scale

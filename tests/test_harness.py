@@ -262,6 +262,13 @@ _BAD_VALUES = [
     ("sigma_a = 1.5", "sigma_a"),
     ("sigma_a = -0.1", "sigma_a"),
     ("sigma_a = 0.5\n[sweep]\nsigma = 1, 0.25", "sigma_a"),
+    ("eps = 1e400", "eps"),
+    ("sigma_t = 1e400", "sigma_t"),
+    ("[sweep]\neps = 1, 1e400", "eps"),
+    ("[sweep]\nsigma = 1, 1e400", "sigma"),
+    ("T = 1e400", "T"),
+    ("dt = 1e-400", "dt"),
+    ("[sweep]\ndt = 0.5, 1e-400", "dt"),
 ]
 
 
@@ -448,6 +455,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     hn.write_csv(rows, tmp_path / "v.csv")
     assert cli.main(["verify-bounds", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, config, out, message", [
+    ("solve-pn", ".", None, "cannot read config {config}: Is a directory"),
+    ("solve-pn", "binary.cfg", None, "cannot read config {config}: not UTF-8 text"),
+    ("sweep", "run.cfg", "taken", "cannot create output directory {out}: File exists"),
+    ("verify-bounds", "run.cfg", "taken",
+     "cannot create output directory {out}: File exists"),
+])
+def test_cli_file_errors_exit_one_with_one_line(tmp_path, capsys, command, config, out,
+                                                message):
+    (tmp_path / "run.cfg").write_text("[run]\nproblem = aniso-decay\nN = 1\n"
+                                      "[sweep]\nN = 1, 2\n")
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe[run]\nproblem = aniso-decay\n")
+    (tmp_path / "taken").write_text("")
+    config, out = str(tmp_path / config), str(tmp_path / (out or "out"))
+    assert cli.main([command, "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(config=config, out=out))
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("column, text", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pnhybrid import blas
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 from pnhybrid import hybrid as hy
@@ -271,7 +272,7 @@ def test_run_hybrid_equals_hand_written_loop():
     res = hy.run_hybrid(spec, 3, grid=grid, quad=quad, reference=by_time.__getitem__)
 
     want = []
-    with tr.blas_scope(3):
+    with blas.single_thread():
         op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t, spec.sigma_a)
         u = gr.nodal_field(grid, quad, spec.g)
         c = gr.zero_moment_field(grid, 3)

@@ -472,7 +472,7 @@ def test_operator_rejects_bad_input(field, value):
 
 
 # ---------------------------------------------------------------------------
-# Wide operators (more than SERIAL_BLAS_MAX_MOMENTS moments) take each
+# Wide operators (more than DENSE_EXPM_MAX_MOMENTS moments) take each
 # representative's exponential block by block, over the connected blocks of
 # its generator; narrow ones take one dense expm.
 
@@ -485,7 +485,7 @@ _BLOCK_KS = [(1, 0, 0), (0, 2, 0), (0, 0, 1), (0, 0, -3), (1, 1, 0), (1, 2, 0),
 def _wide_operator(N, eps, sigma, sigma_a):
     """A PnOperator that splits its exponentials, whatever N is."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "SERIAL_BLAS_MAX_MOMENTS", 0)
+        mp.setattr(tr, "DENSE_EXPM_MAX_MOMENTS", 0)
         return tr.PnOperator(gr.SpatialGrid(1, 3), N, eps, sigma, sigma_a)
 
 
