@@ -29,9 +29,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p, config_required=True):
+    def seed(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+        return value
+
     p.add_argument("--config", required=config_required, help="run config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=seed, default=0,
                    help="seed of the audit's random draws; every subcommand "
                         "accepts it")
 

@@ -41,6 +41,11 @@ _RUN_KINDS = {
 _SWEEP_KINDS = {"N": int, "dt": "time", "eps": float, "sigma": float}
 _KINDS = {"run": _RUN_KINDS, "sweep": _SWEEP_KINDS}
 
+# Most hybrid intervals M = T/dt a config may ask for: far above the 16 of
+# any shipped config or benchmark workload, far below a schedule whose
+# interval edges (ProblemSpec.interval_edges) would not fit in memory.
+MAX_INTERVALS = 10**6
+
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -241,6 +246,9 @@ def parse_config_text(lines) -> RunSpec:
         ("eps", (rs.eps,) + rs.sweep_eps, lambda v: v > 0, "positive"),
         ("sigma_t", (rs.sigma_t,), lambda v: v >= 0, "nonnegative"),
         ("sigma", rs.sweep_sigma, lambda v: v >= 0, "nonnegative"),
+        # The diffusion limit divides by every sigma_t the run solves at.
+        ("sigma" if rs.sweep_sigma else "sigma_t", rs.sweep_sigma or (rs.sigma_t,),
+         lambda v: rs.solver != "diffusion" or v > 0, "positive for the diffusion solver"),
         ("sigma_a", (rs.sigma_a,), lambda v: 0 <= v <= sigma_min,
          f"in [0, {sigma_min:g}], the smallest sigma_t"),
         ("s", (rs.s,), lambda v: v is None or v >= 1, "at least 1"),
@@ -263,6 +271,9 @@ def parse_config_text(lines) -> RunSpec:
             raise ConfigError(f"dt must be positive, got {dt}")
         if (Tf / dtf).denominator != 1:
             raise ConfigError(f"M*dt != T: dt={dt} does not divide T={rs.T}")
+        if Tf / dtf > MAX_INTERVALS:
+            raise ConfigError(f"dt must leave at most {MAX_INTERVALS} intervals "
+                              f"M = T/dt, got dt={dt} for T={rs.T}")
     return rs
 
 

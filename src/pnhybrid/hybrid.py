@@ -1,23 +1,21 @@
 """Collided/uncollided splitting with periodic remapping.
 
-Over each interval [t_m, t_{m+1}) the angular flux is carried as a pair:
-an uncollided part psi_u advanced exactly along (mode, direction)
-characteristics with pure decay, and a collided part psi_c in a truncated
-moment expansion, driven by the isotropic re-emission (sigma/eps^2) of the
-uncollided spherical average.  At each interval end the collided content is
-evaluated at the quadrature directions, folded into the nodal carrier, and
-the moment state is reset to zero.  The external source feeds the
-uncollided part.  Reported states use left limits: the value at t_m is the
-pair just before the remap at t_m.
+The state is one nodal field on the quadrature directions.  Over each
+interval [t_m, t_{m+1}) it is the uncollided carrier psi_u, advanced
+exactly along (mode, direction) characteristics with pure decay and the
+external source, and a collided part psi_c in a truncated moment expansion,
+started from zero at t_m and driven by the isotropic re-emission
+(sigma/eps^2) of the uncollided spherical average.  At the interval end the
+collided moments are evaluated at the quadrature directions and folded
+into the carrier, which is the next interval's state.  Reported states use
+left limits: the value at t_m is the pair just before the remap at t_m.
 
 run_hybrid returns that state at T and one IntervalRecord per interval
 (norms of both parts at t_end^-, remap residual, merged norm, and the error
 against an optional reference).  The remap evaluates the collided field at
-the nodes, once per interval, and its merged carrier is the reported state.
-The uncollided field, sampled at every Duhamel node of the re-emission and
-advanced once per interval, is evaluated on the run's distinct decay rates
-(transport.UncollidedRates): the rates depend on (k, Omega) only through
-k.Omega, so each distinct exponential is taken once and gathered.
+the nodes, once per interval.  Both the carrier's advance and every Duhamel
+node of the re-emission go through one transport.UncollidedFlow per run,
+which takes each distinct decay rate's exponential once and gathers it.
 """
 
 from __future__ import annotations
@@ -36,12 +34,12 @@ _FOUR_PI = 4.0 * math.pi
 
 
 def remap(u: gr.NodalField, c: gr.MomentField):
-    """Fold the collided moments into the nodal carrier and zero them.
+    """Fold the collided moments into the nodal carrier.
 
-    Returns (merged nodal field, zeroed moment field, residual), where the
-    residual checks that projecting the merged field recovers exactly the
-    projection of u plus the moments of c.  Requires quadrature exactness
-    >= 2N so the check is alias-free.
+    Returns (merged nodal field, residual), where the residual checks that
+    projecting the merged field recovers exactly the projection of u plus
+    the moments of c.  Requires quadrature exactness >= 2N so the check is
+    alias-free.
     """
     if u.quad.exactness < 2 * c.N:
         raise ValueError(
@@ -52,7 +50,7 @@ def remap(u: gr.NodalField, c: gr.MomentField):
     before = gr.project_field(u, c.N)
     after = gr.project_field(merged, c.N)
     residual = float(np.max(np.abs(after.coeffs - before.coeffs - c.coeffs)))
-    return merged, gr.zero_moment_field(u.grid, c.N), residual
+    return merged, residual
 
 
 @dataclass
@@ -72,48 +70,46 @@ class HybridResult:
     records: list         # one IntervalRecord per interval
 
 
-def hybrid_step(psi_u: gr.NodalField, psi_c: gr.MomentField, a: float, b: float,
-                op: tr.PnOperator, rates: tr.UncollidedRates, profiles):
-    """Advance the pair over [a, b] without remapping.
+def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
+                flow: tr.UncollidedFlow):
+    """Advance the state psi_u over [a, b] without remapping: returns
+    (carrier, collided) at b^-.
 
-    The collided moments absorb the isotropic re-emission of the decaying
-    uncollided average (Duhamel quadrature over the closed-form uncollided
-    field, source included); the uncollided carrier then advances exactly,
-    picking up the external source.  Both evaluate
-    transport.uncollided_values with rates and profiles, the
-    transport.uncollided_rates and transport.nodal_source of psi_u's grid
-    and quadrature, op's cross sections and the source terms; they depend
-    on no interval, so run_hybrid computes them once per run.  Each of the
-    12 x substeps + 1 evaluations takes its exponentials and phi-functions
-    once per distinct rate, not once per (mode, node).
+    The collided moments start from zero at a and absorb the isotropic
+    re-emission of the decaying uncollided average (Duhamel quadrature
+    over the closed-form uncollided field, source included); the carrier
+    advances exactly, picking up the external source.  flow is the
+    transport.uncollided_flow of psi_u's grid and quadrature, op's cross
+    sections and the source terms; it depends on no interval, so run_hybrid
+    builds it once per run.  Each of the 12 x substeps + 1 advances takes
+    its exponentials and phi-functions once per distinct rate, not once per
+    (mode, node).
     """
-    if psi_u.quad.exactness < 2 * psi_c.N:
+    if psi_u.quad.exactness < 2 * op.N:
         raise ValueError(
-            f"quadrature exactness {psi_u.quad.exactness} < {2 * psi_c.N} "
+            f"quadrature exactness {psi_u.quad.exactness} < {2 * op.N} "
             f"required for the hybrid step"
         )
     eps, sigma = op.eps, op.sigma
     h = b - a
-    if sigma == 0.0:
-        new_c = psi_c  # no re-emission: collided part cannot be excited
-    else:
+    collided = gr.zero_moment_field(psi_u.grid, op.N)
+    if sigma != 0.0:  # without re-emission the collided part stays zero
         w = psi_u.quad.weights
         nm = op.nm
         emit = sigma / eps**2 * math.sqrt(_FOUR_PI)
 
         def sample(t: float) -> np.ndarray:
-            vals = tr.uncollided_values(psi_u.values, rates, a, t, profiles)
+            vals = flow.advance(psi_u.values, a, t)
             avg = (vals @ w) / _FOUR_PI
             out = np.zeros(psi_u.grid.shape + (nm,), dtype=complex)
             out[..., 0] = emit * avg
             return out
 
         nsub = op.substeps_for(h, extra_rate=op.max_rate)
-        coeffs = op.step(psi_c.coeffs, h, source=sample, t0=a, substeps=nsub)
-        new_c = gr.MomentField(psi_u.grid, psi_c.N, coeffs)
-    new_u = gr.NodalField(psi_u.grid, psi_u.quad,
-                          tr.uncollided_values(psi_u.values, rates, a, b, profiles))
-    return new_u, new_c
+        coeffs = op.step(collided.coeffs, h, source=sample, t0=a, substeps=nsub)
+        collided = gr.MomentField(psi_u.grid, op.N, coeffs)
+    carrier = gr.NodalField(psi_u.grid, psi_u.quad, flow.advance(psi_u.values, a, b))
+    return carrier, collided
 
 
 def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
@@ -143,21 +139,19 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
         edges = spec.interval_edges()
 
         op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
-        rates = tr.uncollided_rates(grid, quad, op.eps, op.sigma, op.sigma_a)
-        profiles = tr.nodal_source(grid, quad, spec.q)
-        psi_u = gr.nodal_field(grid, quad, spec.g)
-        psi_c = gr.zero_moment_field(grid, N)
+        flow = tr.uncollided_flow(grid, quad, op.eps, op.sigma, op.sigma_a, spec.q)
+        psi = gr.nodal_field(grid, quad, spec.g)
         records = []
         for m in range(spec.M):
             a, b = edges[m], edges[m + 1]
-            psi_u, psi_c = hybrid_step(psi_u, psi_c, a, b, op, rates, profiles)
-            norm_u = gr.l2_norm(psi_u)
-            norm_c = gr.l2_norm(psi_c)
+            psi, collided = hybrid_step(psi, a, b, op, flow)
+            norm_u, norm_c = gr.l2_norm(psi), gr.l2_norm(collided)
             # The merged carrier is the pair's sum at b^-, the reported state.
-            psi_u, psi_c, resid = remap(psi_u, psi_c)
+            psi, resid = remap(psi, collided)
+            del collided  # freed before the next step allocates its own
             err = None
             if reference is not None:
-                err = gr.nodal_error_norm(psi_u, reference(b))
+                err = gr.nodal_error_norm(psi, reference(b))
             records.append(IntervalRecord(
                 m=m + 1,
                 t_end=b,
@@ -165,6 +159,6 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
                 norm_c=norm_c,
                 remap_residual=resid,
                 error=err,
-                norm_merged=gr.l2_norm(psi_u),
+                norm_merged=gr.l2_norm(psi),
             ))
-        return HybridResult(total=psi_u, records=records)
+        return HybridResult(total=psi, records=records)

@@ -45,9 +45,10 @@ also accepts an arbitrary source callable, folded in by Gauss-Legendre
 Duhamel quadrature on substeps short enough that the rule is accurate to
 near machine precision; the hybrid re-emission uses that path.  The
 uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
-so uncollided_rates stores each distinct rate once (UncollidedRates), and
-uncollided_values takes its exponentials and phi-functions on those alone
-and gathers them per (mode, node), bit for bit the full-array evaluation.
+so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
+the source's nodal profiles, and its advance takes the exponentials and
+phi-functions on those alone and gathers them per (mode, node), bit for bit
+the full-array evaluation.
 
 Each mode's matrices are small, and OpenBLAS threads cost more than they
 give on them: on a 2-core machine with 2-thread pools a 36-wide expm took
@@ -579,8 +580,9 @@ def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResu
     """Monolithic spherical-harmonic solve from t = 0 to T.
 
     Absorption, when present, acts directly through the generator; see
-    absorption_wrap for the equivalent change-of-variables route.  The
-    source is integrated exactly in time (SourcedModes).  Every OpenBLAS
+    absorption_wrap for the equivalent change-of-variables route.  Every
+    step goes through SourcedModes, which integrates the source exactly in
+    time and is PnOperator.step alone when there is none.  Every OpenBLAS
     pool runs at one thread (blas.single_thread).
     """
     with blas.single_thread():
@@ -588,7 +590,7 @@ def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResu
             grid = default_grid(spec)
         t_end = spec.t_final
         op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
-        sourced = SourcedModes(op, spec.q) if spec.q else None
+        sourced = SourcedModes(op, spec.q)
         state = initial_field(spec, grid, N)
         times = [float(t) for t in record_times]
         if not all(0.0 <= t <= t_end + 1e-15 for t in times):
@@ -602,7 +604,7 @@ def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResu
         for target in times:
             h = target - t
             if h > 0:
-                coeffs = op.step(coeffs, h) if sourced is None else sourced.step(coeffs, h, t)
+                coeffs = sourced.step(coeffs, h, t)
                 t = target
             out_times.append(t)
             out_fields.append(gr.MomentField(grid, N, coeffs))
@@ -644,28 +646,50 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
 
 
 @dataclass(frozen=True)
-class UncollidedRates:
-    """The complex decay rates lambda(k, Omega) = sigma/eps^2 + sigma_a
-    + i k.Omega/eps of the uncollided flow, each distinct value stored once.
+class UncollidedFlow:
+    """The exact flow of the uncollided equation d_t v = -lambda v + q along
+    each (mode, direction) characteristic, on one grid and quadrature.
 
-    The rates depend on (k, Omega) only through k.Omega, which repeats
-    across the quadrature's reflections, across +-k and over every node of
-    k = 0.  distinct holds each rate once, two rates being equal when their
-    16-byte bit patterns are (so +0 and -0 stay apart); index, shaped
-    grid.shape + (nodes,), holds each (mode, node)'s position in distinct.
-    An elementwise function of lambda is therefore taken on distinct and
-    gathered with index: equal input bits give equal output bits, so the
-    result is the full-array evaluation's, byte for byte.  Both arrays are
-    read-only."""
+    The complex decay rates lambda(k, Omega) = sigma/eps^2 + sigma_a
+    + i k.Omega/eps depend on (k, Omega) only through k.Omega, which
+    repeats across the quadrature's reflections, across +-k and over every
+    node of k = 0.  distinct holds each rate once, two rates being equal
+    when their 16-byte bit patterns are (so +0 and -0 stay apart); index,
+    shaped grid.shape + (nodes,), holds each (mode, node)'s position in
+    distinct.  An elementwise function of lambda is therefore taken on
+    distinct and gathered with index: equal input bits give equal output
+    bits, so the result is the full-array evaluation's, byte for byte.
+    profiles holds the source's space-angle factors at the nodes, one
+    (term, values[k1, k2, k3, node]) pair per term, time factor left out.
+    Every array is read-only."""
 
     distinct: np.ndarray
     index: np.ndarray
+    profiles: tuple
+
+    def advance(self, values: np.ndarray, a: float, b: float) -> np.ndarray:
+        """Nodal values advanced from a to b: the decay exp(-lam (b - a))
+        plus the exact source integral of exp(-lam (b - tau)) q(tau) over
+        [a, b].  With h = b - a, a term p(t) e^(mu t) x profile contributes
+        e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(-(lam + mu) h) x profile;
+        everything before the profile is taken on the distinct rates."""
+        h = b - a
+        out = values * np.exp(-self.distinct * h)[self.index]
+        if self.profiles:
+            response = np.zeros(self.index.shape, dtype=complex)
+            for tm, profile in self.profiles:
+                derivs = poly_derivatives(tm.time_poly, a)
+                phis = phi_functions(-(self.distinct + tm.time_exp) * h, len(derivs))
+                acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
+                response += (math.exp(tm.time_exp * b) * acc)[self.index] * profile
+            out = out + response
+        return out
 
 
-def uncollided_rates(grid: gr.SpatialGrid, quad: sh.SphereQuadrature,
-                     eps: float, sigma: float, sigma_a: float = 0.0) -> UncollidedRates:
-    """The decay rates lambda[k, node] of the uncollided flow on the grid's
-    modes and the quadrature's nodes, as an UncollidedRates record."""
+def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
+                    sigma: float, sigma_a: float = 0.0, q_terms=()) -> UncollidedFlow:
+    """The UncollidedFlow of the grid's modes and the quadrature's nodes
+    under the cross sections and the source terms q_terms."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
@@ -683,66 +707,28 @@ def uncollided_rates(grid: gr.SpatialGrid, quad: sh.SphereQuadrature,
     distinct, index = np.unique(bits, return_inverse=True)
     distinct = distinct.view(complex)
     index = index.reshape(lam.shape)
-    distinct.flags.writeable = False
-    index.flags.writeable = False
-    return UncollidedRates(distinct, index)
-
-
-def nodal_source(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, q_terms) -> list:
-    """The source's space-angle factors at the quadrature nodes: one
-    (term, values[k1, k2, k3, node]) pair per term, time factor left out."""
-    return [
+    profiles = tuple(
         (tm, gr.nodal_field(grid, quad, [replace(tm, time_poly=(1.0,), time_exp=0.0)]).values)
         for tm in q_terms
-    ]
-
-
-def source_response(rates: UncollidedRates, a: float, b: float, profiles) -> np.ndarray:
-    """Exact integral over [a, b] of exp(-lam (b - tau)) q(tau), per (mode,
-    node), for q given by nodal_source profiles.  With h = b - a, a term
-    p(t) e^(mu t) x profile contributes
-    e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(-(lam + mu) h) x profile;
-    everything before the profile is taken on the distinct rates and
-    gathered with rates.index."""
-    h = b - a
-    out = np.zeros(rates.index.shape, dtype=complex)
-    for tm, profile in profiles:
-        derivs = poly_derivatives(tm.time_poly, a)
-        phis = phi_functions(-(rates.distinct + tm.time_exp) * h, len(derivs))
-        acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
-        out += (math.exp(tm.time_exp * b) * acc)[rates.index] * profile
-    return out
-
-
-def uncollided_values(values: np.ndarray, rates: UncollidedRates, a: float, b: float,
-                      profiles) -> np.ndarray:
-    """Nodal values advanced from a to b along each (mode, direction)
-    characteristic of d_t v = -lambda v + q: the decay exp(-lam (b - a)),
-    taken once per distinct rate and gathered with rates.index, plus
-    source_response.  rates and profiles are uncollided_rates and
-    nodal_source of the values' grid and quadrature."""
-    out = values * np.exp(-rates.distinct * (b - a))[rates.index]
-    if profiles:
-        out = out + source_response(rates, a, b, profiles)
-    return out
+    )
+    for array in (distinct, index) + tuple(p for _, p in profiles):
+        array.flags.writeable = False
+    return UncollidedFlow(distinct, index, profiles)
 
 
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
                      sigma: float, sigma_a: float = 0.0, q_terms=()) -> gr.NodalField:
-    """Exact evolution of d_t v = -lambda v + q along each (mode, direction)
-    characteristic: the homogeneous part is a closed-form exponential and
-    the source integral is closed-form in phi-functions (uncollided_values).
-    uncollided_rates checks eps, sigma and sigma_a.
+    """Exact evolution of the nodal state from a to b along each (mode,
+    direction) characteristic (UncollidedFlow.advance).  uncollided_flow
+    checks eps, sigma and sigma_a.
     """
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if b < a:
         raise ValueError(f"interval end {b} precedes start {a}")
-    rates = uncollided_rates(state.grid, state.quad, eps, sigma, sigma_a)
-    profiles = nodal_source(state.grid, state.quad, q_terms)
-    return gr.NodalField(state.grid, state.quad,
-                         uncollided_values(state.values, rates, a, b, profiles))
+    flow = uncollided_flow(state.grid, state.quad, eps, sigma, sigma_a, q_terms)
+    return gr.NodalField(state.grid, state.quad, flow.advance(state.values, a, b))
 
 
 def characteristics_solution(spec: ProblemSpec, quad: sh.SphereQuadrature,

@@ -2,6 +2,7 @@ import glob
 import math
 import os
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,6 +270,12 @@ _BAD_VALUES = [
     ("T = 1e400", "T"),
     ("dt = 1e-400", "dt"),
     ("[sweep]\ndt = 0.5, 1e-400", "dt"),
+    ("solver = diffusion\nsigma_t = 0", "sigma_t"),
+    ("solver = diffusion\n[sweep]\nsigma = 1, 0", "sigma"),
+    # Past MAX_INTERVALS: parsed and refused, never scheduled.
+    ("dt = 1e-9", "dt"),
+    ("dt = 5e-324", "dt"),
+    ("T = 2\n[sweep]\ndt = 1, 1e-6", "dt"),
 ]
 
 
@@ -289,6 +296,24 @@ def test_edge_values_accepted():
     rs = _parse_text("[run]\nproblem = sobolev-s\nN = 5\nn_ref = 6\ns = 1\n"
                      "band = 0\nsigma_t = 0.5\nsigma_a = 0.5\n")
     assert (rs.n_ref, rs.s, rs.band, rs.sigma_a) == (6, 1, 0, 0.5)
+    rs = _parse_text(f"[run]\nproblem = sobolev-s\nT = 2\ndt = {2 / hn.MAX_INTERVALS}\n")
+    assert Fraction(rs.T) / Fraction(rs.dt) == hn.MAX_INTERVALS
+    # Only the diffusion solver needs sigma_t > 0.
+    rs = _parse_text("[run]\nproblem = iso-smooth\nsolver = diffusion\nsigma_t = 0.5\n"
+                     "[sweep]\nsigma = 0.5, 1\n")
+    assert rs.sweep_sigma == (0.5, 1.0)
+    assert _parse_text("[run]\nproblem = sobolev-s\nsigma_t = 0\n").sigma_t == 0.0
+
+
+def test_diffusion_solver_refuses_the_streaming_problem(tmp_path, capsys):
+    # The scattering-free problem has sigma_t = 0: the diffusion limit does
+    # not exist there.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[run]\nproblem = streaming\nsolver = diffusion\n"
+                   "[sweep]\nN = 1, 2\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: sigma_t must be positive for the diffusion solver, got 0.0\n"
 
 
 def test_csv_round_trip(tmp_path):
@@ -524,6 +549,24 @@ def test_every_subcommand_accepts_seed(tmp_path, capsys):
             assert capsys.readouterr().out == plain_out, command
     with pytest.raises(hn.ConfigError, match="unknown key 'seed'"):
         _parse_text("[run]\nproblem = iso-smooth\nseed = 0\n")
+
+
+@pytest.mark.parametrize("command", ["solve-pn", "solve-hybrid", "sweep", "verify-bounds",
+                                     "plot", "audit"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nproblem = aniso-decay\nN = 1\n[sweep]\nN = 1, 2\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    # A usage error leaves main through the parser's SystemExit(1).
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"pnhybrid {command}: error: argument --seed: "
+                                 "must be a nonnegative integer, got -1\n")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_seed_reaches_the_audit_rng(tmp_path, monkeypatch, capsys):

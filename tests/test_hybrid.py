@@ -20,10 +20,9 @@ def _aniso_cosine():
     return gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.0, 0.0, 1.0, 0.0))
 
 
-def _rates(u, op, q_terms=()):
-    """hybrid_step's lam and profiles for carrier u under op and q_terms."""
-    return (tr.uncollided_rates(u.grid, u.quad, op.eps, op.sigma, op.sigma_a),
-            tr.nodal_source(u.grid, u.quad, q_terms))
+def _flow(u, op, q_terms=()):
+    """hybrid_step's uncollided flow for state u under op and q_terms."""
+    return tr.uncollided_flow(u.grid, u.quad, op.eps, op.sigma, op.sigma_a, q_terms)
 
 
 def test_remap_zero_collided_is_identity():
@@ -32,9 +31,8 @@ def test_remap_zero_collided_is_identity():
     quad = sh.build_sphere_quadrature(6)
     u = gr.nodal_field(grid, quad, spec.g)
     c = gr.zero_moment_field(grid, 3)
-    merged, zeroed, resid = hy.remap(u, c)
+    merged, resid = hy.remap(u, c)
     assert np.array_equal(merged.values, u.values)
-    assert np.all(zeroed.coeffs == 0.0)
     assert resid < 1e-15
 
 
@@ -46,7 +44,7 @@ def test_remap_unit_mean_moment():
     coeffs = c.coeffs.copy()
     coeffs[0, 0, 0, 0] = 1.0
     c = gr.MomentField(grid, 3, coeffs)
-    merged, _, resid = hy.remap(u, c)
+    merged, resid = hy.remap(u, c)
     # The mean basis function is the constant 1/sqrt(4 pi).
     want = 1.0 / math.sqrt(4.0 * math.pi)
     assert np.max(np.abs(merged.values - want)) < 1e-15
@@ -61,7 +59,7 @@ def test_remap_mass_linearity():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal((3, 1, 1, 16)) + 0j
     c = gr.MomentField(grid, 3, coeffs)
-    merged, _, resid = hy.remap(u, c)
+    merged, resid = hy.remap(u, c)
     mass_merged = gr.scalar_flux(gr.project_field(merged, 3))
     mass_u = gr.scalar_flux(gr.project_field(u, 3))
     mass_c = gr.scalar_flux(c)
@@ -83,10 +81,9 @@ def test_hybrid_step_requires_exact_quadrature():
     grid = tr.default_grid(spec)
     quad = sh.build_sphere_quadrature(3)
     u = gr.nodal_field(grid, quad, spec.g)
-    c = gr.zero_moment_field(grid, 3)
     op = tr.PnOperator(grid, 3, 1.0, 1.0)
     with pytest.raises(ValueError, match="exactness"):
-        hy.hybrid_step(u, c, 0.0, 0.5, op, *_rates(u, op))
+        hy.hybrid_step(u, 0.0, 0.5, op, _flow(u, op))
     with pytest.raises(ValueError, match="exactness"):
         hy.run_hybrid(spec, N=3, quad=quad)
 
@@ -118,8 +115,7 @@ def test_single_interval_matches_direct_step():
     res = hy.run_hybrid(spec, N=3, quad=quad)
     op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t)
     u0 = gr.nodal_field(grid, quad, spec.g)
-    c0 = gr.zero_moment_field(grid, 3)
-    u1, c1 = hy.hybrid_step(u0, c0, 0.0, 0.5, op, *_rates(u0, op))
+    u1, c1 = hy.hybrid_step(u0, 0.0, 0.5, op, _flow(u0, op))
     want = u1 + gr.evaluate_field(c1, quad)
     assert np.max(np.abs(res.total.values - want.values)) < 1e-12
     assert len(res.records) == 1
@@ -230,33 +226,34 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
     quad = sh.build_sphere_quadrature(6)
     op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t)
     psi_u = gr.nodal_field(grid, quad, spec.g)
-    psi_c = gr.zero_moment_field(grid, 3)
-    lam, profiles = _rates(psi_u, op, spec.q)
-    calls = {"uncollided_values": 0, "nodal_field": 0}
-    for mod, name in ((tr, "uncollided_values"), (gr, "nodal_field")):
-        def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
+    flow = _flow(psi_u, op, spec.q)
+    calls = {"advance": 0, "nodal_field": 0}
+    for owner, name in ((tr.UncollidedFlow, "advance"), (gr, "nodal_field")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(mod, name, counting)
-    hy.hybrid_step(psi_u, psi_c, 0.0, 0.25, op, lam, profiles)
+        monkeypatch.setattr(owner, name, counting)
+    hy.hybrid_step(psi_u, 0.0, 0.25, op, flow)
     # One closed-form sample of the uncollided field per Duhamel node of
     # every substep, one closed-form advance of the carrier, and no nodal
-    # field built inside the step: the source profiles come from the caller.
+    # field built inside the step: the source profiles come with the flow.
     nsub = op.substeps_for(0.25, extra_rate=op.max_rate)
-    assert calls == {"uncollided_values": 12 * nsub + 1, "nodal_field": 0}
+    assert calls == {"advance": 12 * nsub + 1, "nodal_field": 0}
 
 
 def test_run_hybrid_builds_rates_and_source_profiles_once(monkeypatch):
     spec = replace(_sourced_spec(), dt=Fraction(1, 8))
-    calls = {"uncollided_rates": 0, "nodal_source": 0}
-    for name in calls:
-        def counting(*args, _real=getattr(tr, name), _name=name, **kwargs):
+    calls = {"uncollided_flow": 0, "nodal_field": 0}
+    for owner, name in ((tr, "uncollided_flow"), (gr, "nodal_field")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(tr, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     res = hy.run_hybrid(spec, 3, quad=sh.build_sphere_quadrature(8))
     assert len(res.records) == 8
-    assert calls == {"uncollided_rates": 1, "nodal_source": 1}
+    # One flow per run, whatever the interval count; it builds the one
+    # source term's nodal profile, and the run the initial state.
+    assert calls == {"uncollided_flow": 1, "nodal_field": 1 + len(spec.q)}
 
 
 def test_run_hybrid_equals_hand_written_loop():
@@ -275,14 +272,13 @@ def test_run_hybrid_equals_hand_written_loop():
     with blas.single_thread():
         op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t, spec.sigma_a)
         u = gr.nodal_field(grid, quad, spec.g)
-        c = gr.zero_moment_field(grid, 3)
-        lam, profiles = _rates(u, op, spec.q)
+        flow = _flow(u, op, spec.q)
         for m, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
-            u, c = hy.hybrid_step(u, c, a, b, op, lam, profiles)
+            u, c = hy.hybrid_step(u, a, b, op, flow)
             total = u + gr.evaluate_field(c, quad)
             err = gr.nodal_error_norm(total, by_time[b])
             norm_u, norm_c = gr.l2_norm(u), gr.l2_norm(c)
-            u, c, resid = hy.remap(u, c)
+            u, resid = hy.remap(u, c)
             want.append(hy.IntervalRecord(m, b, norm_u, norm_c, resid, err,
                                           gr.l2_norm(u)))
     assert len(want) == 4

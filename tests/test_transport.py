@@ -157,8 +157,8 @@ def test_absorption_wrap_identity_when_pure():
 
 def _full_rates(grid, quad, eps, sigma, sigma_a):
     """lambda[k, node] = sigma/eps^2 + sigma_a + i k.Omega/eps as one full
-    array, the way uncollided_rates built it before it kept each distinct
-    rate once."""
+    array, the way the uncollided rates were built before each distinct
+    rate was kept once."""
     k1, k2, k3 = grid.k_grids()
     om = quad.nodes
     kdot = (
@@ -170,8 +170,8 @@ def _full_rates(grid, quad, eps, sigma, sigma_a):
 
 
 def _full_uncollided_values(values, lam, a, b, profiles):
-    """uncollided_values with every exponential and phi-function taken per
-    (mode, node) on the full rate array lam."""
+    """UncollidedFlow.advance with every exponential and phi-function taken
+    per (mode, node) on the full rate array lam."""
     out = values * np.exp(-lam * (b - a))
     if profiles:
         h = b - a
@@ -768,7 +768,7 @@ def test_uncollided_rejects_bad_input(field, value):
         # once returned nan rates with only a RuntimeWarning.
         del kwargs["a"], kwargs["b"]
         with pytest.raises(ValueError, match=f"^{field} must"):
-            tr.uncollided_rates(state.grid, state.quad, **kwargs)
+            tr.uncollided_flow(state.grid, state.quad, **kwargs)
 
 
 # The distinct-rate evaluation against the full-array formula, byte for
@@ -796,27 +796,32 @@ def test_uncollided_values_match_full_array_formula_bytes(case):
     quad = sh.build_sphere_quadrature(7)
     a, b = 0.3, 2.3
     lam = _full_rates(grid, quad, eps, sigma, sigma_a)
-    rates = tr.uncollided_rates(grid, quad, eps, sigma, sigma_a)
-    assert rates.index.shape == lam.shape and rates.index.dtype == np.intp
-    assert rates.distinct[rates.index].tobytes() == lam.tobytes()
-    assert rates.distinct.size < lam.size
+    flow = tr.uncollided_flow(grid, quad, eps, sigma, sigma_a, q)
+    assert flow.index.shape == lam.shape and flow.index.dtype == np.intp
+    assert flow.distinct[flow.index].tobytes() == lam.tobytes()
+    assert flow.distinct.size < lam.size
     with pytest.raises(ValueError):
-        rates.distinct[0] = 0.0
+        flow.distinct[0] = 0.0
     with pytest.raises(ValueError):
-        rates.index[(0,) * rates.index.ndim] = 0
+        flow.index[(0,) * flow.index.ndim] = 0
+    assert all(tm is term for (tm, _), term in zip(flow.profiles, q, strict=True))
+    with pytest.raises(ValueError):
+        flow.profiles[0][1][(0,) * lam.ndim] = 0.0
     z = np.abs((lam + mu) * (b - a))
     assert np.any(z == 0.0) and np.any(z >= tr.PHI_SERIES_BELOW)
     if sigma == 0.0:
         assert np.any(lam == 0.0)
 
-    profiles = tr.nodal_source(grid, quad, q)
+    bare = tr.uncollided_flow(grid, quad, eps, sigma, sigma_a)
+    assert bare.profiles == ()
     rng = np.random.default_rng(7)
     values = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
-    for prof in (profiles, []):
-        got = tr.uncollided_values(values, rates, a, b, prof)
-        assert got.tobytes() == _full_uncollided_values(values, lam, a, b, prof).tobytes()
+    for fl in (flow, bare):
+        got = fl.advance(values, a, b)
+        want = _full_uncollided_values(values, lam, a, b, fl.profiles)
+        assert got.tobytes() == want.tobytes()
     state = gr.nodal_field(grid, quad, g)
-    for q_terms, prof in ((q, profiles), ((), [])):
+    for q_terms, prof in ((q, flow.profiles), ((), ())):
         got = tr.solve_uncollided(state, a, b, eps, sigma, sigma_a, q_terms).values
         want = _full_uncollided_values(state.values, lam, a, b, prof)
         assert got.tobytes() == want.tobytes()
@@ -828,9 +833,9 @@ def test_diffusive_hybrid_sweep_takes_each_distinct_rate_once():
     mf = hs.manufactured("iso-smooth", eps=0.05, sigma_t=1.0)
     grid = tr.default_grid(mf.spec)
     quad = hs.measurement_quadrature(mf, hs.reference_degree(3), 1.0)
-    rates = tr.uncollided_rates(grid, quad, 0.05, 1.0)
-    assert rates.index.shape == (3, 1, 1, 968)
-    assert rates.distinct.size == 755
+    flow = tr.uncollided_flow(grid, quad, 0.05, 1.0)
+    assert flow.index.shape == (3, 1, 1, 968)
+    assert flow.distinct.size == 755
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
