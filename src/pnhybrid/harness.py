@@ -41,11 +41,6 @@ _RUN_KINDS = {
 _SWEEP_KINDS = {"N": int, "dt": "time", "eps": float, "sigma": float}
 _KINDS = {"run": _RUN_KINDS, "sweep": _SWEEP_KINDS}
 
-# Most hybrid intervals M = T/dt a config may ask for: far above the 16 of
-# any shipped config or benchmark workload, far below a schedule whose
-# interval edges (ProblemSpec.interval_edges) would not fit in memory.
-MAX_INTERVALS = 10**6
-
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -271,8 +266,8 @@ def parse_config_text(lines) -> RunSpec:
             raise ConfigError(f"dt must be positive, got {dt}")
         if (Tf / dtf).denominator != 1:
             raise ConfigError(f"M*dt != T: dt={dt} does not divide T={rs.T}")
-        if Tf / dtf > MAX_INTERVALS:
-            raise ConfigError(f"dt must leave at most {MAX_INTERVALS} intervals "
+        if Tf / dtf > tr.MAX_INTERVALS:
+            raise ConfigError(f"dt must leave at most {tr.MAX_INTERVALS} intervals "
                               f"M = T/dt, got dt={dt} for T={rs.T}")
     return rs
 

@@ -34,12 +34,12 @@ _FOUR_PI = 4.0 * math.pi
 
 
 def remap(u: gr.NodalField, c: gr.MomentField):
-    """Fold the collided moments into the nodal carrier.
+    """Fold the collided moments into the nodal carrier and zero them.
 
-    Returns (merged nodal field, residual), where the residual checks that
-    projecting the merged field recovers exactly the projection of u plus
-    the moments of c.  Requires quadrature exactness >= 2N so the check is
-    alias-free.
+    Returns (merged nodal field, zeroed moment field, residual), where the
+    residual checks that projecting the merged field recovers exactly the
+    projection of u plus the moments of c.  Requires quadrature exactness
+    >= 2N so the check is alias-free.
     """
     if u.quad.exactness < 2 * c.N:
         raise ValueError(
@@ -50,7 +50,7 @@ def remap(u: gr.NodalField, c: gr.MomentField):
     before = gr.project_field(u, c.N)
     after = gr.project_field(merged, c.N)
     residual = float(np.max(np.abs(after.coeffs - before.coeffs - c.coeffs)))
-    return merged, residual
+    return merged, gr.zero_moment_field(u.grid, c.N), residual
 
 
 @dataclass
@@ -147,8 +147,8 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
             psi, collided = hybrid_step(psi, a, b, op, flow)
             norm_u, norm_c = gr.l2_norm(psi), gr.l2_norm(collided)
             # The merged carrier is the pair's sum at b^-, the reported state.
-            psi, resid = remap(psi, collided)
-            del collided  # freed before the next step allocates its own
+            psi, _, resid = remap(psi, collided)  # zeroed moments unused
+            del collided, _  # freed before the next step allocates its own
             err = None
             if reference is not None:
                 err = gr.nodal_error_norm(psi, reference(b))

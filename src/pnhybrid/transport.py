@@ -101,6 +101,10 @@ _PHI_SERIES_TERMS = 20
 # at N = 28.
 DENSE_EXPM_MAX_MOMENTS = 441
 
+# Most intervals M = T/dt a ProblemSpec may have: the shipped configs and
+# benchmark workloads use at most 16, and 10^6 interval edges fit in memory.
+MAX_INTERVALS = 10**6
+
 
 def _as_fraction(x, name="time") -> Fraction:
     if isinstance(x, Fraction):
@@ -151,6 +155,9 @@ class ProblemSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if (self.T / self.dt).denominator != 1:
             raise ValueError(f"M*dt != T: dt={self.dt} does not divide T={self.T}")
+        if self.T / self.dt > MAX_INTERVALS:
+            raise ValueError(f"dt must leave at most {MAX_INTERVALS} intervals "
+                             f"M = T/dt, got dt={self.dt} for T={self.T}")
 
     @property
     def M(self) -> int:

@@ -296,8 +296,8 @@ def test_edge_values_accepted():
     rs = _parse_text("[run]\nproblem = sobolev-s\nN = 5\nn_ref = 6\ns = 1\n"
                      "band = 0\nsigma_t = 0.5\nsigma_a = 0.5\n")
     assert (rs.n_ref, rs.s, rs.band, rs.sigma_a) == (6, 1, 0, 0.5)
-    rs = _parse_text(f"[run]\nproblem = sobolev-s\nT = 2\ndt = {2 / hn.MAX_INTERVALS}\n")
-    assert Fraction(rs.T) / Fraction(rs.dt) == hn.MAX_INTERVALS
+    rs = _parse_text(f"[run]\nproblem = sobolev-s\nT = 2\ndt = {2 / tr.MAX_INTERVALS}\n")
+    assert Fraction(rs.T) / Fraction(rs.dt) == tr.MAX_INTERVALS
     # Only the diffusion solver needs sigma_t > 0.
     rs = _parse_text("[run]\nproblem = iso-smooth\nsolver = diffusion\nsigma_t = 0.5\n"
                      "[sweep]\nsigma = 0.5, 1\n")

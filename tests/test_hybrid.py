@@ -31,8 +31,9 @@ def test_remap_zero_collided_is_identity():
     quad = sh.build_sphere_quadrature(6)
     u = gr.nodal_field(grid, quad, spec.g)
     c = gr.zero_moment_field(grid, 3)
-    merged, resid = hy.remap(u, c)
+    merged, zeroed, resid = hy.remap(u, c)
     assert np.array_equal(merged.values, u.values)
+    assert np.all(zeroed.coeffs == 0.0)
     assert resid < 1e-15
 
 
@@ -44,7 +45,7 @@ def test_remap_unit_mean_moment():
     coeffs = c.coeffs.copy()
     coeffs[0, 0, 0, 0] = 1.0
     c = gr.MomentField(grid, 3, coeffs)
-    merged, resid = hy.remap(u, c)
+    merged, _, resid = hy.remap(u, c)
     # The mean basis function is the constant 1/sqrt(4 pi).
     want = 1.0 / math.sqrt(4.0 * math.pi)
     assert np.max(np.abs(merged.values - want)) < 1e-15
@@ -59,7 +60,7 @@ def test_remap_mass_linearity():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal((3, 1, 1, 16)) + 0j
     c = gr.MomentField(grid, 3, coeffs)
-    merged, resid = hy.remap(u, c)
+    merged, _, resid = hy.remap(u, c)
     mass_merged = gr.scalar_flux(gr.project_field(merged, 3))
     mass_u = gr.scalar_flux(gr.project_field(u, 3))
     mass_c = gr.scalar_flux(c)
@@ -189,6 +190,22 @@ def test_nonpositive_dt_rejected(dt):
         hy.run_hybrid(spec, N=3, dt=dt)
 
 
+@pytest.mark.parametrize("dt", ["1e-9", 5e-324], ids=["1e-9", "subnormal"])
+def test_too_many_intervals_rejected(monkeypatch, dt):
+    def edges(self):
+        raise AssertionError("interval edges built")
+
+    monkeypatch.setattr(tr.ProblemSpec, "interval_edges", edges)
+    with pytest.raises(ValueError, match="dt must leave at most 1000000 intervals"):
+        tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1, dt=dt)
+    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
+    with pytest.raises(ValueError, match="dt must leave at most 1000000 intervals"):
+        hy.run_hybrid(spec, N=3, dt=dt)
+    most = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1,
+                      dt=Fraction(1, tr.MAX_INTERVALS))
+    assert most.M == tr.MAX_INTERVALS
+
+
 def test_absorbing_hybrid_matches_transformed():
     spec = tr.problem("abs", eps=0.6, sigma_t=1.0, sigma_a=0.4,
                       g=[_iso_cosine(), _aniso_cosine()], T="0.5", dt="1/4")
@@ -278,7 +295,7 @@ def test_run_hybrid_equals_hand_written_loop():
             total = u + gr.evaluate_field(c, quad)
             err = gr.nodal_error_norm(total, by_time[b])
             norm_u, norm_c = gr.l2_norm(u), gr.l2_norm(c)
-            u, resid = hy.remap(u, c)
+            u, _, resid = hy.remap(u, c)
             want.append(hy.IntervalRecord(m, b, norm_u, norm_c, resid, err,
                                           gr.l2_norm(u)))
     assert len(want) == 4
