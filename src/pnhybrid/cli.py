@@ -2,7 +2,7 @@
 
 Subcommands: solve-pn, solve-hybrid, sweep, verify-bounds, audit, plot.
 Exit codes: 0 success, 1 usage or configuration error, 2 audit or
-conformance failure.
+conformance failure.  main returns the code and raises nothing.
 """
 
 from __future__ import annotations
@@ -16,30 +16,33 @@ import numpy as np
 from . import bounds as bd
 from . import harness as hn
 from . import harmonics as sh
-from . import transport as tr
+
+
+class _Exit(Exception):
+    """Leave main with code after printing the message, if any, to stderr:
+    every refusal (code 1) and --help (code 0) takes this one path."""
+
+    def __init__(self, message="", code=1):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors by default; the contract wants 1."""
+    """argparse exits the process, with 2 on a usage error; here it raises
+    _Exit for main, with 1 on a usage error as the contract wants."""
+
+    def exit(self, status=0, message=None):
+        raise _Exit(message or "", status)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Exit(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _add_common(p, config_required=True):
-    def seed(text):
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-        return value
-
-    p.add_argument("--config", required=config_required, help="run config file")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=seed, default=0,
-                   help="seed of the audit's random draws; every subcommand "
-                        "accepts it")
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,67 +50,44 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Spherical-harmonic transport solves, hybrid "
                                  "splitting, bound evaluation, and sweeps.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text, needs_config in (
-        ("solve-pn", "one monolithic solve, summary to stdout", True),
-        ("solve-hybrid", "one hybrid solve with per-interval records", True),
-        ("sweep", "run the sweep grid and write CSV", True),
-        ("verify-bounds", "fit constants and check bound conformance", True),
-        ("audit", "run the inequality and coupling-oracle audits", False),
-        ("plot", "emit SVG + text table from a sweep CSV", True),
-    ):
+    for name, (help_text, needs_config, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, config_required=needs_config)
+        p.add_argument("--config", required=needs_config, help="run config file")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="seed of the audit's random draws; every subcommand "
+                            "accepts it")
     return parser
 
 
 def _load(args) -> hn.RunSpec:
     try:
-        rs = hn.parse_config(args.config)
+        return hn.parse_config(args.config)
     except (OSError, UnicodeDecodeError) as exc:
         why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
-        print(f"cannot read config {args.config}: {why}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Exit(f"cannot read config {args.config}: {why}") from None
     except hn.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-    return rs
+        raise _Exit(f"config error: {exc}") from None
 
 
-def _manufacture(rs: hn.RunSpec) -> hn.Manufactured:
-    return hn.manufactured(rs.problem, eps=rs.eps, sigma_t=rs.sigma_t,
-                           sigma_a=rs.sigma_a, T=rs.T, dt=rs.dt, s=rs.s,
-                           band=rs.band)
-
-
-def _cmd_solve_pn(args) -> int:
+def _cmd_solve(args, solver) -> int:
     rs = _load(args)
-    mf = _manufacture(rs)
-    out = hn.run_single(mf, "pn", rs.N, dt=rs.dt, n_ref=rs.n_ref, s=rs.s)
+    mf = hn.manufactured(rs.problem, eps=rs.eps, sigma_t=rs.sigma_t,
+                         sigma_a=rs.sigma_a, T=rs.T, dt=rs.dt, s=rs.s,
+                         band=rs.band)
+    out = hn.run_single(mf, solver, rs.N, dt=rs.dt, n_ref=rs.n_ref, s=rs.s)
+    dt = f"  dt={out.dt:g}" if solver == "hybrid" else ""
     print(f"problem        {rs.problem}")
-    print(f"solver         pn  N={rs.N}  eps={rs.eps:g}  sigma_t={rs.sigma_t:g}"
+    print(f"solver         {solver}  N={rs.N}{dt}  eps={rs.eps:g}  sigma_t={rs.sigma_t:g}"
           f"  sigma_a={rs.sigma_a:g}  T={rs.T}")
     print(f"error          {out.error:.6e}")
     print(f"oracle_unc     {out.oracle_uncertainty:.6e}")
     if out.report is not None:
         print(out.report.to_text())
-    adv = bd.regime_advisor(rs.eps, rs.sigma_t, float(tr._as_fraction(rs.T)),
-                            rs.s or mf.default_s)
-    print(f"regime         {adv.label} (dt crossover {adv.dt_crossover:.3e})")
-    return 0
-
-
-def _cmd_solve_hybrid(args) -> int:
-    rs = _load(args)
-    mf = _manufacture(rs)
-    dt_run = float(tr._as_fraction(rs.dt)) if rs.dt is not None else float(mf.spec.dt)
-    out = hn.run_single(mf, "hybrid", rs.N, dt=rs.dt, n_ref=rs.n_ref, s=rs.s)
-    print(f"problem        {rs.problem}")
-    print(f"solver         hybrid  N={rs.N}  dt={dt_run:g}  eps={rs.eps:g}"
-          f"  sigma_t={rs.sigma_t:g}  sigma_a={rs.sigma_a:g}  T={rs.T}")
-    print(f"error          {out.error:.6e}")
-    print(f"oracle_unc     {out.oracle_uncertainty:.6e}")
-    if out.report is not None:
-        print(out.report.to_text())
+    if solver == "pn":
+        adv = bd.regime_advisor(rs.eps, rs.sigma_t, mf.spec.t_final, rs.s or mf.default_s)
+        print(f"regime         {adv.label} (dt crossover {adv.dt_crossover:.3e})")
+        return 0
     print("interval  t_end      |psi_u|        |psi_c|        remap_resid")
     for rec in out.hybrid.records:
         print(f"{rec.m:8d}  {rec.t_end:<9.4g}  {rec.norm_u:<13.6e}  "
@@ -123,8 +103,7 @@ def _read_csv(path: str) -> list:
     try:
         return hn.read_csv(path)
     except ValueError as exc:
-        print(f"csv error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Exit(f"csv error: {exc}") from None
 
 
 def _run_sweep(rs: hn.RunSpec, out_dir: str) -> list:
@@ -132,13 +111,11 @@ def _run_sweep(rs: hn.RunSpec, out_dir: str) -> list:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Exit(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     try:
         rows = hn.run_sweep(rs)
     except hn.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _Exit(f"config error: {exc}") from None
     path = _csv_path(rs, out_dir)
     hn.write_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
@@ -165,8 +142,7 @@ def _cmd_verify_bounds(args) -> int:
     try:
         report = hn.fit_and_check(rows)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(f"config error: {exc}") from None
     print(report.to_text())
     return 0 if report.ok else 2
 
@@ -215,39 +191,42 @@ def _cmd_plot(args) -> int:
     rs = _load(args)
     path = _csv_path(rs, args.out)
     if not os.path.exists(path):
-        print(f"no CSV at {path}; run the sweep first", file=sys.stderr)
-        return 1
+        raise _Exit(f"no CSV at {path}; run the sweep first")
     rows = _read_csv(path)
     axis = rs.plot_axis or hn.varying_axis(rows)
     if axis is None:
-        print("no axis varies in the CSV; set plot_axis", file=sys.stderr)
-        return 1
+        raise _Exit("no axis varies in the CSV; set plot_axis")
     stem = os.path.splitext(path)[0]
     try:
         hn.emit_plot(rows, axis, svg_path=stem + ".svg", txt_path=stem + ".txt")
     except ValueError as exc:
-        print(f"plot error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(f"plot error: {exc}") from None
     print(f"wrote {stem}.svg and {stem}.txt")
     return 0
 
 
+# name -> (help text, whether --config is required, handler)
 _COMMANDS = {
-    "solve-pn": _cmd_solve_pn,
-    "solve-hybrid": _cmd_solve_hybrid,
-    "sweep": _cmd_sweep,
-    "verify-bounds": _cmd_verify_bounds,
-    "audit": _cmd_audit,
-    "plot": _cmd_plot,
+    "solve-pn": ("one monolithic solve, summary to stdout", True,
+                 lambda args: _cmd_solve(args, "pn")),
+    "solve-hybrid": ("one hybrid solve with per-interval records", True,
+                     lambda args: _cmd_solve(args, "hybrid")),
+    "sweep": ("run the sweep grid and write CSV", True, _cmd_sweep),
+    "verify-bounds": ("fit constants and check bound conformance", True,
+                      _cmd_verify_bounds),
+    "audit": ("run the inequality and coupling-oracle audits", False, _cmd_audit),
+    "plot": ("emit SVG + text table from a sweep CSV", True, _cmd_plot),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][2](args)
+    except _Exit as exc:
+        if str(exc):
+            print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -484,6 +484,7 @@ class SingleResult:
     oracle_uncertainty: float
     bound: float
     branch: str
+    dt: float  # the interval length the point ran at
     report: bd.BoundReport | None = None
     hybrid: hy.HybridResult | None = None  # the hybrid solve, when there was one
 
@@ -509,7 +510,8 @@ def _evaluate_bound(spec, solver, s_eff, N, dt_run, grid):
 def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
                s=None) -> SingleResult:
     """Solve one parameter point, measure its error against the problem's
-    oracle, and evaluate the matching bound with C = 1."""
+    oracle, and evaluate the matching bound with C = 1.  The point runs at
+    dt when it is given, else at the problem's own interval length."""
     if solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
     spec, T = mf.spec, mf.spec.t_final
@@ -536,8 +538,8 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
 
     reference, unc = mf.reference(solver, N, quad, n_ref)
     bound, branch, rep = _evaluate_bound(spec, solver, s_eff, N, dt_run, grid)
-    return SingleResult(distance(solution, reference), unc, bound, branch, rep,
-                        hybrid=res)
+    return SingleResult(distance(solution, reference), unc, bound, branch, dt_run,
+                        rep, hybrid=res)
 
 
 def sweep_points(rs: RunSpec):
@@ -569,8 +571,7 @@ def run_sweep(rs: RunSpec) -> list[SweepRow]:
             )
         out = run_single(mf, rs.solver, N, dt=dt, n_ref=rs.n_ref, s=rs.s)
         rows.append(SweepRow(
-            problem=rs.problem, solver=rs.solver, N=N,
-            dt=float(tr._as_fraction(dt)), eps=eps,
+            problem=rs.problem, solver=rs.solver, N=N, dt=out.dt, eps=eps,
             sigma_t=float(mf.spec.sigma_t), sigma_a=rs.sigma_a,
             T=float(Fraction(rs.T)), error=out.error,
             oracle_uncertainty=out.oracle_uncertainty,
@@ -687,8 +688,9 @@ class ConformanceReport:
 def fit_and_check(rows) -> ConformanceReport:
     """Fit one constant per (problem, solver) pair as C = max(error/bound),
     measure log-log slopes along every varying axis, and collect violations:
-    a zero bound facing an error above ZERO_BOUND_TOL.  Flagged rows are
-    excluded."""
+    an error above its bound as stated (C = 1), or a zero bound facing an
+    error above ZERO_BOUND_TOL.  Flagged rows and rows without a bound
+    (branch "none") are excluded."""
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError(f"conformance needs at least 3 rows, got {len(rows)}")
@@ -707,6 +709,11 @@ def fit_and_check(rows) -> ConformanceReport:
                     f"but error {r.error:.3e} exceeds {ZERO_BOUND_TOL:g}"
                 )
             continue
+        if r.error > r.bound:
+            rep.violations.append(
+                f"{r.problem}/{r.solver} N={r.N} dt={r.dt:g}: error {r.error:.3e} "
+                f"exceeds the stated bound {r.bound:.3e} (C = 1)"
+            )
         key = (r.problem, r.solver)
         ratios.setdefault(key, []).append(r.error / r.bound)
     for key, vals in ratios.items():

@@ -128,6 +128,8 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
     with blas.single_thread():
         if grid is None:
             grid = tr.default_grid(spec)
+        # The operator checks N before any quadrature is built for it.
+        op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
         if quad is None:
             quad = sh.build_sphere_quadrature(N + 1)
         if quad.exactness < 2 * N:
@@ -137,8 +139,6 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
         if dt is not None:
             spec = replace(spec, dt=tr._as_fraction(dt, "dt"))
         edges = spec.interval_edges()
-
-        op = tr.PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
         flow = tr.uncollided_flow(grid, quad, op.eps, op.sigma, op.sigma_a, spec.q)
         psi = gr.nodal_field(grid, quad, spec.g)
         records = []

@@ -111,14 +111,22 @@ def _as_fraction(x, name="time") -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if not isinstance(x, (float, str)):
+        raise TypeError(f"cannot interpret {x!r} as an exact time")
     try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(Decimal(repr(x)))
+        value = Fraction(x) if isinstance(x, str) else Fraction(Decimal(repr(x)))
     except (ValueError, OverflowError):
         raise ValueError(f"{name} must be a finite number, got {x!r}") from None
-    raise TypeError(f"cannot interpret {x!r} as an exact time")
+    # A numeral past the float range would read as inf, or as 0 although
+    # its exact value, which schedules use, is not.
+    try:
+        in_range = float(value) != 0.0 or value == 0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"{name} must be within the float range (0, or magnitude "
+                         f"5e-324 to 1.8e308), got {x!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -702,6 +710,8 @@ def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
     for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if sigma_a > sigma:
+        raise ValueError(f"sigma_a must satisfy 0 <= sigma_a <= sigma, got {sigma_a}")
     k1, k2, k3 = grid.k_grids()
     om = quad.nodes
     kdot = (

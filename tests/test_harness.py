@@ -409,6 +409,22 @@ def test_fit_flags_zero_bound_with_error():
     assert rep.ok
 
 
+def test_fit_flags_error_above_stated_bound():
+    # The bounds are stated with C = 1: a row above its bound violates them,
+    # though the fitted C still covers it.
+    rows = _synthetic_rows()
+    rows[2] = replace(rows[2], error=2.0 * rows[2].bound)
+    rep = hn.fit_and_check(rows)
+    assert rep.violations == [
+        f"synthetic/pn N=7 dt=1: error {rows[2].error:.3e} exceeds the stated "
+        f"bound {rows[2].bound:.3e} (C = 1)"
+    ]
+    assert rep.fits[("synthetic", "pn")] == pytest.approx(2.0, rel=1e-12)
+    # Rows without a bound (branch "none") are not held to one.
+    rows[2] = replace(rows[2], branch="none")
+    assert hn.fit_and_check(rows).ok
+
+
 def test_fit_excludes_flagged_rows():
     rows = _synthetic_rows()
     # Oracle uncertainty swamps the error: the ratio of this row would
@@ -480,6 +496,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     hn.write_csv(rows, tmp_path / "v.csv")
     assert cli.main(["verify-bounds", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+
+def test_verify_bounds_exits_two_on_error_above_bound(tmp_path, capsys):
+    rows = _synthetic_rows()[:3]
+    rows[1] = replace(rows[1], error=1.5 * rows[1].bound)
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("[run]\nproblem = sobolev-s\nsolver = pn\nout_csv = v.csv\n"
+                   "[sweep]\nN = 1, 3, 7\n")
+    hn.write_csv(rows, tmp_path / "v.csv")
+    assert cli.main(["verify-bounds", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert (f"VIOLATION: synthetic/pn N=3 dt=1: error {rows[1].error:.3e} exceeds "
+            f"the stated bound {rows[1].bound:.3e} (C = 1)\n") in out
+    assert out.endswith("verdict: NOT conformant\n")
 
 
 @pytest.mark.parametrize("command, config, out, message", [
@@ -557,10 +588,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nproblem = aniso-decay\nN = 1\n[sweep]\nN = 1, 2\n")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]
-    # A usage error leaves main through the parser's SystemExit(1).
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 1
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"pnhybrid {command}: error: argument --seed: "
@@ -584,9 +612,20 @@ def test_audit_seed_reaches_the_audit_rng(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_usage_error_is_exit_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["sweep"])  # missing --config
-    assert exc.value.code == 1
+    # main returns every code and raises nothing, usage errors and --help
+    # included.
+    assert cli.main(["sweep"]) == 1  # missing --config
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pnhybrid sweep")
+    assert captured.err.endswith("pnhybrid sweep: error: the following arguments "
+                                 "are required: --config\n")
+    assert cli.main([]) == 1
+    assert "pnhybrid: error: the following arguments are required" in capsys.readouterr().err
+    for argv in (["--help"], ["plot", "--help"]):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: pnhybrid") and captured.err == ""
 
 
 def test_streaming_cross_sections_default_to_zero():

@@ -183,6 +183,18 @@ def test_dt_gate_message():
         hy.run_hybrid(spec, N=3, dt="0.3")
 
 
+@pytest.mark.parametrize("N, message", [(2.5, "N must be an integer, got 2.5"),
+                                        (-1, "N must be nonnegative, got -1")])
+def test_run_hybrid_refuses_bad_degree_before_quadrature(monkeypatch, N, message):
+    def quadrature(order):
+        raise AssertionError(f"quadrature of order {order} built")
+
+    monkeypatch.setattr(sh, "build_sphere_quadrature", quadrature)
+    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hy.run_hybrid(spec, N)
+
+
 @pytest.mark.parametrize("dt", [-0.25, 0, "0"], ids=["negative", "zero", "zero-text"])
 def test_nonpositive_dt_rejected(dt):
     spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)

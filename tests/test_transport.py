@@ -55,6 +55,13 @@ def test_problem_spec_rejects_nan_fields(field):
         tr.ProblemSpec(**kwargs)
 
 
+@pytest.mark.parametrize("T", ["1e400", "-1e400", "1e-400"])
+def test_problem_rejects_times_past_float_range(T):
+    # Read as a float, 1e400 is inf and 1e-400 is 0, though neither is.
+    with pytest.raises(ValueError, match="^T must be within the float range"):
+        tr.problem("p", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=T)
+
+
 def test_problem_fraction_schedule():
     spec = tr.problem("p", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1, dt="1/3")
     assert spec.M == 3
@@ -754,7 +761,7 @@ def test_uncollided_source_matches_loop_oracle(eps, sigma, sigma_a, mu, branches
     ("a", math.nan), ("a", -math.inf), ("b", math.nan), ("b", math.inf),
     ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1.0),
     ("sigma", math.nan), ("sigma", math.inf), ("sigma", -0.5),
-    ("sigma_a", math.nan), ("sigma_a", math.inf), ("sigma_a", -0.1),
+    ("sigma_a", math.nan), ("sigma_a", math.inf), ("sigma_a", -0.1), ("sigma_a", 1.5),
 ])
 def test_uncollided_rejects_bad_input(field, value):
     quad = sh.build_sphere_quadrature(2)
