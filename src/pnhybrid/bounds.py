@@ -70,6 +70,7 @@ def _pick(branch: str, tau: float) -> bool:
 def kappa(tau: float, branch: str = "auto") -> float:
     """exp(-tau); no cancellation, so both branches coincide."""
     _check_tau(tau)
+    _pick(branch, tau)  # refuses an unknown branch like every other kernel
     return math.exp(-tau)
 
 

@@ -74,8 +74,8 @@ def _cmd_solve(args, solver) -> int:
     rs = _load(args)
     mf = hn.manufactured(rs.problem, eps=rs.eps, sigma_t=rs.sigma_t,
                          sigma_a=rs.sigma_a, T=rs.T, dt=rs.dt, s=rs.s,
-                         band=rs.band)
-    out = hn.run_single(mf, solver, rs.N, dt=rs.dt, n_ref=rs.n_ref, s=rs.s)
+                         band=rs.band, n_ref=rs.n_ref)
+    out = hn.run_single(mf, solver, rs.N)
     dt = f"  dt={out.dt:g}" if solver == "hybrid" else ""
     print(f"problem        {rs.problem}")
     print(f"solver         {solver}  N={rs.N}{dt}  eps={rs.eps:g}  sigma_t={rs.sigma_t:g}"
@@ -85,7 +85,7 @@ def _cmd_solve(args, solver) -> int:
     if out.report is not None:
         print(out.report.to_text())
     if solver == "pn":
-        adv = bd.regime_advisor(rs.eps, rs.sigma_t, mf.spec.t_final, rs.s or mf.default_s)
+        adv = bd.regime_advisor(rs.eps, rs.sigma_t, mf.spec.t_final, mf.s)
         print(f"regime         {adv.label} (dt crossover {adv.dt_crossover:.3e})")
         return 0
     print("interval  t_end      |psi_u|        |psi_c|        remap_resid")

@@ -9,11 +9,13 @@ the CLI consume.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +32,31 @@ class ConfigError(ValueError):
 
 _SOLVERS = ("pn", "hybrid", "uncollided", "diffusion")
 
-# The config schema: each section's keys, in RunSpec field order, with the
-# kind its value is read as (see _convert).  A [sweep] key k is a
-# comma-separated list stored in RunSpec.sweep_k.
+# The config schema: each [run] key, in RunSpec field order, with the kind
+# its value is read as (see _convert).
 _RUN_KINDS = {
     "problem": str, "solver": str, "N": int, "dt": "time", "eps": float,
     "sigma_t": float, "sigma_a": float, "T": "time", "s": int, "band": int,
     "n_ref": int, "out_csv": str, "plot_axis": str,
 }
-_SWEEP_KINDS = {"N": int, "dt": "time", "eps": float, "sigma": float}
-_KINDS = {"run": _RUN_KINDS, "sweep": _SWEEP_KINDS}
+
+
+class _Axis(NamedTuple):
+    kind: object    # what each value is read as, as in _RUN_KINDS
+    field: str      # the RunSpec field a run holds it in when not swept
+    label: str      # the plot's axis label
+    coord: object   # the row's coordinate along the axis
+
+
+# Each sweep axis, in grid order (the first varies slowest).  A [sweep] key
+# k is a comma-separated list stored in RunSpec.sweep_k.
+_AXES = {
+    "N": _Axis(int, "N", "N+1", lambda r: float(r.N + 1)),
+    "dt": _Axis("time", "dt", "dt", lambda r: r.dt),
+    "eps": _Axis(float, "eps", "eps", lambda r: r.eps),
+    "sigma": _Axis(float, "sigma_t", "sigma_t", lambda r: r.sigma_t),
+}
+_KINDS = {"run": _RUN_KINDS, "sweep": {k: a.kind for k, a in _AXES.items()}}
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -119,15 +136,6 @@ _ROW_KINDS = tuple((f.name, {"str": str, "int": int, "float": float}[f.type])
 CSV_COLUMNS = ("schema",) + tuple(name for name, _ in _ROW_KINDS)
 
 
-def _check_number(text: str, line_no: int, key: str) -> str:
-    if not _NUMBER_RE.match(text):
-        raise ConfigError(
-            f"line {line_no}: value for '{key}' must be a decimal or "
-            f"scientific numeral, got {text!r}"
-        )
-    return text
-
-
 def _parse_lines(lines):
     """Yield (line_no, section, key, value) tuples from config text lines."""
     section = ""
@@ -156,8 +164,7 @@ def parse_config(path) -> RunSpec:
     """Read a config file into a RunSpec, applying defaults and validating
     every key, numeral, and the interval-schedule constraint."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    return parse_config_text(lines)
+        return parse_config_text(fh.readlines())
 
 
 def _convert(kind, text: str, line_no: int, key: str):
@@ -172,7 +179,9 @@ def _convert(kind, text: str, line_no: int, key: str):
             raise ConfigError(
                 f"line {line_no}: value for '{key}' must be an integer, got {text!r}"
             )
-    _check_number(text, line_no, key)
+    if not _NUMBER_RE.match(text):
+        raise ConfigError(f"line {line_no}: value for '{key}' must be a decimal or "
+                          f"scientific numeral, got {text!r}")
     value = float(text)
     # A numeral past the float range would read as inf, or as 0 although
     # its exact value, which schedules use for times, is not.
@@ -197,8 +206,9 @@ def parse_config_text(lines) -> RunSpec:
         raise ConfigError(
             f"unknown problem {rs.problem!r}; known: {', '.join(sorted(PROBLEMS))}"
         )
-    # The scattering-free problem has no cross sections to default to 1.
-    if rs.problem == "streaming":
+    # A scattering-free problem has no cross sections to default to 1.
+    free = _scattering_free(rs.problem)
+    if free:
         rs.sigma_t = 0.0
     for key, kind in _RUN_KINDS.items():
         if key in run:
@@ -207,7 +217,7 @@ def parse_config_text(lines) -> RunSpec:
     if rs.solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {rs.solver!r}; known: {', '.join(_SOLVERS)}")
 
-    for key, kind in _SWEEP_KINDS.items():
+    for key, kind in _KINDS["sweep"].items():
         if key not in sweep:
             continue
         no, text = sweep[key]
@@ -224,19 +234,13 @@ def parse_config_text(lines) -> RunSpec:
                 raise ConfigError(f"line {no}: bad sweep value {p!r} for '{key}'")
         setattr(rs, "sweep_" + key, tuple(values))
 
-    if rs.problem == "streaming":
-        for key, values in (("sigma_t", (rs.sigma_t,)), ("sigma_a", (rs.sigma_a,)),
-                            ("sigma", rs.sweep_sigma)):
-            for v in values:
-                if v != 0.0:
-                    raise ConfigError(
-                        f"{key} must be 0 for the scattering-free problem "
-                        f"'streaming', got {v}"
-                    )
-
     Ns = (rs.N,) + rs.sweep_N
     sigma_min = min((rs.sigma_t,) + rs.sweep_sigma)
+    zero = f"0 for the scattering-free problem '{rs.problem}'"
     for key, values, ok, need in (
+        ("sigma_t", (rs.sigma_t,), lambda v: not free or v == 0.0, zero),
+        ("sigma_a", (rs.sigma_a,), lambda v: not free or v == 0.0, zero),
+        ("sigma", rs.sweep_sigma, lambda v: not free or v == 0.0, zero),
         ("N", Ns, lambda v: v >= 0, "nonnegative"),
         ("eps", (rs.eps,) + rs.sweep_eps, lambda v: v > 0, "positive"),
         ("sigma_t", (rs.sigma_t,), lambda v: v >= 0, "nonnegative"),
@@ -283,7 +287,7 @@ def emit_config(rs: RunSpec) -> str:
         value = getattr(rs, key)
         if value is not None and value != "":
             lines.append(f"{key} = {_emit(kind, value)}")
-    axes = [(key, kind, getattr(rs, "sweep_" + key)) for key, kind in _SWEEP_KINDS.items()]
+    axes = [(key, kind, getattr(rs, "sweep_" + key)) for key, kind in _KINDS["sweep"].items()]
     if any(values for _, _, values in axes):
         lines += ["", "[sweep]"]
         lines += [f"{key} = " + ", ".join(_emit(kind, v) for v in values)
@@ -297,7 +301,8 @@ def emit_config(rs: RunSpec) -> str:
 
 @dataclass(frozen=True)
 class Manufactured:
-    """A registry problem and its oracle.
+    """A registry problem, its oracle, and the run's regularity order s
+    (for the bounds) and reference-degree override n_ref.
 
     `reference` gives what a solution at T is measured against, together
     with the reference's own uncertainty.  Reference P_N solves are memoized
@@ -310,7 +315,8 @@ class Manufactured:
 
     spec: tr.ProblemSpec
     exact: str      # "", "decay", or "characteristics"
-    default_s: int  # regularity order used for bounds when the run sets none
+    s: int
+    n_ref: int | None
     _solves: dict = dc_field(default_factory=dict, init=False, compare=False,
                              repr=False)
     _quads: dict = dc_field(default_factory=dict, init=False, compare=False,
@@ -322,7 +328,7 @@ class Manufactured:
             self._quads[polar_order] = sh.build_sphere_quadrature(polar_order)
         return self._quads[polar_order]
 
-    def reference(self, solver: str, N: int, quad=None, n_ref=None):
+    def reference(self, solver: str, N: int, quad=None):
         """(reference, uncertainty) for a degree-N run of `solver` at T.
 
         The diffusion solver is measured against the diffusion-limit flux.
@@ -339,7 +345,7 @@ class Manufactured:
             return decay_solution(spec, grid, N, T), 0.0
         if self.exact == "characteristics":
             return tr.characteristics_solution(spec, quad, T, grid), 0.0
-        n1 = reference_degree(N, n_ref)
+        n1 = reference_degree(N, self.n_ref)
         for n in (n1, n1 + 4):
             if n not in self._solves:
                 self._solves[n] = tr.solve_pn(spec, n, grid=grid).final
@@ -347,75 +353,52 @@ class Manufactured:
         return ref, moment_distance(ref, ref2)
 
 
-def _cosine_spatial():
-    return {(1, 0, 0): 0.5, (-1, 0, 0): 0.5}
+_COSINE = {(1, 0, 0): 0.5, (-1, 0, 0): 0.5}  # cos(x1)
 
 
-def _isotropic_cosine(name):
-    """Builder of an isotropic cos(x1) problem measured against P_N references."""
-    def build(eps, sigma_t, sigma_a, T, dt, s, band):
-        g = [gr.isotropic_term(_cosine_spatial())]
-        return Manufactured(
-            tr.problem(name, eps, sigma_t, g, sigma_a=sigma_a, T=T, dt=dt),
-            exact="", default_s=2,
-        )
-    return build
-
-
-def _build_aniso_decay(eps, sigma_t, sigma_a, T, dt, s, band):
-    g = [gr.term({(0, 0, 0): 1.0}, (0.0, 0.0, 1.0, 0.0))]
-    return Manufactured(
-        tr.problem("aniso-decay", eps, sigma_t, g, sigma_a=sigma_a, T=T, dt=dt),
-        exact="decay", default_s=2,
-    )
-
-
-def _build_streaming(eps, sigma_t, sigma_a, T, dt, s, band):
-    """Scattering-free by definition: the cross sections are not read (the
-    config parser rejects nonzero ones for this problem)."""
-    g = [
-        gr.isotropic_term(_cosine_spatial()),
-        gr.term(_cosine_spatial(), (0.0, 0.0, 0.5, 0.0)),
-    ]
-    return Manufactured(
-        tr.problem("streaming", eps, 0.0, g, sigma_a=0.0, T=T, dt=dt),
-        exact="characteristics", default_s=2,
-    )
-
-
-def _build_sobolev(eps, sigma_t, sigma_a, T, dt, s, band):
-    s_eff = 2 if s is None else int(s)
-    if s_eff < 1:
-        raise ConfigError(f"sobolev-s needs s >= 1, got {s_eff}")
+def _sobolev_data(s, band):
+    """cos(x1) times angular amplitudes (l + 1/2)^-(s+1) up to degree band."""
     amps = [0.0] * sh.n_moments(band)
     for l in range(band + 1):
-        amps[sh.ordinal(l, 0)] = (l + 0.5) ** (-(s_eff + 1))
-    g = [gr.term(_cosine_spatial(), tuple(amps))]
-    return Manufactured(
-        tr.problem(f"sobolev-{s_eff}", eps, sigma_t, g, sigma_a=sigma_a, T=T, dt=dt),
-        exact="", default_s=s_eff,
-    )
+        amps[sh.ordinal(l, 0)] = (l + 0.5) ** (-(s + 1))
+    return [gr.term(_COSINE, tuple(amps))]
 
 
+# name -> (initial data g from the run's s and band, oracle kind).  An oracle
+# kind "" measures against P_N references; "characteristics" is exact only
+# without scattering, so a problem with that oracle is scattering-free.
 PROBLEMS = {
-    "iso-smooth": _isotropic_cosine("iso-smooth"),
-    "aniso-decay": _build_aniso_decay,
-    "streaming": _build_streaming,
-    "sobolev-s": _build_sobolev,
-    "diffusion-check": _isotropic_cosine("diffusion-check"),
+    "iso-smooth": (lambda s, band: [gr.isotropic_term(_COSINE)], ""),
+    "aniso-decay": (lambda s, band: [gr.term({(0, 0, 0): 1.0}, (0.0, 0.0, 1.0, 0.0))],
+                    "decay"),
+    "streaming": (lambda s, band: [gr.isotropic_term(_COSINE),
+                                   gr.term(_COSINE, (0.0, 0.0, 0.5, 0.0))],
+                  "characteristics"),
+    "sobolev-s": (_sobolev_data, ""),
+    "diffusion-check": (lambda s, band: [gr.isotropic_term(_COSINE)], ""),
 }
 
 
+def _scattering_free(name: str) -> bool:
+    return PROBLEMS[name][1] == "characteristics"
+
+
 def manufactured(name, eps=1.0, sigma_t=1.0, sigma_a=0.0, T="1", dt=None,
-                 s=None, band=16) -> Manufactured:
-    """Instantiate a registry problem with the given physical parameters."""
+                 s=None, band=16, n_ref=None) -> Manufactured:
+    """Instantiate a registry problem with the given physical parameters,
+    regularity order s (2 when not given) and reference-degree override; a
+    scattering-free one reads no cross sections (the parser refuses them)."""
     try:
-        build = PROBLEMS[name]
+        data, exact = PROBLEMS[name]
     except KeyError:
         raise ConfigError(
             f"unknown problem {name!r}; known: {', '.join(sorted(PROBLEMS))}"
         ) from None
-    return build(eps, sigma_t, sigma_a, T, dt, s, band)
+    s = 2 if s is None else int(s)
+    if _scattering_free(name):
+        sigma_t = sigma_a = 0.0
+    spec = tr.problem(name, eps, sigma_t, data(s, band), sigma_a=sigma_a, T=T, dt=dt)
+    return Manufactured(spec, exact, s, n_ref)
 
 
 def decay_solution(spec: tr.ProblemSpec, grid, N: int, t: float) -> gr.MomentField:
@@ -489,16 +472,13 @@ class SingleResult:
     hybrid: hy.HybridResult | None = None  # the hybrid solve, when there was one
 
 
-def _evaluate_bound(spec, solver, s_eff, N, dt_run, grid):
-    if solver not in ("pn", "hybrid"):
+def _evaluate_bound(spec, solver, s, N, grid):
+    if solver not in ("pn", "hybrid") or N < s - 1:
         return 0.0, "none", None
-    family = solver
-    if N < s_eff - 1:
-        return 0.0, "none", None
-    bi = bd.bound_inputs(spec, s_eff, N, dt=dt_run, grid=grid, family=family)
+    bi = bd.bound_inputs(spec, s, N, grid=grid, family=solver)
     if spec.sigma_a > 0.0:
-        rep = bd.absorbing_bounds(bi, family)
-    elif family == "pn":
+        rep = bd.absorbing_bounds(bi, solver)
+    elif solver == "pn":
         rep = bd.pn_error_bound(bi)
     else:
         rep = bd.hybrid_error_bound(bi)
@@ -507,17 +487,15 @@ def _evaluate_bound(spec, solver, s_eff, N, dt_run, grid):
     return rep.total, branch or "flat", rep
 
 
-def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
-               s=None) -> SingleResult:
+def run_single(mf: Manufactured, solver: str, N: int, dt=None) -> SingleResult:
     """Solve one parameter point, measure its error against the problem's
-    oracle, and evaluate the matching bound with C = 1.  The point runs at
-    dt when it is given, else at the problem's own interval length."""
+    oracle, and evaluate the matching bound at mf.s with C = 1.  The point
+    runs at dt when it is given, else at the problem's own interval length."""
     if solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
-    spec, T = mf.spec, mf.spec.t_final
+    spec = mf.spec if dt is None else replace(mf.spec, dt=tr._as_fraction(dt, "dt"))
+    T, dt_run = spec.t_final, float(spec.dt)
     grid = tr.default_grid(spec)
-    dt_run = float(tr._as_fraction(dt)) if dt is not None else float(spec.dt)
-    s_eff = mf.default_s if s is None else int(s)
 
     res = quad = None
     if solver in ("pn", "diffusion"):
@@ -526,34 +504,32 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None, n_ref=None,
             quad = measurement_quadrature(mf, N, T)
     else:
         # Nodal solvers: the quadrature also resolves the reference degree.
-        degree = N + 1 if mf.exact else max(N + 1, reference_degree(N, n_ref))
+        degree = N + 1 if mf.exact else max(N + 1, reference_degree(N, mf.n_ref))
         quad = measurement_quadrature(mf, degree, dt_run)
         if solver == "hybrid":
-            res = hy.run_hybrid(spec, N, dt=dt_run, grid=grid, quad=quad)
+            res = hy.run_hybrid(spec, N, grid=grid, quad=quad)
             solution = res.total
         else:
             solution = tr.solve_uncollided(gr.nodal_field(grid, quad, spec.g), 0.0, T,
                                            spec.eps, spec.sigma_t, spec.sigma_a,
                                            q_terms=spec.q)
 
-    reference, unc = mf.reference(solver, N, quad, n_ref)
-    bound, branch, rep = _evaluate_bound(spec, solver, s_eff, N, dt_run, grid)
+    reference, unc = mf.reference(solver, N, quad)
+    bound, branch, rep = _evaluate_bound(spec, solver, mf.s, N, grid)
     return SingleResult(distance(solution, reference), unc, bound, branch, dt_run,
                         rep, hybrid=res)
 
 
 def sweep_points(rs: RunSpec):
-    """The ordered parameter tuples (N, dt, eps, sigma_t) of a sweep."""
-    if not (rs.sweep_N or rs.sweep_dt or rs.sweep_eps or rs.sweep_sigma):
+    """The ordered parameter tuples (N, dt, eps, sigma_t) of a sweep: each
+    axis's swept values, else the run's own value (dt None: the run's own)."""
+    swept = [getattr(rs, "sweep_" + key) for key in _AXES]
+    if not any(swept):
         raise ConfigError("sweep requires at least one non-empty axis in [sweep]")
-    Ns = rs.sweep_N or (rs.N,)
-    dts = rs.sweep_dt or ((rs.dt,) if rs.dt is not None else (rs.T,))
-    epss = rs.sweep_eps or (rs.eps,)
-    sigmas = rs.sweep_sigma or (rs.sigma_t,)
-    return [
-        (N, dt, eps, sigma)
-        for N in Ns for dt in dts for eps in epss for sigma in sigmas
-    ]
+    return list(itertools.product(*(
+        values or (getattr(rs, axis.field),)
+        for values, axis in zip(swept, _AXES.values())
+    )))
 
 
 def run_sweep(rs: RunSpec) -> list[SweepRow]:
@@ -567,9 +543,9 @@ def run_sweep(rs: RunSpec) -> list[SweepRow]:
         if mf is None:
             mf = problems[(eps, sigma)] = manufactured(
                 rs.problem, eps=eps, sigma_t=sigma, sigma_a=rs.sigma_a, T=rs.T,
-                s=rs.s, band=rs.band,
+                dt=rs.dt, s=rs.s, band=rs.band, n_ref=rs.n_ref,
             )
-        out = run_single(mf, rs.solver, N, dt=dt, n_ref=rs.n_ref, s=rs.s)
+        out = run_single(mf, rs.solver, N, dt=dt)
         rows.append(SweepRow(
             problem=rs.problem, solver=rs.solver, N=N, dt=out.dt, eps=eps,
             sigma_t=float(mf.spec.sigma_t), sigma_a=rs.sigma_a,
@@ -626,15 +602,6 @@ def read_csv(path) -> list[SweepRow]:
 # Conformance
 
 
-# Each sweep axis, in _SWEEP_KINDS order: its plot label and its
-# coordinate in a row.
-_AXES = {
-    "N": ("N+1", lambda r: float(r.N + 1)),
-    "dt": ("dt", lambda r: r.dt),
-    "eps": ("eps", lambda r: r.eps),
-    "sigma": ("sigma_t", lambda r: r.sigma_t),
-}
-
 # Largest error a row with a zero bound may carry: an exact solver's
 # round-off.
 ZERO_BOUND_TOL = 1e-8
@@ -643,14 +610,14 @@ ZERO_BOUND_TOL = 1e-8
 def varying_axis(rows) -> str | None:
     """The first sweep axis along which the rows' coordinates differ, or
     None when every row sits at the same point."""
-    for axis, (_, coord) in _AXES.items():
-        if len({coord(r) for r in rows}) > 1:
+    for axis, a in _AXES.items():
+        if len({a.coord(r) for r in rows}) > 1:
             return axis
     return None
 
 
 def _other_key(row: SweepRow, axis: str):
-    vals = {a: coord(row) for a, (_, coord) in _AXES.items() if a != axis}
+    vals = {key: a.coord(row) for key, a in _AXES.items() if key != axis}
     return (row.problem, row.solver, row.sigma_a, row.T,
             tuple(sorted(vals.items())))
 
@@ -719,7 +686,7 @@ def fit_and_check(rows) -> ConformanceReport:
     for key, vals in ratios.items():
         rep.fits[key] = max(vals)
 
-    for axis, (_, coord) in _AXES.items():
+    for axis, (_, _, _, coord) in _AXES.items():
         groups: dict = {}
         for r in usable:
             groups.setdefault(_other_key(r, axis), []).append(r)
@@ -765,7 +732,7 @@ def emit_plot(rows, axis: str, svg_path=None, txt_path=None):
         raise ValueError("cannot plot an empty CSV")
     if axis not in _AXES:
         raise ValueError(f"unknown plot axis {axis!r}; choose one of {tuple(_AXES)}")
-    label, coord = _AXES[axis]
+    _, _, label, coord = _AXES[axis]
     pts = sorted((coord(r), r.error) for r in rows)
     if len({p[0] for p in pts}) < 2:
         raise ValueError(f"axis {axis!r} does not vary across the rows")

@@ -114,19 +114,9 @@ def _as_fraction(x, name="time") -> Fraction:
     if not isinstance(x, (float, str)):
         raise TypeError(f"cannot interpret {x!r} as an exact time")
     try:
-        value = Fraction(x) if isinstance(x, str) else Fraction(Decimal(repr(x)))
+        return Fraction(x) if isinstance(x, str) else Fraction(Decimal(repr(x)))
     except (ValueError, OverflowError):
         raise ValueError(f"{name} must be a finite number, got {x!r}") from None
-    # A numeral past the float range would read as inf, or as 0 although
-    # its exact value, which schedules use, is not.
-    try:
-        in_range = float(value) != 0.0 or value == 0
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        raise ValueError(f"{name} must be within the float range (0, or magnitude "
-                         f"5e-324 to 1.8e308), got {x!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -145,6 +135,18 @@ class ProblemSpec:
     dt: Fraction
 
     def __post_init__(self):
+        # An exact time past the float range would read as inf, or as 0
+        # although it is not.  Its numeral may run to hundreds of digits, so
+        # the message does not repeat it.
+        for name in ("T", "dt"):
+            value = getattr(self, name)
+            try:
+                in_range = float(value) != 0.0 or value == 0
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"{name} must be within the float range (0, or "
+                                 f"magnitude 5e-324 to 1.8e308)")
         for name in ("eps", "sigma_t", "sigma_a", "T", "dt"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -39,6 +39,14 @@ def test_kernel_branch_agreement_near_switch():
         assert abs(s - c) <= 1e-13 * abs(c)
 
 
+@pytest.mark.parametrize("name", sorted(bd.kernel_functions()) + ["big_gamma"])
+def test_every_kernel_rejects_an_unknown_branch(name):
+    # kappa has one formula for both branches, but refuses a third like the rest.
+    fn = bd.kernel_functions().get(name, lambda tau, branch: bd.big_gamma(1.0, tau, branch))
+    with pytest.raises(ValueError, match="^unknown branch 'bogus'$"):
+        fn(0.5, "bogus")
+
+
 def test_kernel_rejects_negative_argument():
     with pytest.raises(ValueError):
         bd.gamma_fn(-0.5)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pnhybrid import bounds as bd
 from pnhybrid import cli
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
@@ -137,6 +138,16 @@ def test_sobolev_tail_sums():
     assert abs(s2_64 - s2_16) < 0.06 * s2_16   # measured change 4.91%
 
 
+@pytest.mark.parametrize("name", sorted(hn.PROBLEMS))
+@pytest.mark.parametrize("s, want", [(None, 2), (3, 3)])
+def test_run_single_bound_uses_the_runs_s(name, s, want):
+    mf = hn.manufactured(name, s=s, n_ref=3)
+    assert mf.s == want
+    out = hn.run_single(mf, "pn", 2)
+    direct = bd.pn_error_bound(bd.bound_inputs(mf.spec, want, 2))
+    assert (out.bound, out.report.to_text()) == (direct.total, direct.to_text())
+
+
 def test_sweep_points_and_empty_axes():
     rs = hn.RunSpec(problem="iso-smooth", sweep_N=(1, 3), sweep_eps=(0.5, 1.0))
     pts = hn.sweep_points(rs)
@@ -214,6 +225,12 @@ def test_sweep_solves_each_reference_degree_once(monkeypatch):
         "[sweep]\nN = 1, 3, 5\n"
     )
     assert _reference_degrees(monkeypatch, rs) == [8, 12, 16, 20]
+    # An n_ref override puts every point's references at n_ref and n_ref + 4.
+    rs = _parse_text(
+        "[run]\nproblem = sobolev-s\nsolver = pn\nn_ref = 9\n"
+        "[sweep]\nN = 1, 3\n"
+    )
+    assert _reference_degrees(monkeypatch, rs) == [9, 13]
 
 
 def test_hybrid_dt_sweep_shares_references(monkeypatch):

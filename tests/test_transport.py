@@ -62,6 +62,17 @@ def test_problem_rejects_times_past_float_range(T):
         tr.problem("p", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=T)
 
 
+@pytest.mark.parametrize("time", [Fraction(10**400), Fraction(1, 10**400)])
+def test_problem_spec_rejects_exact_times_past_float_range(time):
+    # Built directly: T = dt would read as inf, or as 0 though it is not.
+    with pytest.raises(ValueError) as info:
+        tr.ProblemSpec(name="p", eps=1.0, sigma_t=1.0, sigma_a=0.0, g=(), q=(),
+                       T=time, dt=time)
+    message = str(info.value)
+    assert message.startswith("T must be within the float range")
+    assert "\n" not in message and len(message) < 100  # not the 400-digit numeral
+
+
 def test_problem_fraction_schedule():
     spec = tr.problem("p", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1, dt="1/3")
     assert spec.M == 3
