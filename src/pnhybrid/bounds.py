@@ -38,17 +38,23 @@ def _series_coeffs(term_fn) -> np.ndarray:
     return np.array(vals[::-1])  # highest power first, for polyval
 
 
-_GAMMA_SER = _series_coeffs(lambda k: Fraction((-1) ** k, math.factorial(k + 1)))
-_BETA1_SER = _series_coeffs(lambda k: Fraction((-1) ** k, (k + 2) * math.factorial(k)))
-_BETA2_SER = _series_coeffs(
-    lambda k: Fraction((-1) ** k, (k + 3) * (k + 2) * math.factorial(k))
-)
-_BETA3_SER = _series_coeffs(
-    lambda k: Fraction(2 * (-1) ** k, (k + 4) * (k + 3) * (k + 2) * math.factorial(k))
-)
-# Gamma(sigma, t)/t^2 and (1 - gamma(tau))/tau share this series; the latter
-# gives the sigma -> 0 limits of the /sigma terms.
-_BIGGAMMA_SER = _series_coeffs(lambda k: Fraction((-1) ** k, math.factorial(k + 2)))
+# phi_j(-tau) = sum_k (-tau)^k/(k+j)!: j = 1 is gamma; j = 2 is
+# Gamma(sigma, t)/t^2 and (1 - gamma(tau))/tau, the sigma -> 0 limits of the
+# /sigma terms.
+_PHI_SER = {j: _series_coeffs(lambda k, j=j: Fraction((-1) ** k, math.factorial(k + j)))
+            for j in (1, 2)}
+# beta_n(tau)/tau = sum_k (n-1)! (-1)^k (k+1)/(k+n+1)! tau^k.
+_BETA_SER = {
+    n: _series_coeffs(lambda k, n=n: Fraction(
+        math.factorial(n - 1) * (-1) ** k * (k + 1), math.factorial(k + n + 1)))
+    for n in (1, 2, 3)
+}
+# Closed form of beta_n(tau), given tau and e = exp(-tau).
+_BETA_CLOSED = {
+    1: lambda tau, e: (1.0 - e - tau * e) / tau,
+    2: lambda tau, e: (tau * e + 2.0 * e + tau - 2.0) / tau**2,
+    3: lambda tau, e: (tau**2 - 4.0 * tau - 2.0 * tau * e + 6.0 - 6.0 * e) / tau**3,
+}
 
 
 def _check_tau(tau: float):
@@ -78,7 +84,7 @@ def gamma_fn(tau: float, branch: str = "auto") -> float:
     """(1 - exp(-tau))/tau, the running average of kappa; 1 at tau = 0."""
     _check_tau(tau)
     if _pick(branch, tau):
-        return float(np.polyval(_GAMMA_SER, tau))
+        return float(np.polyval(_PHI_SER[1], tau))
     return (1.0 - math.exp(-tau)) / tau
 
 
@@ -86,10 +92,7 @@ def beta1(tau: float, branch: str = "auto") -> float:
     """(1 - exp(-tau) - tau exp(-tau))/tau, the n = 1 member of the family
     defined in `beta`: tau^-1 int_0^tau p exp(-p) dp.  Slope 1/2 at zero,
     tail 1/tau."""
-    _check_tau(tau)
-    if _pick(branch, tau):
-        return tau * float(np.polyval(_BETA1_SER, tau))
-    return (1.0 - math.exp(-tau) - tau * math.exp(-tau)) / tau
+    return beta(1, tau, branch)
 
 
 def beta2(tau: float, branch: str = "auto") -> float:
@@ -97,11 +100,7 @@ def beta2(tau: float, branch: str = "auto") -> float:
     family defined in `beta`: tau^-2 int_0^tau (tau - p) p exp(-p) dp.
     Slope 1/6 at zero, tail 1/tau.  Companion identity (factor n - 1 = 1):
     u^2 beta2(sigma u) = int_0^u s beta1(sigma s) ds."""
-    _check_tau(tau)
-    if _pick(branch, tau):
-        return tau * float(np.polyval(_BETA2_SER, tau))
-    e = math.exp(-tau)
-    return (tau * e + 2.0 * e + tau - 2.0) / tau**2
+    return beta(2, tau, branch)
 
 
 def beta3(tau: float, branch: str = "auto") -> float:
@@ -110,11 +109,7 @@ def beta3(tau: float, branch: str = "auto") -> float:
     tau^-3 int_0^tau (tau - p)^2 p exp(-p) dp.  Slope 1/12 at zero, tail
     1/tau.  Companion identity (factor n - 1 = 2):
     u^3 beta3(sigma u) = 2 int_0^u s^2 beta2(sigma s) ds."""
-    _check_tau(tau)
-    if _pick(branch, tau):
-        return tau * float(np.polyval(_BETA3_SER, tau))
-    e = math.exp(-tau)
-    return (tau**2 - 4.0 * tau - 2.0 * tau * e + 6.0 - 6.0 * e) / tau**3
+    return beta(3, tau, branch)
 
 
 def beta(n: int, tau: float, branch: str = "auto") -> float:
@@ -133,13 +128,12 @@ def beta(n: int, tau: float, branch: str = "auto") -> float:
     * the slope at zero, beta_n(tau)/tau -> 1/(n(n+1)): 1/2, 1/6, 1/12;
     * the tail, beta_n(tau) ~ 1/tau for every n.
     """
-    if n == 1:
-        return beta1(tau, branch)
-    if n == 2:
-        return beta2(tau, branch)
-    if n == 3:
-        return beta3(tau, branch)
-    raise ValueError(f"beta kernels are defined for n in {{1,2,3}}, got {n}")
+    if n not in _BETA_SER:
+        raise ValueError(f"beta kernels are defined for n in {{1,2,3}}, got {n}")
+    _check_tau(tau)
+    if _pick(branch, tau):
+        return tau * float(np.polyval(_BETA_SER[n], tau))
+    return _BETA_CLOSED[n](tau, math.exp(-tau))
 
 
 def big_gamma(sigma: float, t: float, branch: str = "auto") -> float:
@@ -150,7 +144,7 @@ def big_gamma(sigma: float, t: float, branch: str = "auto") -> float:
     tau = sigma * t
     _check_tau(tau)
     if sigma == 0.0 or _pick(branch, tau):
-        return t * t * float(np.polyval(_BIGGAMMA_SER, tau))
+        return t * t * float(np.polyval(_PHI_SER[2], tau))
     return t / sigma - (1.0 - math.exp(-sigma * t)) / sigma**2
 
 
@@ -158,7 +152,7 @@ def _one_minus_gamma_over_sigma(sigma: float, t: float) -> float:
     """[1 - gamma(sigma t)]/sigma, finite as sigma -> 0 (limit t/2)."""
     tau = sigma * t
     if tau < TAU_STAR:
-        return t * float(np.polyval(_BIGGAMMA_SER, tau))
+        return t * float(np.polyval(_PHI_SER[2], tau))
     return (1.0 - gamma_fn(tau)) / sigma
 
 
@@ -173,13 +167,25 @@ def kernel_functions() -> dict:
     }
 
 
+def _require(name: str, value: float, positive: bool):
+    """Refuse a value that is not finite and positive (or nonnegative)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        need = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {need}, got {value}")
+
+
+def _check_damping(k: int, eps: float, sigma: float, span: float):
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    _require("eps", eps, True)
+    _require("sigma", sigma, False)
+    _require("span", span, False)
+
+
 def a_operator_bound(k: int, eps: float, sigma: float, span: float) -> float:
     """Upper bound for the k-fold damping integral applied to 1:
     min(eps^k/sigma^k, span^k/(k! eps^k))."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if span < 0:
-        raise ValueError("span must be nonnegative")
+    _check_damping(k, eps, sigma, span)
     if k == 0:
         return 1.0
     first = math.inf if sigma == 0.0 else (eps / sigma) ** k
@@ -190,10 +196,7 @@ def a_operator_bound(k: int, eps: float, sigma: float, span: float) -> float:
 def a_operator_exact_decay(k: int, eps: float, sigma: float, span: float) -> float:
     """The k-fold damping integral applied to the decay profile
     exp(-sigma (t - a)/eps^2): exactly span^k exp(-sigma span/eps^2)/(k! eps^k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if span < 0:
-        raise ValueError("span must be nonnegative")
+    _check_damping(k, eps, sigma, span)
     return span**k * math.exp(-sigma * span / eps**2) / (math.factorial(k) * eps**k)
 
 
@@ -244,10 +247,8 @@ class BoundInputs:
                   ("sigma", self.sigma, False), ("sigma_a", self.sigma_a, False)]
         if self.dt is not None:
             checks.append(("dt", self.dt, True))
-        for name, value, positive in checks:
-            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                need = "positive" if positive else "nonnegative"
-                raise ValueError(f"{name} must be finite and {need}, got {value}")
+        for check in checks:
+            _require(*check)
         if self.s < 1:
             raise ValueError(f"the bound needs s >= 1, got s={self.s}")
         if self.N < self.s - 1:
@@ -259,10 +260,7 @@ class BoundInputs:
         for name in ("g_norms", "q_sup_norms"):
             norms = dict(getattr(self, name))
             for key, value in norms.items():
-                if not (math.isfinite(value) and value >= 0):
-                    raise ValueError(
-                        f"{name}[{key}] must be finite and nonnegative, got {value}"
-                    )
+                _require(f"{name}[{key}]", value, False)
             object.__setattr__(self, name, MappingProxyType(norms))
 
 
@@ -275,6 +273,12 @@ def _need(norms: Mapping, r: int, s: int, what: str) -> float:
 
 def _min_branch(a: float, a_name: str, b: float, b_name: str):
     return (a, a_name) if a <= b else (b, b_name)
+
+
+def _diffusive_branch(eps: float, sigma: float, T: float, s: int) -> float:
+    """eps^(s-1) s! T/sigma^s, the diffusive branch of the mixed-regularity
+    term of both the P_N and the hybrid bound; inf without scattering."""
+    return math.inf if sigma == 0.0 else eps ** (s - 1) * math.factorial(s) * T / sigma**s
 
 
 def pn_error_bound(bi: BoundInputs) -> BoundReport:
@@ -303,7 +307,7 @@ def pn_error_bound(bi: BoundInputs) -> BoundReport:
     )
     terms.append(BoundTerm("source-tail", proj * q0s * v2, b2))
 
-    diff3 = math.inf if sigma == 0.0 else eps ** (s - 1) * math.factorial(s) * T / sigma**s
+    diff3 = _diffusive_branch(eps, sigma, T, s)
     stream3 = (T / eps) ** (s + 1)
     v3, b3 = _min_branch(diff3, "diffusive", stream3, "streaming")
     terms.append(BoundTerm("mixed-regularity", 2.0 * proj * (g_s1 + T * q_s1) * v3, b3))
@@ -345,7 +349,7 @@ def hybrid_error_bound(bi: BoundInputs) -> BoundReport:
     g_s1 = _need(bi.g_norms, s + 1, 0, "g")
     q_s1 = _need(bi.q_sup_norms, s + 1, 0, "q")
     proj = (N + 1.0) ** (-s)
-    diff = math.inf if sigma == 0.0 else eps ** (s - 1) * math.factorial(s) * T / sigma**s
+    diff = _diffusive_branch(eps, sigma, T, s)
     stream = (dt**s * T / eps ** (s + 1)) * min(1.0, dt * sigma / eps**2)
     v, b = _min_branch(diff, "diffusive", stream, "interval")
     total = 2.0 * proj * (g_s1 + T * q_s1) * v
@@ -496,8 +500,12 @@ def unscaled_bounds(sigma: float, T: float, norms: UnscaledDataNorms,
                     dt: float | None = None, N: int | None = None) -> UnscaledReport:
     """Evaluate the whole unscaled family at once; interval and aggregate
     entries are filled only when dt (and N for the O(1/N) forms) is given."""
-    if sigma < 0 or T <= 0:
-        raise ValueError("need sigma >= 0 and T > 0")
+    _require("sigma", sigma, False)
+    _require("T", T, True)
+    if dt is not None and not (math.isfinite(dt) and 0 < dt <= T):
+        raise ValueError(f"dt must be finite, positive and at most T = {T}, got {dt}")
+    if N is not None and N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     e1 = unscaled_first_order(sigma, T, norms)
     e2 = unscaled_second_order(sigma, T, norms)
     endpoint = integrated = aggregate = mono = None
@@ -512,54 +520,23 @@ def unscaled_bounds(sigma: float, T: float, norms: UnscaledDataNorms,
     return UnscaledReport(e1, e2, endpoint, integrated, aggregate, mono)
 
 
-@dataclass(frozen=True)
-class RegimeAdvice:
-    label: str
-    dt_crossover: float
-    self_check_residual: float
-    detail: str
-
-
-def regime_advisor(eps: float, sigma: float, T: float, s: int) -> RegimeAdvice:
-    """Locate the step size at which the hybrid bound's interval branch
-    overtakes its diffusive branch, and classify the problem against the
-    range of candidate steps T/64 .. T."""
+def regime_advisor(eps: float, sigma: float, T: float, s: int) -> tuple[str, float]:
+    """(label, dt_crossover): the step size at which the hybrid bound's
+    interval branch overtakes its diffusive branch, (s!)^(1/s) eps^2/sigma,
+    and the problem's class against the range of candidate steps T/64 .. T."""
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma >= 0
             and math.isfinite(T) and T > 0 and s >= 1):
         raise ValueError(f"need finite eps > 0, sigma >= 0, T > 0 and s >= 1, got "
                          f"eps={eps}, sigma={sigma}, T={T}, s={s}")
     lo, hi = T / 64.0, T
     if sigma == 0.0:
-        return RegimeAdvice(
-            "streaming-exact", math.inf, 0.0,
-            "no scattering: the collided part vanishes and the splitting is exact",
-        )
+        return "streaming-exact", math.inf
     dt_star = math.factorial(s) ** (1.0 / s) * eps**2 / sigma
-    diffusive = eps ** (s - 1) * math.factorial(s) * T / sigma**s
-    interval = (dt_star**s * T / eps ** (s + 1)) * min(1.0, dt_star * sigma / eps**2)
-    resid = abs(diffusive - interval) / diffusive
     if dt_star < lo:
-        label = "diffusive; dt unconstrained by accuracy"
-        detail = (
-            f"crossover {dt_star:.3e} sits below the smallest candidate step "
-            f"{lo:.3e}: the diffusive branch controls the bound at any "
-            f"practical step size"
-        )
-    elif dt_star > hi:
-        label = "streaming"
-        detail = (
-            f"crossover {dt_star:.3e} sits above the largest candidate step "
-            f"{hi:.3e}: the interval branch controls the bound and refining "
-            f"dt pays off"
-        )
-    else:
-        label = "transition"
-        detail = (
-            f"crossover {dt_star:.3e} lies inside the candidate range "
-            f"[{lo:.3e}, {hi:.3e}]: refine dt down to the crossover, after "
-            f"which the diffusive branch takes over"
-        )
-    return RegimeAdvice(label, dt_star, resid, detail)
+        return "diffusive; dt unconstrained by accuracy", dt_star
+    if dt_star > hi:
+        return "streaming", dt_star
+    return "transition", dt_star
 
 
 @dataclass
@@ -680,14 +657,15 @@ def data_norms(spec: tr.ProblemSpec, pairs, grid=None):
     return g_out, qs_out
 
 
-def bound_inputs(spec: tr.ProblemSpec, s: int, N: int, dt=None, grid=None,
+def bound_inputs(spec: tr.ProblemSpec, s: int, N: int, grid=None,
                  family: str = "pn") -> BoundInputs:
-    """Assemble BoundInputs for a problem by measuring its data norms."""
+    """Assemble BoundInputs for a problem by measuring its data norms; the
+    interval length is the problem's dt."""
     pairs = required_pairs(s, family)
     g_norms, q_sup = data_norms(spec, pairs, grid)
     return BoundInputs(
         s=s, N=N, eps=spec.eps, sigma=spec.sigma_t, T=spec.t_final,
-        dt=float(dt) if dt is not None else float(spec.dt),
+        dt=float(spec.dt),
         sigma_a=spec.sigma_a,
         g_norms=g_norms, q_sup_norms=q_sup,
     )

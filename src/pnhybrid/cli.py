@@ -85,8 +85,8 @@ def _cmd_solve(args, solver) -> int:
     if out.report is not None:
         print(out.report.to_text())
     if solver == "pn":
-        adv = bd.regime_advisor(rs.eps, rs.sigma_t, mf.spec.t_final, mf.s)
-        print(f"regime         {adv.label} (dt crossover {adv.dt_crossover:.3e})")
+        label, dt_star = bd.regime_advisor(rs.eps, rs.sigma_t, mf.spec.t_final, mf.s)
+        print(f"regime         {label} (dt crossover {dt_star:.3e})")
         return 0
     print("interval  t_end      |psi_u|        |psi_c|        remap_resid")
     for rec in out.hybrid.records:

@@ -331,14 +331,3 @@ def reality_residual(field) -> float:
     for ax in range(g.dim):
         flipped = np.flip(flipped, axis=ax)
     return float(np.max(np.abs(flipped - np.conj(data))))
-
-
-def nodal_error_norm(nodal: NodalField, ref: MomentField) -> float:
-    """L^2 norm of (nodal field - moment field), evaluated at the nodes.
-
-    The reference is band-limited so its nodal samples are exact; the
-    quadrature error of the norm integral is controlled by the caller's
-    choice of quadrature on the nodal field.
-    """
-    ref_nodal = evaluate_field(ref, nodal.quad)
-    return l2_norm(nodal - ref_nodal)

@@ -350,7 +350,7 @@ class Manufactured:
             if n not in self._solves:
                 self._solves[n] = tr.solve_pn(spec, n, grid=grid).final
         ref, ref2 = self._solves[n1], self._solves[n1 + 4]
-        return ref, moment_distance(ref, ref2)
+        return ref, distance(ref, ref2)
 
 
 _COSINE = {(1, 0, 0): 0.5, (-1, 0, 0): 0.5}  # cos(x1)
@@ -404,8 +404,7 @@ def manufactured(name, eps=1.0, sigma_t=1.0, sigma_a=0.0, T="1", dt=None,
 def decay_solution(spec: tr.ProblemSpec, grid, N: int, t: float) -> gr.MomentField:
     """Exact solution for spatially constant data: the mean moment sees only
     absorption, every higher moment decays at sigma/eps^2 + sigma_a."""
-    L = max(N, gr.angular_band(spec.g))
-    coeffs = np.array(gr.moment_field(grid, L, spec.g).truncate(N).coeffs, copy=True)
+    coeffs = np.array(tr.initial_field(spec, grid, N).coeffs, copy=True)
     coeffs[..., 0] *= math.exp(-spec.sigma_a * t)
     rate = spec.sigma_t / spec.eps**2 + spec.sigma_a
     coeffs[..., 1:] *= math.exp(-rate * t)
@@ -416,26 +415,24 @@ def decay_solution(spec: tr.ProblemSpec, grid, N: int, t: float) -> gr.MomentFie
 # Error measurement
 
 
-def moment_distance(a: gr.MomentField, b: gr.MomentField) -> float:
-    """L^2 distance between moment fields of possibly different degrees."""
-    N = max(a.N, b.N)
-    diff = sh.project_moments(a.coeffs, N) - sh.project_moments(b.coeffs, N)
-    return gr.l2_norm(gr.MomentField(a.grid, N, diff))
-
-
 def distance(solution, reference) -> float:
     """L^2 distance between a solution and its reference, in the
     representation their types call for: a flux reference compares scalar
-    fluxes, two moment fields compare moments, and a nodal operand compares
-    values at its quadrature nodes."""
+    fluxes, two moment fields compare moments (zero-padded to the higher
+    degree), and a nodal operand compares values at its quadrature nodes,
+    where a band-limited moment field's samples are exact."""
     if isinstance(reference, np.ndarray):
-        return tr.flux_error(solution, reference)
+        diff = gr.scalar_flux(solution) - reference
+        return math.sqrt(solution.grid.measure * float(np.sum(np.abs(diff) ** 2)))
     if isinstance(solution, gr.MomentField):
         if isinstance(reference, gr.MomentField):
-            return moment_distance(solution, reference)
+            N = max(solution.N, reference.N)
+            diff = (sh.project_moments(solution.coeffs, N)
+                    - sh.project_moments(reference.coeffs, N))
+            return gr.l2_norm(gr.MomentField(solution.grid, N, diff))
         return gr.l2_norm(gr.evaluate_field(solution, reference.quad) - reference)
     if isinstance(reference, gr.MomentField):
-        return gr.nodal_error_norm(solution, reference)
+        return gr.l2_norm(solution - gr.evaluate_field(reference, solution.quad))
     return gr.l2_norm(solution - reference)
 
 

@@ -11,11 +11,11 @@ into the carrier, which is the next interval's state.  Reported states use
 left limits: the value at t_m is the pair just before the remap at t_m.
 
 run_hybrid returns that state at T and one IntervalRecord per interval
-(norms of both parts at t_end^-, remap residual, merged norm, and the error
-against an optional reference).  The remap evaluates the collided field at
-the nodes, once per interval.  Both the carrier's advance and every Duhamel
-node of the re-emission go through one transport.UncollidedFlow per run,
-which takes each distinct decay rate's exponential once and gathers it.
+(norms of both parts at t_end^-, remap residual and merged norm).  The
+remap evaluates the collided field at the nodes, once per interval.  Both
+the carrier's advance and every Duhamel node of the re-emission go through
+one transport.UncollidedFlow per run, which takes each distinct decay
+rate's exponential once and gathers it.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class IntervalRecord:
     norm_u: float          # ||psi_u|| at t_end^-
     norm_c: float          # ||psi_c|| at t_end^-
     remap_residual: float
-    error: float | None = None
-    norm_merged: float = 0.0  # ||psi_u|| just after the remap at t_end
+    norm_merged: float  # ||psi_u|| just after the remap at t_end
 
 
 @dataclass
@@ -112,18 +111,16 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
     return carrier, collided
 
 
-def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
-               reference=None) -> HybridResult:
+def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None,
+               quad=None) -> HybridResult:
     """Full hybrid solve over [0, T] with remaps at every interval end.
 
     dt, if given, replaces spec.dt and the schedule is the problem's own
     (ProblemSpec.M, interval_edges), so a dt that is not positive or does
-    not divide T raises ValueError.  reference, if given, is a callable
-    t -> MomentField evaluated at the interval ends to fill the error
-    column of the records.  The returned total is the left limit at T: the
-    pair just before the final remap, evaluated at the quadrature
+    not divide T raises ValueError.  The returned total is the left limit at
+    T: the pair just before the final remap, evaluated at the quadrature
     directions, which is the carrier that remap returns.  Every OpenBLAS
-    pool runs at one thread (blas.single_thread), reference included.
+    pool runs at one thread (blas.single_thread).
     """
     with blas.single_thread():
         if grid is None:
@@ -149,16 +146,12 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None, quad=None,
             # The merged carrier is the pair's sum at b^-, the reported state.
             psi, _, resid = remap(psi, collided)  # zeroed moments unused
             del collided, _  # freed before the next step allocates its own
-            err = None
-            if reference is not None:
-                err = gr.nodal_error_norm(psi, reference(b))
             records.append(IntervalRecord(
                 m=m + 1,
                 t_end=b,
                 norm_u=norm_u,
                 norm_c=norm_c,
                 remap_residual=resid,
-                error=err,
                 norm_merged=gr.l2_norm(psi),
             ))
         return HybridResult(total=psi, records=records)

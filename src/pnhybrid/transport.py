@@ -779,12 +779,6 @@ def solve_diffusion(spec: ProblemSpec, t: float, grid=None) -> np.ndarray:
     return phi0 * decay
 
 
-def flux_error(field: gr.MomentField, flux_ref: np.ndarray) -> float:
-    """L^2(X) distance between the field's scalar flux and a reference flux."""
-    diff = gr.scalar_flux(field) - flux_ref
-    return math.sqrt(field.grid.measure * float(np.sum(np.abs(diff) ** 2)))
-
-
 def absorption_wrap(spec: ProblemSpec):
     """Change of variables removing absorption: returns the pure-scattering
     problem whose solution, multiplied by the returned scale(t), equals the

@@ -349,7 +349,7 @@ def test_criterion_12_absorption_transform():
     pure, scale = tr.absorption_wrap(spec)
     trans = tr.solve_pn(pure, 5, grid=grid).final
     scaled = gr.MomentField(grid, 5, trans.coeffs * scale(spec.t_final))
-    dist = hn.moment_distance(direct, scaled)
+    dist = hn.distance(direct, scaled)
     elapsed = time.perf_counter() - t0
     ok = dist < 1e-10
     _line(12, "absorption-transform", ok, elapsed, f"distance {dist:.3e}")

@@ -244,6 +244,35 @@ def test_bound_inputs_reject_bad_norms(name, value):
         bd.BoundInputs(**kwargs)
 
 
+_NO_NORMS = bd.UnscaledDataNorms()
+
+
+@pytest.mark.parametrize("fn,args,field", [
+    (bd.a_operator_bound, (1, -1.0, 1.0, 1.0), "eps"),
+    (bd.a_operator_bound, (1, 0.0, 1.0, 1.0), "eps"),
+    (bd.a_operator_bound, (3, 1.0, -2.0, 1.0), "sigma"),
+    (bd.a_operator_bound, (1, 1.0, math.nan, 1.0), "sigma"),
+    (bd.a_operator_bound, (1, 1.0, 1.0, math.inf), "span"),
+    (bd.a_operator_exact_decay, (1, -1.0, 1.0, 1.0), "eps"),
+    (bd.a_operator_exact_decay, (1, 0.0, 1.0, 1.0), "eps"),
+    (bd.a_operator_exact_decay, (1, 1.0, math.nan, 1.0), "sigma"),
+    (bd.unscaled_bounds, (math.nan, 1.0, _NO_NORMS), "sigma"),
+    (bd.unscaled_bounds, (1.0, math.inf, _NO_NORMS), "T"),
+    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, 2.0, 3), "dt"),
+    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, math.nan), "dt"),
+    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, None, 0), "N"),
+    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, None, -1), "N"),
+])
+def test_plain_number_evaluators_reject_bad_values(fn, args, field):
+    # Each of these once returned a number or failed elsewhere:
+    # a_operator_bound gave -1.0 for eps = -1 and -0.125 for sigma = -2,
+    # unscaled_bounds an endpoint interval bound of -0.0527 for dt = 2 > T
+    # and a monolithic one of -2.0 for N = -1, nan for a nan input; eps = 0
+    # and N = 0 divided by zero.
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        fn(*args)
+
+
 def test_bound_inputs_are_frozen():
     # Assigning dt = -0.25 to a valid record once made this bound
     # -0.005859375, and assigning a nan norm made it nan; every check now
@@ -381,22 +410,27 @@ def test_interval_bounds_and_aggregate():
 
 def test_regime_advisor_crossover_and_labels():
     # Diffusive: small crossover far below any practical step.
-    adv = bd.regime_advisor(eps=0.05, sigma=1.0, T=1.0, s=1)
-    assert adv.dt_crossover == pytest.approx(0.0025, rel=1e-12)
-    assert adv.label.startswith("diffusive")
-    assert adv.self_check_residual < 1e-10
+    label, dt_star = bd.regime_advisor(eps=0.05, sigma=1.0, T=1.0, s=1)
+    assert dt_star == pytest.approx(0.0025, rel=1e-12)
+    assert label.startswith("diffusive")
     # Streaming: crossover above the largest candidate.
-    adv = bd.regime_advisor(eps=1.0, sigma=0.1, T=1.0, s=1)
-    assert adv.dt_crossover == pytest.approx(10.0, rel=1e-12)
-    assert adv.label == "streaming"
+    label, dt_star = bd.regime_advisor(eps=1.0, sigma=0.1, T=1.0, s=1)
+    assert dt_star == pytest.approx(10.0, rel=1e-12)
+    assert label == "streaming"
     # Transition inside the bracket.
-    adv = bd.regime_advisor(eps=0.5, sigma=1.0, T=1.0, s=2)
-    assert adv.dt_crossover == pytest.approx(math.sqrt(2.0) * 0.25, rel=1e-12)
-    assert adv.label == "transition"
-    assert adv.self_check_residual < 1e-10
+    label, dt_star = bd.regime_advisor(eps=0.5, sigma=1.0, T=1.0, s=2)
+    assert dt_star == pytest.approx(math.sqrt(2.0) * 0.25, rel=1e-12)
+    assert label == "transition"
     # No scattering.
-    adv = bd.regime_advisor(eps=1.0, sigma=0.0, T=1.0, s=1)
-    assert adv.label == "streaming-exact"
+    assert bd.regime_advisor(eps=1.0, sigma=0.0, T=1.0, s=1) == ("streaming-exact", math.inf)
+    # The crossover is where the hybrid bound itself switches branch.
+    for eps, sigma, s in ((0.05, 1.0, 1), (1.0, 0.1, 1), (0.5, 1.0, 2), (0.3, 2.0, 3)):
+        _, dt_star = bd.regime_advisor(eps, sigma, 1.0, s)
+        for factor, branch in ((1.0 - 1e-9, "interval"), (1.0 + 1e-9, "diffusive")):
+            bi = bd.BoundInputs(s=s, N=s, eps=eps, sigma=sigma, T=1.0,
+                                dt=dt_star * factor, g_norms={(s + 1, 0): 1.0},
+                                q_sup_norms={(s + 1, 0): 0.0})
+            assert bd.hybrid_error_bound(bi).terms[0].branch == branch, (eps, sigma, s)
 
 
 @pytest.mark.parametrize("eps,sigma,T", [

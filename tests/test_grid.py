@@ -166,20 +166,6 @@ def test_scalar_flux_of_isotropic_field():
     assert flux[g.index_of((0, 0, 0))] == 0.0
 
 
-def test_nodal_error_norm_zero_for_matching_fields():
-    rng = np.random.default_rng(8)
-    g = gr.SpatialGrid(dim=1, modes=3)
-    N = 3
-    quad = sh.build_sphere_quadrature(N + 3)
-    coeffs = rng.standard_normal(g.shape + (sh.n_moments(N),)) + 0.0j
-    f = gr.MomentField(g, N, coeffs)
-    nodal = gr.evaluate_field(f, quad)
-    assert gr.nodal_error_norm(nodal, f) < 1e-12
-    g2 = gr.MomentField(g, N, coeffs * 1.25)
-    expect = 0.25 * gr.l2_norm(f)
-    assert gr.nodal_error_norm(nodal, g2) == pytest.approx(expect, rel=1e-12)
-
-
 def test_field_arithmetic_checks_discretization():
     g = gr.SpatialGrid(dim=1, modes=3)
     f = gr.zero_moment_field(g, 2)

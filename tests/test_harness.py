@@ -115,6 +115,35 @@ def test_aniso_decay_exact_handle():
     assert out.error < 1e-12
 
 
+def test_distance_of_flux_reference():
+    spec = tr.problem("d", eps=1.0, sigma_t=1.0, T=1, g=[gr.isotropic_term(
+        {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (-1, 0, 0): 0.5})])
+    grid = tr.default_grid(spec)
+    f = tr.initial_field(spec, grid, N=1)
+    ref = gr.scalar_flux(f)
+    assert hn.distance(f, ref) == 0.0
+    bumped = ref.copy()
+    bumped[grid.index_of((0, 0, 0))] += 0.5
+    # ||0.5||_{L^2} on a dim-1 grid = 0.5 sqrt(2 pi)
+    assert hn.distance(f, bumped) == pytest.approx(0.5 * math.sqrt(2 * math.pi), rel=1e-14)
+
+
+def test_distance_between_nodal_and_moment_fields():
+    rng = np.random.default_rng(8)
+    g = gr.SpatialGrid(dim=1, modes=3)
+    N = 3
+    quad = sh.build_sphere_quadrature(N + 3)
+    coeffs = rng.standard_normal(g.shape + (sh.n_moments(N),)) + 0.0j
+    f = gr.MomentField(g, N, coeffs)
+    nodal = gr.evaluate_field(f, quad)
+    assert hn.distance(nodal, f) < 1e-12
+    g2 = gr.MomentField(g, N, coeffs * 1.25)
+    expect = 0.25 * gr.l2_norm(f)
+    assert hn.distance(nodal, g2) == pytest.approx(expect, rel=1e-12)
+    # Either operand may be the nodal one: the same float both ways.
+    assert hn.distance(g2, nodal) == hn.distance(nodal, g2)
+
+
 def test_streaming_exact_handle():
     mf = hn.manufactured("streaming", eps=0.7)
     assert mf.spec.sigma_t == 0.0

@@ -284,18 +284,6 @@ def test_solve_diffusion_values_and_gates():
         tr.solve_diffusion(specq, 0.5)
 
 
-def test_flux_error_metric():
-    spec = tr.problem("d", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
-    grid = tr.default_grid(spec)
-    f = tr.initial_field(spec, grid, N=1)
-    ref = gr.scalar_flux(f)
-    assert tr.flux_error(f, ref) == 0.0
-    bumped = ref.copy()
-    bumped[grid.index_of((0, 0, 0))] += 0.5
-    # ||0.5||_{L^2} on a dim-1 grid = 0.5 sqrt(2 pi)
-    assert tr.flux_error(f, bumped) == pytest.approx(0.5 * math.sqrt(2 * math.pi), rel=1e-14)
-
-
 def test_record_times_filter_and_gate():
     spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
     res = tr.solve_pn(spec, N=1, record_times=(0.0, 0.5, 1.0))
