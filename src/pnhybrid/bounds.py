@@ -1,9 +1,8 @@
 """Closed-form evaluators for every error bound the solvers are tested
 against: the five-term spectral estimate for the monolithic solver, its
 isotropic corollary, the interval-splitting estimate for the hybrid scheme,
-the absorbing variants, the unscaled (eps = 1) first and second order
-estimates with their exponential-moment kernels, the iterated damping
-operator, a regime advisor, and inequality audits.
+the absorbing variants, the exponential-moment kernels, the iterated
+damping operator, a regime advisor, and inequality audits.
 
 All evaluators take plain numbers in and give a BoundReport out; nothing
 here runs a solver.  The reported constant is 1; harness fits rescale it
@@ -38,11 +37,8 @@ def _series_coeffs(term_fn) -> np.ndarray:
     return np.array(vals[::-1])  # highest power first, for polyval
 
 
-# phi_j(-tau) = sum_k (-tau)^k/(k+j)!: j = 1 is gamma; j = 2 is
-# Gamma(sigma, t)/t^2 and (1 - gamma(tau))/tau, the sigma -> 0 limits of the
-# /sigma terms.
-_PHI_SER = {j: _series_coeffs(lambda k, j=j: Fraction((-1) ** k, math.factorial(k + j)))
-            for j in (1, 2)}
+# gamma(tau) = sum_k (-tau)^k/(k+1)!.
+_GAMMA_SER = _series_coeffs(lambda k: Fraction((-1) ** k, math.factorial(k + 1)))
 # beta_n(tau)/tau = sum_k (n-1)! (-1)^k (k+1)/(k+n+1)! tau^k.
 _BETA_SER = {
     n: _series_coeffs(lambda k, n=n: Fraction(
@@ -58,7 +54,7 @@ _BETA_CLOSED = {
 
 
 def _check_tau(tau: float):
-    if tau < 0:
+    if not tau >= 0:  # refuses nan too
         raise ValueError(f"kernel argument must be nonnegative, got {tau}")
 
 
@@ -84,7 +80,7 @@ def gamma_fn(tau: float, branch: str = "auto") -> float:
     """(1 - exp(-tau))/tau, the running average of kappa; 1 at tau = 0."""
     _check_tau(tau)
     if _pick(branch, tau):
-        return float(np.polyval(_PHI_SER[1], tau))
+        return float(np.polyval(_GAMMA_SER, tau))
     return (1.0 - math.exp(-tau)) / tau
 
 
@@ -134,26 +130,6 @@ def beta(n: int, tau: float, branch: str = "auto") -> float:
     if _pick(branch, tau):
         return tau * float(np.polyval(_BETA_SER[n], tau))
     return _BETA_CLOSED[n](tau, math.exp(-tau))
-
-
-def big_gamma(sigma: float, t: float, branch: str = "auto") -> float:
-    """t/sigma - (1 - exp(-sigma t))/sigma^2, with the t^2/2 limit at
-    sigma = 0 reached through the series branch."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    tau = sigma * t
-    _check_tau(tau)
-    if sigma == 0.0 or _pick(branch, tau):
-        return t * t * float(np.polyval(_PHI_SER[2], tau))
-    return t / sigma - (1.0 - math.exp(-sigma * t)) / sigma**2
-
-
-def _one_minus_gamma_over_sigma(sigma: float, t: float) -> float:
-    """[1 - gamma(sigma t)]/sigma, finite as sigma -> 0 (limit t/2)."""
-    tau = sigma * t
-    if tau < TAU_STAR:
-        return t * float(np.polyval(_PHI_SER[2], tau))
-    return (1.0 - gamma_fn(tau)) / sigma
 
 
 def kernel_functions() -> dict:
@@ -381,143 +357,6 @@ def absorbing_bounds(bi: BoundInputs, family: str = "pn") -> BoundReport:
         terms=rep.terms,
         notes=f"initial-data terms damped by exp(-sigma_a T) = {damp:.6e}",
     )
-
-
-@dataclass(frozen=True)
-class UnscaledDataNorms:
-    """Data sizes entering the unscaled (eps = 1) estimates.  Angular
-    derivatives are maxima over the rotation generators; time-dependent
-    source norms are suprema over [0, T]."""
-
-    dtheta_g: float = 0.0        # max ||d_theta g||
-    dx_g: float = 0.0            # ||grad_x g||
-    dtheta_q: float = 0.0        # max ||d_theta q||
-    dx_q: float = 0.0            # ||grad_x q||
-    grad_dtheta_g: float = 0.0   # max ||grad_x d_theta g||
-    d2x_g: float = 0.0           # ||D2_x g||
-    grad_dtheta_q: float = 0.0   # max ||grad_x d_theta q||
-    d2x_q: float = 0.0           # ||D2_x q||
-
-
-def unscaled_first_order(sigma: float, t: float, norms: UnscaledDataNorms) -> float:
-    """First-order data estimate E_1(t) for the unscaled equation."""
-    tau = sigma * t
-    return (
-        norms.dtheta_g * kappa(tau)
-        + (norms.dx_g + norms.dtheta_q) * gamma_fn(tau) * t
-        + norms.dx_q * _one_minus_gamma_over_sigma(sigma, t) * t
-    )
-
-
-def unscaled_second_order(sigma: float, t: float, norms: UnscaledDataNorms) -> float:
-    """Second-order data estimate E_2(t); the last term diverges as
-    sigma -> 0 and is reported as inf there when its norm is nonzero."""
-    tau = sigma * t
-    if norms.d2x_q == 0.0:
-        last = 0.0
-    elif sigma == 0.0:
-        last = math.inf
-    else:
-        last = norms.d2x_q * (t * t - big_gamma(sigma, t)) / sigma
-    return (
-        norms.grad_dtheta_g * gamma_fn(tau) * t
-        + (norms.d2x_g + norms.grad_dtheta_q) * big_gamma(sigma, t)
-        + last
-    )
-
-
-def interval_endpoint_bound(sigma: float, dt: float, m: int,
-                            norms: UnscaledDataNorms) -> float:
-    """Angular-flux defect at the end of the m-th hybrid interval."""
-    tau = sigma * dt
-    return (
-        dt * beta1(tau) * norms.d2x_g
-        + (m * dt**2 * beta1(tau) + dt**2 * beta2(tau)) * norms.d2x_q
-    )
-
-
-def interval_integrated_bound(sigma: float, dt: float, t_m: float,
-                              norms: UnscaledDataNorms) -> float:
-    """Time-integrated defect over the interval starting at t_m.
-
-    The g term and the t_m term are the exact time integrals over the
-    interval of the matching terms of `interval_endpoint_bound` (with
-    t_m = m dt), by the companion identity int_0^dt s beta1(sigma s) ds
-    = dt^2 beta2(sigma dt).  The dt^3 beta3 term is twice
-    int_0^dt s^2 beta2(sigma s) ds (the factor n - 1 = 2 of that identity),
-    so this bound dominates the time integral of the endpoint bound rather
-    than equalling it.  Nothing in this package settles whether the
-    source estimate carries that factor of 2; the term is kept as written.
-    """
-    tau = sigma * dt
-    return (
-        dt**2 * beta2(tau) * norms.d2x_g
-        + (dt**2 * t_m * beta2(tau) + dt**3 * beta3(tau)) * norms.d2x_q
-    )
-
-
-def hybrid_aggregate_bound(sigma: float, T: float, dt: float, N: int,
-                           norms: UnscaledDataNorms) -> float:
-    """Aggregated unscaled hybrid estimate, O(1/N) times kernel weights."""
-    tau = sigma * dt
-    first = T * beta1(tau) * norms.dx_g + (
-        0.5 * T**2 * beta1(tau) + dt * T * beta2(tau)
-    ) * norms.dx_q
-    second = dt * T * beta2(tau) * norms.d2x_g + (
-        0.5 * dt * T**2 * beta2(tau) + dt**2 * T * beta3(tau)
-    ) * norms.d2x_q
-    return (1.0 / N) * (first + second)
-
-
-def monolithic_isotropic_bound(sigma: float, T: float, N: int,
-                               norms: UnscaledDataNorms) -> float:
-    """Unscaled monolithic estimate for isotropic data, O(1/N)."""
-    tau = sigma * T
-    first = T * gamma_fn(tau) * norms.dx_g + _one_minus_gamma_over_sigma(
-        sigma, T
-    ) * T * norms.dx_q
-    if norms.d2x_q == 0.0:
-        last = 0.0
-    elif sigma == 0.0:
-        last = math.inf
-    else:
-        last = (T * T - big_gamma(sigma, T)) / sigma * norms.d2x_q
-    second = big_gamma(sigma, T) * norms.d2x_g + last
-    return (1.0 / N) * (first + second)
-
-
-@dataclass(frozen=True)
-class UnscaledReport:
-    first_order: float
-    second_order: float
-    endpoint_interval: float | None
-    integrated_interval: float | None
-    hybrid_aggregate: float | None
-    monolithic_isotropic: float | None
-
-
-def unscaled_bounds(sigma: float, T: float, norms: UnscaledDataNorms,
-                    dt: float | None = None, N: int | None = None) -> UnscaledReport:
-    """Evaluate the whole unscaled family at once; interval and aggregate
-    entries are filled only when dt (and N for the O(1/N) forms) is given."""
-    _require("sigma", sigma, False)
-    _require("T", T, True)
-    if dt is not None and not (math.isfinite(dt) and 0 < dt <= T):
-        raise ValueError(f"dt must be finite, positive and at most T = {T}, got {dt}")
-    if N is not None and N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    e1 = unscaled_first_order(sigma, T, norms)
-    e2 = unscaled_second_order(sigma, T, norms)
-    endpoint = integrated = aggregate = mono = None
-    if dt is not None:
-        m_last = int(round(T / dt)) - 1
-        endpoint = interval_endpoint_bound(sigma, dt, m_last, norms)
-        integrated = interval_integrated_bound(sigma, dt, T - dt, norms)
-        if N is not None:
-            aggregate = hybrid_aggregate_bound(sigma, T, dt, N, norms)
-    if N is not None:
-        mono = monolithic_isotropic_bound(sigma, T, N, norms)
-    return UnscaledReport(e1, e2, endpoint, integrated, aggregate, mono)
 
 
 def regime_advisor(eps: float, sigma: float, T: float, s: int) -> tuple[str, float]:

@@ -19,10 +19,6 @@ def test_kernel_frozen_values():
     assert bd.beta1(0.0) == 0.0
     assert bd.beta2(0.0) == 0.0
     assert bd.beta3(0.0) == 0.0
-    assert bd.big_gamma(0.0, 2.0) == pytest.approx(2.0, abs=1e-15)  # t^2/2
-    assert bd.big_gamma(1.0, 3.0) == pytest.approx(
-        3.0 - (1.0 - math.exp(-3.0)), rel=1e-14
-    )
 
 
 def test_kernel_branch_agreement_near_switch():
@@ -34,15 +30,12 @@ def test_kernel_branch_agreement_near_switch():
             s = fn(float(tau), "series")
             c = fn(float(tau), "closed")
             assert abs(s - c) <= 1e-13 * abs(c), f"{fn.__name__} at {tau}"
-        s = bd.big_gamma(1.0, float(tau), "series")
-        c = bd.big_gamma(1.0, float(tau), "closed")
-        assert abs(s - c) <= 1e-13 * abs(c)
 
 
-@pytest.mark.parametrize("name", sorted(bd.kernel_functions()) + ["big_gamma"])
+@pytest.mark.parametrize("name", sorted(bd.kernel_functions()))
 def test_every_kernel_rejects_an_unknown_branch(name):
     # kappa has one formula for both branches, but refuses a third like the rest.
-    fn = bd.kernel_functions().get(name, lambda tau, branch: bd.big_gamma(1.0, tau, branch))
+    fn = bd.kernel_functions()[name]
     with pytest.raises(ValueError, match="^unknown branch 'bogus'$"):
         fn(0.5, "bogus")
 
@@ -54,6 +47,10 @@ def test_kernel_rejects_negative_argument():
         bd.beta(2, -1.0)
     with pytest.raises(ValueError):
         bd.beta(4, 1.0)
+    # nan once passed the tau < 0 test and came back as a nan kernel value.
+    for kernel in (bd.kappa, bd.gamma_fn, lambda tau: bd.beta(2, tau)):
+        with pytest.raises(ValueError, match="^kernel argument must be nonnegative, got nan$"):
+            kernel(math.nan)
 
 
 def test_kernel_small_tau_slopes():
@@ -244,9 +241,6 @@ def test_bound_inputs_reject_bad_norms(name, value):
         bd.BoundInputs(**kwargs)
 
 
-_NO_NORMS = bd.UnscaledDataNorms()
-
-
 @pytest.mark.parametrize("fn,args,field", [
     (bd.a_operator_bound, (1, -1.0, 1.0, 1.0), "eps"),
     (bd.a_operator_bound, (1, 0.0, 1.0, 1.0), "eps"),
@@ -256,19 +250,11 @@ _NO_NORMS = bd.UnscaledDataNorms()
     (bd.a_operator_exact_decay, (1, -1.0, 1.0, 1.0), "eps"),
     (bd.a_operator_exact_decay, (1, 0.0, 1.0, 1.0), "eps"),
     (bd.a_operator_exact_decay, (1, 1.0, math.nan, 1.0), "sigma"),
-    (bd.unscaled_bounds, (math.nan, 1.0, _NO_NORMS), "sigma"),
-    (bd.unscaled_bounds, (1.0, math.inf, _NO_NORMS), "T"),
-    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, 2.0, 3), "dt"),
-    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, math.nan), "dt"),
-    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, None, 0), "N"),
-    (bd.unscaled_bounds, (1.0, 1.0, _NO_NORMS, None, -1), "N"),
 ])
 def test_plain_number_evaluators_reject_bad_values(fn, args, field):
     # Each of these once returned a number or failed elsewhere:
     # a_operator_bound gave -1.0 for eps = -1 and -0.125 for sigma = -2,
-    # unscaled_bounds an endpoint interval bound of -0.0527 for dt = 2 > T
-    # and a monolithic one of -2.0 for N = -1, nan for a nan input; eps = 0
-    # and N = 0 divided by zero.
+    # nan for a nan input; eps = 0 divided by zero.
     with pytest.raises(ValueError, match=f"^{field} must be "):
         fn(*args)
 
@@ -361,51 +347,6 @@ def test_absorbing_hybrid_independent_of_sigma_a_when_g_zero():
     r0 = bd.absorbing_bounds(bd.BoundInputs(sigma_a=0.0, **base), "hybrid")
     r1 = bd.absorbing_bounds(bd.BoundInputs(sigma_a=0.9, **base), "hybrid")
     assert r0.total == pytest.approx(r1.total, rel=1e-15)
-
-
-def test_unscaled_first_order_sigma_zero_limit():
-    n = bd.UnscaledDataNorms(dtheta_g=1.0, dx_g=2.0, dtheta_q=3.0, dx_q=4.0)
-    t = 1.5
-    got = bd.unscaled_first_order(0.0, t, n)
-    # kappa -> 1, gamma -> 1, [1-gamma] t/sigma -> t^2/2
-    assert got == pytest.approx(1.0 + 5.0 * t + 4.0 * t * t / 2.0, rel=1e-12)
-
-
-def test_unscaled_second_order_values():
-    n = bd.UnscaledDataNorms(grad_dtheta_g=1.0, d2x_g=2.0, grad_dtheta_q=3.0, d2x_q=4.0)
-    sigma, t = 2.0, 1.0
-    G = 1.0 / 2.0 - (1.0 - math.exp(-2.0)) / 4.0
-    want = (
-        1.0 * bd.gamma_fn(2.0) * t + (2.0 + 3.0) * G + 4.0 * (t * t - G) / sigma
-    )
-    assert bd.unscaled_second_order(sigma, t, n) == pytest.approx(want, rel=1e-13)
-    # sigma = 0 with a second-derivative source has no finite estimate.
-    assert bd.unscaled_second_order(0.0, t, n) == math.inf
-    n2 = bd.UnscaledDataNorms(grad_dtheta_g=1.0, d2x_g=2.0, grad_dtheta_q=3.0)
-    assert math.isfinite(bd.unscaled_second_order(0.0, t, n2))
-
-
-def test_interval_bounds_and_aggregate():
-    n = bd.UnscaledDataNorms(dx_g=1.0, dx_q=2.0, d2x_g=3.0, d2x_q=4.0)
-    sigma, dt = 0.8, 0.5
-    tau = sigma * dt
-    got = bd.interval_endpoint_bound(sigma, dt, 3, n)
-    want = dt * bd.beta1(tau) * 3.0 + (3 * dt**2 * bd.beta1(tau) + dt**2 * bd.beta2(tau)) * 4.0
-    assert got == pytest.approx(want, rel=1e-14)
-    got = bd.interval_integrated_bound(sigma, dt, 1.5, n)
-    want = dt**2 * bd.beta2(tau) * 3.0 + (dt**2 * 1.5 * bd.beta2(tau) + dt**3 * bd.beta3(tau)) * 4.0
-    assert got == pytest.approx(want, rel=1e-14)
-    rep = bd.unscaled_bounds(sigma, 2.0, n, dt=dt, N=8)
-    assert rep.hybrid_aggregate == pytest.approx(
-        bd.hybrid_aggregate_bound(sigma, 2.0, dt, 8, n), rel=1e-15
-    )
-    assert rep.monolithic_isotropic == pytest.approx(
-        bd.monolithic_isotropic_bound(sigma, 2.0, 8, n), rel=1e-15
-    )
-    assert rep.endpoint_interval is not None
-    # sigma = 0 zeroes every interval kernel.
-    assert bd.interval_endpoint_bound(0.0, dt, 3, n) == 0.0
-    assert bd.hybrid_aggregate_bound(0.0, 2.0, dt, 8, n) == 0.0
 
 
 def test_regime_advisor_crossover_and_labels():
