@@ -477,8 +477,9 @@ def data_norms(spec: tr.ProblemSpec, pairs, grid=None):
     requested (r, s) pair.
 
     The descriptors are finite expansions, so every norm is exact up to the
-    time sampling of the sup.  The sampled q fields are built once and
-    shared by every pair.
+    time sampling of the sup.  The source is q(t) = sum_i f_i(t) Q_i, one
+    time-free moment field Q_i per term, built once and shared by every
+    pair; the sup is taken over 33 sample times (_sup_seminorm).
     """
     if grid is None:
         grid = tr.default_grid(spec)
@@ -488,12 +489,40 @@ def data_norms(spec: tr.ProblemSpec, pairs, grid=None):
         [[0.0, T], 0.5 * T * (1.0 + np.cos(np.pi * np.arange(1, 32) / 32.0))]
     )
     gf = gr.moment_field(grid, max(gr.angular_band(spec.g), 1), spec.g) if spec.g else None
-    Lq = max(gr.angular_band(spec.q), 1)
-    qfs = [gr.moment_field(grid, Lq, spec.q, t) for t in t_sup] if spec.q else []
+    if spec.q:
+        Lq = max(gr.angular_band(spec.q), 1)
+        fields = np.stack([
+            gr.moment_field(grid, Lq, [replace(tm, time_poly=(1.0,), time_exp=0.0)]).coeffs
+            for tm in spec.q
+        ])
+        f = np.array([[tm.time_value(t) for tm in spec.q] for t in t_sup])
     for (r, s) in pairs:
         g_out[(r, s)] = gr.hrs_seminorm(gf, r, s) if gf is not None else 0.0
-        qs_out[(r, s)] = max(gr.hrs_seminorm(qf, r, s) for qf in qfs) if qfs else 0.0
+        qs_out[(r, s)] = _sup_seminorm(grid, fields, f, r, s) if spec.q else 0.0
     return g_out, qs_out
+
+
+def _sup_seminorm(grid, fields: np.ndarray, f: np.ndarray, r: int, s: int) -> float:
+    """max over the rows t of f of |sum_i f[t, i] fields[i]|_{H^(r,s)}.
+
+    Each derivative tuple's seminorm is the square root of the quadratic
+    form of the Gram matrix G_ij = measure * sum_l (l+1/2)^(2s) <D Q_i, D Q_j>
+    (degrees l >= s) at f(t).  Every row of f is first scaled by its
+    largest entry, which multiplies the sum of the roots afterwards, so
+    the squares stay within the float range wherever the norm does."""
+    n, nm = fields.shape[0], fields.shape[-1]
+    degrees = np.arange(math.isqrt(nm))
+    degree = np.repeat(degrees, 2 * degrees + 1)
+    weight = np.where(degree >= s, (degree + 0.5) ** (2 * s), 0.0)
+    size = np.max(np.abs(f), axis=1)
+    unit = f / np.where(size > 0.0, size, 1.0)[:, None]
+    total = np.zeros(len(f))
+    for w in gr.derivative_weights(grid, r):
+        x = (fields * w[..., None]).reshape(n, -1, nm)
+        gram = grid.measure * np.einsum("ism,jsm->ij", x.conj(), x * weight)
+        form = np.einsum("ti,ij,tj->t", unit.conj(), gram, unit).real
+        total += np.sqrt(np.maximum(form, 0.0))
+    return float(np.max(size * total))
 
 
 def bound_inputs(spec: tr.ProblemSpec, s: int, N: int, grid=None,

@@ -86,6 +86,14 @@ class SpatialGrid:
         return (2.0 * math.pi) ** self.dim
 
 
+def _horner(coeffs, t):
+    """sum_j coeffs[j] t^j by Horner's rule, highest coefficient first."""
+    p = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        p = p * t + c
+    return p
+
+
 @dataclass(frozen=True)
 class FieldTerm:
     """One separable building block of initial data or a source:
@@ -94,8 +102,13 @@ class FieldTerm:
 
     spatial: tuple of ((k1, k2, k3), amplitude) pairs.
     angular: moment coefficients in ordinal order, any finite degree.
-    time_poly: polynomial coefficients, low order first.
-    time_exp: signed exponential rate; the factor is exp(time_exp * t).
+    time_poly: polynomial coefficients p, low order first, at least one.
+    time_exp: signed exponential rate; the factor is p(t) exp(time_exp * t).
+
+    The term owns its time factor: the coefficients of p, p', ..., p^(d)
+    are formed once (time_derivative_polys) and every derivative value is
+    taken from them by Horner's rule (time_derivatives), the same products
+    and sums as numpy.polynomial's polyder and polyval.
     """
 
     spatial: tuple
@@ -104,6 +117,8 @@ class FieldTerm:
     time_exp: float = 0.0
 
     def __post_init__(self):
+        if not self.time_poly:
+            raise ValueError(f"time_poly must have a coefficient, got {self.time_poly!r}")
         for name, values in (("spatial amplitude", [a for _, a in self.spatial]),
                              ("angular", self.angular), ("time_poly", self.time_poly),
                              ("time_exp", (self.time_exp,))):
@@ -111,11 +126,21 @@ class FieldTerm:
                 if not cmath.isfinite(v):
                     raise ValueError(f"{name} must be finite, got {v}")
 
+    @functools.cached_property
+    def time_derivative_polys(self) -> tuple:
+        """(p, p', ..., p^(d)) as coefficient tuples, low order first."""
+        polys = [tuple(self.time_poly)]
+        while len(polys[-1]) > 1:
+            c = polys[-1]
+            polys.append(tuple(j * c[j] for j in range(1, len(c))))
+        return tuple(polys)
+
+    def time_derivatives(self, t: float) -> list:
+        """[p(t), p'(t), ..., p^(d)(t)], the polynomial factor alone."""
+        return [_horner(c, t) for c in self.time_derivative_polys]
+
     def time_value(self, t: float) -> float:
-        p = 0.0
-        for c in reversed(self.time_poly):
-            p = p * t + c
-        return p * math.exp(self.time_exp * t)
+        return _horner(self.time_poly, t) * math.exp(self.time_exp * t)
 
     @property
     def angular_degree(self) -> int:
@@ -270,11 +295,20 @@ def nodal_field(grid: SpatialGrid, quad: sh.SphereQuadrature, terms, t: float = 
 
 
 def l2_norm(field) -> float:
-    """L^2(X x S^2) norm over the active axes of the box."""
+    """L^2(X x S^2) norm over the active axes of the box.  Where the squares
+    of finite entries overflow, the sum is taken again on the entries
+    divided by the largest of them, so a norm within the float range stays
+    finite."""
     if isinstance(field, MomentField):
-        total = float(np.sum(np.abs(field.coeffs) ** 2))
+        data, weights = field.coeffs, 1.0
     else:
-        total = float(np.sum(field.quad.weights * np.abs(field.values) ** 2))
+        data, weights = field.values, field.quad.weights
+    with np.errstate(over="ignore"):
+        total = float(np.sum(weights * np.abs(data) ** 2))
+    if math.isinf(total) and np.all(np.isfinite(data)):
+        scale = float(np.max(np.abs(data)))
+        total = float(np.sum(weights * np.abs(data / scale) ** 2))
+        return scale * math.sqrt(field.grid.measure * total)
     return math.sqrt(field.grid.measure * total)
 
 
@@ -292,18 +326,27 @@ def hrs_seminorm(field: MomentField, r: int, s: int) -> float:
         raise ValueError("r must be >= 0")
     if r == 0:
         return hs_seminorm(field, s)
-    kk = tuple(k.astype(float) for k in field.grid.k_grids())
-    ones = np.ones(field.grid.shape)
     total = 0.0
-    for combo in itertools.product(range(3), repeat=r):
-        w = ones
-        for ax in combo:
-            w = w * kk[ax]
-        if not np.any(w):
-            continue
+    for w in derivative_weights(field.grid, r):
         deriv = MomentField(field.grid, field.N, field.coeffs * w[..., None])
         total += hs_seminorm(deriv, s)
     return total
+
+
+def derivative_weights(grid: SpatialGrid, r: int) -> list:
+    """The Fourier weight k_(a1) ... k_(ar) of every ordered r-tuple of
+    spatial derivative axes, shaped like the mode box, in
+    itertools.product order; tuples whose weight vanishes on the grid are
+    left out.  r = 0 gives the one all-ones weight."""
+    kk = tuple(k.astype(float) for k in grid.k_grids())
+    out = []
+    for combo in itertools.product(range(3), repeat=r):
+        w = np.ones(grid.shape)
+        for ax in combo:
+            w = w * kk[ax]
+        if np.any(w):
+            out.append(w)
+    return out
 
 
 def scalar_flux(field: MomentField) -> np.ndarray:

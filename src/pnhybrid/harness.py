@@ -626,6 +626,7 @@ class ConformanceReport:
     violations: list = dc_field(default_factory=list)
     flagged: list = dc_field(default_factory=list)    # row indices
     notes: list = dc_field(default_factory=list)
+    zero_bound_rows: int = 0  # rows held to error <= ZERO_BOUND_TOL
 
     @property
     def ok(self) -> bool:
@@ -645,6 +646,9 @@ class ConformanceReport:
             lines.append(f"VIOLATION: {v}")
         if self.flagged:
             lines.append(f"flagged rows (excluded): {self.flagged}")
+        if self.zero_bound_rows:
+            lines.append(f"zero bound: {self.zero_bound_rows} rows checked for "
+                         f"error <= {ZERO_BOUND_TOL:g}")
         lines.append("verdict: " + ("conformant" if self.ok else "NOT conformant"))
         return "\n".join(lines)
 
@@ -667,6 +671,7 @@ def fit_and_check(rows) -> ConformanceReport:
         if r.branch == "none":
             continue
         if r.bound == 0.0:
+            rep.zero_bound_rows += 1
             if r.error > ZERO_BOUND_TOL:
                 rep.violations.append(
                     f"{r.problem}/{r.solver} N={r.N} dt={r.dt:g}: bound is 0 "

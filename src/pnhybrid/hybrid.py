@@ -81,8 +81,8 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
     transport.uncollided_flow of psi_u's grid and quadrature, op's cross
     sections and the source terms; it depends on no interval, so run_hybrid
     builds it once per run.  Each of the 12 x substeps + 1 advances takes
-    its exponentials and phi-functions once per distinct rate, not once per
-    (mode, node).
+    its exponentials and source responses once per distinct rate, not once
+    per (mode, node).
     """
     if psi_u.quad.exactness < 2 * op.N:
         raise ValueError(

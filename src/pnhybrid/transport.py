@@ -47,8 +47,13 @@ near machine precision; the hybrid re-emission uses that path.  The
 uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
 so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
 the source's nodal profiles, and its advance takes the exponentials and
-phi-functions on those alone and gathers them per (mode, node), bit for bit
-the full-array evaluation.
+each source term's response on those alone and gathers them per (mode,
+node).  The decay is bit for bit the full-array evaluation.  A term's
+response, sum_j p^(j) h^(j+1) phi_(j+1), is one pass over the rates: the
+phi recurrence started from the carrier's exponential where |z| is large,
+one power series with scalar coefficients where it is small.  Each term
+forms its derivative polynomials once (grid.FieldTerm) and every sourced
+path reads them from there.
 
 Each mode's matrices are small, and OpenBLAS threads cost more than they
 give on them: on a 2-core machine with 2-thread pools a 36-wide expm took
@@ -62,8 +67,10 @@ thread, restoring the pools' counts when the solve returns or raises
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -89,6 +96,18 @@ _SUBSTEP_BUDGET = 3.0
 # 50-digit arithmetic); the same split as bounds.TAU_STAR.
 PHI_SERIES_BELOW = 1.0
 _PHI_SERIES_TERMS = 20
+
+
+@functools.lru_cache(maxsize=None)
+def _series_table(n: int) -> np.ndarray:
+    """1/(m+j+1)! in row m < _PHI_SERIES_TERMS and column j < n, so that
+    the table times (p^(j)(a) h^(j+1))_j is the response's series
+    coefficients c_m."""
+    table = np.array([[1.0 / math.factorial(m + j + 1) for j in range(n)]
+                      for m in range(_PHI_SERIES_TERMS)])
+    table.flags.writeable = False
+    return table
+
 
 # Widest moment space, n_moments(N) = (N+1)^2, whose representatives take
 # one dense expm (N <= 20); wider ones split it over the generator's
@@ -168,6 +187,12 @@ class ProblemSpec:
         if self.T / self.dt > MAX_INTERVALS:
             raise ValueError(f"dt must leave at most {MAX_INTERVALS} intervals "
                              f"M = T/dt, got dt={self.dt} for T={self.T}")
+        # A source growing past the float range would overflow every solver
+        # (or, in moment space, turn the solution to nan without an error).
+        for tm in self.q:
+            if tm.time_exp * self.t_final > math.log(sys.float_info.max):
+                raise ValueError(f"q time_exp {tm.time_exp} must keep exp(time_exp * t) "
+                                 f"within the float range on [0, T={self.T}]")
 
     @property
     def M(self) -> int:
@@ -218,36 +243,6 @@ def source_sampler(spec: ProblemSpec, grid: gr.SpatialGrid, N: int):
         return gr.moment_field(grid, L, spec.q, t).truncate(N).coeffs
 
     return sample
-
-
-def poly_derivatives(poly, t: float) -> list:
-    """[p(t), p'(t), ..., p^(d)(t)] for coefficients low order first."""
-    c = np.asarray(poly, dtype=float)
-    out = []
-    for _ in range(len(c)):
-        out.append(float(np.polynomial.polynomial.polyval(t, c)))
-        c = np.polynomial.polynomial.polyder(c)
-    return out
-
-
-def phi_functions(z, n: int) -> list:
-    """[phi_0(z), ..., phi_n(z)] elementwise, phi_0(z) = e^z and
-    phi_j(z) = sum_m z^m/(m+j)!, so phi_(j+1)(z) = (phi_j(z) - 1/j!)/z.
-    The recurrence is used for |z| >= PHI_SERIES_BELOW, the series below."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < PHI_SERIES_BELOW
-    z_big = np.where(small, 1.0, z)
-    z_small = np.where(small, z, 0.0)
-    out = [np.exp(z)]
-    for j in range(1, n + 1):
-        rec = (out[-1] - 1.0 / math.factorial(j - 1)) / z_big
-        if small.any():
-            ser = np.zeros_like(z_small)
-            for m in reversed(range(_PHI_SERIES_TERMS)):
-                ser = ser * z_small + 1.0 / math.factorial(m + j)
-            rec = np.where(small, ser, rec)
-        out.append(rec)
-    return out
 
 
 def assemble_mode_operator(
@@ -541,8 +536,6 @@ class SourcedModes:
         self.op = op
         self._pieces = {}  # mode index -> [(amplitude, term, truncated profile)]
         for tm in terms:
-            if not tm.time_poly:
-                continue
             ang = np.zeros(op.nm)
             n = min(op.nm, len(tm.angular))
             ang[:n] = tm.angular[:n]
@@ -576,7 +569,7 @@ class SourcedModes:
         out = self.op.step(coeffs, h)
         for idx, pieces in self._pieces.items():
             w0 = np.concatenate([
-                amp * math.exp(tm.time_exp * t0) * np.array(poly_derivatives(tm.time_poly, t0))
+                amp * math.exp(tm.time_exp * t0) * np.array(tm.time_derivatives(t0))
                 for amp, tm, _ in pieces
             ])
             out[idx] += self._forcing_block(idx, h) @ w0
@@ -675,10 +668,12 @@ class UncollidedFlow:
     shaped grid.shape + (nodes,), holds each (mode, node)'s position in
     distinct.  An elementwise function of lambda is therefore taken on
     distinct and gathered with index: equal input bits give equal output
-    bits, so the result is the full-array evaluation's, byte for byte.
-    profiles holds the source's space-angle factors at the nodes, one
-    (term, values[k1, k2, k3, node]) pair per term, time factor left out.
-    Every array is read-only."""
+    bits, so a flow without a source advances byte for byte as the
+    full-array evaluation.  profiles holds the source's space-angle
+    factors at the nodes, one (term, values[k1, k2, k3, node]) pair per
+    term, time factor left out; each term's response is taken once per
+    distinct rate and agrees with the phi-function evaluation to 1e-12
+    relative.  Every array is read-only."""
 
     distinct: np.ndarray
     index: np.ndarray
@@ -687,20 +682,44 @@ class UncollidedFlow:
     def advance(self, values: np.ndarray, a: float, b: float) -> np.ndarray:
         """Nodal values advanced from a to b: the decay exp(-lam (b - a))
         plus the exact source integral of exp(-lam (b - tau)) q(tau) over
-        [a, b].  With h = b - a, a term p(t) e^(mu t) x profile contributes
-        e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(-(lam + mu) h) x profile;
-        everything before the profile is taken on the distinct rates."""
-        h = b - a
-        out = values * np.exp(-self.distinct * h)[self.index]
-        if self.profiles:
-            response = np.zeros(self.index.shape, dtype=complex)
-            for tm, profile in self.profiles:
-                derivs = poly_derivatives(tm.time_poly, a)
-                phis = phi_functions(-(self.distinct + tm.time_exp) * h, len(derivs))
-                acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
-                response += (math.exp(tm.time_exp * b) * acc)[self.index] * profile
-            out = out + response
+        [a, b], each term's response (_source_response) taken on the
+        distinct rates, gathered and multiplied by its profile."""
+        decay = np.exp(-self.distinct * (b - a))
+        out = values * decay[self.index]
+        for tm, profile in self.profiles:
+            out = out + self._source_response(tm, decay, a, b)[self.index] * profile
         return out
+
+    def _source_response(self, tm, decay: np.ndarray, a: float, b: float) -> np.ndarray:
+        """e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(z) per distinct rate, for
+        the term p(t) e^(mu t), h = b - a and z = -(lam + mu) h, in one pass.
+        Where |z| >= PHI_SERIES_BELOW the recurrence phi_(j+1) = (phi_j -
+        1/j!)/z runs on e^(mu b) phi_j, from e^(mu b) phi_0(z) =
+        e^(mu a) decay, decay = e^(-lam h) being the carrier's exponential;
+        no factor leaves the range that e^(mu t) keeps on [a, b].  Elsewhere
+        the sum is one power series in z, sum_m c_m z^m with the scalar
+        coefficients c_m = sum_j p^(j)(a) h^(j+1)/(m+j+1)!."""
+        h, mu = b - a, tm.time_exp
+        at_end = math.exp(mu * b)
+        scaled = np.array([d * h ** (j + 1) for j, d in enumerate(tm.time_derivatives(a))])
+        z = -(self.distinct + mu) * h
+        small = np.abs(z) < PHI_SERIES_BELOW
+        acc = np.empty_like(z)
+        if not small.all():
+            big = ~small
+            zb = z[big]
+            phi = decay[big] * math.exp(mu * a)
+            total = 0.0
+            for j, d in enumerate(scaled):
+                phi = (phi - at_end / math.factorial(j)) / zb
+                total = total + d * phi
+            acc[big] = total
+        if small.any():
+            zs = z[small]
+            powers = np.cumprod(np.broadcast_to(zs, (_PHI_SERIES_TERMS - 1, zs.size)), axis=0)
+            c = _series_table(len(scaled)) @ scaled
+            acc[small] = at_end * (c[0] + c[1:] @ powers)
+        return acc
 
 
 def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,

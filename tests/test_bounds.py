@@ -504,13 +504,7 @@ def test_data_norms_samples_the_source_once_for_all_pairs(monkeypatch):
     )
     pairs = bd.required_pairs(2, "pn")
     grid = tr.default_grid(spec)
-    # Oracle: a fresh sampled q field per (pair, time), matched exactly.
-    T = spec.t_final
-    t_sup = np.concatenate(
-        [[0.0, T], 0.5 * T * (1.0 + np.cos(np.pi * np.arange(1, 32) / 32.0))]
-    )
-    want = {(r, s): max(gr.hrs_seminorm(gr.moment_field(grid, 1, spec.q, t), r, s)
-                        for t in t_sup) for r, s in pairs}
+    want = _sampled_q_sup(spec, pairs, grid)
     built = []
     real = gr.moment_field
 
@@ -520,9 +514,69 @@ def test_data_norms_samples_the_source_once_for_all_pairs(monkeypatch):
 
     monkeypatch.setattr(gr, "moment_field", moment_field)
     _, q_sup = bd.data_norms(spec, pairs, grid)
-    assert q_sup == want
-    # One g field and 33 sampled q fields, however many pairs.
-    assert len(pairs) == 4 and len(built) == 1 + len(t_sup)
+    assert q_sup.keys() == want.keys()
+    for key, value in want.items():
+        assert q_sup[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+    # One g field and one time-free q field per term, however many pairs
+    # and sample times.
+    assert len(pairs) == 4 and len(built) == 1 + len(spec.q)
+
+
+def _sampled_q_sup(spec, pairs, grid):
+    """The sup of q's seminorms over data_norms' 33 sample times, from a
+    fresh sampled q field per (pair, time)."""
+    T = spec.t_final
+    t_sup = np.concatenate(
+        [[0.0, T], 0.5 * T * (1.0 + np.cos(np.pi * np.arange(1, 32) / 32.0))]
+    )
+    L = max(gr.angular_band(spec.q), 1)
+    return {(r, s): max(gr.hrs_seminorm(gr.moment_field(grid, L, spec.q, t), r, s)
+                        for t in t_sup) for r, s in pairs}
+
+
+@pytest.mark.parametrize("support", ["shared", "disjoint"])
+def test_data_norms_of_two_time_factors_match_sampled_fields(support):
+    # q(t) = f_1(t) Q_1 + f_2(t) Q_2 with f_1 = (1 - t) e^(0.4 t) and
+    # f_2 = (0.2 + t^2) e^(-0.7 t): the sup of their sum's seminorm is
+    # reached at no single term's own maximum.
+    second = {(1, 2, 0): 0.3 - 0.1j, (-1, -2, 0): 0.3 + 0.1j}
+    if support == "shared":
+        second.update({(1, 0, 0): -0.4, (-1, 0, 0): -0.4})
+    q = [gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (0, 1, 0): 0.25j,
+                  (0, -1, 0): -0.25j}, (1.0, 0.3, -0.2, 0.4),
+                 time_poly=(1.0, -1.0), time_exp=0.4),
+         gr.term(second, (0.5, 0.0, 0.0, 0.6, 0.1, 0.0, -0.3, 0.2, 0.0),
+                 time_poly=(0.2, 0.0, 1.0), time_exp=-0.7)]
+    spec = tr.problem("two", eps=0.5, sigma_t=1.0,
+                      g=[gr.isotropic_term({(0, 0, 0): 1.0})], q=q, T=2)
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (2, 1), (3, 0)]
+    grid = tr.default_grid(spec)
+    _, q_sup = bd.data_norms(spec, pairs, grid)
+    want = _sampled_q_sup(spec, pairs, grid)
+    assert all(v > 0.0 for v in want.values())
+    for key, value in want.items():
+        assert q_sup[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+
+def test_data_norms_keep_a_fast_growing_source_finite():
+    # q(t) = e^(400 t) Q on [0, 1]: its H^(3,0) norm, about 3.3e173, is
+    # finite although its square is not (sampled fields gave inf, which
+    # bound_inputs refused), and the sup is max|f| times Q's time-free
+    # seminorm.
+    q = [gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (0.3, 0.0, 0.2, 0.0),
+                 time_exp=400.0)]
+    spec = tr.problem("grow", eps=1.0, sigma_t=1.0, g=[], q=q, T=1)
+    grid = tr.default_grid(spec)
+    pairs = bd.required_pairs(2, "pn")
+    _, q_sup = bd.data_norms(spec, pairs, grid)
+    free = gr.moment_field(grid, 1, [replace(q[0], time_exp=0.0)])
+    for r, s in pairs:
+        want = math.exp(400.0) * gr.hrs_seminorm(free, r, s)
+        assert math.isfinite(q_sup[(r, s)])
+        assert q_sup[(r, s)] == pytest.approx(want, rel=1e-13, abs=0.0), (r, s)
+    assert q_sup[(3, 0)] == pytest.approx(3.3e173, rel=0.02)
+    bi = bd.bound_inputs(spec, 2, 3)
+    assert math.isfinite(bd.pn_error_bound(bi).total)
 
 
 def test_bound_inputs_assembly():

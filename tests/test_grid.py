@@ -54,6 +54,28 @@ def test_term_rejects_non_finite(field, kwargs):
         gr.term(**args)
 
 
+def test_term_refuses_an_empty_time_polynomial():
+    # An empty polynomial once read as zero in solve_pn and data_norms but
+    # raised TypeError inside run_hybrid's uncollided advance.
+    with pytest.raises(ValueError, match=r"^time_poly must have a coefficient, got \(\)$"):
+        gr.term({(1, 0, 0): 0.5}, (1.0,), time_poly=())
+    with pytest.raises(ValueError, match="^time_poly must have a coefficient"):
+        gr.FieldTerm(spatial=(((1, 0, 0), 0.5),), angular=(1.0,), time_poly=())
+
+
+def test_term_time_derivatives_by_horner():
+    tm = gr.term({(1, 0, 0): 0.5}, (1.0,), time_poly=(0.3, -1.0, 0.5, 2.0), time_exp=0.7)
+    assert tm.time_derivative_polys == ((0.3, -1.0, 0.5, 2.0), (-1.0, 1.0, 6.0),
+                                        (1.0, 12.0), (12.0,))
+    t = 0.45
+    assert tm.time_derivatives(t) == pytest.approx(
+        [0.3 - t + 0.5 * t**2 + 2.0 * t**3, -1.0 + t + 6.0 * t**2, 1.0 + 12.0 * t, 12.0],
+        rel=1e-15)
+    assert tm.time_value(t) == pytest.approx(tm.time_derivatives(t)[0] * math.exp(0.7 * t),
+                                             rel=1e-15)
+    assert gr.term({(1, 0, 0): 0.5}, (1.0,)).time_derivatives(2.0) == [1.0]
+
+
 def test_grid_for_terms():
     tms = [gr.term({(2, 0, 0): 1.0}, [1.0]), gr.term({(0, -1, 0): 1.0}, [1.0])]
     g = gr.grid_for(tms)
@@ -70,6 +92,15 @@ def test_moment_field_from_terms_and_norm():
     expect = math.sqrt(math.pi * 4.0 * math.pi)
     assert gr.l2_norm(f) == pytest.approx(expect, rel=1e-14)
     assert gr.reality_residual(f) == 0.0
+    # Entries whose squares overflow, in a norm that does not: scaled sums.
+    big = f.scale(1e300)
+    assert gr.l2_norm(big) == pytest.approx(1e300 * expect, rel=1e-14)
+    quad = sh.build_sphere_quadrature(4)
+    nodal = gr.evaluate_field(big, quad)
+    assert gr.l2_norm(nodal) == pytest.approx(1e300 * expect, rel=1e-13)
+    # A norm past the float range is inf.
+    huge = gr.MomentField(g, 3, np.full(f.coeffs.shape, 1.5e308, dtype=complex))
+    assert gr.l2_norm(huge) == math.inf
 
 
 def test_moment_field_band_rejection():

@@ -455,6 +455,23 @@ def test_fit_flags_zero_bound_with_error():
     assert rep.ok
 
 
+def test_fit_reports_how_many_rows_the_zero_bound_rule_checked():
+    # The aniso-decay-n-sweep rows: exact solves whose bounds are all 0.
+    # Their verdict once read only "conformant", naming no check at all.
+    rows = [hn.SweepRow("aniso-decay", "pn", N, 1.0, 0.5, 1.0, 0.0, 1.0, 0.0, 0.0,
+                        0.0, "diffusive", 0.0) for N in (1, 3, 5)]
+    rep = hn.fit_and_check(rows)
+    assert rep.ok and rep.zero_bound_rows == 3
+    assert rep.to_text() == ("zero bound: 3 rows checked for error <= 1e-08\n"
+                             "verdict: conformant")
+    # A row without a bound, or flagged, is not checked; no such row, no line.
+    rows[0] = replace(rows[0], branch="none")
+    rows[1] = replace(rows[1], oracle_uncertainty=1.0)
+    assert hn.fit_and_check(rows).zero_bound_rows == 1
+    rep = hn.fit_and_check(_synthetic_rows())
+    assert rep.zero_bound_rows == 0 and "zero bound" not in rep.to_text()
+
+
 def test_fit_flags_error_above_stated_bound():
     # The bounds are stated with C = 1: a row above its bound violates them,
     # though the fitted C still covers it.

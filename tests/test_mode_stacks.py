@@ -20,6 +20,8 @@ from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 from pnhybrid import transport as tr
 
+import oracles
+
 
 def _symmetry(k, N):
     """(c, S_g) of wavevector k = g c; S_g is None when k == c, else
@@ -203,7 +205,7 @@ def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
             idx = op.grid.index_of(k)
             pieces = sourced._pieces[idx]
             w0 = np.concatenate([
-                amp * math.exp(tm.time_exp * t0) * np.array(tr.poly_derivatives(tm.time_poly, t0))
+                amp * math.exp(tm.time_exp * t0) * np.array(oracles.poly_derivatives(tm.time_poly, t0))
                 for amp, tm, _ in pieces
             ])
             want[idx] = want[idx] + _augmented_forcing(op, k, pieces, h) @ w0

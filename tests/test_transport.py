@@ -1,18 +1,23 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from pnhybrid import bounds as bd
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 from pnhybrid import harness as hs
+from pnhybrid import hybrid as hy
 from pnhybrid import transport as tr
+
+import oracles
 
 
 def _iso_cosine(mean=1.0):
@@ -71,6 +76,38 @@ def test_problem_spec_rejects_exact_times_past_float_range(time):
     message = str(info.value)
     assert message.startswith("T must be within the float range")
     assert "\n" not in message and len(message) < 100  # not the 400-digit numeral
+
+
+def _growing_source(mu):
+    return [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, time_exp=mu)]
+
+
+@pytest.mark.parametrize("mu,T", [(710.0, 1), (800.0, 1), (71.0, 10), (1e308, "0.5")])
+def test_problem_refuses_a_source_growing_past_float_range(mu, T):
+    # At time_exp = 710 and T = 1, run_hybrid and data_norms raised
+    # OverflowError; at 800, solve_pn returned nan moments without an error.
+    with pytest.raises(ValueError, match="^q time_exp .* must keep exp"):
+        tr.problem("grow", 0.5, 1.0, [_iso_cosine()], q=_growing_source(mu), T=T)
+
+
+def test_problem_keeps_a_source_growing_within_float_range_finite():
+    spec = tr.problem("grow", 0.5, 1.0, [_iso_cosine()], q=_growing_source(700.0), T=1)
+    assert np.all(np.isfinite(tr.solve_pn(spec, 3).final.coeffs))
+    res = hy.run_hybrid(spec, 3)
+    assert np.all(np.isfinite(res.total.values))
+    # The record norms square entries near e^700: they once overflowed.
+    for rec in res.records:
+        assert all(math.isfinite(v) for v in (rec.norm_u, rec.norm_c, rec.norm_merged))
+    g_norms, q_sup = bd.data_norms(spec, bd.required_pairs(2, "pn"))
+    assert all(math.isfinite(v) for v in (*g_norms.values(), *q_sup.values()))
+    assert q_sup[(3, 0)] > 1e304
+    # A decaying source of any rate stays within range.  At time_exp = -800
+    # the phi-functions' e^z overflowed over the one interval and run_hybrid
+    # returned nan; the response now runs on e^(mu b) phi_j.
+    tr.problem("decay", 0.5, 1.0, [_iso_cosine()], q=_growing_source(-1e308), T=1)
+    spec = tr.problem("decay", 0.5, 1.0, [_iso_cosine()], q=_growing_source(-800.0), T=1)
+    assert np.all(np.isfinite(tr.solve_pn(spec, 3).final.coeffs))
+    assert np.all(np.isfinite(hy.run_hybrid(spec, 3).total.values))
 
 
 def test_problem_fraction_schedule():
@@ -192,13 +229,9 @@ def _full_uncollided_values(values, lam, a, b, profiles):
     per (mode, node) on the full rate array lam."""
     out = values * np.exp(-lam * (b - a))
     if profiles:
-        h = b - a
         resp = np.zeros(lam.shape, dtype=complex)
         for tm, profile in profiles:
-            derivs = tr.poly_derivatives(tm.time_poly, a)
-            phis = tr.phi_functions(-(lam + tm.time_exp) * h, len(derivs))
-            acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
-            resp += math.exp(tm.time_exp * b) * acc * profile
+            resp += oracles.source_response(lam, tm, a, b) * profile
         out = out + resp
     return out
 
@@ -699,11 +732,11 @@ def test_phi_functions_match_long_series_around_switch():
     # phi_j(z) = sum_m z^m/(m+j)!, summed to 60 terms: accurate for |z| <= 2.
     for radius in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 2.0):
         z = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 37))
-        got = tr.phi_functions(z, 4)
+        got = oracles.phi_functions(z, 4)
         for j in range(5):
             want = sum(z**m / math.factorial(m + j) for m in range(60))
             assert np.max(np.abs(got[j] - want) / np.abs(want)) < 1e-13, (radius, j)
-    at_zero = tr.phi_functions(np.zeros(1), 4)
+    at_zero = oracles.phi_functions(np.zeros(1), 4)
     assert [complex(p[0]) for p in at_zero] == [1.0 / math.factorial(j) for j in range(5)]
 
 
@@ -756,6 +789,46 @@ def test_uncollided_source_matches_loop_oracle(eps, sigma, sigma_a, mu, branches
     assert np.array_equal(same, state.values)
 
 
+# One source term on a 2D grid whose rates k.Omega/eps repeat and vanish
+# (k = 0), for the property below.
+_RESPONSE_GRID = gr.SpatialGrid(2, 3)
+_RESPONSE_QUAD = sh.build_sphere_quadrature(4)
+_RESPONSE_TERM = gr.term({(0, 0, 0): 0.7, (1, 0, 0): 0.5 - 0.25j, (-1, 0, 0): 0.5 + 0.25j,
+                          (1, 1, 0): 0.3j, (-1, -1, 0): -0.3j}, (1.0, 0.2, 0.6, -0.1))
+_COEFF = st.integers(-200, 200).map(lambda n: n / 100)
+
+
+# The explicit examples make sure of z = 0 (mu = -(sigma/eps^2 + sigma_a)
+# on k = 0, and h = 0), of |z| on both sides of PHI_SERIES_BELOW in one
+# call, and of sigma = 0.
+@example(poly=[0.3, -1.0, 0.5, 2.0], mu=0.0, eps=0.5, sigma=1.0, absorb=0.25, a=0.3,
+         h=1.0, cancel=True)
+@example(poly=[1.0, 0.5], mu=-0.4, eps=0.8, sigma=0.0, absorb=0.0, a=1.0, h=1.5,
+         cancel=False)
+@example(poly=[0.0, 0.0, 1.0], mu=0.0, eps=1.0, sigma=0.0, absorb=0.0, a=0.0, h=0.7,
+         cancel=True)
+@example(poly=[1.5], mu=2.0, eps=1.0, sigma=0.5, absorb=0.5, a=0.2, h=0.0, cancel=False)
+@settings(max_examples=80)
+@given(poly=st.lists(_COEFF, min_size=1, max_size=4), mu=st.floats(-3.0, 3.0),
+       eps=st.floats(0.2, 2.0), sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       absorb=st.floats(0.0, 1.0), a=st.floats(0.0, 2.0),
+       h=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), cancel=st.booleans())
+def test_source_response_matches_phi_function_oracle(poly, mu, eps, sigma, absorb, a, h,
+                                                     cancel):
+    # advance from zero values is the source response alone: one pass over
+    # the distinct rates against every phi-function on the full rate array.
+    sigma_a = absorb * sigma
+    if cancel:
+        mu = -(sigma / eps**2 + sigma_a)
+    tm = replace(_RESPONSE_TERM, time_poly=tuple(poly), time_exp=mu)
+    grid, quad = _RESPONSE_GRID, _RESPONSE_QUAD
+    flow = tr.uncollided_flow(grid, quad, eps, sigma, sigma_a, [tm])
+    lam = _full_rates(grid, quad, eps, sigma, sigma_a)
+    got = flow.advance(np.zeros(lam.shape, dtype=complex), a, a + h)
+    want = oracles.source_response(lam, tm, a, a + h) * flow.profiles[0][1]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("field, value", [
     ("a", math.nan), ("a", -math.inf), ("b", math.nan), ("b", math.inf),
     ("eps", math.nan), ("eps", math.inf), ("eps", 0.0), ("eps", -1.0),
@@ -777,11 +850,13 @@ def test_uncollided_rejects_bad_input(field, value):
             tr.uncollided_flow(state.grid, state.quad, **kwargs)
 
 
-# The distinct-rate evaluation against the full-array formula, byte for
-# byte (np.array_equal would let +0 and -0 pass as equal).  Each grid's
-# source has mu = -(sigma/eps^2 + sigma_a), so z = -(lambda + mu) h is
-# -i k.Omega h/eps: exactly 0 on k = 0 (series branch) and large on the
-# streaming modes (recurrence branch).
+# The distinct-rate evaluation against the full-array formula: byte for
+# byte for a flow without a source (np.array_equal would let +0 and -0 pass
+# as equal), and to 1e-12 relative for one with a source, whose one-pass
+# response sums the phi-functions in another order.  Each grid's source has
+# mu = -(sigma/eps^2 + sigma_a), so z = -(lambda + mu) h is -i k.Omega h/eps:
+# exactly 0 on k = 0 (series branch) and large on the streaming modes
+# (recurrence branch).
 _BYTES_CASES = {
     "1d": ({(1, 0, 0): 0.5 - 0.25j, (-1, 0, 0): 0.5 + 0.25j}, 0.5, 1.0, 0.25),
     "2d": ({(1, 2, 0): 0.3j, (-1, -2, 0): -0.3j, (0, 1, 0): 0.4}, 0.8, 2.0, 0.0),
@@ -822,15 +897,16 @@ def test_uncollided_values_match_full_array_formula_bytes(case):
     assert bare.profiles == ()
     rng = np.random.default_rng(7)
     values = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
-    for fl in (flow, bare):
-        got = fl.advance(values, a, b)
-        want = _full_uncollided_values(values, lam, a, b, fl.profiles)
-        assert got.tobytes() == want.tobytes()
     state = gr.nodal_field(grid, quad, g)
-    for q_terms, prof in ((q, flow.profiles), ((), ())):
-        got = tr.solve_uncollided(state, a, b, eps, sigma, sigma_a, q_terms).values
-        want = _full_uncollided_values(state.values, lam, a, b, prof)
-        assert got.tobytes() == want.tobytes()
+    for fl, q_terms in ((flow, q), (bare, ())):
+        for start, got in ((values, fl.advance(values, a, b)),
+                           (state.values, tr.solve_uncollided(
+                               state, a, b, eps, sigma, sigma_a, q_terms).values)):
+            want = _full_uncollided_values(start, lam, a, b, fl.profiles)
+            if fl.profiles:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 def test_diffusive_hybrid_sweep_takes_each_distinct_rate_once():
