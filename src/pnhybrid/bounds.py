@@ -511,8 +511,7 @@ def _sup_seminorm(grid, fields: np.ndarray, f: np.ndarray, r: int, s: int) -> fl
     largest entry, which multiplies the sum of the roots afterwards, so
     the squares stay within the float range wherever the norm does."""
     n, nm = fields.shape[0], fields.shape[-1]
-    degrees = np.arange(math.isqrt(nm))
-    degree = np.repeat(degrees, 2 * degrees + 1)
+    degree = sh.moment_degrees(math.isqrt(nm) - 1)
     weight = np.where(degree >= s, (degree + 0.5) ** (2 * s), 0.0)
     size = np.max(np.abs(f), axis=1)
     unit = f / np.where(size > 0.0, size, 1.0)[:, None]

@@ -14,6 +14,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,9 @@ class FieldTerm:
     (polynomial-times-exponential time factor).
 
     spatial: tuple of ((k1, k2, k3), amplitude) pairs.
-    angular: moment coefficients in ordinal order, any finite degree.
-    time_poly: polynomial coefficients p, low order first, at least one.
-    time_exp: signed exponential rate; the factor is p(t) exp(time_exp * t).
+    angular: real moment coefficients in ordinal order, any finite degree.
+    time_poly: real polynomial coefficients p, low order first, at least one.
+    time_exp: real signed exponential rate; the factor is p(t) exp(time_exp * t).
 
     The term owns its time factor: the coefficients of p, p', ..., p^(d)
     are formed once (time_derivative_polys) and every derivative value is
@@ -119,10 +120,14 @@ class FieldTerm:
     def __post_init__(self):
         if not self.time_poly:
             raise ValueError(f"time_poly must have a coefficient, got {self.time_poly!r}")
-        for name, values in (("spatial amplitude", [a for _, a in self.spatial]),
-                             ("angular", self.angular), ("time_poly", self.time_poly),
-                             ("time_exp", (self.time_exp,))):
+        # Only the spatial amplitudes may be complex.
+        for name, values, real in (
+                ("spatial amplitude", [a for _, a in self.spatial], False),
+                ("angular", self.angular, True), ("time_poly", self.time_poly, True),
+                ("time_exp", (self.time_exp,), True)):
             for v in values:
+                if real and not isinstance(v, numbers.Real):
+                    raise ValueError(f"{name} must be real, got {v}")
                 if not cmath.isfinite(v):
                     raise ValueError(f"{name} must be finite, got {v}")
 

@@ -47,6 +47,13 @@ def degree_slice(l: int) -> slice:
     return slice(l * l, (l + 1) * (l + 1))
 
 
+def moment_degrees(N: int) -> np.ndarray:
+    """Degree l of every ordinal up to degree N, in ordinal order: l
+    repeated 2l+1 times."""
+    degrees = np.arange(N + 1)
+    return np.repeat(degrees, 2 * degrees + 1)
+
+
 def _legendre_normalized(N: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     """Table A[l, k, point] of normalized associated Legendre functions.
 
@@ -114,9 +121,8 @@ def basis_eval(l: int, k: int, direction) -> float:
 
 def _degree_order(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree l and signed order k of every ordinal up to degree N."""
-    pos = np.arange(n_moments(N))
-    l = np.floor(np.sqrt(pos)).astype(int)
-    return l, pos - l * l - l
+    l = moment_degrees(N)
+    return l, np.arange(n_moments(N)) - l * l - l
 
 
 def _reflection_signs(N: int, axis: int) -> np.ndarray:

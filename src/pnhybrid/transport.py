@@ -29,12 +29,16 @@ augmented generator), and the tests' dense oracle.
 Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
 generic k, a diagonal at k = 0), and so is its exponential.  A wide
-operator, one whose moment space is wider than DENSE_EXPM_MAX_MOMENTS,
-finds each representative's blocks once (connected_blocks) and takes one
-stacked expm per block width: at N = 28 and k = (1,0,0) the four blocks
-are at most 225 wide, where the dense generator is 841.  A narrow
-operator takes one dense expm, since there the split saves little and
-moves last bits of the propagators.
+operator, one whose moment space is wider than DENSE_EXPM_MAX_MOMENTS
+(N >= 17), finds each representative's blocks once (connected_blocks) and
+takes one stacked expm per block width: at N = 28 and k = (1,0,0) the four
+blocks are at most 225 wide, where the dense generator is 841.  Streaming
+couples degree l only to l +- 1, so with D = diag(i^l) every D^-1 L_k D
+is real, and each block wider than 1 is exponentiated as a real matrix
+(about half the work of the complex one) and turned back by exact
+products with +-1 and +-i.  A narrow operator takes one dense complex
+expm: the split and the real frame move last bits of the propagators,
+which the benchmark goldens pin up to 289 moments.
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -110,15 +114,23 @@ def _series_table(n: int) -> np.ndarray:
 
 
 # Widest moment space, n_moments(N) = (N+1)^2, whose representatives take
-# one dense expm (N <= 20); wider ones split it over the generator's
-# connected blocks.  At 16 wide the split cost twice the dense expm (0.16
-# against 0.08 ms, plus 0.16 ms to find the blocks), and splitting the 169-
-# and 289-wide references of the hybrid dt sweeps moved last bits of the
-# plotted errors (2.1485115505547617e-06 -> 2.148511550556308e-06), which
-# the perfbench goldens compare as text.  On one thread the split expm of
-# k = (1,0,0) took 37 ms against 298 ms dense at N = 24, 77 against 683 ms
-# at N = 28.
-DENSE_EXPM_MAX_MOMENTS = 441
+# one dense expm (N <= 16); wider ones split it over the generator's
+# connected blocks and take each block in the real frame (PnOperator._exp).
+# On one BLAS thread of a 2-core machine at k = (1,0,0), eps = sigma = 1,
+# the dense complex, split complex and split real-frame expm took
+#     N = 17:  49.9,  5.9,  2.9 ms      N = 20: 117.5, 12.7,  6.1 ms
+#     N = 24:   311, 29.7, 13.8 ms      N = 28:   694, 64.1, 27.7 ms.
+# The split moves last bits of a propagator, and the perfbench goldens
+# compare the padded %.17g cells of the plot tables as text, where a value
+# that loses a digit changes the padding: splitting the 169- and 289-wide
+# references of the hybrid dt sweeps moved 2.1485115505547617e-06 to
+# 2.148511550556308e-06.  289 wide (N = 16) is the widest moment space
+# whose propagators those goldens pin (those references, and the degree-12
+# and 16 references of sobolev-n-sweep), so it stays dense.
+DENSE_EXPM_MAX_MOMENTS = 289
+
+# i^d indexed by d mod 4: the real-frame factors of PnOperator._exp.
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 # Most intervals M = T/dt a ProblemSpec may have: the shipped configs and
 # benchmark workloads use at most 16, and 10^6 interval edges fit in memory.
@@ -375,11 +387,11 @@ class PnOperator:
     each batch of expm calls on its orbit (one step length, or one Duhamel
     substep's propagators) and dropped after it.  Every such exponential is
     taken by _exp: one dense expm on a narrow operator (is_narrow), and on a
-    wide one one stacked expm per block width of the generator's connected
-    blocks, found once per representative, scattered into the dense
-    propagator.  step advances each orbit's modes together, as one stacked
-    gemv per propagator in the representative's frame (_OrbitStack),
-    bit-identical to a loop over modes."""
+    wide one one stacked real-frame expm per block width of the generator's
+    connected blocks, found once per representative, scattered into the
+    dense propagator.  step advances each orbit's modes together, as one
+    stacked gemv per propagator in the representative's frame
+    (_OrbitStack), bit-identical to a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         if not isinstance(N, numbers.Integral) or isinstance(N, bool):
@@ -434,13 +446,26 @@ class PnOperator:
         operator takes one dense expm.  A wide one takes one stacked expm
         per block width of L_c's connected blocks, shaped (blocks, w, w),
         and scatters the blocks into the dense propagator, whose other
-        entries are exactly zero."""
+        entries are exactly zero.  Blocks wider than 1 are taken in the real
+        frame: streaming couples degree l only to l +- 1 through -i times a
+        real matrix, and the diagonal is real, so with D = diag(i^l) the
+        entries (D^-1 A D)_pq = A_pq i^(l_q - l_p) are real, and expm(A) =
+        D expm(D^-1 A D) D^-1 is a real expm multiplied entrywise by
+        i^(l_p - l_q).  Both products are exact, each factor being +-1 or
+        +-i.  1-wide blocks (k = 0, and the |m| = N blocks on the z axis)
+        take the complex expm, whose 1 x 1 path the dense one shares."""
         if not self._split:
             return expm(A)
         P = np.zeros_like(A)
+        degree = sh.moment_degrees(self.N)
         for idx in self._blocks[c]:
             square = (idx[:, :, None], idx[:, None, :])
-            P[square] = expm(A[square])
+            if idx.shape[1] == 1:
+                P[square] = expm(A[square])
+                continue
+            l = degree[idx]
+            turn = _I_POWERS[(l[:, None, :] - l[:, :, None]) % 4]  # i^(l_q - l_p)
+            P[square] = expm((A[square] * turn).real) * turn.conj()
         return P
 
     def _rep(self, c, h: float) -> np.ndarray:
@@ -669,22 +694,33 @@ class UncollidedFlow:
     distinct.  An elementwise function of lambda is therefore taken on
     distinct and gathered with index: equal input bits give equal output
     bits, so a flow without a source advances byte for byte as the
-    full-array evaluation.  profiles holds the source's space-angle
-    factors at the nodes, one (term, values[k1, k2, k3, node]) pair per
-    term, time factor left out; each term's response is taken once per
-    distinct rate and agrees with the phi-function evaluation to 1e-12
+    full-array evaluation.  lambda(-k, Omega) is bitwise the conjugate of
+    lambda(k, Omega), so distinct ends in its conjugate pairs: with n =
+    distinct.size, entry n - pairs + j is the conjugate of entry
+    n - 2 pairs + j, whose imaginary part is > 0; every rate before those,
+    the real ones included, has no partner.  profiles holds the source's
+    space-angle factors at the nodes, one (term, values[k1, k2, k3, node])
+    pair per term, time factor left out; each term's response is taken once
+    per distinct rate and agrees with the phi-function evaluation to 1e-12
     relative.  Every array is read-only."""
 
     distinct: np.ndarray
     index: np.ndarray
     profiles: tuple
+    pairs: int
 
     def advance(self, values: np.ndarray, a: float, b: float) -> np.ndarray:
         """Nodal values advanced from a to b: the decay exp(-lam (b - a))
         plus the exact source integral of exp(-lam (b - tau)) q(tau) over
         [a, b], each term's response (_source_response) taken on the
         distinct rates, gathered and multiplied by its profile."""
-        decay = np.exp(-self.distinct * (b - a))
+        # One complex exp per conjugate pair: exp(conj z) is conj exp(z)
+        # bit for bit, and -lam h of a pair are conjugates up to the sign of
+        # a zero real part, which exp ignores.
+        own = self.distinct.size - self.pairs
+        decay = np.empty_like(self.distinct)
+        decay[:own] = np.exp(-self.distinct[:own] * (b - a))
+        np.conj(decay[own - self.pairs:own], out=decay[own:])
         out = values * decay[self.index]
         for tm, profile in self.profiles:
             out = out + self._source_response(tm, decay, a, b)[self.index] * profile
@@ -741,17 +777,28 @@ def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
         + k3[..., None] * om[:, 2]
     )
     lam = (sigma / eps**2 + sigma_a) + 1j * kdot / eps
-    bits = lam.reshape(-1).view(np.dtype((np.void, lam.itemsize)))
-    distinct, index = np.unique(bits, return_inverse=True)
-    distinct = distinct.view(complex)
-    index = index.reshape(lam.shape)
+    void = np.dtype((np.void, lam.itemsize))
+    bits, index = np.unique(lam.reshape(-1).view(void), return_inverse=True)
+    distinct = bits.view(complex)
+    # lambda(-k, Omega) is bitwise conj lambda(k, Omega).  Order the rates as
+    # [unpaired, one of each pair (imaginary part > 0), their conjugates].
+    conj = np.conj(distinct).view(void)
+    found = np.minimum(np.searchsorted(bits, conj), bits.size - 1)
+    lead = np.flatnonzero((distinct.imag > 0.0) & (bits[found] == conj))
+    paired = np.zeros(distinct.size, dtype=bool)
+    paired[lead] = paired[found[lead]] = True
+    order = np.concatenate([np.flatnonzero(~paired), lead, found[lead]])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    distinct = distinct[order]
+    index = rank[index].reshape(lam.shape)
     profiles = tuple(
         (tm, gr.nodal_field(grid, quad, [replace(tm, time_poly=(1.0,), time_exp=0.0)]).values)
         for tm in q_terms
     )
     for array in (distinct, index) + tuple(p for _, p in profiles):
         array.flags.writeable = False
-    return UncollidedFlow(distinct, index, profiles)
+    return UncollidedFlow(distinct, index, profiles, lead.size)
 
 
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,

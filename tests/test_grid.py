@@ -54,6 +54,21 @@ def test_term_rejects_non_finite(field, kwargs):
         gr.term(**args)
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("angular", dict(angular=(1j,))),
+    ("angular", dict(angular=(1.0, 0.0, 0.5 + 0j, 0.0))),
+    ("time_poly", dict(time_poly=(1.0, 2j))),
+    ("time_exp", dict(time_exp=1j)),
+])
+def test_term_refuses_non_real_values(field, kwargs):
+    # time_exp = 1j was accepted and raised TypeError inside transport.problem;
+    # only the spatial amplitudes may be complex.
+    args = dict(spatial=(((1, 0, 0), 0.5 + 0.5j),), angular=(1.0,))
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be real, got "):
+        gr.FieldTerm(**args)
+
+
 def test_term_refuses_an_empty_time_polynomial():
     # An empty polynomial once read as zero in solve_pn and data_norms but
     # raised TypeError inside run_hybrid's uncollided advance.

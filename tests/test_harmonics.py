@@ -14,6 +14,7 @@ def test_ordinal_roundtrip():
             assert sh.index_of(pos) == (l, k)
             pos += 1
     assert sh.n_moments(7) == pos
+    assert sh.moment_degrees(7).tolist() == [sh.index_of(p)[0] for p in range(pos)]
 
 
 def test_ordinal_rejects_bad_index():

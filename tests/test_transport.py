@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from pnhybrid import blas
 from pnhybrid import bounds as bd
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
@@ -513,7 +514,8 @@ def test_operator_rejects_bad_input(field, value):
 # ---------------------------------------------------------------------------
 # Wide operators (more than DENSE_EXPM_MAX_MOMENTS moments) take each
 # representative's exponential block by block, over the connected blocks of
-# its generator; narrow ones take one dense expm.
+# its generator, each block wider than 1 in the real frame D^-1 A D with
+# D = diag(i^l); narrow ones take one dense expm.
 
 # Axis, coordinate-plane, diagonal, generic and zero wavevectors.
 _BLOCK_KS = [(1, 0, 0), (0, 2, 0), (0, 0, 1), (0, 0, -3), (1, 1, 0), (1, 2, 0),
@@ -547,6 +549,28 @@ def test_block_split_exponential_matches_dense_oracle(k, N, eps, sigma, absorb, 
         # A diagonal generator: 1-wide blocks take np.exp, as scipy's dense
         # diagonal path does.
         assert P.tobytes() == Q.tobytes()
+
+
+@given(
+    k=st.one_of(st.sampled_from(_BLOCK_KS), st.tuples(*[st.integers(-3, 3)] * 3)),
+    N=st.integers(1, 12),
+    eps=st.floats(0.1, 2.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    absorb=st.floats(0.0, 1.0),
+    h=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+@example(k=(1, 0, 0), N=12, eps=0.5, sigma=0.0, absorb=0.0, h=1.0)
+@example(k=(2, -1, 3), N=7, eps=1.0, sigma=1.0, absorb=0.2, h=0.375)
+@settings(max_examples=40)
+def test_real_frame_generator_is_real(k, N, eps, sigma, absorb, h):
+    # Streaming couples degree l only to l +- 1 through -i times a real
+    # matrix and the diagonal is real, so D^-1 (h L_k) D, D = diag(i^l), has
+    # imaginary part exactly 0: taking its real part, as PnOperator._exp
+    # does, drops nothing.
+    A = h * tr.assemble_mode_operator(k, N, eps, sigma, sh.assemble_coupling(N),
+                                      absorb * sigma)
+    d = np.array([1, 1j, -1, -1j])[sh.moment_degrees(N) % 4]
+    assert np.all((d.conj()[:, None] * A * d[None, :]).imag == 0.0)
 
 
 def _block_stacks(k, N):
@@ -593,36 +617,54 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
     real = tr.expm
 
     def counting(A):
-        calls.append(A.shape)
+        calls.append((A.shape, A.dtype.kind))
         return real(A)
 
     monkeypatch.setattr(tr, "expm", counting)
     h = 0.375
-    # At N = 20 (441 moments, narrow) one dense expm per orbit, byte for byte.
-    op = tr.PnOperator(gr.SpatialGrid(1, 3), 20, 0.5, 1.0, 0.25)
+    # At N = 16 (289 moments, narrow) one dense expm per orbit, byte for byte.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 16, 0.5, 1.0, 0.25)
     for c in ((1, 0, 0), (0, 0, 0)):
         calls.clear()
         P = op._rep(c, h)
-        assert calls == [(op.nm, op.nm)]
+        assert calls == [((op.nm, op.nm), "c")]
         assert P.tobytes() == real(h * op._generator(c)).tobytes()
-    # At N = 21 (484 moments, wide) one stacked expm per block width.
-    op = tr.PnOperator(gr.SpatialGrid(1, 3), 21, 0.5, 1.0, 0.25)
-    assert not tr.is_narrow(21) and tr.is_narrow(20)
+    # At N = 17 (324 moments, wide) one stacked real expm per block width.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 17, 0.5, 1.0, 0.25)
+    assert not tr.is_narrow(17) and tr.is_narrow(16)
     calls.clear()
     P = op._rep((1, 0, 0), h)
-    widths = [idx.shape[1] for idx in _block_stacks((1, 0, 0), 21)]
-    assert [s[1] for s in calls] == widths and all(s[1] == s[2] for s in calls)
-    assert sum(s[0] for s in calls) == 4
+    widths = [idx.shape[1] for idx in _block_stacks((1, 0, 0), 17)]
+    assert [s[1] for s, _ in calls] == widths and all(s[1] == s[2] for s, _ in calls)
+    assert sum(s[0] for s, _ in calls) == 4 and {kind for _, kind in calls} == {"f"}
     Q = real(h * op._generator((1, 0, 0)))
     assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
     op._rep((1, 0, 0), h)
     assert len(calls) == len(widths)
-    # k = 0 is diagonal: one stack of 1-wide blocks, also for each Duhamel
-    # node of a substep.
+    # On the z axis the |m| = 17 blocks are 1 wide and stay complex.
+    calls.clear()
+    op._rep((0, 0, 1), h)
+    assert [(s[1], kind) for s, kind in calls] == [(1, "c")] + [(w, "f") for w in range(2, 19)]
+    # k = 0 is diagonal: one complex stack of 1-wide blocks, also for each
+    # Duhamel node of a substep.
     calls.clear()
     taus = np.array([0.0, 0.125, 0.25])
     op._substep((0, 0, 0), h, taus)
-    assert calls == [(op.nm, 1, 1)] * (1 + len(taus))
+    assert calls == [((op.nm, 1, 1), "c")] * (1 + len(taus))
+
+
+@pytest.mark.parametrize("N,k", [(17, (1, 0, 0)), (17, (1, 1, 0)), (17, (0, 0, 1)),
+                                 (17, (2, 1, 1)), (20, (1, 0, 0)), (24, (1, 0, 0)),
+                                 (28, (1, 0, 0))])
+def test_real_frame_exponential_matches_dense_oracle(N, k):
+    # The widths the P_N references reach: every split propagator against
+    # the dense complex expm of the whole generator.
+    op = tr.PnOperator(gr.SpatialGrid(3, 5), N, 1.0, 1.0, 0.2)
+    assert not tr.is_narrow(N)
+    with blas.single_thread():
+        P = op._rep(k, 0.5)
+        Q = _dense_oracle(k, N, 1.0, 1.0, 0.2, 0.5)
+    assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
 
 
 def test_wide_solve_matches_dense_expm_loop():
@@ -909,6 +951,28 @@ def test_uncollided_values_match_full_array_formula_bytes(case):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_conjugate_pair_decay_matches_full_array_formula_bytes(sigma):
+    # A 3D grid whose rates include imaginary part 0 (k = 0, and k
+    # orthogonal to a node) and, at sigma = 0, real part 0, so that -lam h
+    # of a pair differ in the sign of a zero.  advance takes one exp per
+    # conjugate pair and fills the partner with conj: byte for byte the
+    # full-array exp at every time.
+    grid, quad, eps = gr.SpatialGrid(3, 5), sh.build_sphere_quadrature(6), 0.7
+    lam = _full_rates(grid, quad, eps, sigma, 0.1 * sigma)
+    flow = tr.uncollided_flow(grid, quad, eps, sigma, 0.1 * sigma)
+    n, pairs = flow.distinct.size, flow.pairs
+    lead, partner = flow.distinct[n - 2 * pairs:n - pairs], flow.distinct[n - pairs:]
+    assert np.all(lead.imag > 0.0) and partner.tobytes() == np.conj(lead).tobytes()
+    assert np.any(lam.imag == 0.0) and np.all(flow.distinct[:n - 2 * pairs].imag == 0.0)
+    assert flow.distinct[flow.index].tobytes() == lam.tobytes()
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
+    for a, b in [(0.0, 0.0), (0.3, 2.3)] + [(0.0, t) for t in np.linspace(0.05, 40.0, 96)]:
+        want = values * np.exp(-lam * (b - a))
+        assert flow.advance(values, a, b).tobytes() == want.tobytes(), (a, b)
+
+
 def test_diffusive_hybrid_sweep_takes_each_distinct_rate_once():
     # The hybrid-dt-diffusive config: iso-smooth, N = 3, eps = 0.05,
     # sigma_t = 1, measured on the quadrature of its degree-12 reference.
@@ -918,6 +982,8 @@ def test_diffusive_hybrid_sweep_takes_each_distinct_rate_once():
     flow = tr.uncollided_flow(grid, quad, 0.05, 1.0)
     assert flow.index.shape == (3, 1, 1, 968)
     assert flow.distinct.size == 755
+    # 377 conjugate pairs, one exp each, and the real rate of k = 0.
+    assert flow.pairs == 377
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
