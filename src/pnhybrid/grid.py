@@ -30,6 +30,8 @@ class SpatialGrid:
     modes: int
 
     def __post_init__(self):
+        sh.require_integer("dim", self.dim)
+        sh.require_integer("modes", self.modes)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
         if self.modes < 1 or self.modes % 2 == 0:

@@ -10,7 +10,9 @@ A flat ordinal l*l + l + k enumerates (l, k) pairs degree by degree.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,13 @@ TOL = 1.0e-12
 
 # Unit-length tolerance for direction vectors handed to basis evaluation.
 UNIT_TOL = 1.0e-12
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse a size that is not an integer (a bool, a float or a string
+    included) with one ValueError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def n_moments(N: int) -> int:
@@ -205,6 +214,7 @@ class SphereQuadrature:
 def build_sphere_quadrature(polar_order: int) -> SphereQuadrature:
     """Product rule: Gauss-Legendre in cos(theta) crossed with 2*polar_order
     equispaced azimuths.  Exactness degree is 2*polar_order - 1."""
+    require_integer("polar_order", polar_order)
     if polar_order < 1:
         raise ValueError("polar_order must be >= 1")
     x, wx = np.polynomial.legendre.leggauss(polar_order)
@@ -217,6 +227,40 @@ def build_sphere_quadrature(polar_order: int) -> SphereQuadrature:
     nodes = np.column_stack([st * np.cos(ph), st * np.sin(ph), ct])
     weights = np.repeat(wx, naz) * waz
     return SphereQuadrature(nodes=nodes, weights=weights, exactness=2 * polar_order - 1)
+
+
+def axis_permutation(N: int, perm) -> tuple:
+    """Per-degree blocks (R_0, ..., R_N) of the action of the axis
+    permutation Pi, (Pi Omega)_i = Omega_perm[i], on the real harmonics:
+    Y(Pi Omega) = R Y(Omega) with R = diag(R_0, ..., R_N) orthogonal, the
+    real-harmonic rotation matrices of Ivanic and Ruedenberg (J. Phys.
+    Chem. 100, 6342, 1996) for a permutation of the axes.  Since
+    Pi^T Omega . k = Omega . Pi k, R A(k) R^T = A(Pi k) for the streaming
+    matrix A(k) = sum_i k_i A^(i), and so R L_k R^T = L_(Pi k) for a mode
+    generator.  Each block is the projection R_l = int Y_l(Pi Omega)
+    Y_l(Omega)^T by build_sphere_quadrature(N + 1), exact to degree
+    2N + 1; the blocks are built once per (N, perm) and are read-only."""
+    require_integer("N", N)
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    perm = tuple(int(i) for i in perm)
+    if sorted(perm) != [0, 1, 2]:
+        raise ValueError(f"perm must order the axes 0, 1, 2, got {perm}")
+    return _axis_permutation(int(N), perm)
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_permutation(N: int, perm: tuple) -> tuple:
+    quad = build_sphere_quadrature(N + 1)
+    B = basis_matrix(N, quad.nodes)
+    moved = basis_matrix(N, quad.nodes[:, list(perm)])
+    blocks = []
+    for l in range(N + 1):
+        s = degree_slice(l)
+        R = (moved[:, s].T * quad.weights) @ B[:, s]
+        R.flags.writeable = False
+        blocks.append(R)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,26 @@ generator
 
 advanced by matrix exponentials.  PnOperator.step is the only way a mode is
 advanced.  Axis reflections and the x <-> y swap of k conjugate L_k by
-signed permutations of the real harmonic basis, so only one representative
-per symmetry orbit gets a dense generator and an expm; every other mode
-applies the representative's propagator with the signed permutation acting
-on the vector.  One propagator is stored per orbit and step length, none
-per mode, and a generator lives only while its orbit's exponentials are
-taken.  A step gathers the modes of each orbit into the representative's
-frame and multiplies the stack by the propagator as P @ X[..., None]: numpy
-runs one gemv per stacked vector, the same product in the same summation
-order as on a single mode, so the results are bit-identical to a loop over
-modes (a gemm, einsum or tensordot over the stack would sum in another
-order and move last bits).  assemble_mode_operator is the one builder of a
-dense generator: an orbit representative's, a sourced mode's (inside its
-augmented generator), and the tests' dense oracle.
+signed permutations of the real harmonic basis, so every mode applies the
+propagator of its orbit's representative c = (c1 >= c2, c3), entries
+nonnegative, with the signed permutation acting on the vector.  The other
+axis permutations conjugate L_k by orthogonal matrices with one block per
+degree (harmonics.axis_permutation), so only a cubic representative, c
+sorted in descending order, gets a dense generator and an expm; any other
+representative's propagator and Duhamel nodes are the cubic one's turned,
+R P R^T, degree block by degree block.  A 1D or 2D wavevector (k3 = 0) is
+its own cubic representative, so flat grids take no rotation and keep the
+bits of their exponentials.  One propagator is stored per orbit and step
+length, none per mode, and a generator lives only while its orbit's
+exponentials are taken.  A step gathers the modes of each orbit into the
+representative's frame and multiplies the stack by the propagator as
+P @ X[..., None]: numpy runs one gemv per stacked vector, the same product
+in the same summation order as on a single mode, so the results are
+bit-identical to a loop over modes (a gemm, einsum or tensordot over the
+stack would sum in another order and move last bits).
+assemble_mode_operator is the one builder of a dense generator: an orbit
+representative's, a sourced mode's (inside its augmented generator), and
+the tests' dense oracle.
 
 Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
@@ -38,7 +45,14 @@ is real, and each block wider than 1 is exponentiated as a real matrix
 (about half the work of the complex one) and turned back by exact
 products with +-1 and +-i.  A narrow operator takes one dense complex
 expm: the split and the real frame move last bits of the propagators,
-which the benchmark goldens pin up to 289 moments.
+which the benchmark goldens pin up to 289 moments.  Wide operators turn
+propagators by the same rule as narrow ones.  On one BLAS thread of a
+shared 2-core machine, turning a propagator took 3-5 ms at N = 20 and
+16-20 ms at N = 28, where the block-split expm it replaces took 3-4 and
+16-19 ms on the z axis (turned from the x axis), 18-21 and 80-93 ms at
+k = (1,0,1), and 50-58 and 258-287 ms at k = (2,1,3).  Building one axis
+permutation's blocks, once per (N, permutation) and process, took 40-55 ms
+at N = 20 and 120-160 ms at N = 28.
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -73,7 +87,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -313,6 +326,19 @@ def connected_blocks(L: np.ndarray) -> list:
             for w in np.unique(widths)]
 
 
+def cubic_representative(c) -> tuple:
+    """(c*, perm) for a wavevector c of nonnegative entries: c* is c sorted
+    in descending order, the representative of its orbit under the cubic
+    group, and perm the axis permutation with c_i = c*_perm[i] (None when
+    c == c*), so that L_c = R L_(c*) R^T for R = sh.axis_permutation(N,
+    perm)."""
+    order = sorted(range(3), key=lambda i: -c[i])
+    star = tuple(c[i] for i in order)
+    if star == tuple(c):
+        return star, None
+    return star, tuple(order.index(i) for i in range(3))
+
+
 def _step_length(h) -> float:
     h = float(h)
     if not (math.isfinite(h) and h >= 0.0):
@@ -330,17 +356,23 @@ class _OrbitStack:
     and leaves it as S_g y = sign * y[perm]; a representative's own row has
     the identity permutation and all-ones signs, which multiply exactly.  An
     orbit's rows are contiguous with its representative first; orbits lists
-    (c, slice) in order of first appearance."""
+    (c, slice), first the orbits whose c is its own cubic representative,
+    then the others, each group in order of first appearance.  A step
+    therefore takes every expm before it turns a propagator
+    (PnOperator._rep), and no expm's workspace is alive next to the turned
+    propagators: on the 5x5x5 box at N = 11 this lowers the traced peak of
+    a solve from 9.8 to 8.0 MiB."""
 
     def __init__(self, modes, N):
         nm = sh.n_moments(N)
-        order = {}  # representative -> rank of first appearance
+        order = {}  # representative -> (turned, rank of first appearance)
         keyed = []
         for row, (_, k) in enumerate(modes):
             a = [abs(x) for x in k]
             # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
             c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
-            keyed.append((order.setdefault(c, len(order)), k != c, row, c, k))
+            rank = order.setdefault(c, (cubic_representative(c)[1] is not None, len(order)))
+            keyed.append((rank, k != c, row, c, k))
         keyed.sort(key=lambda e: e[:3])
         self.perm = np.tile(np.arange(nm), (len(keyed), 1))
         self.sign = np.ones((len(keyed), nm))
@@ -375,15 +407,20 @@ class _OrbitStack:
 
 
 class PnOperator:
-    """Propagators of one discretization, applied only through step.  A
-    generator is assembled, and an expm taken, only for one representative
-    wavevector c per orbit of the lattice symmetries (axis reflections and
-    the x <-> y swap).  A mode k = g c is advanced in its representative's
-    frame, P_k v = S_g P_c S_g^T v, with the signed permutation S_g applied
-    to the vector, so no per-mode matrix is ever formed.  The
-    representatives' propagators are cached per (orbit, h) in _rep: memory
-    grows with orbits and step lengths, not with modes, and repeated
-    equal-length steps cost no further expm.  A generator is assembled for
+    """Propagators of one discretization, applied only through step.  Modes
+    are grouped by one representative wavevector c per orbit of the lattice
+    symmetries (axis reflections and the x <-> y swap).  A mode k = g c is
+    advanced in its representative's frame, P_k v = S_g P_c S_g^T v, with
+    the signed permutation S_g applied to the vector, so no per-mode matrix
+    is ever formed.  A generator is assembled, and an expm taken, only for a
+    c that is its own cubic representative (cubic_representative: c sorted
+    in descending order); any other c = Pi c* takes P_c = R P_(c*) R^T and
+    the same of each Duhamel node, with R the axis permutation's degree
+    blocks (sh.axis_permutation), so a cubic orbit costs one expm per step
+    length or Duhamel node.  The representatives' propagators are cached per
+    (orbit, h) in _rep: memory grows with orbits and step lengths, not with
+    modes, and repeated equal-length steps cost no further expm or
+    rotation.  A generator is assembled for
     each batch of expm calls on its orbit (one step length, or one Duhamel
     substep's propagators) and dropped after it.  Every such exponential is
     taken by _exp: one dense expm on a narrow operator (is_narrow), and on a
@@ -394,8 +431,7 @@ class PnOperator:
     (_OrbitStack), bit-identical to a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
-        if not isinstance(N, numbers.Integral) or isinstance(N, bool):
-            raise ValueError(f"N must be an integer, got {N!r}")
+        sh.require_integer("N", N)
         if N < 0:
             raise ValueError(f"N must be nonnegative, got {N}")
         if not (math.isfinite(eps) and eps > 0.0):
@@ -468,10 +504,31 @@ class PnOperator:
             P[square] = expm((A[square] * turn).real) * turn.conj()
         return P
 
+    def _turn(self, perm, P: np.ndarray) -> np.ndarray:
+        """R P R^T for R = sh.axis_permutation(N, perm), on the last two
+        axes of P, degree block by degree block: R is block-diagonal, so
+        each block row and then each block column takes one small product."""
+        blocks = sh.axis_permutation(self.N, perm)
+        out = np.empty_like(P)
+        for l, R in enumerate(blocks):
+            s = sh.degree_slice(l)
+            np.matmul(R, P[..., s, :], out=out[..., s, :])
+        for l, R in enumerate(blocks):
+            s = sh.degree_slice(l)
+            out[..., :, s] = out[..., :, s] @ R.T
+        return out
+
     def _rep(self, c, h: float) -> np.ndarray:
+        """expm(h L_c): taken by _exp for a cubic representative, turned
+        from its cubic representative's otherwise."""
         P = self._reps.get((c, h))
         if P is None:
-            P = self._reps[(c, h)] = self._exp(c, h * self._generator(c))
+            star, perm = cubic_representative(c)
+            if perm is None:
+                P = self._exp(c, h * self._generator(c))
+            else:
+                P = self._turn(perm, self._rep(star, h))
+            self._reps[(c, h)] = P
         return P
 
     def _substep(self, c, hs: float, taus) -> tuple:
@@ -479,10 +536,14 @@ class PnOperator:
         P = self._rep(c, hs)
         nodes = self._nodes.get((c, hs))
         if nodes is None:
-            L = self._generator(c)
-            nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
-            for m, tau in enumerate(taus):
-                nodes[m, 0] = self._exp(c, float(hs - tau) * L)
+            star, perm = cubic_representative(c)
+            if perm is None:
+                L = self._generator(c)
+                nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
+                for m, tau in enumerate(taus):
+                    nodes[m, 0] = self._exp(c, float(hs - tau) * L)
+            else:
+                nodes = self._turn(perm, self._substep(star, hs, taus)[1])
             self._nodes[(c, hs)] = nodes
         return P, nodes
 
@@ -651,31 +712,33 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
     """Residual of the balance law over one step, relative to the initial
     squared norm: the decrease of ||psi||^2 must match the dissipation
     (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
+    Every OpenBLAS pool runs at one thread, as in solve_pn.
     """
-    op = PnOperator(state.grid, state.N, eps, sigma, 0.0)
-    measure = state.grid.measure
-    u0 = state.coeffs
-    u1 = op.step(u0, h, source=source, t0=t0)
-    lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
+    with blas.single_thread():
+        op = PnOperator(state.grid, state.N, eps, sigma, 0.0)
+        measure = state.grid.measure
+        u0 = state.coeffs
+        u1 = op.step(u0, h, source=source, t0=t0)
+        lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
 
-    nsub = op.substeps_for(h, 0.0)
-    x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
-    total = 0.0
-    hs = h / nsub
-    coeffs = np.array(u0, copy=True)
-    for j in range(nsub):
-        ta = t0 + j * hs
-        for xi, wi in zip(x, w):
-            tau = 0.5 * hs * (xi + 1.0)
-            mid = op.step(coeffs, tau, source=source, t0=ta)
-            fluct = mid.copy()
-            fluct[..., 0] = 0.0
-            rate = -(2.0 * sigma / eps**2) * float(np.sum(np.abs(fluct) ** 2))
-            if source is not None:
-                qv = source(ta + tau)
-                rate += 2.0 * float(np.sum((np.conj(qv) * mid).real))
-            total += 0.5 * hs * wi * measure * rate
-        coeffs = op.step(coeffs, hs, source=source, t0=ta)
+        nsub = op.substeps_for(h, 0.0)
+        x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
+        total = 0.0
+        hs = h / nsub
+        coeffs = np.array(u0, copy=True)
+        for j in range(nsub):
+            ta = t0 + j * hs
+            for xi, wi in zip(x, w):
+                tau = 0.5 * hs * (xi + 1.0)
+                mid = op.step(coeffs, tau, source=source, t0=ta)
+                fluct = mid.copy()
+                fluct[..., 0] = 0.0
+                rate = -(2.0 * sigma / eps**2) * float(np.sum(np.abs(fluct) ** 2))
+                if source is not None:
+                    qv = source(ta + tau)
+                    rate += 2.0 * float(np.sum((np.conj(qv) * mid).real))
+                total += 0.5 * hs * wi * measure * rate
+            coeffs = op.step(coeffs, hs, source=source, t0=ta)
     denom = max(measure * float(np.sum(np.abs(u0) ** 2)), 1e-300)
     return abs(lhs - total) / denom
 

@@ -30,6 +30,14 @@ def test_grid_validation():
         g.index_of((0, 1, 0))  # inactive axis
 
 
+@pytest.mark.parametrize("dim,modes,name", [
+    (True, 3, "dim"), (1, True, "modes"), (1, 3.0, "modes"), (2.0, 3, "dim"), ("1", 3, "dim"),
+])
+def test_grid_rejects_non_integer_sizes(dim, modes, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        gr.SpatialGrid(dim, modes)
+
+
 def test_term_validation_and_time_factor():
     tm = gr.term({(1, 0, 0): 0.5}, [1.0, 0.0, 0.0, 2.0], time_poly=(1.0, 3.0), time_exp=-2.0)
     assert tm.angular_degree == 1

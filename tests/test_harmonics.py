@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -250,3 +251,74 @@ def test_quadrature_basis_built_once_per_degree_and_read_only(monkeypatch):
     # Another quadrature instance keeps its own bases.
     sh.build_sphere_quadrature(5).basis(3)
     assert built == [3, 2, 3]
+
+
+_PERMS = list(itertools.permutations(range(3)))
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 8])
+def test_axis_permutation_blocks_act_on_the_basis(N):
+    # Y(Pi Omega) = R Y(Omega) at directions off the projection's nodes, R
+    # orthogonal, and the whole projection int Y(Pi Omega) Y(Omega)^T has
+    # nothing off the degree blocks.
+    rng = np.random.default_rng(N)
+    dirs = rng.standard_normal((50, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    B = sh.basis_matrix(N, dirs)
+    quad = sh.build_sphere_quadrature(N + 1)
+    for perm in _PERMS:
+        blocks = sh.axis_permutation(N, perm)
+        assert len(blocks) == N + 1
+        R = np.zeros((sh.n_moments(N), sh.n_moments(N)))
+        for l, block in enumerate(blocks):
+            assert block.shape == (2 * l + 1, 2 * l + 1)
+            assert np.max(np.abs(block @ block.T - np.eye(2 * l + 1))) <= 1e-14
+            R[sh.degree_slice(l), sh.degree_slice(l)] = block
+        moved = sh.basis_matrix(N, dirs[:, list(perm)])
+        assert np.max(np.abs(moved - B @ R.T)) <= 1e-13, perm
+        full = (sh.basis_matrix(N, quad.nodes[:, list(perm)]).T * quad.weights) @ quad.basis(N)
+        assert np.max(np.abs(full - R)) <= 1e-14, perm
+
+
+@pytest.mark.parametrize("N", [1, 5, 8])
+def test_axis_permutation_turns_streaming_matrices(N):
+    # R A(k) R^T = A(Pi k), (Pi k)_i = k_perm[i], for A(k) = sum_i k_i A^(i).
+    from scipy.linalg import block_diag
+
+    cs = sh.assemble_coupling(N)
+    axes = [cs.full_matrix(i) for i in (1, 2, 3)]
+    for k in [(1, 0, 0), (2, 1, 0), (1, 2, 3), (-3, 0, 2)]:
+        A = sum(ki * Ai for ki, Ai in zip(k, axes))
+        for perm in _PERMS:
+            R = block_diag(*sh.axis_permutation(N, perm))
+            moved = sum(k[p] * Ai for p, Ai in zip(perm, axes))
+            assert np.max(np.abs(R @ A @ R.T - moved)) <= 1e-13, (k, perm)
+
+
+def test_axis_permutation_blocks_cached_and_read_only(monkeypatch):
+    built = []
+    real = sh.build_sphere_quadrature
+    monkeypatch.setattr(sh, "build_sphere_quadrature",
+                        lambda n: built.append(n) or real(n))
+    sh._axis_permutation.cache_clear()
+    first = sh.axis_permutation(3, (1, 2, 0))
+    assert sh.axis_permutation(3, [1, 2, 0]) is first
+    assert built == [4]
+    with pytest.raises(ValueError):
+        first[1][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("N,perm,match", [
+    (2.5, (0, 2, 1), "^N must be an integer"), (True, (0, 2, 1), "^N must be an integer"),
+    (-1, (0, 2, 1), "^N must be nonnegative"), (3, (0, 1, 1), "^perm must"),
+    (3, (0, 1), "^perm must"),
+])
+def test_axis_permutation_rejects_bad_input(N, perm, match):
+    with pytest.raises(ValueError, match=match):
+        sh.axis_permutation(N, perm)
+
+
+@pytest.mark.parametrize("order", [2.5, True, "3", 3.0])
+def test_quadrature_rejects_non_integer_polar_order(order):
+    with pytest.raises(ValueError, match="^polar_order must be an integer, got"):
+        sh.build_sphere_quadrature(order)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from pnhybrid import blas
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 from pnhybrid import transport as tr
@@ -98,6 +99,21 @@ def _random_source(rng, shape):
     return source
 
 
+def _check_stacked_step(modes, N, eps, sigma, absorb, h, t0, substeps, seed):
+    # A 3D grid holds reflected, x <-> y swapped, axis-permuted and unmoved
+    # modes of every orbit.
+    grid = gr.SpatialGrid(3, modes)
+    op = tr.PnOperator(grid, N, eps, sigma, absorb * sigma)
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (op.nm,)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(op.step(u, h), _oracle_step(op, u, h))
+    source = _random_source(rng, shape)
+    got = op.step(u, h, source=source, t0=t0, substeps=substeps)
+    want = _oracle_step(op, u, h, source=source, t0=t0, substeps=substeps)
+    assert np.array_equal(got, want)
+
+
 @given(
     modes=st.sampled_from([3, 5]),
     N=st.integers(0, 7),
@@ -112,17 +128,15 @@ def _random_source(rng, shape):
 @settings(max_examples=30)
 def test_stacked_step_matches_per_mode_loop_bit_for_bit(modes, N, eps, sigma, absorb,
                                                         h, t0, substeps, seed):
-    # A 3D grid holds reflected, x <-> y swapped and unmoved modes of every orbit.
-    grid = gr.SpatialGrid(3, modes)
-    op = tr.PnOperator(grid, N, eps, sigma, absorb * sigma)
-    rng = np.random.default_rng(seed)
-    shape = grid.shape + (op.nm,)
-    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(op.step(u, h), _oracle_step(op, u, h))
-    source = _random_source(rng, shape)
-    got = op.step(u, h, source=source, t0=t0, substeps=substeps)
-    want = _oracle_step(op, u, h, source=source, t0=t0, substeps=substeps)
-    assert np.array_equal(got, want)
+    # On one BLAS thread, as solve_pn and run_hybrid step.
+    with blas.single_thread():
+        _check_stacked_step(modes, N, eps, sigma, absorb, h, t0, substeps, seed)
+
+
+def test_stacked_step_matches_per_mode_loop_on_default_pools():
+    # One fixed 3D example on the pools as the process found them (two
+    # threads in the CI step that sets OPENBLAS_NUM_THREADS=2).
+    _check_stacked_step(5, 5, 0.5, 1.0, 0.25, 0.3, 0.2, 2, 7)
 
 
 def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
@@ -211,6 +225,8 @@ def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
             want[idx] = want[idx] + _augmented_forcing(op, k, pieces, h) @ w0
         assert np.array_equal(got, want)
     # Two step lengths and two reached modes: four augmented expms, nm + 2
-    # wide; the plain ones are the orbits' propagators, one per (orbit, h).
+    # wide; the plain ones are the propagators of the cubic representatives,
+    # one per (cubic orbit, h).
     assert sizes.count(op.nm + 2) == 4
-    assert sizes.count(op.nm) == 2 * len(op._stack.orbits)
+    cubic = {tr.cubic_representative(c)[0] for c, _ in op._stack.orbits}
+    assert sizes.count(op.nm) == 2 * len(cubic) == 2 * 4

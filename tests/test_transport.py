@@ -406,13 +406,16 @@ def _one_hot(op, idx, v):
 
 
 @given(
-    k=st.tuples(*[st.integers(-3, 3)] * 3),
+    k=st.one_of(st.sampled_from([(1, 1, 1), (2, 1, 0), (0, 0, 3), (1, 0, 2), (-1, 3, 2)]),
+                st.tuples(*[st.integers(-3, 3)] * 3)),
     N=st.integers(1, 8),
     eps=st.floats(0.1, 2.0),
-    sigma_t=st.floats(0.0, 5.0),
+    sigma_t=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
     absorb=st.floats(0.0, 1.0),
-    h=st.floats(0.01, 1.0),
+    h=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
 )
+@example(k=(0, 0, 3), N=8, eps=0.1, sigma_t=0.0, absorb=0.0, h=1.0)
+@example(k=(1, 2, -3), N=8, eps=0.5, sigma_t=5.0, absorb=1.0, h=0.0)
 @settings(max_examples=40)
 def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
     # Column j of mode k's propagator is step on the box holding e_j at k.
@@ -422,10 +425,19 @@ def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
     P = np.stack([op.step(_one_hot(op, idx, e), h)[idx] for e in np.eye(op.nm)], axis=1)
     Q = _dense_oracle(k, N, eps, sigma_t, sigma_a, h)
     assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
-    if abs(k[0]) >= abs(k[1]):
-        # Reached from its representative by reflections alone: a pure sign
-        # change, which expm reproduces exactly.
+    if abs(k[0]) >= abs(k[1]) >= abs(k[2]):
+        # Reached from its cubic representative by reflections alone: a pure
+        # sign change, which expm reproduces exactly.
         assert np.array_equal(P, Q)
+    # The Duhamel nodes of the mode's orbit representative: expm calls for a
+    # cubic representative, turned from its cubic representative otherwise.
+    a = sorted(abs(x) for x in k[:2])
+    c = (a[1], a[0], abs(k[2]))
+    taus = 0.5 * h * (np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)[0] + 1.0)
+    _, nodes = op._substep(c, h, taus)
+    for m, tau in enumerate(taus):
+        Q = _dense_oracle(c, N, eps, sigma_t, sigma_a, float(h - tau))
+        assert np.max(np.abs(nodes[m, 0] - Q)) <= 1e-12 * np.max(np.abs(Q))
 
 
 def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
@@ -448,11 +460,12 @@ def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
         retained, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # 125 modes in 18 orbits, two step lengths.
-    assert len(calls) == 2 * 18
+    # 125 modes in 18 orbits, 10 of them cubic representatives whose
+    # propagators the other 8 turn; two step lengths.
+    assert len(calls) == 2 * 10
     for h in (0.125, 0.25):
         op.step(u, h)
-    assert len(calls) == 2 * 18
+    assert len(calls) == 2 * 10
     # What the operator keeps is the 2 x 18 representatives' propagators;
     # 2 x 125 per-mode copies never exist, not even during a step.
     assert 2 * 18 <= retained / matrix_bytes < 2 * 18 + 2
@@ -492,10 +505,106 @@ def test_step_matches_dense_oracle(k, N, eps, sigma_t, absorb, h, seed):
     got = op.step(_one_hot(op, idx, v), h)[idx]
     want = _dense_oracle(k, N, eps, sigma_t, sigma_a, h) @ v
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    if abs(k[0]) >= abs(k[1]):
-        # Sign flips only: the dense propagator is the representative's with
-        # rows and columns negated, and the product sums in the same order.
+    if abs(k[0]) >= abs(k[1]) >= abs(k[2]):
+        # Sign flips only: the dense propagator is the cubic representative's
+        # with rows and columns negated, and the product sums in the same
+        # order.
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Cubic orbits: a representative c = (c1 >= c2, c3) that is not sorted takes
+# no expm; its propagator and Duhamel nodes are its cubic representative's
+# (c sorted in descending order) turned by the axis permutation's
+# real-harmonic blocks, R P R^T.
+
+
+def _duhamel_oracle(k, N, eps, sigma, sigma_a, h, v, q, substeps):
+    """A sourced step of one mode from dense expm calls: per substep the
+    propagated state plus the Gauss-Legendre sum of propagated samples."""
+    L = tr.assemble_mode_operator(k, N, eps, sigma, sh.assemble_coupling(N), sigma_a)
+    hs = h / substeps
+    x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
+    taus = 0.5 * hs * (x + 1.0)
+    u = v
+    for j in range(substeps):
+        u = expm(hs * L) @ u + sum(0.5 * hs * wm * (expm((hs - tau) * L) @ q(j * hs + tau))
+                                   for tau, wm in zip(taus, w))
+    return u
+
+
+def test_cubic_orbit_sourced_step_matches_dense_oracle():
+    # One sourced step of the whole 7x7x7 box, every mode carrying data and
+    # source, against the dense Duhamel loop on modes of every kind: cubic
+    # representatives, reflected, x <-> y swapped and axis-permuted ones.
+    N, eps, sigma, sigma_a, h = 5, 0.5, 1.5, 0.25, 0.375
+    op = tr.PnOperator(_GRID7, N, eps, sigma, sigma_a)
+    rng = np.random.default_rng(5)
+    shape = op.grid.shape + (op.nm,)
+    u, a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+    got = op.step(u, h, source=lambda t: a + np.cos(2.0 * (t - 0.25)) * b, t0=0.25, substeps=2)
+    for k in [(1, 1, 1), (2, 1, 0), (0, 0, 3), (1, 0, 2), (-1, 3, 2), (3, -3, 0), (0, -2, 1),
+              (2, 2, 3), (0, 0, 0)]:
+        idx = _GRID7.index_of(k)
+        want = _duhamel_oracle(k, N, eps, sigma, sigma_a, h, u[idx],
+                               lambda t: a[idx] + np.cos(2.0 * t) * b[idx], 2)
+        assert np.max(np.abs(got[idx] - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
+def test_cubic_orbits_take_one_expm_each(monkeypatch):
+    calls = []
+    real = tr.expm
+    monkeypatch.setattr(tr, "expm", lambda A: calls.append(A.shape) or real(A))
+    op = tr.PnOperator(_GRID7, 3, 0.5, 1.0, 0.25)
+    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+    op.step(u, 0.5)
+    # 343 modes in 40 orbits of reflections and the x <-> y swap, 20 under
+    # the cubic group: one expm per cubic orbit.
+    assert len(op._stack.orbits) == 40
+    assert {tr.cubic_representative(c)[0] for c, _ in op._stack.orbits} == {
+        c for c, _ in op._stack.orbits if tr.cubic_representative(c)[1] is None}
+    assert calls == [(op.nm, op.nm)] * 20
+    # The cubic representatives' orbits come first, so a step takes every
+    # expm before it turns a propagator.
+    turned = [tr.cubic_representative(c)[1] is not None for c, _ in op._stack.orbits]
+    assert turned == sorted(turned)
+    # A sourced step of the same length adds one expm per (cubic orbit,
+    # Duhamel node); the substep's propagator is the cached one.
+    calls.clear()
+    op.step(u, 0.5, source=lambda t: u, substeps=1)
+    assert len(calls) == 20 * tr._DUHAMEL_NODES
+
+
+def test_cubic_representative_sorts_and_permutes():
+    # c* is c sorted in descending order, and R L_(c*) R^T = L_c.
+    assert tr.cubic_representative((2, 1, 0)) == ((2, 1, 0), None)
+    assert tr.cubic_representative((1, 1, 1)) == ((1, 1, 1), None)
+    N = 6
+    coupling = sh.assemble_coupling(N)
+    for c in [(0, 0, 3), (1, 0, 2), (3, 1, 2), (2, 1, 2), (2, 2, 3)]:
+        star, perm = tr.cubic_representative(c)
+        assert list(star) == sorted(c, reverse=True)
+        assert tuple(star[p] for p in perm) == c
+        R = np.zeros((sh.n_moments(N), sh.n_moments(N)))
+        for l, block in enumerate(sh.axis_permutation(N, perm)):
+            R[sh.degree_slice(l), sh.degree_slice(l)] = block
+        L = tr.assemble_mode_operator(c, N, 0.5, 1.5, coupling, 0.25)
+        turned = R @ tr.assemble_mode_operator(star, N, 0.5, 1.5, coupling, 0.25) @ R.T
+        assert np.max(np.abs(turned - L)) <= 1e-13 * np.max(np.abs(L)), c
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flat_grids_take_no_rotation(monkeypatch, dim):
+    # Every wavevector with k3 = 0 is its own cubic representative, so 1D
+    # and 2D operators keep expm(h L_c) byte for byte.
+    monkeypatch.setattr(sh, "axis_permutation", lambda *a: pytest.fail("rotation taken"))
+    op = tr.PnOperator(gr.SpatialGrid(dim, 5), 4, 0.5, 1.0, 0.25)
+    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+    op.step(u, 0.375)
+    op.step(u, 0.375, source=lambda t: u, substeps=1)
+    for c, _ in op._stack.orbits:
+        want = expm(0.375 * op._generator(c))
+        assert op._rep(c, 0.375).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -643,8 +752,15 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
     assert len(calls) == len(widths)
     # On the z axis the |m| = 17 blocks are 1 wide and stay complex.
     calls.clear()
-    op._rep((0, 0, 1), h)
+    op._exp((0, 0, 1), h * op._generator((0, 0, 1)))
     assert [(s[1], kind) for s, kind in calls] == [(1, "c")] + [(w, "f") for w in range(2, 19)]
+    # The z axis is not a cubic representative: its propagator is that of
+    # (1, 0, 0), cached above, turned, with no expm.
+    calls.clear()
+    P = op._rep((0, 0, 1), h)
+    assert calls == []
+    Q = real(h * op._generator((0, 0, 1)))
+    assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
     # k = 0 is diagonal: one complex stack of 1-wide blocks, also for each
     # Duhamel node of a substep.
     calls.clear()
