@@ -361,15 +361,84 @@ def scalar_flux(field: MomentField) -> np.ndarray:
     return field.coeffs[..., 0] / math.sqrt(4.0 * math.pi)
 
 
+# project_field and evaluate_field take the basis product of each mode of H
+# on its own, (1, n) @ B, as numpy does on the box of a grid whose k3 axis is
+# inactive: 1D and 2D grids keep the full box's bits.
+
+
 def project_field(field: NodalField, N: int) -> MomentField:
-    """Angular projection onto degree <= N via the field's quadrature."""
-    coeffs = sh.project(field.values, N, field.quad)
+    """Angular projection onto degree <= N via the field's quadrature.  The
+    field is real in physical space, as every field the solvers make is:
+    the half-space H is projected and the other modes are its conjugates."""
+    values = half_space(field.values.reshape(-1, 1, len(field.quad)))
+    half = sh.project(values, N, field.quad)[:, 0]
+    coeffs = from_half(half, field.grid.shape + (sh.n_moments(N),))
     return MomentField(field.grid, N, coeffs)
 
 
 def evaluate_field(field: MomentField, quad: sh.SphereQuadrature) -> NodalField:
-    values = sh.evaluate_expansion(field.coeffs, quad)
-    return NodalField(field.grid, quad, values)
+    """The field's values at the quadrature's nodes.  The field is real in
+    physical space, as every field the solvers make is: the half-space H is
+    evaluated and the other modes are its conjugates."""
+    coeffs = half_space(field.coeffs.reshape(-1, 1, field.coeffs.shape[-1]))
+    half = sh.evaluate_expansion(coeffs, quad)[:, 0]
+    return NodalField(field.grid, quad, from_half(half, field.grid.shape + (len(quad),)))
+
+
+def half_space(rows: np.ndarray) -> np.ndarray:
+    """The half-space H of an array of box rows, shaped (modes, ...) in flat
+    box order: k = 0 and every k whose first nonzero component is positive.
+    Flat order is lexicographic in k, so these are the rows from k = 0 on;
+    the result is a view."""
+    return rows[rows.shape[0] // 2:]
+
+
+def fill_conjugates(rows: np.ndarray) -> np.ndarray:
+    """Write c(-k) = conj c(k), in place, into the rows of rows (modes, ...)
+    before k = 0 from the half-space H after it, and return rows.  Flipping
+    every axis of the centered box reverses its flat order, so -k of row i
+    is row modes - 1 - i."""
+    n = rows.shape[0] // 2
+    np.conj(rows[:n:-1], out=rows[:n])
+    return rows
+
+
+def from_half(half: np.ndarray, shape: tuple) -> np.ndarray:
+    """The array of the given shape, (box) + (n,), whose half-space H holds
+    half, (H rows, n), and whose other rows are the conjugates."""
+    out = np.empty(shape, dtype=half.dtype)
+    rows = out.reshape(-1, shape[-1])
+    half_space(rows)[...] = half
+    fill_conjugates(rows)
+    return out
+
+
+def require_hermitian(name: str, rows: np.ndarray) -> None:
+    """Refuse box rows (modes, ...) that are not exactly Hermitian, c(-k) =
+    conj c(k) with c(0) real: the coefficients of a field that is not real
+    in physical space.  One comparison when they are."""
+    mirrored = np.conj(rows[::-1])
+    if not np.array_equal(rows, mirrored):
+        worst = float(np.max(np.abs(rows - mirrored)))
+        raise ValueError(f"{name} must satisfy c(-k) = conj c(k), got a deviation of {worst:.3g}")
+
+
+def require_real_terms(name: str, terms) -> None:
+    """Refuse a term that is not real in physical space: its amplitudes,
+    summed per wavevector, must satisfy a(-k) = conj a(k), and no -k may be
+    missing."""
+    for tm in terms:
+        amps = {}
+        for k, a in tm.spatial:
+            k = tuple(k)
+            amps[k] = amps[k] + a if k in amps else complex(a)
+        for k, a in amps.items():
+            mk = tuple(-x for x in k)
+            b = amps.get(mk)
+            if b is None or b != a.conjugate():
+                got = "missing" if b is None else f"= {b}"
+                raise ValueError(f"{name} amplitudes must satisfy a(-k) = conj a(k), "
+                                 f"got a{k} = {a} and a{mk} {got}")
 
 
 def reality_residual(field) -> float:

@@ -105,12 +105,15 @@ def basis_matrix(N: int, directions: np.ndarray) -> np.ndarray:
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
     A = _legendre_normalized(N, ct, st)
     sqrt2 = math.sqrt(2.0)
+    # cos(k phi) and sin(k phi) once per order k, not once per (l, k).
+    cos = [None] + [np.cos(k * phi) for k in range(1, N + 1)]
+    sin = [None] + [np.sin(k * phi) for k in range(1, N + 1)]
     out = np.empty((dirs.shape[0], n_moments(N)))
     for l in range(N + 1):
         out[:, ordinal(l, 0)] = A[l, 0]
         for k in range(1, l + 1):
-            out[:, ordinal(l, k)] = sqrt2 * A[l, k] * np.cos(k * phi)
-            out[:, ordinal(l, -k)] = sqrt2 * A[l, k] * np.sin(k * phi)
+            out[:, ordinal(l, k)] = sqrt2 * A[l, k] * cos[k]
+            out[:, ordinal(l, -k)] = sqrt2 * A[l, k] * sin[k]
     return out
 
 

@@ -15,7 +15,10 @@ run_hybrid returns that state at T and one IntervalRecord per interval
 remap evaluates the collided field at the nodes, once per interval.  Both
 the carrier's advance and every Duhamel node of the re-emission go through
 one transport.UncollidedFlow per run, which takes each distinct decay
-rate's exponential once and gathers it.
+rate's exponential once and gathers it.  Every field is real in physical
+space, so the flow, the re-emission and remap's evaluation and
+projections work on the half-space H of the modes (grid.half_space) and
+take each other mode as the conjugate of its -k (grid.from_half).
 """
 
 from __future__ import annotations
@@ -97,17 +100,21 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
         nm = op.nm
         emit = sigma / eps**2 * math.sqrt(_FOUR_PI)
 
+        # step reads only the half-space H of a sample, all the flow
+        # advances.  Each mode's average is one dot product, as numpy takes
+        # it on the box of a grid whose k3 axis is inactive.
         def sample(t: float) -> np.ndarray:
             vals = flow.advance(psi_u.values, a, t)
-            avg = (vals @ w) / _FOUR_PI
+            avg = (vals[:, None, :] @ w) / _FOUR_PI
             out = np.zeros(psi_u.grid.shape + (nm,), dtype=complex)
-            out[..., 0] = emit * avg
+            gr.half_space(out.reshape(-1, nm))[:, 0] = emit * avg[:, 0]
             return out
 
         nsub = op.substeps_for(h, extra_rate=op.max_rate)
         coeffs = op.step(collided.coeffs, h, source=sample, t0=a, substeps=nsub)
         collided = gr.MomentField(psi_u.grid, op.N, coeffs)
-    carrier = gr.NodalField(psi_u.grid, psi_u.quad, flow.advance(psi_u.values, a, b))
+    values = gr.from_half(flow.advance(psi_u.values, a, b), psi_u.values.shape)
+    carrier = gr.NodalField(psi_u.grid, psi_u.quad, values)
     return carrier, collided
 
 

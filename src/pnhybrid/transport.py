@@ -11,27 +11,27 @@ generator
     L_k = -(i/eps) sum_i k_i A^(i) - (sigma/eps^2) (I - Pi_0) - sigma_a I,
 
 advanced by matrix exponentials.  PnOperator.step is the only way a mode is
-advanced.  Axis reflections and the x <-> y swap of k conjugate L_k by
-signed permutations of the real harmonic basis, so every mode applies the
-propagator of its orbit's representative c = (c1 >= c2, c3), entries
-nonnegative, with the signed permutation acting on the vector.  The other
-axis permutations conjugate L_k by orthogonal matrices with one block per
-degree (harmonics.axis_permutation), so only a cubic representative, c
-sorted in descending order, gets a dense generator and an expm; any other
-representative's propagator and Duhamel nodes are the cubic one's turned,
-R P R^T, degree block by degree block.  A 1D or 2D wavevector (k3 = 0) is
-its own cubic representative, so flat grids take no rotation and keep the
-bits of their exponentials.  One propagator is stored per orbit and step
-length, none per mode, and a generator lives only while its orbit's
-exponentials are taken.  A step gathers the modes of each orbit into the
-representative's frame and multiplies the stack by the propagator as
-P @ X[..., None]: numpy runs one gemv per stacked vector, the same product
-in the same summation order as on a single mode, so the results are
-bit-identical to a loop over modes (a gemm, einsum or tensordot over the
-stack would sum in another order and move last bits).
-assemble_mode_operator is the one builder of a dense generator: an orbit
-representative's, a sourced mode's (inside its augmented generator), and
-the tests' dense oracle.
+advanced.  The data are real in physical space, c(-k) = conj c(k), and
+L_(-k) = conj L_k, so only the half-space H (k = 0 and every k whose first
+nonzero component is positive, grid.half_space) is advanced and each other
+mode is the conjugate of its -k (grid.fill_conjugates).  Axis reflections
+and the x <-> y swap of k conjugate L_k by signed permutations of the real
+harmonic basis, and the other axis permutations by orthogonal matrices
+with one block per degree (harmonics.axis_permutation).  So the modes of H
+fall into cubic classes, and only a class's representative c*, |k| sorted
+in descending order, gets a dense generator and an expm: a mode k =
+g Pi c* turns its vector into c*'s frame, R^T S_g^T v, and the result back,
+S_g R y, degree block by degree block.  One propagator is stored per class
+and step length, none per mode, and a generator lives only while its
+class's exponentials are taken.  A step takes one product P @ X per class,
+X holding the class's vectors in c*'s frame as columns.  A 1D wavevector
+is its own representative and every 1D class holds one mode of H, so there
+X is one column, numpy runs the gemv of a single mode, and a 1D step is
+bit-identical to a loop over modes.  A class of several modes (2D and 3D
+grids) takes a gemm, which sums in another order than the loop and agrees
+with it to 1e-12 relative.  assemble_mode_operator is the one builder of a
+dense generator: a class representative's, a sourced mode's (inside its
+augmented generator), and the tests' dense oracle.
 
 Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
@@ -45,14 +45,12 @@ is real, and each block wider than 1 is exponentiated as a real matrix
 (about half the work of the complex one) and turned back by exact
 products with +-1 and +-i.  A narrow operator takes one dense complex
 expm: the split and the real frame move last bits of the propagators,
-which the benchmark goldens pin up to 289 moments.  Wide operators turn
-propagators by the same rule as narrow ones.  On one BLAS thread of a
-shared 2-core machine, turning a propagator took 3-5 ms at N = 20 and
-16-20 ms at N = 28, where the block-split expm it replaces took 3-4 and
-16-19 ms on the z axis (turned from the x axis), 18-21 and 80-93 ms at
-k = (1,0,1), and 50-58 and 258-287 ms at k = (2,1,3).  Building one axis
-permutation's blocks, once per (N, permutation) and process, took 40-55 ms
-at N = 20 and 120-160 ms at N = 28.
+which the benchmark goldens pin up to 289 moments.  On one BLAS thread of a
+shared 2-core machine, building one axis permutation's blocks, once per
+(N, permutation) and process, took 40-55 ms at N = 20 and 120-160 ms at
+N = 28, where the block-split expm a class saves took 3-4 and 16-19 ms on
+the z axis, 18-21 and 80-93 ms at k = (1,0,1), and 50-58 and 258-287 ms at
+k = (2,1,3).
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -65,8 +63,8 @@ near machine precision; the hybrid re-emission uses that path.  The
 uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
 so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
 the source's nodal profiles, and its advance takes the exponentials and
-each source term's response on those alone and gathers them per (mode,
-node).  The decay is bit for bit the full-array evaluation.  A term's
+each source term's response on those alone and gathers them per (mode of
+H, node).  The decay is bit for bit the full-array evaluation.  A term's
 response, sum_j p^(j) h^(j+1) phi_(j+1), is one pass over the rates: the
 phi recurrence started from the carrier's exponential where |z| is large,
 one power series with scalar coefficients where it is small.  Each term
@@ -104,6 +102,16 @@ from . import harmonics as sh
 # (error ~ (rho*h)^(2n)/(2n)! with n nodes).
 _DUHAMEL_NODES = 12
 _SUBSTEP_BUDGET = 3.0
+
+
+@functools.lru_cache(maxsize=None)
+def _duhamel_rule() -> tuple:
+    """(nodes, weights) of the Gauss-Legendre rule on [-1, 1], read-only:
+    an eigenvalue solve that each Duhamel step used to repeat."""
+    rule = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 # Below this |z| the phi-functions are summed from their Taylor series, where
 # the recurrence phi_(j+1)(z) = (phi_j(z) - 1/j!)/z cancels (z = 0 occurs
@@ -212,6 +220,10 @@ class ProblemSpec:
         if self.T / self.dt > MAX_INTERVALS:
             raise ValueError(f"dt must leave at most {MAX_INTERVALS} intervals "
                              f"M = T/dt, got dt={self.dt} for T={self.T}")
+        # The solvers advance the half-space H of the modes and take each -k
+        # as the conjugate, which holds for data real in physical space.
+        gr.require_real_terms("g", self.g)
+        gr.require_real_terms("q", self.q)
         # A source growing past the float range would overflow every solver
         # (or, in moment space, turn the solution to nan without an error).
         for tm in self.q:
@@ -346,89 +358,136 @@ def _step_length(h) -> float:
     return h
 
 
-class _OrbitStack:
-    """The spatial modes of a box, grouped by lattice orbit for stacked
-    products.
+def _real_view_block(R: np.ndarray) -> np.ndarray:
+    """kron(R, I_2): a complex vector's real view interleaves real and
+    imaginary parts, so v^T R is that view times this real matrix."""
+    K = np.zeros((2 * R.shape[0], 2 * R.shape[1]))
+    K[0::2, 0::2] = R
+    K[1::2, 1::2] = R
+    return K
 
-    modes lists (index, wavevector) in box order.  Row i is mode rows[i], a
-    flat index into the mode box, whose orbit representative is rep[i].  Its
-    vector v enters the representative's frame as S_g^T v = sign_in * v[inv]
-    and leaves it as S_g y = sign * y[perm]; a representative's own row has
-    the identity permutation and all-ones signs, which multiply exactly.  An
-    orbit's rows are contiguous with its representative first; orbits lists
-    (c, slice), first the orbits whose c is its own cubic representative,
-    then the others, each group in order of first appearance.  A step
-    therefore takes every expm before it turns a propagator
-    (PnOperator._rep), and no expm's workspace is alive next to the turned
-    propagators: on the 5x5x5 box at N = 11 this lowers the traced peak of
-    a solve from 9.8 to 8.0 MiB."""
+
+class _ClassStack:
+    """The half-space H of a box's spatial modes, grouped by cubic class for
+    one product per class.
+
+    H holds k = 0 and every k whose first nonzero component is positive,
+    the rows of the flat mode box from k = 0 on (grid.half_space); every
+    other mode is -k of an H mode and takes the conjugate of its vector
+    (grid.fill_conjugates).  An H mode k is reached from its class's
+    representative c* (cubic_representative) as k = g Pi c*: an axis
+    permutation Pi, then a lattice symmetry g (axis reflections and the
+    x <-> y swap).  Its vector v enters c*'s frame as R^T S_g^T v and leaves
+    it as S_g R y, with S_g g's signed permutation and R = diag(R_0, ...,
+    R_N) Pi's per-degree blocks (sh.axis_permutation), both applied to the
+    vectors.
+
+    Row i of the stack is mode rows[i], a flat index into the mode box.
+    S_g^T v = sign_in * v[inv] and S_g y = sign * y[perm], with the identity
+    permutation and all-ones signs on the rows g leaves alone, which
+    multiply exactly.  turned lists (stack rows, per-degree real-view
+    blocks of R) per axis permutation; a 1D or 2D wavevector (k3 = 0)
+    needs none, so flat grids turn nothing.  A class's rows are
+    contiguous, in box order, and classes lists (c*, slice) in order of
+    first appearance."""
 
     def __init__(self, modes, N):
         nm = sh.n_moments(N)
-        order = {}  # representative -> (turned, rank of first appearance)
+        rank = {}
         keyed = []
-        for row, (_, k) in enumerate(modes):
+        for row, (_, k) in enumerate(modes[len(modes) // 2:], start=len(modes) // 2):
             a = [abs(x) for x in k]
             # k = g c with g = (negate axes where k < 0) o (swap x, y if |k1| < |k2|).
             c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
-            rank = order.setdefault(c, (cubic_representative(c)[1] is not None, len(order)))
-            keyed.append((rank, k != c, row, c, k))
-        keyed.sort(key=lambda e: e[:3])
+            star, turn = cubic_representative(c)
+            keyed.append((rank.setdefault(star, len(rank)), row, star, turn, k != c, k))
+        keyed.sort(key=lambda e: e[:2])
         self.perm = np.tile(np.arange(nm), (len(keyed), 1))
         self.sign = np.ones((len(keyed), nm))
-        for i, (_, moved, _, _, k) in enumerate(keyed):
+        symmetries = {}  # (flips, swap) -> sh.lattice_symmetry
+        turned = {}
+        for i, (_, _, _, turn, moved, k) in enumerate(keyed):
             if moved:
-                self.perm[i], self.sign[i] = sh.lattice_symmetry(
-                    N, [x < 0 for x in k], abs(k[0]) < abs(k[1]))
-        self.rows = np.array([e[2] for e in keyed], dtype=np.intp)
-        self.rep = [e[3] for e in keyed]
+                g = (tuple(x < 0 for x in k), abs(k[0]) < abs(k[1]))
+                if g not in symmetries:
+                    symmetries[g] = sh.lattice_symmetry(N, *g)
+                self.perm[i], self.sign[i] = symmetries[g]
+            if turn is not None:
+                turned.setdefault(turn, []).append(i)
+        self.turned = [(np.array(rows, dtype=np.intp),
+                        [_real_view_block(R) for R in sh.axis_permutation(N, turn)])
+                       for turn, rows in sorted(turned.items())]
+        self.rows = np.array([e[1] for e in keyed], dtype=np.intp)
         self.inv = np.argsort(self.perm, axis=1)
         self.sign_in = np.take_along_axis(self.sign, self.inv, axis=1)
         self._gather = self.rows[:, None] * nm + self.inv
-        self.orbits = []
+        self.classes = []
         start = 0
         for end in range(1, len(keyed) + 1):
-            if end == len(keyed) or self.rep[end] != self.rep[start]:
-                self.orbits.append((self.rep[start], slice(start, end)))
+            if end == len(keyed) or keyed[end][0] != keyed[start][0]:
+                self.classes.append((keyed[start][2], slice(start, end)))
                 start = end
 
-    def into_rep(self, flat: np.ndarray) -> np.ndarray:
-        """S_g^T of every row's vector: flat holds the mode box's vectors
-        along its last axis, (..., modes * nm); the result is (..., rows, nm)."""
-        x = flat.take(self._gather, axis=-1)
+    def _turn(self, x: np.ndarray, transpose: bool) -> None:
+        """Every turned row's vector, in place on x (..., stack rows, nm),
+        times R^T (into the frame) or, with transpose, R (out of it), degree
+        block by degree block; the vectors are rows, so R^T v is v^T R."""
+        for rows, blocks in self.turned:
+            xs = x[..., rows, :]
+            real = xs.view(float)
+            for l, K in enumerate(blocks):
+                s = slice(2 * l * l, 2 * (l + 1) ** 2)
+                real[..., s] = real[..., s] @ (K.T if transpose else K)
+            x[..., rows, :] = xs
+
+    def gather(self, box: np.ndarray) -> np.ndarray:
+        """v[inv] of every H row's vector, (stack rows, nm): box holds the
+        mode box's vectors, (modes, nm) or the grid's shape + (nm,), of
+        which only H is read."""
+        return box.reshape(-1).take(self._gather)
+
+    def into_rep(self, x: np.ndarray) -> np.ndarray:
+        """R^T S_g^T v of gathered vectors x, (..., stack rows, nm), in
+        place; returns x."""
         x *= self.sign_in
+        self._turn(x, False)
         return x
 
     def from_rep(self, y: np.ndarray, box: np.ndarray) -> None:
-        """box[rows] = S_g y for representative-frame vectors y (rows, nm)."""
+        """box[rows] = S_g R y for frame vectors y (stack rows, nm), which it
+        overwrites, and every other mode of box (modes, nm) the conjugate of
+        its -k."""
+        self._turn(y, True)
         z = np.take_along_axis(y, self.perm, axis=1)
         z *= self.sign
         box[self.rows] = z
+        gr.fill_conjugates(box)
 
 
 class PnOperator:
-    """Propagators of one discretization, applied only through step.  Modes
-    are grouped by one representative wavevector c per orbit of the lattice
-    symmetries (axis reflections and the x <-> y swap).  A mode k = g c is
-    advanced in its representative's frame, P_k v = S_g P_c S_g^T v, with
-    the signed permutation S_g applied to the vector, so no per-mode matrix
-    is ever formed.  A generator is assembled, and an expm taken, only for a
-    c that is its own cubic representative (cubic_representative: c sorted
-    in descending order); any other c = Pi c* takes P_c = R P_(c*) R^T and
-    the same of each Duhamel node, with R the axis permutation's degree
-    blocks (sh.axis_permutation), so a cubic orbit costs one expm per step
-    length or Duhamel node.  The representatives' propagators are cached per
-    (orbit, h) in _rep: memory grows with orbits and step lengths, not with
-    modes, and repeated equal-length steps cost no further expm or
-    rotation.  A generator is assembled for
-    each batch of expm calls on its orbit (one step length, or one Duhamel
-    substep's propagators) and dropped after it.  Every such exponential is
-    taken by _exp: one dense expm on a narrow operator (is_narrow), and on a
-    wide one one stacked real-frame expm per block width of the generator's
-    connected blocks, found once per representative, scattered into the
-    dense propagator.  step advances each orbit's modes together, as one
-    stacked gemv per propagator in the representative's frame
-    (_OrbitStack), bit-identical to a loop over modes."""
+    """Propagators of one discretization, applied only through step.  Only
+    the half-space H of the modes is advanced: L_(-k) is conj L_k, so on a
+    box that is real in physical space, c(-k) = conj c(k) (which step
+    requires), each other mode is the conjugate of its -k.  H is grouped by
+    cubic class (_ClassStack): one representative c* per orbit of the axis
+    permutations, reflections and the x <-> y swap, c* sorted in descending
+    order (cubic_representative).  A mode k = g Pi c* is advanced in c*'s
+    frame, P_k v = S_g R P_(c*) R^T S_g^T v, with the signed permutation S_g
+    and the axis permutation's degree blocks R (sh.axis_permutation)
+    applied to the vector, so no per-mode or turned matrix is ever formed
+    and a class costs one expm per step length or Duhamel node.  The
+    representatives' propagators are cached per (class, h) in _reps and
+    their Duhamel nodes per (class, substep) in _nodes: memory grows with
+    classes and step lengths, not with modes, and repeated equal-length
+    steps cost no further expm.  A generator is assembled for each batch of
+    expm calls on its class (one step length, or one Duhamel substep's
+    propagators) and dropped after it.  Every such exponential is taken by
+    _exp: one dense expm on a narrow operator (is_narrow), and on a wide one
+    one stacked real-frame expm per block width of the generator's connected
+    blocks, found once per representative, scattered into the dense
+    propagator.  step takes one product P_(c*) @ X per class, X holding the
+    class's H vectors as columns; on a 1D grid every class holds one H mode,
+    so that product is the gemv of a loop over modes, bit for bit."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         sh.require_integer("N", N)
@@ -447,11 +506,10 @@ class PnOperator:
         self.sigma_a = float(sigma_a)
         self._coupling = sh.assemble_coupling(max(N, 1))
         self.nm = sh.n_moments(N)
-        self._modes = [
-            (idx, tuple(int(grid.wavenumbers(ax)[idx[ax]]) for ax in range(3)))
-            for idx in np.ndindex(grid.shape)
-        ]
-        self._stack = _OrbitStack(self._modes, self.N)
+        axes = [grid.wavenumbers(ax).tolist() for ax in range(3)]
+        self._modes = [(idx, tuple(axes[ax][idx[ax]] for ax in range(3)))
+                       for idx in np.ndindex(grid.shape)]
+        self._stack = _ClassStack(self._modes, self.N)
         # Fastest rate of any mode, a bound on the spectral radius of L_k:
         # scattering, absorption and the streaming speed |k|/eps.
         self.max_rate = max(
@@ -461,7 +519,7 @@ class PnOperator:
         self._split = not is_narrow(self.N)
         self._blocks: dict = {}  # c -> connected_blocks(L_c), wide operators only
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
-        self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c), (nodes, 1, nm, nm)
+        self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c), (nodes, nm, nm)
 
     def modes(self) -> list:
         """[(index, wavevector)] of every spatial mode of the grid."""
@@ -504,31 +562,11 @@ class PnOperator:
             P[square] = expm((A[square] * turn).real) * turn.conj()
         return P
 
-    def _turn(self, perm, P: np.ndarray) -> np.ndarray:
-        """R P R^T for R = sh.axis_permutation(N, perm), on the last two
-        axes of P, degree block by degree block: R is block-diagonal, so
-        each block row and then each block column takes one small product."""
-        blocks = sh.axis_permutation(self.N, perm)
-        out = np.empty_like(P)
-        for l, R in enumerate(blocks):
-            s = sh.degree_slice(l)
-            np.matmul(R, P[..., s, :], out=out[..., s, :])
-        for l, R in enumerate(blocks):
-            s = sh.degree_slice(l)
-            out[..., :, s] = out[..., :, s] @ R.T
-        return out
-
     def _rep(self, c, h: float) -> np.ndarray:
-        """expm(h L_c): taken by _exp for a cubic representative, turned
-        from its cubic representative's otherwise."""
+        """expm(h L_c), taken by _exp once per (c, h)."""
         P = self._reps.get((c, h))
         if P is None:
-            star, perm = cubic_representative(c)
-            if perm is None:
-                P = self._exp(c, h * self._generator(c))
-            else:
-                P = self._turn(perm, self._rep(star, h))
-            self._reps[(c, h)] = P
+            P = self._reps[(c, h)] = self._exp(c, h * self._generator(c))
         return P
 
     def _substep(self, c, hs: float, taus) -> tuple:
@@ -536,14 +574,10 @@ class PnOperator:
         P = self._rep(c, hs)
         nodes = self._nodes.get((c, hs))
         if nodes is None:
-            star, perm = cubic_representative(c)
-            if perm is None:
-                L = self._generator(c)
-                nodes = np.empty((len(taus), 1, self.nm, self.nm), dtype=complex)
-                for m, tau in enumerate(taus):
-                    nodes[m, 0] = self._exp(c, float(hs - tau) * L)
-            else:
-                nodes = self._turn(perm, self._substep(star, hs, taus)[1])
+            L = self._generator(c)
+            nodes = np.empty((len(taus), self.nm, self.nm), dtype=complex)
+            for m, tau in enumerate(taus):
+                nodes[m] = self._exp(c, float(hs - tau) * L)
             self._nodes[(c, hs)] = nodes
         return P, nodes
 
@@ -560,45 +594,46 @@ class PnOperator:
 
     def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
         """Advance coefficients by h: exact exponential when source is None,
-        otherwise exponential plus Gauss-Legendre Duhamel on substeps."""
+        otherwise exponential plus Gauss-Legendre Duhamel on substeps.  The
+        coefficients must be Hermitian, c(-k) = conj c(k); of each source
+        sample, a box like them, only the half-space H is read."""
         h = _step_length(h)
         out = np.array(coeffs, dtype=complex, copy=True)
         stack = self._stack
         box = self._box(out)
+        gr.require_hermitian("coefficients", box)
+        v = stack.into_rep(stack.gather(box))
         if source is None:
-            x = stack.into_rep(box.reshape(-1))
-            y = np.zeros_like(x)
-            for c, rows in stack.orbits:
-                # Modes decouple, so an orbit holding only zeros stays zero
+            y = np.zeros_like(v)
+            for c, rows in stack.classes:
+                # Modes decouple, so a class holding only zeros stays zero
                 # and needs no propagator.
-                if x[rows].any():
-                    np.matmul(self._rep(c, h), x[rows, :, None], out=y[rows, :, None])
+                if v[rows].any():
+                    y[rows] = (self._rep(c, h) @ v[rows].T).T
             stack.from_rep(y, box)
             return out
         nsub = substeps if substeps is not None else self.substeps_for(h)
         hs = h / nsub
-        x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
+        x, w = _duhamel_rule()
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
-        props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.orbits]
-        u = np.empty((len(stack.rows), self.nm), dtype=complex)
-        t = np.empty((_DUHAMEL_NODES,) + u.shape, dtype=complex)
-        # The source samples are shared across modes.  Each orbit takes two
-        # stacked products per substep, the propagated state and every node's
+        props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.classes]
+        u = np.empty_like(v)
+        t = np.empty((_DUHAMEL_NODES,) + v.shape, dtype=complex)
+        # The source samples are shared across modes.  Each class takes two
+        # products per substep, the propagated state and every node's
         # propagated sample, and the weighted sum runs node by node in the
-        # representatives' frames: S_g acts elementwise, so it commutes
-        # exactly with that sum, and every entry is the per-mode loop's.
+        # representatives' frames, where the state stays between substeps.
         for j in range(nsub):
             ta = t0 + j * hs
-            q = np.stack([source(ta + tau) for tau in taus])
-            q = stack.into_rep(q.reshape(_DUHAMEL_NODES, -1))
-            v = stack.into_rep(box.reshape(-1))
+            q = stack.into_rep(np.stack([stack.gather(source(ta + tau)) for tau in taus]))
             for rows, P, nodes in props:
-                np.matmul(P, v[rows, :, None], out=u[rows, :, None])
-                np.matmul(nodes, q[:, rows, :, None], out=t[:, rows, :, None])
+                u[rows] = (P @ v[rows].T).T
+                t[:, rows] = (nodes @ q[:, rows].swapaxes(1, 2)).swapaxes(1, 2)
             for m in range(_DUHAMEL_NODES):
                 u += wts[m] * t[m]
-            stack.from_rep(u, box)
+            u, v = v, u
+        stack.from_rep(v, box)
         return out
 
 
@@ -613,22 +648,28 @@ class SourcedModes:
     [[expm(h L_k), F], [0, expm(h J)]] (Van Loan 1978): over a step, u goes
     to expm(h L_k) u + F w(t0), with the Duhamel integral in closed form in
     F.  So every mode, reached or not, is advanced by PnOperator.step, and
-    each reached mode then adds F w(t0).  F, the nm x d top-right block of
-    one expm of the augmented generator, is all that is cached, per
-    (mode, h); the term amplitudes enter through w(t0).
+    each reached mode of the half-space H then adds F w(t0); the terms are
+    real in physical space, so every other mode is the conjugate of its -k.
+    F, the nm x d top-right block of one expm of the augmented generator,
+    is all that is cached, per (H mode, h); the term amplitudes enter
+    through w(t0).
     """
 
     def __init__(self, op: PnOperator, terms):
+        gr.require_real_terms("q", terms)
         self.op = op
-        self._pieces = {}  # mode index -> [(amplitude, term, truncated profile)]
+        half = len(op.modes()) // 2
+        self._pieces = {}  # H mode index -> [(amplitude, term, truncated profile)]
         for tm in terms:
             ang = np.zeros(op.nm)
             n = min(op.nm, len(tm.angular))
             ang[:n] = tm.angular[:n]
             for k, amp in tm.spatial:
-                self._pieces.setdefault(op.grid.index_of(k), []).append((amp, tm, ang))
+                idx = op.grid.index_of(k)
+                if np.ravel_multi_index(idx, op.grid.shape) >= half:
+                    self._pieces.setdefault(idx, []).append((amp, tm, ang))
         self._wavevector = dict(op.modes())
-        self._forcing = {}  # (reached mode, h) -> F
+        self._forcing = {}  # (reached H mode, h) -> F
 
     def _forcing_block(self, idx, h: float) -> np.ndarray:
         """F, the top-right nm x d block of expm(h [[L_k, B], [0, J]])."""
@@ -659,6 +700,7 @@ class SourcedModes:
                 for amp, tm, _ in pieces
             ])
             out[idx] += self._forcing_block(idx, h) @ w0
+        gr.fill_conjugates(self.op._box(out))
         return out
 
 
@@ -722,7 +764,7 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
         lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
 
         nsub = op.substeps_for(h, 0.0)
-        x, w = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
+        x, w = _duhamel_rule()
         total = 0.0
         hs = h / nsub
         coeffs = np.array(u0, copy=True)
@@ -748,24 +790,28 @@ class UncollidedFlow:
     """The exact flow of the uncollided equation d_t v = -lambda v + q along
     each (mode, direction) characteristic, on one grid and quadrature.
 
+    The flow covers the half-space H of the modes (grid.half_space): every
+    field it advances is real in physical space, and each other mode is the
+    conjugate of its -k, since lambda(-k, Omega) is conj lambda(k, Omega).
     The complex decay rates lambda(k, Omega) = sigma/eps^2 + sigma_a
     + i k.Omega/eps depend on (k, Omega) only through k.Omega, which
-    repeats across the quadrature's reflections, across +-k and over every
-    node of k = 0.  distinct holds each rate once, two rates being equal
-    when their 16-byte bit patterns are (so +0 and -0 stay apart); index,
-    shaped grid.shape + (nodes,), holds each (mode, node)'s position in
+    repeats across the quadrature's reflections and over every node of
+    k = 0.  distinct holds each rate of H once, two rates being equal when
+    their 16-byte bit patterns are (so +0 and -0 stay apart); index,
+    shaped (H modes, nodes), holds each (mode, node)'s position in
     distinct.  An elementwise function of lambda is therefore taken on
     distinct and gathered with index: equal input bits give equal output
     bits, so a flow without a source advances byte for byte as the
-    full-array evaluation.  lambda(-k, Omega) is bitwise the conjugate of
-    lambda(k, Omega), so distinct ends in its conjugate pairs: with n =
-    distinct.size, entry n - pairs + j is the conjugate of entry
-    n - 2 pairs + j, whose imaginary part is > 0; every rate before those,
-    the real ones included, has no partner.  profiles holds the source's
-    space-angle factors at the nodes, one (term, values[k1, k2, k3, node])
-    pair per term, time factor left out; each term's response is taken once
-    per distinct rate and agrees with the phi-function evaluation to 1e-12
-    relative.  Every array is read-only."""
+    full-array evaluation.  Rates of H can be bitwise conjugates of each
+    other, k.Omega = -k'.Omega' exactly at some pairs of nodes, so distinct
+    ends in its conjugate pairs: with n = distinct.size, entry
+    n - pairs + j is the conjugate of entry n - 2 pairs + j, whose imaginary
+    part is > 0; every rate before those, the real ones included, has no
+    partner.  profiles holds the source's space-angle factors at the nodes,
+    one (term, values[H mode, node]) pair per term, time factor left out;
+    each term's response is taken once per distinct rate and agrees with
+    the phi-function evaluation to 1e-12 relative.  Every array is
+    read-only."""
 
     distinct: np.ndarray
     index: np.ndarray
@@ -773,10 +819,12 @@ class UncollidedFlow:
     pairs: int
 
     def advance(self, values: np.ndarray, a: float, b: float) -> np.ndarray:
-        """Nodal values advanced from a to b: the decay exp(-lam (b - a))
-        plus the exact source integral of exp(-lam (b - tau)) q(tau) over
-        [a, b], each term's response (_source_response) taken on the
-        distinct rates, gathered and multiplied by its profile."""
+        """The half-space H of the nodal values, shaped grid.shape + (nodes,),
+        advanced from a to b, shaped (H modes, nodes): the decay
+        exp(-lam (b - a)) plus the exact source integral of
+        exp(-lam (b - tau)) q(tau) over [a, b], each term's response
+        (_source_response) taken on the distinct rates, gathered and
+        multiplied by its profile.  grid.from_half completes the box."""
         # One complex exp per conjugate pair: exp(conj z) is conj exp(z)
         # bit for bit, and -lam h of a pair are conjugates up to the sign of
         # a zero real part, which exp ignores.
@@ -784,7 +832,7 @@ class UncollidedFlow:
         decay = np.empty_like(self.distinct)
         decay[:own] = np.exp(-self.distinct[:own] * (b - a))
         np.conj(decay[own - self.pairs:own], out=decay[own:])
-        out = values * decay[self.index]
+        out = gr.half_space(values.reshape(-1, self.index.shape[-1])) * decay[self.index]
         for tm, profile in self.profiles:
             out = out + self._source_response(tm, decay, a, b)[self.index] * profile
         return out
@@ -823,8 +871,9 @@ class UncollidedFlow:
 
 def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
                     sigma: float, sigma_a: float = 0.0, q_terms=()) -> UncollidedFlow:
-    """The UncollidedFlow of the grid's modes and the quadrature's nodes
-    under the cross sections and the source terms q_terms."""
+    """The UncollidedFlow of the half-space H of the grid's modes and the
+    quadrature's nodes under the cross sections and the source terms
+    q_terms, which must be real in physical space."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     for name, value in (("sigma", sigma), ("sigma_a", sigma_a)):
@@ -832,6 +881,7 @@ def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     if sigma_a > sigma:
         raise ValueError(f"sigma_a must satisfy 0 <= sigma_a <= sigma, got {sigma_a}")
+    gr.require_real_terms("q", q_terms)
     k1, k2, k3 = grid.k_grids()
     om = quad.nodes
     kdot = (
@@ -839,11 +889,11 @@ def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
         + k2[..., None] * om[:, 1]
         + k3[..., None] * om[:, 2]
     )
-    lam = (sigma / eps**2 + sigma_a) + 1j * kdot / eps
+    lam = gr.half_space(((sigma / eps**2 + sigma_a) + 1j * kdot / eps).reshape(-1, len(om)))
     void = np.dtype((np.void, lam.itemsize))
     bits, index = np.unique(lam.reshape(-1).view(void), return_inverse=True)
     distinct = bits.view(complex)
-    # lambda(-k, Omega) is bitwise conj lambda(k, Omega).  Order the rates as
+    # Some rates are bitwise conjugates of others.  Order the rates as
     # [unpaired, one of each pair (imaginary part > 0), their conjugates].
     conj = np.conj(distinct).view(void)
     found = np.minimum(np.searchsorted(bits, conj), bits.size - 1)
@@ -856,7 +906,9 @@ def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
     distinct = distinct[order]
     index = rank[index].reshape(lam.shape)
     profiles = tuple(
-        (tm, gr.nodal_field(grid, quad, [replace(tm, time_poly=(1.0,), time_exp=0.0)]).values)
+        (tm, gr.half_space(gr.nodal_field(
+            grid, quad, [replace(tm, time_poly=(1.0,), time_exp=0.0)]).values.reshape(
+                -1, len(om))).copy())
         for tm in q_terms
     )
     for array in (distinct, index) + tuple(p for _, p in profiles):
@@ -866,17 +918,21 @@ def uncollided_flow(grid: gr.SpatialGrid, quad: sh.SphereQuadrature, eps: float,
 
 def solve_uncollided(state: gr.NodalField, a: float, b: float, eps: float,
                      sigma: float, sigma_a: float = 0.0, q_terms=()) -> gr.NodalField:
-    """Exact evolution of the nodal state from a to b along each (mode,
-    direction) characteristic (UncollidedFlow.advance).  uncollided_flow
-    checks eps, sigma and sigma_a.
+    """Exact evolution of the nodal state, which must be real in physical
+    space, from a to b along each (mode, direction) characteristic
+    (UncollidedFlow.advance).  uncollided_flow checks eps, sigma, sigma_a
+    and the source terms.
     """
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if b < a:
         raise ValueError(f"interval end {b} precedes start {a}")
+    shape = state.values.shape
+    gr.require_hermitian("state values", state.values.reshape(-1, shape[-1]))
     flow = uncollided_flow(state.grid, state.quad, eps, sigma, sigma_a, q_terms)
-    return gr.NodalField(state.grid, state.quad, flow.advance(state.values, a, b))
+    return gr.NodalField(state.grid, state.quad,
+                         gr.from_half(flow.advance(state.values, a, b), shape))
 
 
 def characteristics_solution(spec: ProblemSpec, quad: sh.SphereQuadrature,

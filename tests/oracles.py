@@ -1,6 +1,7 @@
 """Reference evaluations the fast source paths are checked against: the
 time factor's derivatives through numpy.polynomial and the phi-functions
-on a whole array, each taken afresh on every call."""
+on a whole array, each taken afresh on every call; and the Hermitian part
+of a coefficient box, for test data real in physical space."""
 
 import math
 
@@ -10,6 +11,13 @@ from pnhybrid import transport as tr
 
 # Terms of the phi-functions' Taylor series below tr.PHI_SERIES_BELOW.
 PHI_SERIES_TERMS = 20
+
+
+def hermitian(u):
+    """(u + conj u(-k)) / 2 of a box u shaped (k1, k2, k3, ...): exactly
+    Hermitian, c(-k) = conj c(k) and c(0) real, since the sum commutes."""
+    u = np.asarray(u)
+    return 0.5 * (u + np.conj(np.flip(u, axis=(0, 1, 2))))
 
 
 def poly_derivatives(poly, t: float) -> list:

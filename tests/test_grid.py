@@ -7,6 +7,8 @@ import pytest
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 
+import oracles
+
 
 def test_grid_shape_and_wavenumbers():
     g = gr.SpatialGrid(dim=2, modes=5)
@@ -140,7 +142,8 @@ def test_l2_norm_nodal_matches_moment():
     g = gr.SpatialGrid(dim=1, modes=3)
     N = 4
     quad = sh.build_sphere_quadrature(N + 1)
-    coeffs = rng.standard_normal(g.shape + (sh.n_moments(N),)) * (1.0 + 0.0j)
+    shape = g.shape + (sh.n_moments(N),)
+    coeffs = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     f = gr.MomentField(g, N, coeffs)
     nodal = gr.evaluate_field(f, quad)
     assert gr.l2_norm(nodal) == pytest.approx(gr.l2_norm(f), rel=1e-13)
@@ -251,3 +254,82 @@ def test_nodal_fields_add_only_on_the_same_quadrature():
         _ = a + c
     with pytest.raises(ValueError, match="quadratures"):
         _ = a - c
+
+
+# ---------------------------------------------------------------------------
+# The half-space H (k = 0 and every k whose first nonzero component is
+# positive) and the conjugate fill of the other modes.
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_space_is_the_lexicographically_nonnegative_modes(dim):
+    g = gr.SpatialGrid(dim, 5)
+    ks = np.stack(np.broadcast_arrays(*g.k_grids()), axis=-1).reshape(-1, 3)
+    half = gr.half_space(ks)
+    assert tuple(half[0]) == (0, 0, 0) and len(half) == (len(ks) + 1) // 2
+    assert all(next(x for x in k if x != 0) > 0 for k in half[1:].tolist())
+    # -k of row i is row n - 1 - i.
+    assert np.array_equal(ks[::-1], -ks)
+
+
+def test_fill_conjugates_completes_a_hermitian_box():
+    rng = np.random.default_rng(3)
+    shape = gr.SpatialGrid(3, 3).shape + (4,)
+    u = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    rows = u.reshape(-1, 4)
+    # Garbage below k = 0 is replaced by the conjugates of H, byte for byte.
+    filled = rows.copy()
+    filled[:len(rows) // 2] = np.nan
+    assert gr.fill_conjugates(filled) is filled and filled.tobytes() == rows.tobytes()
+    assert gr.from_half(gr.half_space(rows), shape).tobytes() == u.tobytes()
+    gr.require_hermitian("u", rows)
+
+
+@pytest.mark.parametrize("where", ["pair", "zero", "nan"])
+def test_require_hermitian_refuses_a_box_that_is_not_real(where):
+    shape = gr.SpatialGrid(2, 3).shape + (2,)
+    rows = oracles.hermitian(np.arange(18.0).reshape(shape) * (1 + 1j)).reshape(-1, 2)
+    if where == "pair":
+        rows[0, 1] += 0.5
+    elif where == "zero":
+        rows[4, 0] += 0.25j  # k = 0 must be real
+    else:
+        rows[7, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^u must satisfy c\(-k\) = conj c\(k\), got a deviation"):
+        gr.require_hermitian("u", rows)
+
+
+@pytest.mark.parametrize("spatial, message", [
+    ({(1, 0, 0): 0.5}, r"got a\(1, 0, 0\) = \(0.5\+0j\) and a\(-1, 0, 0\) missing"),
+    ({(1, 0, 0): 0.5j, (-1, 0, 0): 0.5j}, r"got a\(-1, 0, 0\) = 0.5j and a\(1, 0, 0\) = 0.5j"),
+    ({(0, 0, 0): 1j}, r"got a\(0, 0, 0\) = 1j"),
+], ids=["missing", "not-conjugate", "zero-not-real"])
+def test_require_real_terms_refuses_one_sided_or_non_conjugate_amplitudes(spatial, message):
+    with pytest.raises(ValueError, match=r"^q amplitudes must satisfy a\(-k\) = conj a\(k\), "
+                                         + message):
+        gr.require_real_terms("q", [gr.isotropic_term(spatial)])
+    # Repeated wavevectors are summed before the comparison.
+    gr.require_real_terms("q", [gr.term((((1, 0, 0), 0.25j), ((-1, 0, 0), -0.5j),
+                                         ((1, 0, 0), 0.25j)), (1.0,))])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_evaluate_and_project_take_half_the_modes_and_keep_the_full_box_bits(dim):
+    # On a field real in physical space, H and the conjugate fill give the
+    # full-box basis products: byte for byte where the k3 axis is inactive
+    # (numpy then takes one product per mode there too), to 1e-13 on 3D.
+    rng = np.random.default_rng(4)
+    g = gr.SpatialGrid(dim, 5)
+    N = 5
+    quad = sh.build_sphere_quadrature(N + 1)
+    shape = g.shape + (sh.n_moments(N),)
+    f = gr.MomentField(g, N, oracles.hermitian(rng.standard_normal(shape)
+                                               + 1j * rng.standard_normal(shape)))
+    nodal = gr.evaluate_field(f, quad)
+    back = gr.project_field(nodal, N)
+    for got, want in ((nodal.values, sh.evaluate_expansion(f.coeffs, quad)),
+                      (back.coeffs, sh.project(nodal.values, N, quad))):
+        if dim < 3:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -46,6 +46,24 @@ def test_basis_frozen_values():
     assert sh.basis_eval(5, 5, d) == pytest.approx(-0.04044022572799088, abs=1e-14)
 
 
+@pytest.mark.parametrize("N", [0, 1, 6, 13])
+def test_basis_matrix_keeps_the_bits_of_the_per_degree_trig(N):
+    # cos(k phi) and sin(k phi) are taken once per order k; every entry is
+    # the product it was when they were taken once per (l, k).
+    nodes = sh.build_sphere_quadrature(N + 2).nodes
+    ct = nodes[:, 2]
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    phi = np.arctan2(nodes[:, 1], nodes[:, 0])
+    A = sh._legendre_normalized(N, ct, st)
+    want = np.empty((len(nodes), sh.n_moments(N)))
+    for l in range(N + 1):
+        want[:, sh.ordinal(l, 0)] = A[l, 0]
+        for k in range(1, l + 1):
+            want[:, sh.ordinal(l, k)] = math.sqrt(2.0) * A[l, k] * np.cos(k * phi)
+            want[:, sh.ordinal(l, -k)] = math.sqrt(2.0) * A[l, k] * np.sin(k * phi)
+    assert sh.basis_matrix(N, nodes).tobytes() == want.tobytes()
+
+
 def test_basis_rejects_non_unit_direction():
     with pytest.raises(ValueError):
         sh.basis_eval(1, 0, [0.0, 0.0, 1.1])

@@ -14,6 +14,8 @@ from pnhybrid import harmonics as sh
 from pnhybrid import harness as hn
 from pnhybrid import transport as tr
 
+import oracles
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
@@ -133,7 +135,7 @@ def test_distance_between_nodal_and_moment_fields():
     g = gr.SpatialGrid(dim=1, modes=3)
     N = 3
     quad = sh.build_sphere_quadrature(N + 3)
-    coeffs = rng.standard_normal(g.shape + (sh.n_moments(N),)) + 0.0j
+    coeffs = oracles.hermitian(rng.standard_normal(g.shape + (sh.n_moments(N),)) + 0.0j)
     f = gr.MomentField(g, N, coeffs)
     nodal = gr.evaluate_field(f, quad)
     assert hn.distance(nodal, f) < 1e-12

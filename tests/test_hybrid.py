@@ -12,6 +12,8 @@ from pnhybrid import harness as hn
 from pnhybrid import hybrid as hy
 from pnhybrid import transport as tr
 
+import oracles
+
 
 def _iso_cosine(mean=1.0):
     return gr.isotropic_term({(0, 0, 0): mean, (1, 0, 0): 0.5, (-1, 0, 0): 0.5})
@@ -59,7 +61,7 @@ def test_remap_mass_linearity():
     quad = sh.build_sphere_quadrature(8)
     u = gr.nodal_field(grid, quad, spec.g)
     rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal((3, 1, 1, 16)) + 0j
+    coeffs = oracles.hermitian(rng.standard_normal((3, 1, 1, 16)) + 0j)
     c = gr.MomentField(grid, 3, coeffs)
     merged, _, resid = hy.remap(u, c)
     mass_merged = gr.scalar_flux(gr.project_field(merged, 3))

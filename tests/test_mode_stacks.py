@@ -1,18 +1,21 @@
-"""PnOperator advances each lattice orbit's modes with stacked products.
+"""PnOperator advances the half-space H of the modes, one product per cubic
+class, and takes every other mode as the conjugate of its -k.
 
-The oracle below is the per-mode loop the solvers ran before: one
-matrix-vector product per mode and propagator, with the mode's signed
-permutation applied to the vector on the way into and out of its orbit
-representative's frame.  A stacked product P @ X[..., None] runs the same
-gemv per stacked vector, so the stacked path must agree bit for bit
-(np.array_equal), on one BLAS thread and on several.
+The oracle below is a loop over the modes of H with a dense expm of each
+mode's own generator: one matrix-vector product per mode and propagator,
+with no symmetry and no rotation, and the other modes filled as the
+conjugates.  On a 1D grid every class holds one mode of H, which is its
+own representative, so the class product is that loop's gemv and the step
+must agree byte for byte, on one BLAS thread and on several.  On 2D and 3D
+grids a class holds several modes, some reached through an axis
+permutation, and the step agrees to 1e-12 relative.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -24,161 +27,61 @@ from pnhybrid import transport as tr
 import oracles
 
 
-def _symmetry(k, N):
-    """(c, S_g) of wavevector k = g c; S_g is None when k == c, else
-    (perm, sign) with perm None when g swaps no axes."""
-    a = [abs(x) for x in k]
-    c = (max(a[0], a[1]), min(a[0], a[1]), a[2])
-    if k == c:
-        return c, None
-    swap = a[0] < a[1]
-    perm, sign = sh.lattice_symmetry(N, [x < 0 for x in k], swap)
-    return c, (perm if swap else None, sign)
+def _dense_step(op, coeffs, h, source=None, t0=0.0, substeps=None):
+    """PnOperator.step as a loop over the modes of H, each with the dense
+    expm of its own generator, then c(-k) = conj c(k) for the others."""
+    coupling = sh.assemble_coupling(max(op.N, 1))
+    props = {}
 
-
-def _into_rep(sym, v):
-    """S_g^T v: x with x[perm] = sign * v."""
-    if sym is None:
-        return v
-    perm, sign = sym
-    if perm is None:
-        return sign * v
-    x = np.empty_like(v)
-    x[perm] = sign * v
-    return x
-
-
-def _from_rep(sym, x):
-    """S_g x = sign * x[perm]."""
-    if sym is None:
-        return x
-    perm, sign = sym
-    return sign * (x if perm is None else x[perm])
-
-
-def _oracle_step(op, coeffs, h, source=None, t0=0.0, substeps=None):
-    """PnOperator.step as a loop over modes, with the operator's own
-    cached representative propagators."""
-
-    def rep(c, length):
-        return op._rep(c, float(length))
+    def prop(k, length):
+        if (k, length) not in props:
+            L = tr.assemble_mode_operator(k, op.N, op.eps, op.sigma, coupling, op.sigma_a)
+            props[(k, length)] = expm(length * L)
+        return props[(k, length)]
 
     out = np.array(coeffs, dtype=complex, copy=True)
-    syms = {idx: _symmetry(k, op.N) for idx, k in op.modes()}
+    modes = op.modes()
+    half = modes[len(modes) // 2:]
     if source is None:
-        for idx, _ in op.modes():
-            c, sym = syms[idx]
-            out[idx] = _from_rep(sym, rep(c, h) @ _into_rep(sym, out[idx]))
-        return out
-    nsub = substeps if substeps is not None else op.substeps_for(h)
-    hs = h / nsub
-    x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
-    taus = 0.5 * hs * (x + 1.0)
-    wts = 0.5 * hs * w
-    for j in range(nsub):
-        ta = t0 + j * hs
-        q_samples = [source(ta + tau) for tau in taus]
-        for idx, _ in op.modes():
-            c, sym = syms[idx]
-            u = rep(c, hs) @ _into_rep(sym, out[idx])
-            for m in range(tr._DUHAMEL_NODES):
-                node = rep(c, float(hs - taus[m]))
-                u = u + wts[m] * (node @ _into_rep(sym, q_samples[m][idx]))
-            out[idx] = _from_rep(sym, u)
+        for idx, k in half:
+            out[idx] = prop(k, h) @ out[idx]
+    else:
+        nsub = substeps if substeps is not None else op.substeps_for(h)
+        hs = h / nsub
+        x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
+        taus = 0.5 * hs * (x + 1.0)
+        wts = 0.5 * hs * w
+        for j in range(nsub):
+            ta = t0 + j * hs
+            q_samples = [source(ta + tau) for tau in taus]
+            for idx, k in half:
+                u = prop(k, hs) @ out[idx]
+                for m in range(tr._DUHAMEL_NODES):
+                    u = u + wts[m] * (prop(k, float(hs - taus[m])) @ q_samples[m][idx])
+                out[idx] = u
+    return _conjugate_rest(op, out)
+
+
+def _conjugate_rest(op, out):
+    """out with every mode outside H set to the conjugate of its -k."""
+    modes = op.modes()
+    for idx, k in modes[len(modes) // 2 + 1:]:
+        out[op.grid.index_of(tuple(-x for x in k))] = np.conj(out[idx])
     return out
 
 
+def _hermitian_box(rng, shape):
+    return oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def _random_source(rng, shape):
-    """A smooth callable source t -> coefficients, random per draw."""
-    a, b, rate = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                  for _ in range(3))
+    """A smooth Hermitian callable source t -> coefficients, random per draw."""
+    a, b, rate = (_hermitian_box(rng, shape) for _ in range(3))
 
     def source(t):
         return a + t * b + np.cos(3.0 * t) * rate
 
     return source
-
-
-def _check_stacked_step(modes, N, eps, sigma, absorb, h, t0, substeps, seed):
-    # A 3D grid holds reflected, x <-> y swapped, axis-permuted and unmoved
-    # modes of every orbit.
-    grid = gr.SpatialGrid(3, modes)
-    op = tr.PnOperator(grid, N, eps, sigma, absorb * sigma)
-    rng = np.random.default_rng(seed)
-    shape = grid.shape + (op.nm,)
-    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(op.step(u, h), _oracle_step(op, u, h))
-    source = _random_source(rng, shape)
-    got = op.step(u, h, source=source, t0=t0, substeps=substeps)
-    want = _oracle_step(op, u, h, source=source, t0=t0, substeps=substeps)
-    assert np.array_equal(got, want)
-
-
-@given(
-    modes=st.sampled_from([3, 5]),
-    N=st.integers(0, 7),
-    eps=st.floats(0.2, 2.0),
-    sigma=st.floats(0.0, 4.0),
-    absorb=st.floats(0.0, 1.0),
-    h=st.floats(0.01, 0.5),
-    t0=st.floats(0.0, 1.0),
-    substeps=st.integers(1, 2),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=30)
-def test_stacked_step_matches_per_mode_loop_bit_for_bit(modes, N, eps, sigma, absorb,
-                                                        h, t0, substeps, seed):
-    # On one BLAS thread, as solve_pn and run_hybrid step.
-    with blas.single_thread():
-        _check_stacked_step(modes, N, eps, sigma, absorb, h, t0, substeps, seed)
-
-
-def test_stacked_step_matches_per_mode_loop_on_default_pools():
-    # One fixed 3D example on the pools as the process found them (two
-    # threads in the CI step that sets OPENBLAS_NUM_THREADS=2).
-    _check_stacked_step(5, 5, 0.5, 1.0, 0.25, 0.3, 0.2, 2, 7)
-
-
-def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
-    op = tr.PnOperator(gr.SpatialGrid(2, 5), 3, 0.5, 1.0)
-    u = np.zeros(op.grid.shape + (op.nm,), dtype=complex)
-    u[op.grid.index_of((2, -1, 0))] = 1.0
-    out = op.step(u, 0.25)
-    assert np.array_equal(out, _oracle_step(op, u, 0.25))
-    assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 1
-    with pytest.raises(ValueError, match="shape"):
-        op.step(u[..., :-1], 0.25)
-
-
-_SOURCE_GRID = gr.SpatialGrid(3, 3)
-_SOURCE_REACHES = ((1, 0, 0), (0, -1, 1))
-
-
-def _sourced_operator():
-    """(operator, SourcedModes) of a two-mode, degree-1-in-time source."""
-    q = [gr.term(dict(zip(_SOURCE_REACHES, (1.0, 0.5j))), (1.0, 0.0, 0.5, 0.0),
-                 time_poly=(0.5, 1.0), time_exp=-0.7)]
-    op = tr.PnOperator(_SOURCE_GRID, 3, 0.7, 1.2, 0.3)
-    return op, tr.SourcedModes(op, q)
-
-
-def _random_box(op, seed):
-    rng = np.random.default_rng(seed)
-    shape = op.grid.shape + (op.nm,)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def test_sourced_modes_advance_unreached_modes_like_the_loop():
-    # Modes no term reaches get the operator's step and nothing more.
-    op, sourced = _sourced_operator()
-    u = _random_box(op, 11)
-    got = sourced.step(u, 0.3, 0.2)
-    want = _oracle_step(op, u, 0.3)
-    reached = np.zeros(op.grid.shape, dtype=bool)
-    for k in _SOURCE_REACHES:
-        reached[op.grid.index_of(k)] = True
-    assert np.array_equal(got[~reached], want[~reached])
-    assert not np.array_equal(got[reached], want[reached])
 
 
 def _augmented_forcing(op, k, pieces, h):
@@ -188,7 +91,7 @@ def _augmented_forcing(op, k, pieces, h):
     d = sum(len(tm.time_poly) for _, tm, _ in pieces)
     A = np.zeros((nm + d, nm + d), dtype=complex)
     A[:nm, :nm] = tr.assemble_mode_operator(k, op.N, op.eps, op.sigma,
-                                            sh.assemble_coupling(op.N), op.sigma_a)
+                                            sh.assemble_coupling(max(op.N, 1)), op.sigma_a)
     col = nm
     for _, tm, ang in pieces:
         n = len(tm.time_poly)
@@ -198,10 +101,157 @@ def _augmented_forcing(op, k, pieces, h):
     return expm(h * A)[:nm, nm:]
 
 
+def _forced(op, sourced, want, h, t0):
+    """want plus F w(t0) on each mode of H a term reaches, then the
+    conjugates."""
+    want = want.copy()
+    wavevector = dict(op.modes())
+    for idx, pieces in sourced._pieces.items():
+        w0 = np.concatenate([
+            amp * math.exp(tm.time_exp * t0) * np.array(oracles.poly_derivatives(tm.time_poly, t0))
+            for amp, tm, _ in pieces
+        ])
+        want[idx] = want[idx] + _augmented_forcing(op, wavevector[idx], pieces, h) @ w0
+    return _conjugate_rest(op, want)
+
+
+def _agree(got, want, dim):
+    """Byte for byte on a 1D grid, to 1e-12 relative elsewhere."""
+    if dim == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, seed):
+    # A 3D grid holds reflected, x <-> y swapped and axis-permuted modes of
+    # every class.
+    grid = gr.SpatialGrid(dim, modes)
+    op = tr.PnOperator(grid, N, eps, sigma, absorb * sigma)
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (op.nm,)
+    u = _hermitian_box(rng, shape)
+    plain = op.step(u, h)
+    _agree(plain, _dense_step(op, u, h), dim)
+    source = _random_source(rng, shape)
+    got = op.step(u, h, source=source, t0=t0, substeps=substeps)
+    _agree(got, _dense_step(op, u, h, source=source, t0=t0, substeps=substeps), dim)
+    ks = [k for _, k in op.modes()]
+    reached = [ks[i] for i in rng.choice(len(ks), size=min(2, len(ks)), replace=False)]
+    amps = {}
+    for k in reached:
+        a = complex(rng.standard_normal(), rng.standard_normal()) if any(k) else 1.0
+        amps[k], amps[tuple(-x for x in k)] = a, a.conjugate()
+    term = gr.term(amps, (1.0, 0.0, 0.5, 0.0)[:op.nm], time_poly=(0.5, 1.0), time_exp=-0.7)
+    sourced = tr.SourcedModes(op, [term])
+    _agree(sourced.step(u, h, t0), _forced(op, sourced, _dense_step(op, u, h), h, t0), dim)
+
+
+_PROPERTY = dict(
+    N=st.integers(0, 5),
+    eps=st.floats(0.2, 2.0),
+    sigma=st.floats(0.0, 4.0),
+    absorb=st.floats(0.0, 1.0),
+    h=st.floats(0.01, 0.5),
+    t0=st.floats(0.0, 1.0),
+    substeps=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(modes=st.sampled_from([3, 5, 7]), **_PROPERTY)
+@settings(max_examples=20)
+def test_stacked_step_matches_per_mode_loop_bit_for_bit(modes, N, eps, sigma, absorb,
+                                                        h, t0, substeps, seed):
+    # On a 1D grid, on one BLAS thread as solve_pn and run_hybrid step.
+    with blas.single_thread():
+        _check_half_space_step(1, modes, N, eps, sigma, absorb, h, t0, substeps, seed)
+
+
+@given(dim=st.sampled_from([1, 2, 3]), modes=st.sampled_from([3, 5]), **_PROPERTY)
+@example(dim=3, modes=5, N=5, eps=0.3, sigma=2.5, absorb=0.4, h=0.45, t0=0.7, substeps=2, seed=3)
+@example(dim=3, modes=3, N=4, eps=1.7, sigma=0.0, absorb=0.0, h=0.2, t0=0.0, substeps=1, seed=4)
+@example(dim=1, modes=5, N=5, eps=0.2, sigma=4.0, absorb=1.0, h=0.5, t0=0.1, substeps=2, seed=5)
+@settings(max_examples=30)
+def test_half_space_step_matches_dense_per_mode_oracle(dim, modes, N, eps, sigma, absorb,
+                                                       h, t0, substeps, seed):
+    # Plain, Duhamel and exactly sourced steps on grids of every dimension,
+    # on one BLAS thread.
+    with blas.single_thread():
+        _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, seed)
+
+
+def test_stacked_step_matches_per_mode_loop_on_default_pools():
+    # One fixed example per kind on the pools as the process found them
+    # (two threads in the CI step that sets OPENBLAS_NUM_THREADS=2): byte for
+    # byte in 1D, and in 3D through every axis permutation.
+    for dim in (1, 3):
+        _check_half_space_step(dim, 5, 5, 0.5, 1.0, 0.25, 0.3, 0.2, 2, 7)
+
+
+def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
+    op = tr.PnOperator(gr.SpatialGrid(2, 5), 3, 0.5, 1.0)
+    u = np.zeros(op.grid.shape + (op.nm,), dtype=complex)
+    u[op.grid.index_of((2, -1, 0))] = 1.0 + 0.5j
+    u[op.grid.index_of((-2, 1, 0))] = 1.0 - 0.5j
+    out = op.step(u, 0.25)
+    _agree(out, _dense_step(op, u, 0.25), 2)
+    assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 2
+    with pytest.raises(ValueError, match="shape"):
+        op.step(u[..., :-1], 0.25)
+
+
+@pytest.mark.parametrize("where", ["pair", "zero"])
+def test_step_refuses_a_box_that_is_not_hermitian(where):
+    op = tr.PnOperator(gr.SpatialGrid(3, 3), 2, 0.5, 1.0)
+    u = _hermitian_box(np.random.default_rng(1), op.grid.shape + (op.nm,))
+    if where == "pair":
+        u[op.grid.index_of((1, -1, 0))][3] += 1e-9
+    else:
+        u[op.grid.index_of((0, 0, 0))][0] += 1e-9j  # k = 0 must be real
+    message = r"^coefficients must satisfy c\(-k\) = conj c\(k\), got a deviation of [12]e-09$"
+    with pytest.raises(ValueError, match=message):
+        op.step(u, 0.25)
+    with pytest.raises(ValueError, match=message):
+        op.step(u, 0.25, source=lambda t: np.zeros_like(u))
+    with pytest.raises(ValueError, match=message):
+        tr.SourcedModes(op, []).step(u, 0.25, 0.0)
+
+
+_SOURCE_GRID = gr.SpatialGrid(3, 3)
+# Two wavevectors and their -k: (1, 0, 0) and (0, 1, -1) lie in H.
+_SOURCE_AMPLITUDES = {(1, 0, 0): 1.0, (-1, 0, 0): 1.0, (0, -1, 1): 0.5j, (0, 1, -1): -0.5j}
+
+
+def _sourced_operator():
+    """(operator, SourcedModes) of a four-mode, degree-1-in-time source."""
+    q = [gr.term(_SOURCE_AMPLITUDES, (1.0, 0.0, 0.5, 0.0), time_poly=(0.5, 1.0),
+                 time_exp=-0.7)]
+    op = tr.PnOperator(_SOURCE_GRID, 3, 0.7, 1.2, 0.3)
+    return op, tr.SourcedModes(op, q)
+
+
+def _random_box(op, seed):
+    return _hermitian_box(np.random.default_rng(seed), op.grid.shape + (op.nm,))
+
+
+def test_sourced_modes_advance_unreached_modes_like_the_loop():
+    # Modes no term reaches get the operator's step and nothing more.
+    op, sourced = _sourced_operator()
+    u = _random_box(op, 11)
+    got = sourced.step(u, 0.3, 0.2)
+    want = op.step(u, 0.3)
+    reached = np.zeros(op.grid.shape, dtype=bool)
+    for k in _SOURCE_AMPLITUDES:
+        reached[op.grid.index_of(k)] = True
+    assert got[~reached].tobytes() == want[~reached].tobytes()
+    assert not np.array_equal(got[reached], want[reached])
+
+
 def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
-    # Each mode the source reaches takes the operator's step (the per-mode
-    # loop) and then adds F w(t0), with F from one augmented expm per
-    # (reached mode, h).
+    # Each mode of H the source reaches takes the operator's step and then
+    # adds F w(t0), with F from one augmented expm per (reached H mode, h);
+    # its -k is the conjugate.
     sizes = []
     real = tr.expm
 
@@ -211,22 +261,21 @@ def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
 
     monkeypatch.setattr(tr, "expm", counting)
     op, sourced = _sourced_operator()
+    assert set(sourced._pieces) == {op.grid.index_of(k) for k in ((1, 0, 0), (0, 1, -1))}
     u = _random_box(op, 11)
     for h, t0 in ((0.3, 0.2), (0.3, 0.5), (0.15, 0.8)):
         got = sourced.step(u, h, t0)
-        want = _oracle_step(op, u, h)
-        for k in _SOURCE_REACHES:
-            idx = op.grid.index_of(k)
-            pieces = sourced._pieces[idx]
-            w0 = np.concatenate([
-                amp * math.exp(tm.time_exp * t0) * np.array(oracles.poly_derivatives(tm.time_poly, t0))
-                for amp, tm, _ in pieces
-            ])
-            want[idx] = want[idx] + _augmented_forcing(op, k, pieces, h) @ w0
-        assert np.array_equal(got, want)
-    # Two step lengths and two reached modes: four augmented expms, nm + 2
-    # wide; the plain ones are the propagators of the cubic representatives,
-    # one per (cubic orbit, h).
+        want = _forced(op, sourced, op.step(u, h), h, t0)
+        assert got.tobytes() == want.tobytes()
+    # Two step lengths and two reached modes of H: four augmented expms,
+    # nm + 2 wide; the plain ones are the propagators of the cubic
+    # representatives, one per (class, h).
     assert sizes.count(op.nm + 2) == 4
-    cubic = {tr.cubic_representative(c)[0] for c, _ in op._stack.orbits}
-    assert sizes.count(op.nm) == 2 * len(cubic) == 2 * 4
+    assert sizes.count(op.nm) == 2 * len(op._stack.classes) == 2 * 4
+
+
+def test_sourced_modes_refuse_a_term_that_is_not_real():
+    op = tr.PnOperator(_SOURCE_GRID, 1, 0.7, 1.2)
+    with pytest.raises(ValueError, match=r"^q amplitudes must satisfy a\(-k\) = conj a\(k\), "
+                                         r"got a\(1, 0, 0\) = \(1\+0j\) and a\(-1, 0, 0\) missing$"):
+        tr.SourcedModes(op, [gr.isotropic_term({(1, 0, 0): 1.0})])
