@@ -368,19 +368,25 @@ def scalar_flux(field: MomentField) -> np.ndarray:
 
 def project_field(field: NodalField, N: int) -> MomentField:
     """Angular projection onto degree <= N via the field's quadrature.  The
-    field is real in physical space, as every field the solvers make is:
-    the half-space H is projected and the other modes are its conjugates."""
-    values = half_space(field.values.reshape(-1, 1, len(field.quad)))
+    field must be real in physical space, as every field the solvers make
+    is, and one that is not is refused: the half-space H is projected and
+    the other modes are its conjugates."""
+    rows = field.values.reshape(-1, 1, len(field.quad))
+    require_hermitian("values", rows)
+    values = half_space(rows)
     half = sh.project(values, N, field.quad)[:, 0]
     coeffs = from_half(half, field.grid.shape + (sh.n_moments(N),))
     return MomentField(field.grid, N, coeffs)
 
 
 def evaluate_field(field: MomentField, quad: sh.SphereQuadrature) -> NodalField:
-    """The field's values at the quadrature's nodes.  The field is real in
-    physical space, as every field the solvers make is: the half-space H is
-    evaluated and the other modes are its conjugates."""
-    coeffs = half_space(field.coeffs.reshape(-1, 1, field.coeffs.shape[-1]))
+    """The field's values at the quadrature's nodes.  The field must be real
+    in physical space, as every field the solvers make is, and one that is
+    not is refused: the half-space H is evaluated and the other modes are
+    its conjugates."""
+    rows = field.coeffs.reshape(-1, 1, field.coeffs.shape[-1])
+    require_hermitian("coefficients", rows)
+    coeffs = half_space(rows)
     half = sh.evaluate_expansion(coeffs, quad)[:, 0]
     return NodalField(field.grid, quad, from_half(half, field.grid.shape + (len(quad),)))
 

@@ -299,6 +299,27 @@ def test_require_hermitian_refuses_a_box_that_is_not_real(where):
         gr.require_hermitian("u", rows)
 
 
+@pytest.mark.parametrize("where", ["pair", "zero"])
+def test_evaluate_and_project_refuse_a_field_that_is_not_hermitian(where):
+    # Both fill the modes outside H as conjugates, so a field that is not
+    # real in physical space would come back changed without a word.
+    rng = np.random.default_rng(5)
+    g = gr.SpatialGrid(2, 3)
+    N = 2
+    quad = sh.build_sphere_quadrature(N + 1)
+    shape = g.shape + (sh.n_moments(N),)
+    coeffs = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    values = gr.evaluate_field(gr.MomentField(g, N, coeffs), quad).values.copy()
+    k = (1, -1, 0) if where == "pair" else (0, 0, 0)
+    coeffs[g.index_of(k)][1] += 1e-9j
+    values[g.index_of(k)][2] += 1e-9j
+    message = r"^{} must satisfy c\(-k\) = conj c\(k\), got a deviation of [12]e-09$"
+    with pytest.raises(ValueError, match=message.format("coefficients")):
+        gr.evaluate_field(gr.MomentField(g, N, coeffs), quad)
+    with pytest.raises(ValueError, match=message.format("values")):
+        gr.project_field(gr.NodalField(g, quad, values), N)
+
+
 @pytest.mark.parametrize("spatial, message", [
     ({(1, 0, 0): 0.5}, r"got a\(1, 0, 0\) = \(0.5\+0j\) and a\(-1, 0, 0\) missing"),
     ({(1, 0, 0): 0.5j, (-1, 0, 0): 0.5j}, r"got a\(-1, 0, 0\) = 0.5j and a\(1, 0, 0\) = 0.5j"),

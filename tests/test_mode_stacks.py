@@ -147,8 +147,10 @@ def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, s
     _agree(sourced.step(u, h, t0), _forced(op, sourced, _dense_step(op, u, h), h, t0), dim)
 
 
-_PROPERTY = dict(
-    N=st.integers(0, 5),
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    modes=st.sampled_from([3, 5]),
+    N=st.integers(0, 7),
     eps=st.floats(0.2, 2.0),
     sigma=st.floats(0.0, 4.0),
     absorb=st.floats(0.0, 1.0),
@@ -157,26 +159,17 @@ _PROPERTY = dict(
     substeps=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-
-
-@given(modes=st.sampled_from([3, 5, 7]), **_PROPERTY)
-@settings(max_examples=20)
-def test_stacked_step_matches_per_mode_loop_bit_for_bit(modes, N, eps, sigma, absorb,
-                                                        h, t0, substeps, seed):
-    # On a 1D grid, on one BLAS thread as solve_pn and run_hybrid step.
-    with blas.single_thread():
-        _check_half_space_step(1, modes, N, eps, sigma, absorb, h, t0, substeps, seed)
-
-
-@given(dim=st.sampled_from([1, 2, 3]), modes=st.sampled_from([3, 5]), **_PROPERTY)
+@example(dim=1, modes=5, N=7, eps=0.2, sigma=4.0, absorb=1.0, h=0.5, t0=0.1, substeps=2, seed=5)
+@example(dim=1, modes=3, N=6, eps=1.3, sigma=0.5, absorb=0.0, h=0.05, t0=0.9, substeps=1, seed=6)
 @example(dim=3, modes=5, N=5, eps=0.3, sigma=2.5, absorb=0.4, h=0.45, t0=0.7, substeps=2, seed=3)
-@example(dim=3, modes=3, N=4, eps=1.7, sigma=0.0, absorb=0.0, h=0.2, t0=0.0, substeps=1, seed=4)
-@example(dim=1, modes=5, N=5, eps=0.2, sigma=4.0, absorb=1.0, h=0.5, t0=0.1, substeps=2, seed=5)
-@settings(max_examples=30)
-def test_half_space_step_matches_dense_per_mode_oracle(dim, modes, N, eps, sigma, absorb,
-                                                       h, t0, substeps, seed):
-    # Plain, Duhamel and exactly sourced steps on grids of every dimension,
-    # on one BLAS thread.
+@example(dim=3, modes=3, N=7, eps=1.7, sigma=0.0, absorb=0.0, h=0.2, t0=0.0, substeps=1, seed=4)
+@settings(max_examples=90)
+def test_stacked_step_matches_per_mode_loop_bit_for_bit(dim, modes, N, eps, sigma, absorb,
+                                                        h, t0, substeps, seed):
+    # Plain, Duhamel and exactly sourced steps against the dense per-mode
+    # oracle on one BLAS thread, as solve_pn and run_hybrid step: byte for
+    # byte on 1D grids, to 1e-12 on 2D and 3D ones.  About 30 draws per
+    # dimension.
     with blas.single_thread():
         _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, seed)
 
