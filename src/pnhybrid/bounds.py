@@ -1,8 +1,8 @@
 """Closed-form evaluators for every error bound the solvers are tested
 against: the five-term spectral estimate for the monolithic solver, its
 isotropic corollary, the interval-splitting estimate for the hybrid scheme,
-the absorbing variants, the exponential-moment kernels, the iterated
-damping operator, a regime advisor, and inequality audits.
+the absorbing variants, the exponential-moment kernels, a regime advisor,
+and inequality audits.
 
 All evaluators take plain numbers in and give a BoundReport out; nothing
 here runs a solver.  The reported constant is 1; harness fits rescale it
@@ -150,32 +150,6 @@ def _require(name: str, value: float, positive: bool):
         raise ValueError(f"{name} must be finite and {need}, got {value}")
 
 
-def _check_damping(k: int, eps: float, sigma: float, span: float):
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _require("eps", eps, True)
-    _require("sigma", sigma, False)
-    _require("span", span, False)
-
-
-def a_operator_bound(k: int, eps: float, sigma: float, span: float) -> float:
-    """Upper bound for the k-fold damping integral applied to 1:
-    min(eps^k/sigma^k, span^k/(k! eps^k))."""
-    _check_damping(k, eps, sigma, span)
-    if k == 0:
-        return 1.0
-    first = math.inf if sigma == 0.0 else (eps / sigma) ** k
-    second = (span / eps) ** k / math.factorial(k)
-    return min(first, second)
-
-
-def a_operator_exact_decay(k: int, eps: float, sigma: float, span: float) -> float:
-    """The k-fold damping integral applied to the decay profile
-    exp(-sigma (t - a)/eps^2): exactly span^k exp(-sigma span/eps^2)/(k! eps^k)."""
-    _check_damping(k, eps, sigma, span)
-    return span**k * math.exp(-sigma * span / eps**2) / (math.factorial(k) * eps**k)
-
-
 @dataclass(frozen=True)
 class BoundTerm:
     name: str
@@ -219,6 +193,8 @@ class BoundInputs:
     q_sup_norms: Mapping = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        sh.require_integer("s", self.s)
+        sh.require_integer("N", self.N)
         checks = [("eps", self.eps, True), ("T", self.T, True),
                   ("sigma", self.sigma, False), ("sigma_a", self.sigma_a, False)]
         if self.dt is not None:
@@ -363,6 +339,7 @@ def regime_advisor(eps: float, sigma: float, T: float, s: int) -> tuple[str, flo
     """(label, dt_crossover): the step size at which the hybrid bound's
     interval branch overtakes its diffusive branch, (s!)^(1/s) eps^2/sigma,
     and the problem's class against the range of candidate steps T/64 .. T."""
+    sh.require_integer("s", s)
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(sigma) and sigma >= 0
             and math.isfinite(T) and T > 0 and s >= 1):
         raise ValueError(f"need finite eps > 0, sigma >= 0, T > 0 and s >= 1, got "
@@ -411,7 +388,7 @@ def audit_inequalities(s_max: int = 5, l_max: int = 64, n_samples: int = 1000,
 
     # Draw in the order of one pass per sample (the vector, then s and N of
     # its approximation check), then judge all samples at once from their
-    # per-degree energies, summed by degree as angular_seminorm sums them.
+    # per-degree energies, summed by degree as harmonics.degree_energy sums them.
     L = 12
     nm = sh.n_moments(L)
     U = np.empty((n_samples, nm))

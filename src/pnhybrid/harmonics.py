@@ -1,5 +1,5 @@
 """Real orthonormal spherical harmonics on S^2, product sphere quadrature,
-projections, streaming coupling matrices, and the degree-weighted angular norms.
+projections, streaming coupling matrices, and the degree-weighted angular energy.
 
 Conventions: the basis m_{l,k} is real, orthonormal under the plain surface
 integral, and free of Condon-Shortley signs.  For k > 0 the harmonic is
@@ -41,14 +41,6 @@ def ordinal(l: int, k: int) -> int:
     if l < 0 or abs(k) > l:
         raise ValueError(f"invalid spherical index (l={l}, k={k})")
     return l * l + l + k
-
-
-def index_of(pos: int) -> tuple[int, int]:
-    """Inverse of ordinal: flat position -> (l, k)."""
-    if pos < 0:
-        raise ValueError(f"invalid ordinal {pos}")
-    l = int(math.isqrt(pos))
-    return l, pos - l * l - l
 
 
 def degree_slice(l: int) -> slice:
@@ -115,14 +107,6 @@ def basis_matrix(N: int, directions: np.ndarray) -> np.ndarray:
             out[:, ordinal(l, k)] = sqrt2 * A[l, k] * cos[k]
             out[:, ordinal(l, -k)] = sqrt2 * A[l, k] * sin[k]
     return out
-
-
-def basis_eval(l: int, k: int, direction) -> float:
-    """Single harmonic m_{l,k} at one unit direction."""
-    if abs(k) > l:
-        raise ValueError(f"invalid spherical index (l={l}, k={k})")
-    row = basis_matrix(l, np.asarray(direction, dtype=float).reshape(1, 3))
-    return float(row[0, ordinal(l, k)])
 
 
 # Lattice symmetries.  An orthogonal g that negates and swaps coordinate
@@ -425,25 +409,6 @@ def degree_energy(u: np.ndarray, s: int, lmin: int) -> float:
     return total
 
 
-def angular_seminorm(u: np.ndarray, s: int) -> float:
-    """H^s(S^2) semi-norm: degrees l >= s weighted by (l+1/2)^(2s)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return math.sqrt(degree_energy(u, s, s))
-
-
-def angular_norm(u: np.ndarray, s: int) -> float:
-    """Full H^s(S^2) norm: sqrt(s*||u||^2 + |u|_{H^s}^2)."""
-    u = np.asarray(u)
-    plain = float(np.sum(np.abs(u) ** 2))
-    return math.sqrt(s * plain + angular_seminorm(u, s) ** 2)
-
-
-def angular_norm_all_degrees(u: np.ndarray, s: int) -> float:
-    """Norm with weights (l+1/2)^(2s) applied at every degree from zero."""
-    return math.sqrt(degree_energy(u, s, 0))
-
-
 def equivalence_constants(s: int) -> tuple[float, float]:
     """Constants (c1, c2) sandwiching the all-degrees norm between multiples
     of the full H^s norm; both are 1 at s = 0."""
@@ -466,12 +431,3 @@ def project_moments(u: np.ndarray, N: int) -> np.ndarray:
     out = np.zeros(u.shape[:-1] + (nm_out,), dtype=u.dtype)
     out[..., :nm_in] = u
     return out
-
-
-def tail_moments(u: np.ndarray, N: int) -> np.ndarray:
-    """Complement of project_moments: degrees above N, kept in place."""
-    u = np.asarray(u).copy()
-    nm = n_moments(N)
-    u[..., : min(nm, u.shape[-1])] = 0.0
-    return u
-

@@ -3,7 +3,7 @@
     eps d_t psi + Omega . grad psi + (sigma/eps) psi = (sigma/eps) psi_bar + eps q
 
 on the periodic box, plus the exact uncollided (pure-streaming-and-decay)
-solver, the diffusion-limit solution, and the absorption change of variables.
+solver and the diffusion-limit solution.
 
 Spatial modes decouple, so each wavenumber k evolves under the moment-space
 generator
@@ -267,19 +267,6 @@ def initial_field(spec: ProblemSpec, grid: gr.SpatialGrid, N: int) -> gr.MomentF
     """Degree-truncated moments of g on the grid."""
     L = max(N, gr.angular_band(spec.g))
     return gr.moment_field(grid, L, spec.g).truncate(N)
-
-
-def source_sampler(spec: ProblemSpec, grid: gr.SpatialGrid, N: int):
-    """Callable t -> moment coefficients of the degree-truncated source,
-    or None when the problem has no source."""
-    if not spec.q:
-        return None
-    L = max(N, gr.angular_band(spec.q))
-
-    def sample(t: float) -> np.ndarray:
-        return gr.moment_field(grid, L, spec.q, t).truncate(N).coeffs
-
-    return sample
 
 
 def assemble_mode_operator(
@@ -562,23 +549,28 @@ class PnOperator:
             P[square] = expm((A[square] * turn).real) * turn.conj()
         return P
 
-    def _rep(self, c, h: float) -> np.ndarray:
-        """expm(h L_c), taken by _exp once per (c, h)."""
+    def _rep(self, c, h: float, L=None) -> np.ndarray:
+        """expm(h L_c), taken by _exp once per (c, h); L_c is assembled
+        unless the caller passes it."""
         P = self._reps.get((c, h))
         if P is None:
-            P = self._reps[(c, h)] = self._exp(c, h * self._generator(c))
+            # An assembled L_c is a temporary, freed before the expm runs.
+            A = h * (self._generator(c) if L is None else L)
+            P = self._reps[(c, h)] = self._exp(c, A)
         return P
 
     def _substep(self, c, hs: float, taus) -> tuple:
-        """(expm(hs L_c), stacked expm((hs - tau) L_c) per Duhamel node)."""
-        P = self._rep(c, hs)
+        """(expm(hs L_c), stacked expm((hs - tau) L_c) per Duhamel node),
+        all taken from one assembly of L_c."""
         nodes = self._nodes.get((c, hs))
-        if nodes is None:
-            L = self._generator(c)
-            nodes = np.empty((len(taus), self.nm, self.nm), dtype=complex)
-            for m, tau in enumerate(taus):
-                nodes[m] = self._exp(c, float(hs - tau) * L)
-            self._nodes[(c, hs)] = nodes
+        if nodes is not None:
+            return self._rep(c, hs), nodes
+        L = self._generator(c)
+        P = self._rep(c, hs, L)
+        nodes = np.empty((len(taus), self.nm, self.nm), dtype=complex)
+        for m, tau in enumerate(taus):
+            nodes[m] = self._exp(c, float(hs - tau) * L)
+        self._nodes[(c, hs)] = nodes
         return P, nodes
 
     def _box(self, out: np.ndarray) -> np.ndarray:
@@ -706,83 +698,24 @@ class SourcedModes:
 
 @dataclass
 class SolveResult:
-    times: list
-    fields: list
-
-    @property
-    def final(self) -> gr.MomentField:
-        return self.fields[-1]
+    final: gr.MomentField
 
 
-def solve_pn(spec: ProblemSpec, N: int, grid=None, record_times=()) -> SolveResult:
+def solve_pn(spec: ProblemSpec, N: int, grid=None) -> SolveResult:
     """Monolithic spherical-harmonic solve from t = 0 to T.
 
-    Absorption, when present, acts directly through the generator; see
-    absorption_wrap for the equivalent change-of-variables route.  Every
-    step goes through SourcedModes, which integrates the source exactly in
-    time and is PnOperator.step alone when there is none.  Every OpenBLAS
-    pool runs at one thread (blas.single_thread).
+    Absorption acts directly through the generator.  The one step goes
+    through SourcedModes, which integrates the source exactly in time and is
+    PnOperator.step alone when there is none.  Every OpenBLAS pool runs at
+    one thread (blas.single_thread).
     """
     with blas.single_thread():
         if grid is None:
             grid = default_grid(spec)
-        t_end = spec.t_final
         op = PnOperator(grid, N, spec.eps, spec.sigma_t, spec.sigma_a)
         sourced = SourcedModes(op, spec.q)
-        state = initial_field(spec, grid, N)
-        times = [float(t) for t in record_times]
-        if not all(0.0 <= t <= t_end + 1e-15 for t in times):
-            raise ValueError("record times must lie in [0, T]")
-        # A time past T by no more than the slack is recorded at T.
-        times = [t for t in sorted({min(t, t_end) for t in times} | {t_end}) if t > 0.0]
-        out_times = [0.0]
-        out_fields = [state]
-        t = 0.0
-        coeffs = state.coeffs
-        for target in times:
-            h = target - t
-            if h > 0:
-                coeffs = sourced.step(coeffs, h, t)
-                t = target
-            out_times.append(t)
-            out_fields.append(gr.MomentField(grid, N, coeffs))
-        return SolveResult(times=out_times, fields=out_fields)
-
-
-def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
-                          t0=0.0):
-    """Residual of the balance law over one step, relative to the initial
-    squared norm: the decrease of ||psi||^2 must match the dissipation
-    (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
-    Every OpenBLAS pool runs at one thread, as in solve_pn.
-    """
-    with blas.single_thread():
-        op = PnOperator(state.grid, state.N, eps, sigma, 0.0)
-        measure = state.grid.measure
-        u0 = state.coeffs
-        u1 = op.step(u0, h, source=source, t0=t0)
-        lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
-
-        nsub = op.substeps_for(h, 0.0)
-        x, w = _duhamel_rule()
-        total = 0.0
-        hs = h / nsub
-        coeffs = np.array(u0, copy=True)
-        for j in range(nsub):
-            ta = t0 + j * hs
-            for xi, wi in zip(x, w):
-                tau = 0.5 * hs * (xi + 1.0)
-                mid = op.step(coeffs, tau, source=source, t0=ta)
-                fluct = mid.copy()
-                fluct[..., 0] = 0.0
-                rate = -(2.0 * sigma / eps**2) * float(np.sum(np.abs(fluct) ** 2))
-                if source is not None:
-                    qv = source(ta + tau)
-                    rate += 2.0 * float(np.sum((np.conj(qv) * mid).real))
-                total += 0.5 * hs * wi * measure * rate
-            coeffs = op.step(coeffs, hs, source=source, t0=ta)
-    denom = max(measure * float(np.sum(np.abs(u0) ** 2)), 1e-300)
-    return abs(lhs - total) / denom
+        coeffs = sourced.step(initial_field(spec, grid, N).coeffs, spec.t_final, 0.0)
+        return SolveResult(final=gr.MomentField(grid, N, coeffs))
 
 
 @dataclass(frozen=True)
@@ -962,15 +895,3 @@ def solve_diffusion(spec: ProblemSpec, t: float, grid=None) -> np.ndarray:
     phi0 = gr.scalar_flux(gr.moment_field(grid, L, spec.g))
     decay = np.exp(-t * (grid.k_norm2() / (3.0 * spec.sigma_t) + spec.sigma_a))
     return phi0 * decay
-
-
-def absorption_wrap(spec: ProblemSpec):
-    """Change of variables removing absorption: returns the pure-scattering
-    problem whose solution, multiplied by the returned scale(t), equals the
-    absorbing solution.  The source picks up the inverse growth factor."""
-    sa = spec.sigma_a
-    if sa == 0.0:
-        return spec, (lambda t: 1.0)
-    pure = replace(spec, name=spec.name + "+absorption-removed", sigma_a=0.0,
-                   q=tuple(replace(tm, time_exp=tm.time_exp + sa) for tm in spec.q))
-    return pure, (lambda t: math.exp(-sa * t))

@@ -1,12 +1,20 @@
-"""Reference evaluations the fast source paths are checked against: the
-time factor's derivatives through numpy.polynomial and the phi-functions
-on a whole array, each taken afresh on every call; and the Hermitian part
-of a coefficient box, for test data real in physical space."""
+"""Reference routines the tests check the program against, none of which
+the program itself calls: the time factor's derivatives through
+numpy.polynomial and the phi-functions on a whole array, each taken afresh
+on every call; the Hermitian part of a coefficient box, for test data real
+in physical space; single harmonics and the angular Sobolev norms; the
+damping-integral formulas; a sampled source, the energy balance of a step
+and the absorption change of variables."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from pnhybrid import blas
+from pnhybrid import bounds as bd
+from pnhybrid import grid as gr
+from pnhybrid import harmonics as sh
 from pnhybrid import transport as tr
 
 # Terms of the phi-functions' Taylor series below tr.PHI_SERIES_BELOW.
@@ -58,3 +66,145 @@ def source_response(lam, tm, a: float, b: float):
     phis = phi_functions(-(lam + tm.time_exp) * h, len(derivs))
     acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
     return math.exp(tm.time_exp * b) * acc
+
+
+# ---------------------------------------------------------------------------
+# Harmonics: single evaluations and the angular Sobolev norms
+
+
+def index_of(pos: int) -> tuple[int, int]:
+    """Inverse of sh.ordinal: flat position -> (l, k)."""
+    if pos < 0:
+        raise ValueError(f"invalid ordinal {pos}")
+    l = int(math.isqrt(pos))
+    return l, pos - l * l - l
+
+
+def basis_eval(l: int, k: int, direction) -> float:
+    """Single harmonic m_{l,k} at one unit direction."""
+    if abs(k) > l:
+        raise ValueError(f"invalid spherical index (l={l}, k={k})")
+    row = sh.basis_matrix(l, np.asarray(direction, dtype=float).reshape(1, 3))
+    return float(row[0, sh.ordinal(l, k)])
+
+
+def angular_seminorm(u: np.ndarray, s: int) -> float:
+    """H^s(S^2) semi-norm: degrees l >= s weighted by (l+1/2)^(2s)."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    return math.sqrt(sh.degree_energy(u, s, s))
+
+
+def angular_norm(u: np.ndarray, s: int) -> float:
+    """Full H^s(S^2) norm: sqrt(s*||u||^2 + |u|_{H^s}^2)."""
+    u = np.asarray(u)
+    plain = float(np.sum(np.abs(u) ** 2))
+    return math.sqrt(s * plain + angular_seminorm(u, s) ** 2)
+
+
+def angular_norm_all_degrees(u: np.ndarray, s: int) -> float:
+    """Norm with weights (l+1/2)^(2s) applied at every degree from zero."""
+    return math.sqrt(sh.degree_energy(u, s, 0))
+
+
+def tail_moments(u: np.ndarray, N: int) -> np.ndarray:
+    """Complement of sh.project_moments: degrees above N, kept in place."""
+    u = np.asarray(u).copy()
+    nm = sh.n_moments(N)
+    u[..., : min(nm, u.shape[-1])] = 0.0
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Bounds: the k-fold damping integral
+
+
+def _check_damping(k: int, eps: float, sigma: float, span: float):
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    bd._require("eps", eps, True)
+    bd._require("sigma", sigma, False)
+    bd._require("span", span, False)
+
+
+def a_operator_bound(k: int, eps: float, sigma: float, span: float) -> float:
+    """Upper bound for the k-fold damping integral applied to 1:
+    min(eps^k/sigma^k, span^k/(k! eps^k))."""
+    _check_damping(k, eps, sigma, span)
+    if k == 0:
+        return 1.0
+    first = math.inf if sigma == 0.0 else (eps / sigma) ** k
+    second = (span / eps) ** k / math.factorial(k)
+    return min(first, second)
+
+
+def a_operator_exact_decay(k: int, eps: float, sigma: float, span: float) -> float:
+    """The k-fold damping integral applied to the decay profile
+    exp(-sigma (t - a)/eps^2): exactly span^k exp(-sigma span/eps^2)/(k! eps^k)."""
+    _check_damping(k, eps, sigma, span)
+    return span**k * math.exp(-sigma * span / eps**2) / (math.factorial(k) * eps**k)
+
+
+# ---------------------------------------------------------------------------
+# Transport: a sampled source, the energy balance, the absorption transform
+
+
+def source_sampler(spec: tr.ProblemSpec, grid: gr.SpatialGrid, N: int):
+    """Callable t -> moment coefficients of the degree-truncated source,
+    or None when the problem has no source."""
+    if not spec.q:
+        return None
+    L = max(N, gr.angular_band(spec.q))
+
+    def sample(t: float) -> np.ndarray:
+        return gr.moment_field(grid, L, spec.q, t).truncate(N).coeffs
+
+    return sample
+
+
+def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
+                          t0=0.0):
+    """Residual of the balance law over one step, relative to the initial
+    squared norm: the decrease of ||psi||^2 must match the dissipation
+    (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
+    Every OpenBLAS pool runs at one thread, as in tr.solve_pn.
+    """
+    with blas.single_thread():
+        op = tr.PnOperator(state.grid, state.N, eps, sigma, 0.0)
+        measure = state.grid.measure
+        u0 = state.coeffs
+        u1 = op.step(u0, h, source=source, t0=t0)
+        lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
+
+        nsub = op.substeps_for(h, 0.0)
+        x, w = tr._duhamel_rule()
+        total = 0.0
+        hs = h / nsub
+        coeffs = np.array(u0, copy=True)
+        for j in range(nsub):
+            ta = t0 + j * hs
+            for xi, wi in zip(x, w):
+                tau = 0.5 * hs * (xi + 1.0)
+                mid = op.step(coeffs, tau, source=source, t0=ta)
+                fluct = mid.copy()
+                fluct[..., 0] = 0.0
+                rate = -(2.0 * sigma / eps**2) * float(np.sum(np.abs(fluct) ** 2))
+                if source is not None:
+                    qv = source(ta + tau)
+                    rate += 2.0 * float(np.sum((np.conj(qv) * mid).real))
+                total += 0.5 * hs * wi * measure * rate
+            coeffs = op.step(coeffs, hs, source=source, t0=ta)
+    denom = max(measure * float(np.sum(np.abs(u0) ** 2)), 1e-300)
+    return abs(lhs - total) / denom
+
+
+def absorption_wrap(spec: tr.ProblemSpec):
+    """Change of variables removing absorption: returns the pure-scattering
+    problem whose solution, multiplied by the returned scale(t), equals the
+    absorbing solution.  The source picks up the inverse growth factor."""
+    sa = spec.sigma_a
+    if sa == 0.0:
+        return spec, (lambda t: 1.0)
+    pure = replace(spec, name=spec.name + "+absorption-removed", sigma_a=0.0,
+                   q=tuple(replace(tm, time_exp=tm.time_exp + sa) for tm in spec.q))
+    return pure, (lambda t: math.exp(-sa * t))

@@ -10,6 +10,8 @@ from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 from pnhybrid import transport as tr
 
+import oracles
+
 
 def test_kernel_frozen_values():
     assert bd.kappa(0.0) == 1.0
@@ -122,7 +124,7 @@ def test_a_operator_exact_decay_matches_nested_quadrature():
                     t = alpha + span
                     base = lambda tau: np.exp(-sigma * (tau - alpha) / eps**2)
                     got = float(_a_power_num(k, t, alpha, eps, sigma, base))
-                    want = bd.a_operator_exact_decay(k, eps, sigma, span)
+                    want = oracles.a_operator_exact_decay(k, eps, sigma, span)
                     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -133,14 +135,14 @@ def test_a_operator_bound_dominates_nested_quadrature():
             for sigma in (0.0, 0.8, 2.0):
                 for span in (0.2, 1.0):
                     val = float(_a_power_num(k, span, alpha, eps, sigma))
-                    cap = bd.a_operator_bound(k, eps, sigma, span)
+                    cap = oracles.a_operator_bound(k, eps, sigma, span)
                     assert val <= cap * (1.0 + 1e-12)
 
 
 def test_a_operator_k_zero_and_sigma_zero():
-    assert bd.a_operator_bound(0, 0.5, 0.0, 3.0) == 1.0
-    assert bd.a_operator_bound(2, 0.5, 0.0, 2.0) == pytest.approx(8.0, abs=1e-14)
-    assert bd.a_operator_exact_decay(0, 0.5, 1.0, 2.0) == pytest.approx(
+    assert oracles.a_operator_bound(0, 0.5, 0.0, 3.0) == 1.0
+    assert oracles.a_operator_bound(2, 0.5, 0.0, 2.0) == pytest.approx(8.0, abs=1e-14)
+    assert oracles.a_operator_exact_decay(0, 0.5, 1.0, 2.0) == pytest.approx(
         math.exp(-8.0), rel=1e-15
     )
 
@@ -217,15 +219,18 @@ def test_pn_error_bound_sigma_zero_picks_streaming():
     ("eps", 0.0), ("eps", -1.0), ("eps", math.nan), ("T", 0.0), ("T", math.inf),
     ("sigma", -1.0), ("sigma", math.nan), ("dt", -0.25), ("dt", 0.0), ("dt", math.nan),
     ("sigma_a", -0.5), ("sigma_a", math.inf),
+    ("s", 1.5), ("s", True), ("N", 2.5), ("N", True),
 ])
 def test_bound_inputs_reject_bad_values(field, value):
     # Each of these once reached an evaluator: hybrid_error_bound returned
-    # -0.0625 for dt = -0.25 or sigma = -1, nan for eps = nan, and divided by
-    # zero for eps = 0.
+    # -0.0625 for dt = -0.25 or sigma = -1, nan for eps = nan, 0.00765 for
+    # N = 2.5, a degree that does not exist, and divided by zero for eps = 0;
+    # s = 1.5 failed in math.factorial with a TypeError.
     kwargs = dict(s=2, N=3, eps=1.0, sigma=1.0, T=1.0, dt=0.25,
                   g_norms={(3, 0): 1.0}, q_sup_norms={(3, 0): 2.0})
     kwargs[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be finite and"):
+    need = "an integer" if field in ("s", "N") else "finite and"
+    with pytest.raises(ValueError, match=f"^{field} must be {need}"):
         bd.BoundInputs(**kwargs)
 
 
@@ -242,14 +247,14 @@ def test_bound_inputs_reject_bad_norms(name, value):
 
 
 @pytest.mark.parametrize("fn,args,field", [
-    (bd.a_operator_bound, (1, -1.0, 1.0, 1.0), "eps"),
-    (bd.a_operator_bound, (1, 0.0, 1.0, 1.0), "eps"),
-    (bd.a_operator_bound, (3, 1.0, -2.0, 1.0), "sigma"),
-    (bd.a_operator_bound, (1, 1.0, math.nan, 1.0), "sigma"),
-    (bd.a_operator_bound, (1, 1.0, 1.0, math.inf), "span"),
-    (bd.a_operator_exact_decay, (1, -1.0, 1.0, 1.0), "eps"),
-    (bd.a_operator_exact_decay, (1, 0.0, 1.0, 1.0), "eps"),
-    (bd.a_operator_exact_decay, (1, 1.0, math.nan, 1.0), "sigma"),
+    (oracles.a_operator_bound, (1, -1.0, 1.0, 1.0), "eps"),
+    (oracles.a_operator_bound, (1, 0.0, 1.0, 1.0), "eps"),
+    (oracles.a_operator_bound, (3, 1.0, -2.0, 1.0), "sigma"),
+    (oracles.a_operator_bound, (1, 1.0, math.nan, 1.0), "sigma"),
+    (oracles.a_operator_bound, (1, 1.0, 1.0, math.inf), "span"),
+    (oracles.a_operator_exact_decay, (1, -1.0, 1.0, 1.0), "eps"),
+    (oracles.a_operator_exact_decay, (1, 0.0, 1.0, 1.0), "eps"),
+    (oracles.a_operator_exact_decay, (1, 1.0, math.nan, 1.0), "sigma"),
 ])
 def test_plain_number_evaluators_reject_bad_values(fn, args, field):
     # Each of these once returned a number or failed elsewhere:
@@ -383,6 +388,14 @@ def test_regime_advisor_rejects_bad_input(eps, sigma, T):
         bd.regime_advisor(eps, sigma, T, 2)
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0, True])
+def test_regime_advisor_refuses_non_integer_s(s):
+    # s = 1.5 once failed in math.factorial with a TypeError, and s = True
+    # was taken as s = 1.
+    with pytest.raises(ValueError, match="^s must be an integer"):
+        bd.regime_advisor(0.5, 1.0, 1.0, s)
+
+
 def test_audit_inequalities_clean():
     rep = bd.audit_inequalities(s_max=5, l_max=64, n_samples=200, seed=3)
     assert rep.ok, rep.violations[:3]
@@ -410,8 +423,8 @@ def _audit_loop_oracle(s_max=5, l_max=64, n_samples=1000, seed=0):
         u = rng.standard_normal(nm)
         for s in (0, 1, 2, 3):
             c1, c2 = sh.equivalence_constants(s)
-            full = sh.angular_norm(u, s)
-            alldeg = sh.angular_norm_all_degrees(u, s)
+            full = oracles.angular_norm(u, s)
+            alldeg = oracles.angular_norm_all_degrees(u, s)
             checks += 1
             if c1 * full > alldeg * (1.0 + 1e-12) or alldeg > c2 * full * (1.0 + 1e-12):
                 violations.append(
@@ -421,9 +434,9 @@ def _audit_loop_oracle(s_max=5, l_max=64, n_samples=1000, seed=0):
                 )
         s = int(rng.integers(1, 4))
         N = int(rng.integers(max(0, s - 1), L))
-        tail = sh.tail_moments(u, N)
+        tail = oracles.tail_moments(u, N)
         lhs = float(np.linalg.norm(tail))
-        rhs = (N + 1.0) ** (-s) * sh.angular_seminorm(tail, s)
+        rhs = (N + 1.0) ** (-s) * oracles.angular_seminorm(tail, s)
         checks += 1
         if lhs > rhs + 1e-13:
             violations.append(

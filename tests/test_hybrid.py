@@ -222,7 +222,7 @@ def test_absorbing_hybrid_matches_transformed():
                       g=[_iso_cosine(), _aniso_cosine()], T="0.5", dt="1/4")
     quad = sh.build_sphere_quadrature(8)
     direct = hy.run_hybrid(spec, N=3, quad=quad)
-    pure, scale = tr.absorption_wrap(spec)
+    pure, scale = oracles.absorption_wrap(spec)
     transformed = hy.run_hybrid(pure, N=3, quad=quad)
     want = transformed.total.values * scale(spec.t_final)
     assert np.max(np.abs(direct.total.values - want)) < 1e-10

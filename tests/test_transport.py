@@ -180,11 +180,15 @@ def test_anisotropic_mode_decays_exactly():
 
 def test_mass_conserved_and_norm_nonincreasing():
     spec = tr.problem("iso", eps=0.5, sigma_t=1.0, g=[_iso_cosine()], T="0.5", dt="1/16")
-    res = tr.solve_pn(spec, N=5, record_times=spec.interval_edges())
-    grid = res.final.grid
-    mass0 = gr.scalar_flux(res.fields[0])[grid.index_of((0, 0, 0))]
-    norms = [gr.l2_norm(f) for f in res.fields]
-    for f in res.fields[1:]:
+    grid = tr.default_grid(spec)
+    sourced = tr.SourcedModes(tr.PnOperator(grid, 5, spec.eps, spec.sigma_t), spec.q)
+    edges = spec.interval_edges()
+    fields = [tr.initial_field(spec, grid, 5)]
+    for a, b in zip(edges, edges[1:]):
+        fields.append(gr.MomentField(grid, 5, sourced.step(fields[-1].coeffs, b - a, a)))
+    mass0 = gr.scalar_flux(fields[0])[grid.index_of((0, 0, 0))]
+    norms = [gr.l2_norm(f) for f in fields]
+    for f in fields[1:]:
         mass = gr.scalar_flux(f)[grid.index_of((0, 0, 0))]
         assert abs(mass - mass0) < 1e-12
     for a, b in zip(norms, norms[1:]):
@@ -195,7 +199,7 @@ def test_energy_identity_without_source():
     spec = tr.problem("iso", eps=0.5, sigma_t=1.0, g=[_iso_cosine()], T=1)
     grid = tr.default_grid(spec)
     state = tr.initial_field(spec, grid, N=5)
-    resid = tr.audit_energy_identity(state, 0.25, spec.eps, spec.sigma_t)
+    resid = oracles.audit_energy_identity(state, 0.25, spec.eps, spec.sigma_t)
     assert resid < 1e-12
 
 
@@ -204,8 +208,8 @@ def test_energy_identity_with_source():
     spec = tr.problem("iso-q", eps=0.7, sigma_t=1.0, g=[_iso_cosine()], q=q, T=1)
     grid = tr.default_grid(spec)
     state = tr.initial_field(spec, grid, N=3)
-    sampler = tr.source_sampler(spec, grid, N=3)
-    resid = tr.audit_energy_identity(state, 0.5, spec.eps, spec.sigma_t, source=sampler)
+    sampler = oracles.source_sampler(spec, grid, N=3)
+    resid = oracles.audit_energy_identity(state, 0.5, spec.eps, spec.sigma_t, source=sampler)
     assert resid < 1e-10
 
 
@@ -226,7 +230,7 @@ def test_absorption_direct_equals_transformed():
     g = [_iso_cosine(), _aniso_constant()]
     spec = tr.problem("abs", eps=0.9, sigma_t=1.0, sigma_a=0.5, g=g, q=q, T=1)
     direct = tr.solve_pn(spec, N=5).final
-    pure, scale = tr.absorption_wrap(spec)
+    pure, scale = oracles.absorption_wrap(spec)
     assert pure.sigma_a == 0.0
     assert pure.q[0].time_exp == pytest.approx(-0.3 + 0.5)
     transformed = tr.solve_pn(pure, N=5).final.scale(scale(spec.t_final))
@@ -236,7 +240,7 @@ def test_absorption_direct_equals_transformed():
 
 def test_absorption_wrap_identity_when_pure():
     spec = tr.problem("pure", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
-    same, scale = tr.absorption_wrap(spec)
+    same, scale = oracles.absorption_wrap(spec)
     assert same is spec
     assert scale(17.0) == 1.0
 
@@ -351,24 +355,6 @@ def test_solve_diffusion_values_and_gates():
                        q=[gr.isotropic_term({(0, 0, 0): 1.0})], T=1)
     with pytest.raises(ValueError):
         tr.solve_diffusion(specq, 0.5)
-
-
-def test_record_times_filter_and_gate():
-    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
-    res = tr.solve_pn(spec, N=1, record_times=(0.0, 0.5, 1.0))
-    assert res.times == [0.0, 0.5, 1.0]
-    assert len(res.fields) == 3
-    with pytest.raises(ValueError):
-        tr.solve_pn(spec, N=1, record_times=(1.5,))
-    with pytest.raises(ValueError):
-        tr.solve_pn(spec, N=1, record_times=(math.nan,))
-
-
-def test_record_time_within_the_slack_is_recorded_at_T():
-    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
-    res = tr.solve_pn(spec, N=3, record_times=(1 + 4e-16,))
-    assert res.times == [0.0, 1.0]
-    assert np.array_equal(res.final.coeffs, tr.solve_pn(spec, N=3).final.coeffs)
 
 
 def test_substep_count_follows_stiffness():
@@ -605,6 +591,19 @@ def test_cubic_orbits_take_one_expm_each(monkeypatch):
     calls.clear()
     op.step(u, 0.5, source=lambda t: u, substeps=1)
     assert len(calls) == 20 * tr._DUHAMEL_NODES
+
+
+def test_sourced_step_assembles_each_class_generator_once(monkeypatch):
+    # A class's step propagator and its Duhamel node propagators come from
+    # one assembly of its generator, over every substep of the step.
+    calls = []
+    real = tr.assemble_mode_operator
+    monkeypatch.setattr(tr, "assemble_mode_operator",
+                        lambda k, *args: calls.append(k) or real(k, *args))
+    op = tr.PnOperator(_GRID7, 3, 0.5, 1.0, 0.25)
+    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+    op.step(u, 0.5, source=lambda t: u, substeps=2)
+    assert sorted(calls) == sorted(c for c, _ in op._stack.classes)
 
 
 def test_cubic_representative_sorts_and_permutes():
@@ -884,24 +883,24 @@ def test_exact_source_matches_quadrature_oracle(data, N, eps, sigma, absorb, T):
     g = [gr.term({(0, 0, 0): 1.0, (0, 1, 1): 0.5j, (0, -1, -1): -0.5j}, (1.0, 0.2, -0.3, 0.1))]
     spec = tr.problem("q", eps, sigma, g, q=q, sigma_a=sigma_a, T=T)
     t_mid = T / 3.0  # a second step starting at t0 > 0
-    res = tr.solve_pn(spec, N, grid=_GRID3, record_times=(t_mid,))
+    sourced = tr.SourcedModes(tr.PnOperator(_GRID3, N, eps, sigma, sigma_a), q)
 
     op = tr.PnOperator(_GRID3, N, eps, sigma, sigma_a)
-    sampler = tr.source_sampler(spec, _GRID3, N)
+    sampler = oracles.source_sampler(spec, _GRID3, N)
     fastest = max(abs(tm.time_exp) for tm in q)
-    u = tr.initial_field(spec, _GRID3, N).coeffs
-    for t0, t1, got in ((0.0, t_mid, res.fields[1]), (t_mid, T, res.final)):
+    got = u = tr.initial_field(spec, _GRID3, N).coeffs
+    for t0, t1 in ((0.0, t_mid), (t_mid, spec.t_final)):
         h = t1 - t0
+        got = sourced.step(got, h, t0)
         u = op.step(u, h, source=sampler, t0=t0,
                     substeps=4 * op.substeps_for(h, fastest))
-        assert np.max(np.abs(got.coeffs - u)) <= 1e-12 * np.max(np.abs(u))
+        assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_solve_pn_integrates_source_without_quadrature(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve_pn must not sample the source")
+        raise AssertionError("solve_pn must not run the Duhamel quadrature")
 
-    monkeypatch.setattr(tr, "source_sampler", forbidden)
     monkeypatch.setattr(tr.PnOperator, "substeps_for", forbidden)
     q = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, time_poly=(1.0, 2.0),
                            time_exp=-0.5)]
