@@ -35,22 +35,29 @@ augmented generator), and the tests' dense oracle.
 
 Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
-generic k, a diagonal at k = 0), and so is its exponential.  A wide
-operator, one whose moment space is wider than DENSE_EXPM_MAX_MOMENTS
-(N >= 17), finds each representative's blocks once (connected_blocks) and
-takes one stacked expm per block width: at N = 28 and k = (1,0,0) the four
-blocks are at most 225 wide, where the dense generator is 841.  Streaming
-couples degree l only to l +- 1, so with D = diag(i^l) every D^-1 L_k D
-is real, and each block wider than 1 is exponentiated as a real matrix
-(about half the work of the complex one) and turned back by exact
-products with +-1 and +-i.  A narrow operator takes one dense complex
-expm: the split and the real frame move last bits of the propagators,
-which the benchmark goldens pin up to 289 moments.  On one BLAS thread of a
-shared 2-core machine, building one axis permutation's blocks, once per
-(N, permutation) and process, took 40-55 ms at N = 20 and 120-160 ms at
-N = 28, where the block-split expm a class saves took 3-4 and 16-19 ms on
-the z axis, 18-21 and 80-93 ms at k = (1,0,1), and 50-58 and 258-287 ms at
-k = (2,1,3).
+generic k, a diagonal at k = 0), and so is its exponential.  A
+representative off the axes, one with two or more nonzero components,
+finds its blocks once (connected_blocks) and takes one stacked expm per
+block width, at every N; so does every representative of a wide operator,
+one whose moment space is wider than DENSE_EXPM_MAX_MOMENTS (N >= 17): at
+N = 28 and k = (1,0,0) the four blocks are at most 225 wide, where the
+dense generator is 841.  Streaming couples degree l only to l +- 1, so
+with D = diag(i^l) every D^-1 L_k D is real, and each block wider than 1
+is exponentiated as a real matrix (about half the work of the complex one)
+and turned back by exact products with +-1 and +-i.  On one BLAS thread of
+a shared 2-core machine at N = 11, eps = 0.5, sigma = 1 and h = 0.375, one
+144-wide class took 6.2-6.8 ms as a dense complex expm, 0.9-1.2 ms split
+in a coordinate plane (blocks 66 and 78 wide) and 2.5-2.6 ms as one real
+block off the planes; at N = 5, 0.20 ms against 0.10-0.13 ms.  Only a
+narrow operator's representatives on the axis, k = 0 and k = (a, 0, 0),
+which are all the classes a 1D grid has, take one dense complex expm: the
+split and the real frame move last bits of the propagators, which the
+benchmark goldens pin up to 289 moments on 1D grids.  On one BLAS thread
+of a shared 2-core machine, building one axis permutation's blocks, once
+per (N, permutation) and process, took 40-55 ms at N = 20 and 120-160 ms
+at N = 28, where the block-split expm a class saves took 3-4 and 16-19 ms
+on the z axis, 18-21 and 80-93 ms at k = (1,0,1), and 50-58 and 258-287 ms
+at k = (2,1,3).
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -134,9 +141,11 @@ def _series_table(n: int) -> np.ndarray:
     return table
 
 
-# Widest moment space, n_moments(N) = (N+1)^2, whose representatives take
-# one dense expm (N <= 16); wider ones split it over the generator's
-# connected blocks and take each block in the real frame (PnOperator._exp).
+# Widest moment space, n_moments(N) = (N+1)^2, whose representatives on the
+# axis (k = 0 and k = (a, 0, 0)) take one dense complex expm (N <= 16);
+# wider ones, and every representative off the axis at any N, split it over
+# the generator's connected blocks and take each block in the real frame
+# (PnOperator._exp).
 # On one BLAS thread of a 2-core machine at k = (1,0,0), eps = sigma = 1,
 # the dense complex, split complex and split real-frame expm took
 #     N = 17:  49.9,  5.9,  2.9 ms      N = 20: 117.5, 12.7,  6.1 ms
@@ -147,7 +156,8 @@ def _series_table(n: int) -> np.ndarray:
 # references of the hybrid dt sweeps moved 2.1485115505547617e-06 to
 # 2.148511550556308e-06.  289 wide (N = 16) is the widest moment space
 # whose propagators those goldens pin (those references, and the degree-12
-# and 16 references of sobolev-n-sweep), so it stays dense.
+# and 16 references of sobolev-n-sweep), so its on-axis classes, the only
+# ones a 1D grid has, stay dense.
 DENSE_EXPM_MAX_MOMENTS = 289
 
 # i^d indexed by d mod 4: the real-frame factors of PnOperator._exp.
@@ -294,7 +304,8 @@ def assemble_mode_operator(
 
 def is_narrow(N: int) -> bool:
     """Whether the degree-N moment space is at most DENSE_EXPM_MAX_MOMENTS
-    wide, so that each representative's exponential is one dense expm."""
+    wide, so that each on-axis representative's exponential is one dense
+    expm."""
     return sh.n_moments(N) <= DENSE_EXPM_MAX_MOMENTS
 
 
@@ -343,6 +354,13 @@ def _step_length(h) -> float:
     if not (math.isfinite(h) and h >= 0.0):
         raise ValueError(f"h must be finite and nonnegative, got {h}")
     return h
+
+
+def _start_time(t0) -> float:
+    t0 = float(t0)
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    return t0
 
 
 def _real_view_block(R: np.ndarray) -> np.ndarray:
@@ -469,8 +487,9 @@ class PnOperator:
     steps cost no further expm.  A generator is assembled for each batch of
     expm calls on its class (one step length, or one Duhamel substep's
     propagators) and dropped after it.  Every such exponential is taken by
-    _exp: one dense expm on a narrow operator (is_narrow), and on a wide one
-    one stacked real-frame expm per block width of the generator's connected
+    _exp: one dense complex expm for a representative on the axis (k = 0 or
+    (a, 0, 0)) of a narrow operator (is_narrow), and otherwise (_split) one
+    stacked real-frame expm per block width of the generator's connected
     blocks, found once per representative, scattered into the dense
     propagator.  step takes one product P_(c*) @ X per class, X holding the
     class's H vectors as columns; on a 1D grid every class holds one H mode,
@@ -503,8 +522,8 @@ class PnOperator:
             sigma / eps**2 + sigma_a + math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2) / eps
             for _, k in self._modes
         )
-        self._split = not is_narrow(self.N)
-        self._blocks: dict = {}  # c -> connected_blocks(L_c), wide operators only
+        self._narrow = is_narrow(self.N)
+        self._blocks: dict = {}  # c -> connected_blocks(L_c), split classes only
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
         self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c), (nodes, nm, nm)
 
@@ -512,30 +531,38 @@ class PnOperator:
         """[(index, wavevector)] of every spatial mode of the grid."""
         return self._modes
 
+    def _split(self, c) -> bool:
+        """Whether c's exponential is taken block by block: always off the
+        axis (two or more nonzero components), and on it (k = 0 and the
+        axes) only on a wide operator."""
+        return not self._narrow or np.count_nonzero(c) > 1
+
     def _generator(self, c) -> np.ndarray:
-        """L_c; on a wide operator its connected blocks are found, and
-        kept, the first time."""
+        """L_c; when c is split its connected blocks are found, and kept,
+        the first time."""
         L = assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
                                    self.sigma_a)
-        if self._split and c not in self._blocks:
+        if self._split(c) and c not in self._blocks:
             self._blocks[c] = connected_blocks(L)
         return L
 
     def _exp(self, c, A: np.ndarray) -> np.ndarray:
         """expm(A) for A = h L_c, a multiple of representative c's generator:
         the one place a representative's exponential is taken.  A narrow
-        operator takes one dense expm.  A wide one takes one stacked expm
-        per block width of L_c's connected blocks, shaped (blocks, w, w),
-        and scatters the blocks into the dense propagator, whose other
-        entries are exactly zero.  Blocks wider than 1 are taken in the real
-        frame: streaming couples degree l only to l +- 1 through -i times a
-        real matrix, and the diagonal is real, so with D = diag(i^l) the
-        entries (D^-1 A D)_pq = A_pq i^(l_q - l_p) are real, and expm(A) =
-        D expm(D^-1 A D) D^-1 is a real expm multiplied entrywise by
-        i^(l_p - l_q).  Both products are exact, each factor being +-1 or
-        +-i.  1-wide blocks (k = 0, and the |m| = N blocks on the z axis)
-        take the complex expm, whose 1 x 1 path the dense one shares."""
-        if not self._split:
+        operator's representatives on the axis take one dense complex expm,
+        which keeps the bits of every 1D grid.  Every other c (_split) takes
+        one stacked expm per block width of L_c's connected blocks, shaped
+        (blocks, w, w), and scatters the blocks into the dense propagator,
+        whose other entries are exactly zero.  Blocks wider than 1 are taken
+        in the real frame: streaming couples degree l only to l +- 1 through
+        -i times a real matrix, and the diagonal is real, so with D =
+        diag(i^l) the entries (D^-1 A D)_pq = A_pq i^(l_q - l_p) are real,
+        and expm(A) = D expm(D^-1 A D) D^-1 is a real expm multiplied
+        entrywise by i^(l_p - l_q).  Both products are exact, each factor
+        being +-1 or +-i.  1-wide blocks (k = 0 and the |m| = N blocks on
+        the z axis of a wide operator) take the complex expm, whose 1 x 1
+        path the dense one shares."""
+        if not self._split(c):
             return expm(A)
         P = np.zeros_like(A)
         degree = sh.moment_degrees(self.N)
@@ -586,10 +613,18 @@ class PnOperator:
 
     def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
         """Advance coefficients by h: exact exponential when source is None,
-        otherwise exponential plus Gauss-Legendre Duhamel on substeps.  The
-        coefficients must be Hermitian, c(-k) = conj c(k); of each source
-        sample, a box like them, only the half-space H is read."""
+        otherwise exponential plus Gauss-Legendre Duhamel on substeps (a
+        positive integer, substeps_for(h) when None) from the finite start
+        time t0.  The coefficients must be Hermitian, c(-k) = conj c(k); of
+        each source sample, a box like them, only the half-space H is
+        read."""
         h = _step_length(h)
+        if source is not None:
+            t0 = _start_time(t0)
+            if substeps is not None:
+                sh.require_integer("substeps", substeps)
+                if substeps < 1:
+                    raise ValueError(f"substeps must be positive, got {substeps}")
         out = np.array(coeffs, dtype=complex, copy=True)
         stack = self._stack
         box = self._box(out)
@@ -685,6 +720,7 @@ class SourcedModes:
     def step(self, coeffs, h: float, t0: float) -> np.ndarray:
         """Advance coefficients from t0 to t0 + h, source included."""
         h = _step_length(h)
+        t0 = _start_time(t0)
         out = self.op.step(coeffs, h)
         for idx, pieces in self._pieces.items():
             w0 = np.concatenate([

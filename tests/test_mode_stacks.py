@@ -245,14 +245,19 @@ def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
     # Each mode of H the source reaches takes the operator's step and then
     # adds F w(t0), with F from one augmented expm per (reached H mode, h);
     # its -k is the conjugate.
-    sizes = []
-    real = tr.expm
+    sizes, classes = [], []
+    real, real_exp = tr.expm, tr.PnOperator._exp
 
     def counting(A):
-        sizes.append(A.shape[0])
+        sizes.append(A.shape[-1])
         return real(A)
 
+    def class_exp(self, c, A):
+        classes.append(c)
+        return real_exp(self, c, A)
+
     monkeypatch.setattr(tr, "expm", counting)
+    monkeypatch.setattr(tr.PnOperator, "_exp", class_exp)
     op, sourced = _sourced_operator()
     assert set(sourced._pieces) == {op.grid.index_of(k) for k in ((1, 0, 0), (0, 1, -1))}
     u = _random_box(op, 11)
@@ -261,10 +266,11 @@ def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
         want = _forced(op, sourced, op.step(u, h), h, t0)
         assert got.tobytes() == want.tobytes()
     # Two step lengths and two reached modes of H: four augmented expms,
-    # nm + 2 wide; the plain ones are the propagators of the cubic
-    # representatives, one per (class, h).
+    # nm + 2 wide; the other exponentials are the propagators of the cubic
+    # representatives, one per (class, h), however many blocks each takes.
     assert sizes.count(op.nm + 2) == 4
-    assert sizes.count(op.nm) == 2 * len(op._stack.classes) == 2 * 4
+    reps = sorted(c for c, _ in op._stack.classes)
+    assert len(reps) == 4 and sorted(classes) == sorted(reps * 2)
 
 
 def test_sourced_modes_refuse_a_term_that_is_not_real():

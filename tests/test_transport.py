@@ -458,15 +458,22 @@ def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
         assert np.max(np.abs(nodes[m] - Q)) <= 1e-12 * np.max(np.abs(Q))
 
 
-def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
+def _count_exps(monkeypatch) -> list:
+    """The representative of every PnOperator._exp call, in call order: one
+    entry per class exponential, however many scipy calls it takes."""
     calls = []
-    real = tr.expm
+    real = tr.PnOperator._exp
 
-    def counting(A):
-        calls.append(A.shape[0])
-        return real(A)
+    def counting(self, c, A):
+        calls.append(c)
+        return real(self, c, A)
 
-    monkeypatch.setattr(tr, "expm", counting)
+    monkeypatch.setattr(tr.PnOperator, "_exp", counting)
+    return calls
+
+
+def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
+    calls = _count_exps(monkeypatch)
     op = tr.PnOperator(gr.SpatialGrid(3, 5), 5, 0.5, 1.0)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     matrix_bytes = op.nm**2 * np.dtype(complex).itemsize
@@ -479,9 +486,10 @@ def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
     finally:
         tracemalloc.stop()
     # The 63 modes of the half-space H of 125 in 10 cubic classes; two step
-    # lengths.
-    assert len(op._stack.classes) == 10
-    assert len(calls) == 2 * 10
+    # lengths, one exponential per class and length.
+    classes = sorted(c for c, _ in op._stack.classes)
+    assert len(classes) == 10
+    assert sorted(calls) == sorted(classes * 2)
     for h in (0.125, 0.25):
         op.step(u, h)
     assert len(calls) == 2 * 10
@@ -493,15 +501,14 @@ def test_operator_stores_one_propagator_per_orbit_and_step(monkeypatch):
 
 
 def test_step_takes_no_expm_for_orbits_holding_zeros(monkeypatch):
-    calls = []
-    real = tr.expm
-    monkeypatch.setattr(tr, "expm", lambda A: calls.append(A.shape[0]) or real(A))
+    calls = _count_exps(monkeypatch)
     op = tr.PnOperator(_GRID7, 8, 0.5, 1.0, 0.25)
     idx = _GRID7.index_of((2, -1, 3))
     out = op.step(_one_hot(op, (2, -1, 3), np.ones(op.nm)), 0.5)
-    # One of the grid's 20 classes holds data, at (2, -1, 3) and its -k;
-    # the others stay exactly zero.
-    assert calls == [op.nm]
+    # One of the grid's 20 classes holds data, at (2, -1, 3) and its -k,
+    # and takes the one exponential, at its representative; the others
+    # stay exactly zero.
+    assert calls == [(3, 2, 1)]
     assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 2
     assert np.abs(out[idx]).max() > 0.0
     assert not op.step(np.zeros_like(out), 0.5).any() and len(calls) == 1
@@ -569,9 +576,7 @@ def test_cubic_orbit_sourced_step_matches_dense_oracle():
 
 
 def test_cubic_orbits_take_one_expm_each(monkeypatch):
-    calls = []
-    real = tr.expm
-    monkeypatch.setattr(tr, "expm", lambda A: calls.append(A.shape) or real(A))
+    calls = _count_exps(monkeypatch)
     op = tr.PnOperator(_GRID7, 3, 0.5, 1.0, 0.25)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     op.step(u, 0.5)
@@ -580,7 +585,7 @@ def test_cubic_orbits_take_one_expm_each(monkeypatch):
     classes = op._stack.classes
     assert len(classes) == 20 and sum(rows.stop - rows.start for _, rows in classes) == 172
     assert all(tr.cubic_representative(c) == (c, None) for c, _ in classes)
-    assert calls == [(op.nm, op.nm)] * 20
+    assert calls == [c for c, _ in classes]
     # A lattice orbit's c = (c1 >= c2, c3) is sorted but for c3, so two axis
     # permutations turn vectors: c3 between c1 and c2, and c3 above both.
     assert [tr.cubic_representative(c)[1] for c in ((1, 0, 1), (1, 1, 2))] == [
@@ -590,7 +595,7 @@ def test_cubic_orbits_take_one_expm_each(monkeypatch):
     # node); the substep's propagator is the cached one.
     calls.clear()
     op.step(u, 0.5, source=lambda t: u, substeps=1)
-    assert len(calls) == 20 * tr._DUHAMEL_NODES
+    assert calls == [c for c, _ in classes for _ in range(tr._DUHAMEL_NODES)]
 
 
 def test_sourced_step_assembles_each_class_generator_once(monkeypatch):
@@ -627,16 +632,24 @@ def test_cubic_representative_sorts_and_permutes():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_flat_grids_take_no_rotation(monkeypatch, dim):
     # Every wavevector with k3 = 0 is its own cubic representative, so 1D
-    # and 2D operators keep expm(h L_c) byte for byte.
+    # and 2D operators turn no vector.  The classes on the axis (every
+    # class of a 1D grid) keep expm(h L_c) byte for byte; the 2D ones off
+    # it take the real frame and agree to 1e-12.
     monkeypatch.setattr(sh, "axis_permutation", lambda *a: pytest.fail("rotation taken"))
     op = tr.PnOperator(gr.SpatialGrid(dim, 5), 4, 0.5, 1.0, 0.25)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     op.step(u, 0.375)
     op.step(u, 0.375, source=lambda t: u, substeps=1)
     assert op._stack.turned == []
+    off_axis = [c for c, _ in op._stack.classes if np.count_nonzero(c) > 1]
+    assert len(off_axis) == (0 if dim == 1 else 3)
     for c, _ in op._stack.classes:
         want = expm(0.375 * op._generator(c))
-        assert op._rep(c, 0.375).tobytes() == want.tobytes()
+        got = op._rep(c, 0.375)
+        if c in off_axis:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), c
+        else:
+            assert got.tobytes() == want.tobytes(), c
 
 
 @pytest.mark.parametrize("field,value", [
@@ -804,6 +817,56 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
     assert calls == [((op.nm, 1, 1), "c")] * (1 + len(taus))
 
 
+@pytest.mark.parametrize("N", [5, 11])
+def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
+    # On a narrow operator k = 0 and the axis take one dense complex expm,
+    # byte for byte expm(h L_c) (every class of a 1D grid is one of them);
+    # every representative off the axis takes one stacked real expm per
+    # block width of its connected blocks.  Both for a step's propagator
+    # and for each Duhamel node of a substep.
+    calls = []
+    real = tr.expm
+
+    def counting(A):
+        calls.append((A.shape, A.dtype.kind))
+        return real(A)
+
+    monkeypatch.setattr(tr, "expm", counting)
+    eps, sigma, sigma_a, h = 0.5, 1.0, 0.25, 0.375
+    taus = 0.5 * h * (tr._duhamel_rule()[0] + 1.0)
+    assert tr.is_narrow(N)
+    op = tr.PnOperator(gr.SpatialGrid(3, 5), N, eps, sigma, sigma_a)
+    assert {c for c, _ in op._stack.classes} >= {(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0),
+                                                (2, 1, 0), (1, 1, 1), (2, 2, 1)}
+
+    def groups(c):
+        """(scipy calls, [(propagator, length)]) of c's step propagator, then
+        of a substep's propagator and its Duhamel nodes."""
+        calls.clear()
+        step = [(op._rep(c, h), h)]
+        taken = list(calls)
+        calls.clear()
+        P, nodes = op._substep(c, 2 * h, taus)
+        substep = [(P, 2 * h)] + [(Pm, float(2 * h - tau)) for Pm, tau in zip(nodes, taus)]
+        return [(taken, step), (list(calls), substep)]
+
+    for c in [(0, 0, 0), (1, 0, 0), (2, 0, 0)]:
+        for taken, props in groups(c):
+            assert taken == [((op.nm, op.nm), "c")] * len(props), c
+            for P, t in props:
+                assert P.tobytes() == real(t * op._generator(c)).tobytes(), c
+    for c in [(1, 1, 0), (2, 1, 0), (1, 1, 1), (2, 2, 1)]:
+        stacks = _block_stacks(c, N)
+        assert sum(idx.shape[0] for idx in stacks) == (2 if 0 in c else 1)
+        for taken, props in groups(c):
+            assert all(kind == "f" and len(shape) == 3 for shape, kind in taken), c
+            widths = [idx.shape[1] for idx in stacks]
+            assert [shape[1] for shape, _ in taken] == widths * len(props), c
+            for P, t in props:
+                Q = _dense_oracle(c, N, eps, sigma, sigma_a, t)
+                assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q)), c
+
+
 @pytest.mark.parametrize("N,k", [(17, (1, 0, 0)), (17, (1, 1, 0)), (17, (0, 0, 1)),
                                  (17, (2, 1, 1)), (20, (1, 0, 0)), (24, (1, 0, 0)),
                                  (28, (1, 0, 0))])
@@ -841,6 +904,27 @@ def test_operator_rejects_bad_step_length(h):
         op.step(u, h)
     with pytest.raises(ValueError, match="^h must"):
         op.step(u, h, source=lambda t: u)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("substeps", 0, "must be positive"), ("substeps", -1, "must be positive"),
+    ("substeps", 2.5, "must be an integer"), ("substeps", True, "must be an integer"),
+    ("t0", math.nan, "must be finite"), ("t0", math.inf, "must be finite"),
+    ("t0", -math.inf, "must be finite"),
+])
+def test_sourced_step_rejects_bad_substeps_and_start(field, value, message):
+    # Unchecked, substeps = 0 would divide by zero, 2.5 fail inside range(),
+    # -1 return the input unchanged, and a non-finite t0 make every moment
+    # the source reaches non-finite.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 2, 1.0, 1.0)
+    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+    with pytest.raises(ValueError, match=f"^{field} {message}"):
+        op.step(u, 0.5, source=lambda t: u, **{field: value})
+    if field == "t0":
+        q = gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (1.0,), time_poly=(1.0, 0.5),
+                    time_exp=-1.0)
+        with pytest.raises(ValueError, match=f"^t0 {message}"):
+            tr.SourcedModes(op, [q]).step(u, 0.5, value)
 
 
 # ---------------------------------------------------------------------------
