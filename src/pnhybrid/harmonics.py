@@ -224,7 +224,7 @@ def axis_permutation(N: int, perm) -> tuple:
     Chem. 100, 6342, 1996) for a permutation of the axes.  Since
     Pi^T Omega . k = Omega . Pi k, R A(k) R^T = A(Pi k) for the streaming
     matrix A(k) = sum_i k_i A^(i), and so R L_k R^T = L_(Pi k) for a mode
-    generator.  Each block is the projection R_l = int Y_l(Pi Omega)
+    generator.  R_0 = [[1.0]], Y_0 being constant, and R_l = int Y_l(Pi Omega)
     Y_l(Omega)^T by build_sphere_quadrature(N + 1), exact to degree
     2N + 1; the blocks are built once per (N, perm) and are read-only."""
     require_integer("N", N)
@@ -244,7 +244,7 @@ def _axis_permutation(N: int, perm: tuple) -> tuple:
     blocks = []
     for l in range(N + 1):
         s = degree_slice(l)
-        R = (moved[:, s].T * quad.weights) @ B[:, s]
+        R = (moved[:, s].T * quad.weights) @ B[:, s] if l else np.ones((1, 1))
         R.flags.writeable = False
         blocks.append(R)
     return tuple(blocks)

@@ -254,6 +254,7 @@ def parse_config_text(lines) -> RunSpec:
         ("band", (rs.band,), lambda v: v >= 0, "nonnegative"),
         ("n_ref", (rs.n_ref,), lambda v: v is None or v > max(Ns),
          f"above the largest N ({max(Ns)})"),
+        ("plot_axis", (rs.plot_axis,), lambda v: v in ("", *_AXES), "one of " + ", ".join(_AXES)),
     ):
         for v in values:
             if not ok(v):
@@ -394,7 +395,10 @@ def manufactured(name, eps=1.0, sigma_t=1.0, sigma_a=0.0, T="1", dt=None,
         raise ConfigError(
             f"unknown problem {name!r}; known: {', '.join(sorted(PROBLEMS))}"
         ) from None
-    s = 2 if s is None else int(s)
+    for key, value in (("s", s), ("n_ref", n_ref)):
+        if value is not None:
+            sh.require_integer(key, value)
+    s = 2 if s is None else s
     if _scattering_free(name):
         sigma_t = sigma_a = 0.0
     spec = tr.problem(name, eps, sigma_t, data(s, band), sigma_a=sigma_a, T=T, dt=dt)
@@ -490,6 +494,8 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None) -> SingleResult:
     runs at dt when it is given, else at the problem's own interval length."""
     if solver not in _SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
+    if mf.n_ref is not None and mf.n_ref <= N:
+        raise ConfigError(f"n_ref must be above N ({N}), got {mf.n_ref}")
     spec = mf.spec if dt is None else replace(mf.spec, dt=tr._as_fraction(dt, "dt"))
     T, dt_run = spec.t_final, float(spec.dt)
     grid = tr.default_grid(spec)

@@ -13,12 +13,13 @@ left limits: the value at t_m is the pair just before the remap at t_m.
 run_hybrid returns that state at T and one IntervalRecord per interval
 (norms of both parts at t_end^-, remap residual and merged norm).  The
 remap evaluates the collided field at the nodes, once per interval.  Both
-the carrier's advance and every Duhamel node of the re-emission go through
-one transport.UncollidedFlow per run, which takes each distinct decay
-rate's exponential once and gathers it.  Every field is real in physical
-space, so the flow, the re-emission and remap's evaluation and
-projections work on the half-space H of the modes (grid.half_space) and
-take each other mode as the conjugate of its -k (grid.from_half).
+the carrier's advance and every Duhamel node of the re-emission (step's
+drive, one e_0 value per mode of H) go through one transport.UncollidedFlow
+per run, which takes each distinct decay rate's exponential once and
+gathers it.  Every field is real in physical space, so the flow, the
+re-emission and remap's evaluation and projections work on the half-space
+H of the modes (grid.half_space) and take each other mode as the conjugate
+of its -k (grid.from_half).
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
     (carrier, collided) at b^-.
 
     The collided moments start from zero at a and absorb the isotropic
-    re-emission of the decaying uncollided average (Duhamel quadrature
-    over the closed-form uncollided field, source included); the carrier
-    advances exactly, picking up the external source.  flow is the
+    re-emission of the decaying uncollided average, step's drive on H, by
+    Duhamel quadrature over the closed-form uncollided field (source
+    included) on substeps that follow its rates and the source's; the
+    carrier advances exactly, picking up the external source.  flow is the
     transport.uncollided_flow of psi_u's grid and quadrature, op's cross
     sections and the source terms; it depends on no interval, so run_hybrid
     builds it once per run.  Each of the 12 x substeps + 1 advances takes
@@ -92,26 +94,19 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
             f"quadrature exactness {psi_u.quad.exactness} < {2 * op.N} "
             f"required for the hybrid step"
         )
-    eps, sigma = op.eps, op.sigma
-    h = b - a
     collided = gr.zero_moment_field(psi_u.grid, op.N)
-    if sigma != 0.0:  # without re-emission the collided part stays zero
-        w = psi_u.quad.weights
-        nm = op.nm
-        emit = sigma / eps**2 * math.sqrt(_FOUR_PI)
+    if op.sigma != 0.0:  # without re-emission the collided part stays zero
+        emit = op.sigma / op.eps**2 * math.sqrt(_FOUR_PI)
 
-        # step reads only the half-space H of a sample, all the flow
-        # advances.  Each mode's average is one dot product, as numpy takes
-        # it on the box of a grid whose k3 axis is inactive.
+        # The drive on H, all the flow advances.  Each mode's average is one dot
+        # product, as numpy takes it on the box of a grid whose k3 axis is inactive.
         def sample(t: float) -> np.ndarray:
             vals = flow.advance(psi_u.values, a, t)
-            avg = (vals[:, None, :] @ w) / _FOUR_PI
-            out = np.zeros(psi_u.grid.shape + (nm,), dtype=complex)
-            gr.half_space(out.reshape(-1, nm))[:, 0] = emit * avg[:, 0]
-            return out
+            return emit * ((vals[:, None, :] @ psi_u.quad.weights) / _FOUR_PI)[:, 0]
 
-        nsub = op.substeps_for(h, extra_rate=op.max_rate)
-        coeffs = op.step(collided.coeffs, h, source=sample, t0=a, substeps=nsub)
+        source_rate = max((abs(tm.time_exp) for tm, _ in flow.profiles), default=0.0)
+        nsub = op.substeps_for(b - a, extra_rate=op.max_rate + source_rate)
+        coeffs = op.step(collided.coeffs, b - a, source=sample, t0=a, substeps=nsub)
         collided = gr.MomentField(psi_u.grid, op.N, coeffs)
     values = gr.from_half(flow.advance(psi_u.values, a, b), psi_u.values.shape)
     carrier = gr.NodalField(psi_u.grid, psi_u.quad, values)

@@ -64,9 +64,9 @@ are integrated exactly in time: in moment space by a step plus the source
 block of one exponential of the mode generator augmented with the source's
 time factors (Van Loan, IEEE TAC 23(3), 1978), along characteristics by
 phi-functions (Hochbruck-Ostermann, Acta Numerica 2010).  PnOperator.step
-also accepts an arbitrary source callable, folded in by Gauss-Legendre
-Duhamel quadrature on substeps short enough that the rule is accurate to
-near machine precision; the hybrid re-emission uses that path.  The
+also takes the hybrid's isotropic re-emission drive on H, which reaches
+each mode through e_0 alone, by Gauss-Legendre Duhamel quadrature on short
+substeps, keeping only the e_0 column of each node propagator.  The
 uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
 so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
 the source's nodal profiles, and its advance takes the exponentials and
@@ -423,6 +423,7 @@ class _ClassStack:
                         [_real_view_block(R) for R in sh.axis_permutation(N, turn)])
                        for turn, rows in sorted(turned.items())]
         self.rows = np.array([e[1] for e in keyed], dtype=np.intp)
+        self.drive = self.rows - len(modes) // 2  # each row's entry of a vector over H
         self.inv = np.argsort(self.perm, axis=1)
         self.sign_in = np.take_along_axis(self.sign, self.inv, axis=1)
         self._gather = self.rows[:, None] * nm + self.inv
@@ -445,15 +446,9 @@ class _ClassStack:
                 real[..., s] = real[..., s] @ (K.T if transpose else K)
             x[..., rows, :] = xs
 
-    def gather(self, box: np.ndarray) -> np.ndarray:
-        """v[inv] of every H row's vector, (stack rows, nm): box holds the
-        mode box's vectors, (modes, nm) or the grid's shape + (nm,), of
-        which only H is read."""
-        return box.reshape(-1).take(self._gather)
-
-    def into_rep(self, x: np.ndarray) -> np.ndarray:
-        """R^T S_g^T v of gathered vectors x, (..., stack rows, nm), in
-        place; returns x."""
+    def into_rep(self, box: np.ndarray) -> np.ndarray:
+        """R^T S_g^T v of each H row's vector v of box (modes, nm), stacked."""
+        x = box.reshape(-1).take(self._gather)
         x *= self.sign_in
         self._turn(x, False)
         return x
@@ -482,18 +477,20 @@ class PnOperator:
     applied to the vector, so no per-mode or turned matrix is ever formed
     and a class costs one expm per step length or Duhamel node.  The
     representatives' propagators are cached per (class, h) in _reps and
-    their Duhamel nodes per (class, substep) in _nodes: memory grows with
-    classes and step lengths, not with modes, and repeated equal-length
-    steps cost no further expm.  A generator is assembled for each batch of
-    expm calls on its class (one step length, or one Duhamel substep's
-    propagators) and dropped after it.  Every such exponential is taken by
-    _exp: one dense complex expm for a representative on the axis (k = 0 or
-    (a, 0, 0)) of a narrow operator (is_narrow), and otherwise (_split) one
-    stacked real-frame expm per block width of the generator's connected
-    blocks, found once per representative, scattered into the dense
-    propagator.  step takes one product P_(c*) @ X per class, X holding the
-    class's H vectors as columns; on a 1D grid every class holds one H mode,
-    so that product is the gemv of a loop over modes, bit for bit."""
+    the e_0 columns of their Duhamel nodes per (class, substep) in _nodes:
+    memory grows with classes and step lengths, not with modes, and
+    repeated equal-length steps cost no further expm.  A generator is
+    assembled for each batch of expm calls on its class (one step length,
+    or one Duhamel substep's propagators) and dropped after it.  Every such
+    exponential is taken by _exp: one dense complex expm for a
+    representative on the axis (k = 0 or (a, 0, 0)) of a narrow operator
+    (is_narrow), and otherwise (_split) one stacked real-frame expm per
+    block width of the generator's connected blocks, found once per
+    representative, scattered into the dense propagator.  step takes one
+    product P_(c*) @ X per class, X holding the class's H vectors as
+    columns, and per Duhamel node its e_0 column times the class's drive
+    (every turn fixes e_0); on a 1D grid every class holds one H mode, so
+    those products keep the bits of a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         sh.require_integer("N", N)
@@ -525,7 +522,7 @@ class PnOperator:
         self._narrow = is_narrow(self.N)
         self._blocks: dict = {}  # c -> connected_blocks(L_c), split classes only
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
-        self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c), (nodes, nm, nm)
+        self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c)[:, 0], (nodes, nm)
 
     def modes(self) -> list:
         """[(index, wavevector)] of every spatial mode of the grid."""
@@ -587,18 +584,18 @@ class PnOperator:
         return P
 
     def _substep(self, c, hs: float, taus) -> tuple:
-        """(expm(hs L_c), stacked expm((hs - tau) L_c) per Duhamel node),
-        all taken from one assembly of L_c."""
-        nodes = self._nodes.get((c, hs))
-        if nodes is not None:
-            return self._rep(c, hs), nodes
+        """(expm(hs L_c), the e_0 column of expm((hs - tau) L_c) per Duhamel
+        node, stacked (nodes, nm)), all taken from one assembly of L_c."""
+        cols = self._nodes.get((c, hs))
+        if cols is not None:
+            return self._rep(c, hs), cols
         L = self._generator(c)
         P = self._rep(c, hs, L)
-        nodes = np.empty((len(taus), self.nm, self.nm), dtype=complex)
+        cols = np.empty((len(taus), self.nm), dtype=complex)
         for m, tau in enumerate(taus):
-            nodes[m] = self._exp(c, float(hs - tau) * L)
-        self._nodes[(c, hs)] = nodes
-        return P, nodes
+            cols[m] = self._exp(c, float(hs - tau) * L)[:, 0]
+        self._nodes[(c, hs)] = cols
+        return P, cols
 
     def _box(self, out: np.ndarray) -> np.ndarray:
         """out, shaped (modes, nm) without a copy."""
@@ -608,16 +605,15 @@ class PnOperator:
         return out.reshape(-1, self.nm)
 
     def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
-        rho = self.max_rate + extra_rate
-        return max(1, math.ceil(rho * h / _SUBSTEP_BUDGET))
+        return max(1, math.ceil((self.max_rate + extra_rate) * h / _SUBSTEP_BUDGET))
 
     def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
         """Advance coefficients by h: exact exponential when source is None,
         otherwise exponential plus Gauss-Legendre Duhamel on substeps (a
         positive integer, substeps_for(h) when None) from the finite start
-        time t0.  The coefficients must be Hermitian, c(-k) = conj c(k); of
-        each source sample, a box like them, only the half-space H is
-        read."""
+        time t0.  The coefficients must be Hermitian, c(-k) = conj c(k), and
+        source(t) is the isotropic re-emission drive, the e_0 moment of the
+        forcing on the half-space H: one value per mode of H, in box order."""
         h = _step_length(h)
         if source is not None:
             t0 = _start_time(t0)
@@ -629,7 +625,7 @@ class PnOperator:
         stack = self._stack
         box = self._box(out)
         gr.require_hermitian("coefficients", box)
-        v = stack.into_rep(stack.gather(box))
+        v = stack.into_rep(box)
         if source is None:
             y = np.zeros_like(v)
             for c, rows in stack.classes:
@@ -647,16 +643,19 @@ class PnOperator:
         props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.classes]
         u = np.empty_like(v)
         t = np.empty((_DUHAMEL_NODES,) + v.shape, dtype=complex)
-        # The source samples are shared across modes.  Each class takes two
-        # products per substep, the propagated state and every node's
-        # propagated sample, and the weighted sum runs node by node in the
-        # representatives' frames, where the state stays between substeps.
+        # Per substep each class takes the propagated state and every node's
+        # e_0 column times the shared drive samples, summed node by node in
+        # the representatives' frames, where the state stays between substeps.
         for j in range(nsub):
             ta = t0 + j * hs
-            q = stack.into_rep(np.stack([stack.gather(source(ta + tau)) for tau in taus]))
-            for rows, P, nodes in props:
+            q = np.stack([source(ta + tau) for tau in taus])
+            if q.shape != (_DUHAMEL_NODES, len(stack.rows)):
+                raise ValueError(f"source samples must be shaped ({len(stack.rows)},), one "
+                                 f"drive per half-space mode, got {q.shape[1:]}")
+            q = q[:, stack.drive]
+            for rows, P, cols in props:
                 u[rows] = (P @ v[rows].T).T
-                t[:, rows] = (nodes @ q[:, rows].swapaxes(1, 2)).swapaxes(1, 2)
+                t[:, rows] = (cols[:, :, None] @ q[:, None, rows]).swapaxes(1, 2)
             for m in range(_DUHAMEL_NODES):
                 u += wts[m] * t[m]
             u, v = v, u

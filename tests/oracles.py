@@ -3,13 +3,17 @@ the program itself calls: the time factor's derivatives through
 numpy.polynomial and the phi-functions on a whole array, each taken afresh
 on every call; the Hermitian part of a coefficient box, for test data real
 in physical space; single harmonics and the angular Sobolev norms; the
-damping-integral formulas; a sampled source, the energy balance of a step
+damping-integral formulas; a sampled source, random vectors over the
+half-space and the box source of a re-emission drive, the dense per-mode
+Duhamel step with a source of any moments, the energy balance of a step
 and the absorption change of variables."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import expm
 
 from pnhybrid import blas
 from pnhybrid import bounds as bd
@@ -162,18 +166,92 @@ def source_sampler(spec: tr.ProblemSpec, grid: gr.SpatialGrid, N: int):
     return sample
 
 
+def conjugate_rest(op: tr.PnOperator, out):
+    """out with every mode outside the half-space H set to the conjugate of
+    its -k."""
+    modes = op.modes()
+    for idx, k in modes[len(modes) // 2 + 1:]:
+        out[op.grid.index_of(tuple(-x for x in k))] = np.conj(out[idx])
+    return out
+
+
+def dense_step(op: tr.PnOperator, coeffs, h, source=None, t0=0.0, substeps=None):
+    """PnOperator.step as a loop over the modes of H, each with the dense
+    expm of its own generator, then c(-k) = conj c(k) for the others.  The
+    source, when given, is a callable t -> coefficient box whose every
+    moment drives (of which H is read), folded in by the Gauss-Legendre
+    Duhamel rule of step on substeps (op.substeps_for(h) when None)."""
+    coupling = sh.assemble_coupling(max(op.N, 1))
+    props = {}
+
+    def prop(k, length):
+        if (k, length) not in props:
+            L = tr.assemble_mode_operator(k, op.N, op.eps, op.sigma, coupling, op.sigma_a)
+            props[(k, length)] = expm(length * L)
+        return props[(k, length)]
+
+    out = np.array(coeffs, dtype=complex, copy=True)
+    modes = op.modes()
+    half = modes[len(modes) // 2:]
+    if source is None:
+        for idx, k in half:
+            out[idx] = prop(k, h) @ out[idx]
+    else:
+        nsub = substeps if substeps is not None else op.substeps_for(h)
+        hs = h / nsub
+        x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
+        taus = 0.5 * hs * (x + 1.0)
+        wts = 0.5 * hs * w
+        for j in range(nsub):
+            ta = t0 + j * hs
+            q_samples = [source(ta + tau) for tau in taus]
+            for idx, k in half:
+                u = prop(k, hs) @ out[idx]
+                for m in range(tr._DUHAMEL_NODES):
+                    u = u + wts[m] * (prop(k, float(hs - taus[m])) @ q_samples[m][idx])
+                out[idx] = u
+    return conjugate_rest(op, out)
+
+
+def half_space_vectors(rng, op: tr.PnOperator, count: int) -> list:
+    """count random complex vectors over the half-space H of op's modes,
+    each real at k = 0, like a drive of data real in physical space."""
+    half = len(op.modes()) - len(op.modes()) // 2
+    vectors = [rng.standard_normal(half) + 1j * rng.standard_normal(half)
+               for _ in range(count)]
+    for x in vectors:
+        x[0] = x[0].real
+    return vectors
+
+
+def drive_source(op: tr.PnOperator, drive):
+    """The box source dense_step reads for a re-emission drive t -> (H
+    modes,), the source PnOperator.step takes: e_0 holds the drive on H,
+    every other moment is zero, and each other mode is the conjugate of its
+    -k."""
+    def source(t):
+        box = np.zeros(op.grid.shape + (op.nm,), dtype=complex)
+        box.reshape(-1, op.nm)[len(op.modes()) // 2:, 0] = drive(t)
+        return conjugate_rest(op, box)
+
+    return source
+
+
 def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
                           t0=0.0):
     """Residual of the balance law over one step, relative to the initial
     squared norm: the decrease of ||psi||^2 must match the dissipation
     (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
-    Every OpenBLAS pool runs at one thread, as in tr.solve_pn.
+    The steps are PnOperator.step's without a source and dense_step's with
+    one, whose moments need not be isotropic.  Every OpenBLAS pool runs at
+    one thread, as in tr.solve_pn.
     """
     with blas.single_thread():
         op = tr.PnOperator(state.grid, state.N, eps, sigma, 0.0)
+        advance = op.step if source is None else functools.partial(dense_step, op)
         measure = state.grid.measure
         u0 = state.coeffs
-        u1 = op.step(u0, h, source=source, t0=t0)
+        u1 = advance(u0, h, source=source, t0=t0)
         lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
 
         nsub = op.substeps_for(h, 0.0)
@@ -185,7 +263,7 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
             ta = t0 + j * hs
             for xi, wi in zip(x, w):
                 tau = 0.5 * hs * (xi + 1.0)
-                mid = op.step(coeffs, tau, source=source, t0=ta)
+                mid = advance(coeffs, tau, source=source, t0=ta)
                 fluct = mid.copy()
                 fluct[..., 0] = 0.0
                 rate = -(2.0 * sigma / eps**2) * float(np.sum(np.abs(fluct) ** 2))
@@ -193,7 +271,7 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
                     qv = source(ta + tau)
                     rate += 2.0 * float(np.sum((np.conj(qv) * mid).real))
                 total += 0.5 * hs * wi * measure * rate
-            coeffs = op.step(coeffs, hs, source=source, t0=ta)
+            coeffs = advance(coeffs, hs, source=source, t0=ta)
     denom = max(measure * float(np.sum(np.abs(u0) ** 2)), 1e-300)
     return abs(lhs - total) / denom
 

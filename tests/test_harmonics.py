@@ -328,6 +328,27 @@ def test_axis_permutation_blocks_cached_and_read_only(monkeypatch):
         first[1][0, 0] = 1.0
 
 
+def test_axis_permutation_keeps_the_mean_exactly():
+    # Y_0 is constant, so R_0 is exactly 1.  Projected by quadrature it came
+    # out 1 - 9e-16 at N = 11, which scaled every turned mode's mean on
+    # each step.
+    for N in range(13):
+        for perm in _PERMS:
+            assert sh.axis_permutation(N, perm)[0].tolist() == [[1.0]], (N, perm)
+
+
+def test_lattice_symmetries_fix_the_mean_like_axis_permutations():
+    # Every signed permutation of the lattice keeps ordinal 0 with sign +1,
+    # as every axis permutation keeps R_0 = 1, so an isotropic drive, which
+    # reaches a mode through e_0 alone, enters each cubic class's frame as
+    # it is.
+    for N in (0, 1, 4, 9):
+        for flips in itertools.product((False, True), repeat=3):
+            for swap in (False, True):
+                perm, sign = sh.lattice_symmetry(N, flips, swap)
+                assert (perm[0], sign[0]) == (0, 1.0), (N, flips, swap)
+
+
 @pytest.mark.parametrize("N,perm,match", [
     (2.5, (0, 2, 1), "^N must be an integer"), (True, (0, 2, 1), "^N must be an integer"),
     (-1, (0, 2, 1), "^N must be nonnegative"), (3, (0, 1, 1), "^perm must"),

@@ -179,6 +179,22 @@ def test_run_single_bound_uses_the_runs_s(name, s, want):
     assert (out.bound, out.report.to_text()) == (direct.total, direct.to_text())
 
 
+@pytest.mark.parametrize("key,value", [("s", 2.5), ("s", True), ("n_ref", 9.0),
+                                       ("n_ref", False), ("n_ref", "9")])
+def test_manufactured_refuses_orders_that_are_not_integers(key, value):
+    # int() used to turn s = 2.5 into 2 without a word.
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+        hn.manufactured("iso-smooth", **{key: value})
+
+
+@pytest.mark.parametrize("n_ref", [1, 3])
+def test_run_single_refuses_a_reference_degree_not_above_n(n_ref):
+    # N = 3 was measured against a degree-1 reference (error 0.474).
+    mf = hn.manufactured("iso-smooth", n_ref=n_ref)
+    with pytest.raises(hn.ConfigError, match=rf"^n_ref must be above N \(3\), got {n_ref}$"):
+        hn.run_single(mf, "pn", 3)
+
+
 def test_sweep_points_and_empty_axes():
     rs = hn.RunSpec(problem="iso-smooth", sweep_N=(1, 3), sweep_eps=(0.5, 1.0))
     pts = hn.sweep_points(rs)
@@ -305,6 +321,8 @@ _BAD_VALUES = [
     ("N = 3\nband = -1", "band"),
     ("N = 5\nn_ref = 5", "n_ref"),
     ("N = 1\nn_ref = 4\n[sweep]\nN = 1, 5", "n_ref"),
+    # Parsed and swept before, refused only by plot.
+    ("plot_axis = foo", "plot_axis"),
     ("sigma_t = -1", "sigma_t"),
     ("[sweep]\nsigma = 1, -0.5", "sigma"),
     ("[sweep]\neps = 1, 0", "eps"),

@@ -265,8 +265,25 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
     # One closed-form sample of the uncollided field per Duhamel node of
     # every substep, one closed-form advance of the carrier, and no nodal
     # field built inside the step: the source profiles come with the flow.
-    nsub = op.substeps_for(0.25, extra_rate=op.max_rate)
+    nsub = op.substeps_for(0.25, extra_rate=op.max_rate + abs(spec.q[0].time_exp))
     assert calls == {"advance": 12 * nsub + 1, "nodal_field": 0}
+
+
+@pytest.mark.parametrize("mu", [-300.0, -30.0])
+def test_hybrid_substeps_follow_the_source_time_rate(monkeypatch, mu):
+    # The re-emission drive varies at the uncollided rates, at most
+    # op.max_rate = 1.5 here, and at the source's rate |mu|.  With the
+    # substep count blind to mu, one substep integrated the drive of
+    # -mu e^(mu t) cos(x) to 4.5e-4 relative (mu = -300) or 1.5e-9 (mu = -30)
+    # of a run on ten times as many substeps.
+    q = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, time_poly=(-mu,), time_exp=mu)]
+    spec = tr.problem("fast", eps=1.0, sigma_t=0.5, g=[_iso_cosine()], q=q, T=1)
+    got = hy.run_hybrid(spec, 3).total.values
+    real = tr.PnOperator.substeps_for
+    monkeypatch.setattr(tr.PnOperator, "substeps_for",
+                        lambda self, h, extra_rate=0.0: 10 * real(self, h, extra_rate))
+    want = hy.run_hybrid(spec, 3).total.values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_run_hybrid_builds_rates_and_source_profiles_once(monkeypatch):

@@ -1,14 +1,17 @@
 """PnOperator advances the half-space H of the modes, one product per cubic
 class, and takes every other mode as the conjugate of its -k.
 
-The oracle below is a loop over the modes of H with a dense expm of each
-mode's own generator: one matrix-vector product per mode and propagator,
-with no symmetry and no rotation, and the other modes filled as the
-conjugates.  On a 1D grid every class holds one mode of H, which is its
-own representative, so the class product is that loop's gemv and the step
-must agree byte for byte, on one BLAS thread and on several.  On 2D and 3D
-grids a class holds several modes, some reached through an axis
-permutation, and the step agrees to 1e-12 relative.
+The oracle, oracles.dense_step, is a loop over the modes of H with a dense
+expm of each mode's own generator: one matrix-vector product per mode and
+propagator, with no symmetry and no rotation, and the other modes filled as
+the conjugates.  A Duhamel step takes a random re-emission drive on H,
+which the oracle reads as boxes holding it in e_0 (oracles.drive_source)
+and multiplies by whole node propagators.  On a 1D grid every class holds
+one mode of H, which is its own representative, so the class product is
+that loop's gemv and the step must agree byte for byte, on one BLAS thread
+and on several.  On 2D and 3D grids a class holds several modes, some
+reached through an axis permutation, and the step agrees to 1e-12
+relative.
 """
 
 import math
@@ -27,61 +30,18 @@ from pnhybrid import transport as tr
 import oracles
 
 
-def _dense_step(op, coeffs, h, source=None, t0=0.0, substeps=None):
-    """PnOperator.step as a loop over the modes of H, each with the dense
-    expm of its own generator, then c(-k) = conj c(k) for the others."""
-    coupling = sh.assemble_coupling(max(op.N, 1))
-    props = {}
-
-    def prop(k, length):
-        if (k, length) not in props:
-            L = tr.assemble_mode_operator(k, op.N, op.eps, op.sigma, coupling, op.sigma_a)
-            props[(k, length)] = expm(length * L)
-        return props[(k, length)]
-
-    out = np.array(coeffs, dtype=complex, copy=True)
-    modes = op.modes()
-    half = modes[len(modes) // 2:]
-    if source is None:
-        for idx, k in half:
-            out[idx] = prop(k, h) @ out[idx]
-    else:
-        nsub = substeps if substeps is not None else op.substeps_for(h)
-        hs = h / nsub
-        x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
-        taus = 0.5 * hs * (x + 1.0)
-        wts = 0.5 * hs * w
-        for j in range(nsub):
-            ta = t0 + j * hs
-            q_samples = [source(ta + tau) for tau in taus]
-            for idx, k in half:
-                u = prop(k, hs) @ out[idx]
-                for m in range(tr._DUHAMEL_NODES):
-                    u = u + wts[m] * (prop(k, float(hs - taus[m])) @ q_samples[m][idx])
-                out[idx] = u
-    return _conjugate_rest(op, out)
-
-
-def _conjugate_rest(op, out):
-    """out with every mode outside H set to the conjugate of its -k."""
-    modes = op.modes()
-    for idx, k in modes[len(modes) // 2 + 1:]:
-        out[op.grid.index_of(tuple(-x for x in k))] = np.conj(out[idx])
-    return out
-
-
 def _hermitian_box(rng, shape):
     return oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _random_source(rng, shape):
-    """A smooth Hermitian callable source t -> coefficients, random per draw."""
-    a, b, rate = (_hermitian_box(rng, shape) for _ in range(3))
+def _random_drive(rng, op):
+    """A smooth callable re-emission drive t -> (H modes,), random per draw."""
+    a, b, rate = oracles.half_space_vectors(rng, op, 3)
 
-    def source(t):
+    def drive(t):
         return a + t * b + np.cos(3.0 * t) * rate
 
-    return source
+    return drive
 
 
 def _augmented_forcing(op, k, pieces, h):
@@ -112,7 +72,7 @@ def _forced(op, sourced, want, h, t0):
             for amp, tm, _ in pieces
         ])
         want[idx] = want[idx] + _augmented_forcing(op, wavevector[idx], pieces, h) @ w0
-    return _conjugate_rest(op, want)
+    return oracles.conjugate_rest(op, want)
 
 
 def _agree(got, want, dim):
@@ -132,10 +92,12 @@ def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, s
     shape = grid.shape + (op.nm,)
     u = _hermitian_box(rng, shape)
     plain = op.step(u, h)
-    _agree(plain, _dense_step(op, u, h), dim)
-    source = _random_source(rng, shape)
-    got = op.step(u, h, source=source, t0=t0, substeps=substeps)
-    _agree(got, _dense_step(op, u, h, source=source, t0=t0, substeps=substeps), dim)
+    _agree(plain, oracles.dense_step(op, u, h), dim)
+    drive = _random_drive(rng, op)
+    got = op.step(u, h, source=drive, t0=t0, substeps=substeps)
+    want = oracles.dense_step(op, u, h, source=oracles.drive_source(op, drive), t0=t0,
+                              substeps=substeps)
+    _agree(got, want, dim)
     ks = [k for _, k in op.modes()]
     reached = [ks[i] for i in rng.choice(len(ks), size=min(2, len(ks)), replace=False)]
     amps = {}
@@ -144,7 +106,8 @@ def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, s
         amps[k], amps[tuple(-x for x in k)] = a, a.conjugate()
     term = gr.term(amps, (1.0, 0.0, 0.5, 0.0)[:op.nm], time_poly=(0.5, 1.0), time_exp=-0.7)
     sourced = tr.SourcedModes(op, [term])
-    _agree(sourced.step(u, h, t0), _forced(op, sourced, _dense_step(op, u, h), h, t0), dim)
+    _agree(sourced.step(u, h, t0), _forced(op, sourced, oracles.dense_step(op, u, h), h, t0),
+           dim)
 
 
 @given(
@@ -188,7 +151,7 @@ def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
     u[op.grid.index_of((2, -1, 0))] = 1.0 + 0.5j
     u[op.grid.index_of((-2, 1, 0))] = 1.0 - 0.5j
     out = op.step(u, 0.25)
-    _agree(out, _dense_step(op, u, 0.25), 2)
+    _agree(out, oracles.dense_step(op, u, 0.25), 2)
     assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 2
     with pytest.raises(ValueError, match="shape"):
         op.step(u[..., :-1], 0.25)
@@ -206,7 +169,7 @@ def test_step_refuses_a_box_that_is_not_hermitian(where):
     with pytest.raises(ValueError, match=message):
         op.step(u, 0.25)
     with pytest.raises(ValueError, match=message):
-        op.step(u, 0.25, source=lambda t: np.zeros_like(u))
+        op.step(u, 0.25, source=lambda t: np.zeros(14))
     with pytest.raises(ValueError, match=message):
         tr.SourcedModes(op, []).step(u, 0.25, 0.0)
 

@@ -449,13 +449,15 @@ def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
     P = np.stack([op.step(_one_hot(op, k, e), h)[idx] for e in np.eye(op.nm)], axis=1)
     Q = _dense_oracle(k, N, eps, sigma_t, sigma_a, h)
     assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
-    # The Duhamel nodes of the mode's cubic representative, from expm calls.
+    # The e_0 columns of the Duhamel nodes of the mode's cubic
+    # representative, from expm calls.
     star = tuple(sorted((abs(x) for x in k), reverse=True))
     taus = 0.5 * h * (np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)[0] + 1.0)
-    _, nodes = op._substep(star, h, taus)
+    _, cols = op._substep(star, h, taus)
+    assert cols.shape == (tr._DUHAMEL_NODES, op.nm)
     for m, tau in enumerate(taus):
-        Q = _dense_oracle(star, N, eps, sigma_t, sigma_a, float(h - tau))
-        assert np.max(np.abs(nodes[m] - Q)) <= 1e-12 * np.max(np.abs(Q))
+        Q = _dense_oracle(star, N, eps, sigma_t, sigma_a, float(h - tau))[:, 0]
+        assert np.max(np.abs(cols[m] - Q)) <= 1e-12 * np.max(np.abs(Q))
 
 
 def _count_exps(monkeypatch) -> list:
@@ -558,21 +560,52 @@ def _duhamel_oracle(k, N, eps, sigma, sigma_a, h, v, q, substeps):
 
 def test_cubic_orbit_sourced_step_matches_dense_oracle():
     # One sourced step of the whole 7x7x7 box, every mode carrying data and
-    # source, against the dense Duhamel loop on modes of every kind: cubic
-    # representatives, reflected, x <-> y swapped and axis-permuted ones.
+    # a re-emission drive, against the dense Duhamel loop on modes of every
+    # kind: cubic representatives, reflected, x <-> y swapped and
+    # axis-permuted ones, and modes outside H, whose drive is the conjugate.
     N, eps, sigma, sigma_a, h = 5, 0.5, 1.5, 0.25, 0.375
     op = tr.PnOperator(_GRID7, N, eps, sigma, sigma_a)
     rng = np.random.default_rng(5)
     shape = op.grid.shape + (op.nm,)
-    u, a, b = (oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-               for _ in range(3))
-    got = op.step(u, h, source=lambda t: a + np.cos(2.0 * (t - 0.25)) * b, t0=0.25, substeps=2)
+    u = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    a, b = oracles.half_space_vectors(rng, op, 2)
+
+    def drive(t):
+        return a + np.cos(2.0 * (t - 0.25)) * b
+
+    got = op.step(u, h, source=drive, t0=0.25, substeps=2)
+    box = oracles.drive_source(op, drive)
     for k in [(1, 1, 1), (2, 1, 0), (0, 0, 3), (1, 0, 2), (-1, 3, 2), (3, -3, 0), (0, -2, 1),
               (2, 2, 3), (0, 0, 0)]:
         idx = _GRID7.index_of(k)
         want = _duhamel_oracle(k, N, eps, sigma, sigma_a, h, u[idx],
-                               lambda t: a[idx] + np.cos(2.0 * t) * b[idx], 2)
+                               lambda t: box(0.25 + t)[idx], 2)
         assert np.max(np.abs(got[idx] - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
+def test_half_space_drive_matches_dense_oracle_and_nothing_else_is_read():
+    # The source of a Duhamel step is the re-emission drive on H, one value
+    # per mode of H in box order; the dense oracle reads it as the e_0
+    # moment of a box.  A sample shaped otherwise, a coefficient box above
+    # all, is refused rather than read in part.
+    op = tr.PnOperator(_GRID3, 3, 0.7, 1.2, 0.3)
+    rng = np.random.default_rng(8)
+    shape = op.grid.shape + (op.nm,)
+    u = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    a, b = oracles.half_space_vectors(rng, op, 2)
+
+    def drive(t):
+        return a * np.exp(-t) + t * b
+
+    got = op.step(u, 0.4, source=drive, t0=0.1, substeps=2)
+    want = oracles.dense_step(op, u, 0.4, source=oracles.drive_source(op, drive), t0=0.1,
+                              substeps=2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert a.shape == (14,)
+    for bad in (np.zeros(shape), np.zeros(27), np.zeros(15), np.zeros((14, 1)),
+                np.zeros((14, op.nm))):
+        with pytest.raises(ValueError, match=r"^source samples must be shaped \(14,\)"):
+            op.step(u, 0.4, source=lambda t, bad=bad: bad)
 
 
 def test_cubic_orbits_take_one_expm_each(monkeypatch):
@@ -594,7 +627,7 @@ def test_cubic_orbits_take_one_expm_each(monkeypatch):
     # A sourced step of the same length adds one expm per (class, Duhamel
     # node); the substep's propagator is the cached one.
     calls.clear()
-    op.step(u, 0.5, source=lambda t: u, substeps=1)
+    op.step(u, 0.5, source=lambda t: np.ones(172), substeps=1)
     assert calls == [c for c, _ in classes for _ in range(tr._DUHAMEL_NODES)]
 
 
@@ -607,7 +640,7 @@ def test_sourced_step_assembles_each_class_generator_once(monkeypatch):
                         lambda k, *args: calls.append(k) or real(k, *args))
     op = tr.PnOperator(_GRID7, 3, 0.5, 1.0, 0.25)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
-    op.step(u, 0.5, source=lambda t: u, substeps=2)
+    op.step(u, 0.5, source=lambda t: np.ones(172), substeps=2)
     assert sorted(calls) == sorted(c for c, _ in op._stack.classes)
 
 
@@ -639,7 +672,7 @@ def test_flat_grids_take_no_rotation(monkeypatch, dim):
     op = tr.PnOperator(gr.SpatialGrid(dim, 5), 4, 0.5, 1.0, 0.25)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     op.step(u, 0.375)
-    op.step(u, 0.375, source=lambda t: u, substeps=1)
+    op.step(u, 0.375, source=lambda t: np.ones(len(op.modes()) // 2 + 1), substeps=1)
     assert op._stack.turned == []
     off_axis = [c for c, _ in op._stack.classes if np.count_nonzero(c) > 1]
     assert len(off_axis) == (0 if dim == 1 else 3)
@@ -823,7 +856,8 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
     # byte for byte expm(h L_c) (every class of a 1D grid is one of them);
     # every representative off the axis takes one stacked real expm per
     # block width of its connected blocks.  Both for a step's propagator
-    # and for each Duhamel node of a substep.
+    # and for each Duhamel node of a substep, of which the e_0 column is
+    # kept.
     calls = []
     real = tr.expm
 
@@ -840,21 +874,25 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
                                                 (2, 1, 0), (1, 1, 1), (2, 2, 1)}
 
     def groups(c):
-        """(scipy calls, [(propagator, length)]) of c's step propagator, then
-        of a substep's propagator and its Duhamel nodes."""
+        """(scipy calls, [(propagator or e_0 column, length)]) of c's step
+        propagator, then of a substep's propagator and its Duhamel nodes."""
         calls.clear()
         step = [(op._rep(c, h), h)]
         taken = list(calls)
         calls.clear()
-        P, nodes = op._substep(c, 2 * h, taus)
-        substep = [(P, 2 * h)] + [(Pm, float(2 * h - tau)) for Pm, tau in zip(nodes, taus)]
+        P, cols = op._substep(c, 2 * h, taus)
+        substep = [(P, 2 * h)] + [(col, float(2 * h - tau)) for col, tau in zip(cols, taus)]
         return [(taken, step), (list(calls), substep)]
+
+    def cut(Q, P):
+        """Q, or its e_0 column where P is a node's column."""
+        return Q if P.ndim == 2 else Q[:, 0]
 
     for c in [(0, 0, 0), (1, 0, 0), (2, 0, 0)]:
         for taken, props in groups(c):
             assert taken == [((op.nm, op.nm), "c")] * len(props), c
             for P, t in props:
-                assert P.tobytes() == real(t * op._generator(c)).tobytes(), c
+                assert P.tobytes() == cut(real(t * op._generator(c)), P).tobytes(), c
     for c in [(1, 1, 0), (2, 1, 0), (1, 1, 1), (2, 2, 1)]:
         stacks = _block_stacks(c, N)
         assert sum(idx.shape[0] for idx in stacks) == (2 if 0 in c else 1)
@@ -863,7 +901,7 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
             widths = [idx.shape[1] for idx in stacks]
             assert [shape[1] for shape, _ in taken] == widths * len(props), c
             for P, t in props:
-                Q = _dense_oracle(c, N, eps, sigma, sigma_a, t)
+                Q = cut(_dense_oracle(c, N, eps, sigma, sigma_a, t), P)
                 assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q)), c
 
 
@@ -903,7 +941,7 @@ def test_operator_rejects_bad_step_length(h):
     with pytest.raises(ValueError, match="^h must"):
         op.step(u, h)
     with pytest.raises(ValueError, match="^h must"):
-        op.step(u, h, source=lambda t: u)
+        op.step(u, h, source=lambda t: np.zeros(2))
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -919,7 +957,7 @@ def test_sourced_step_rejects_bad_substeps_and_start(field, value, message):
     op = tr.PnOperator(gr.SpatialGrid(1, 3), 2, 1.0, 1.0)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     with pytest.raises(ValueError, match=f"^{field} {message}"):
-        op.step(u, 0.5, source=lambda t: u, **{field: value})
+        op.step(u, 0.5, source=lambda t: np.zeros(2), **{field: value})
     if field == "t0":
         q = gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (1.0,), time_poly=(1.0, 0.5),
                     time_exp=-1.0)
@@ -928,8 +966,9 @@ def test_sourced_step_rejects_bad_substeps_and_start(field, value, message):
 
 
 # ---------------------------------------------------------------------------
-# Exact-in-time sources, against the Gauss-Legendre Duhamel quadrature kept
-# in PnOperator.step(source=...) and the loop solve_uncollided used to run.
+# Exact-in-time sources, against the Gauss-Legendre Duhamel quadrature of
+# any source's moments kept in oracles.dense_step, and the loop
+# solve_uncollided used to run.
 
 _GRID3 = gr.SpatialGrid(3, 3)
 # Along an axis, genuinely 3D, and reached from their orbit representative
@@ -976,8 +1015,8 @@ def test_exact_source_matches_quadrature_oracle(data, N, eps, sigma, absorb, T):
     for t0, t1 in ((0.0, t_mid), (t_mid, spec.t_final)):
         h = t1 - t0
         got = sourced.step(got, h, t0)
-        u = op.step(u, h, source=sampler, t0=t0,
-                    substeps=4 * op.substeps_for(h, fastest))
+        u = oracles.dense_step(op, u, h, source=sampler, t0=t0,
+                               substeps=4 * op.substeps_for(h, fastest))
         assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
 
 
