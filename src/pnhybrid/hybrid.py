@@ -13,10 +13,11 @@ left limits: the value at t_m is the pair just before the remap at t_m.
 run_hybrid returns that state at T and one IntervalRecord per interval
 (norms of both parts at t_end^-, remap residual and merged norm).  The
 remap evaluates the collided field at the nodes, once per interval.  Both
-the carrier's advance and every Duhamel node of the re-emission (step's
-drive, one e_0 value per mode of H) go through one transport.UncollidedFlow
-per run, which takes each distinct decay rate's exponential once and
-gathers it.  Every field is real in physical space, so the flow, the
+the carrier's advance and the re-emission (step's drive, one e_0 value per
+Duhamel node and mode of H) go through one transport.UncollidedFlow per
+run, which takes each distinct decay rate's exponential once per time and
+gathers it; the drive advances it to a substep's 12 node times in one
+call.  Every field is real in physical space, so the flow, the
 re-emission and remap's evaluation and projections work on the half-space
 H of the modes (grid.half_space) and take each other mode as the conjugate
 of its -k (grid.from_half).
@@ -82,33 +83,38 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
     re-emission of the decaying uncollided average, step's drive on H, by
     Duhamel quadrature over the closed-form uncollided field (source
     included) on substeps that follow its rates and the source's; the
-    carrier advances exactly, picking up the external source.  flow is the
+    carrier advances exactly, picking up the external source.  psi_u must
+    be Hermitian, real in physical space.  flow is the
     transport.uncollided_flow of psi_u's grid and quadrature, op's cross
     sections and the source terms; it depends on no interval, so run_hybrid
-    builds it once per run.  Each of the 12 x substeps + 1 advances takes
-    its exponentials and source responses once per distinct rate, not once
-    per (mode, node).
+    builds it once per run.  The flow is advanced to 12 x substeps + 1
+    times in substeps + 1 calls: one per substep, at its 12 Duhamel node
+    times, and one for the carrier.  Each takes its exponentials and source
+    responses once per distinct rate and time, not once per (mode, node).
     """
     if psi_u.quad.exactness < 2 * op.N:
         raise ValueError(
             f"quadrature exactness {psi_u.quad.exactness} < {2 * op.N} "
             f"required for the hybrid step"
         )
+    shape = psi_u.values.shape
+    gr.require_hermitian("state values", psi_u.values.reshape(-1, shape[-1]))
     collided = gr.zero_moment_field(psi_u.grid, op.N)
     if op.sigma != 0.0:  # without re-emission the collided part stays zero
         emit = op.sigma / op.eps**2 * math.sqrt(_FOUR_PI)
 
-        # The drive on H, all the flow advances.  Each mode's average is one dot
-        # product, as numpy takes it on the box of a grid whose k3 axis is inactive.
-        def sample(t: float) -> np.ndarray:
-            vals = flow.advance(psi_u.values, a, t)
-            return emit * ((vals[:, None, :] @ psi_u.quad.weights) / _FOUR_PI)[:, 0]
+        # The drive on H at a substep's node times, all the flow advances.  Each
+        # (time, mode)'s average is one dot product, as numpy takes it on the
+        # box of a grid whose k3 axis is inactive, so every time keeps its bits.
+        def sample(times: np.ndarray) -> np.ndarray:
+            vals = flow.advance(psi_u.values, a, times)
+            return emit * ((vals[..., None, :] @ psi_u.quad.weights) / _FOUR_PI)[..., 0]
 
         source_rate = max((abs(tm.time_exp) for tm, _ in flow.profiles), default=0.0)
         nsub = op.substeps_for(b - a, extra_rate=op.max_rate + source_rate)
         coeffs = op.step(collided.coeffs, b - a, source=sample, t0=a, substeps=nsub)
         collided = gr.MomentField(psi_u.grid, op.N, coeffs)
-    values = gr.from_half(flow.advance(psi_u.values, a, b), psi_u.values.shape)
+    values = gr.from_half(flow.advance(psi_u.values, a, b), shape)
     carrier = gr.NodalField(psi_u.grid, psi_u.quad, values)
     return carrier, collided
 

@@ -66,15 +66,21 @@ time factors (Van Loan, IEEE TAC 23(3), 1978), along characteristics by
 phi-functions (Hochbruck-Ostermann, Acta Numerica 2010).  PnOperator.step
 also takes the hybrid's isotropic re-emission drive on H, which reaches
 each mode through e_0 alone, by Gauss-Legendre Duhamel quadrature on short
-substeps, keeping only the e_0 column of each node propagator.  The
+substeps, keeping only the e_0 column of each node propagator; the drive
+is sampled once per substep, at its 12 node times together.  The
 uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
 so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
 the source's nodal profiles, and its advance takes the exponentials and
 each source term's response on those alone and gathers them per (mode of
-H, node).  The decay is bit for bit the full-array evaluation.  A term's
-response, sum_j p^(j) h^(j+1) phi_(j+1), is one pass over the rates: the
-phi recurrence started from the carrier's exponential where |z| is large,
-one power series with scalar coefficients where it is small.  Each term
+H, node), at one time or at an array of times in one call.  The decay is
+bit for bit the full-array evaluation, and each time of an array keeps the
+bits of a call at that time alone.  On one BLAS thread of a shared 2-core
+machine, one call per substep, not per node, took a hybrid-dt-diffusive
+sweep from 0.41-0.52 s to 0.31 s (minima of 7 runs, three alternating
+sets).  A term's response, sum_j p^(j) h^(j+1) phi_(j+1), is one pass over
+the rates: the phi recurrence started from the carrier's exponential where
+|z| is large, one power series with scalar coefficients where it is small
+(taken one time at a time, as its coefficients depend on the time).  Each term
 forms its derivative polynomials once (grid.FieldTerm) and every sourced
 path reads them from there.
 
@@ -160,8 +166,10 @@ def _series_table(n: int) -> np.ndarray:
 # ones a 1D grid has, stay dense.
 DENSE_EXPM_MAX_MOMENTS = 289
 
-# i^d indexed by d mod 4: the real-frame factors of PnOperator._exp.
-_I_POWERS = np.array([1, 1j, -1, -1j])
+# Re(i^d) - Im(i^d) and i^(d mod 2), indexed by d mod 4 and d mod 2: the
+# real-frame factors of PnOperator._exp.
+_FRAME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_FRAME_PHASES = np.array([1.0, 1j])
 
 # Most intervals M = T/dt a ProblemSpec may have: the shipped configs and
 # benchmark workloads use at most 16, and 10^6 interval edges fit in memory.
@@ -555,9 +563,12 @@ class PnOperator:
         -i times a real matrix, and the diagonal is real, so with D =
         diag(i^l) the entries (D^-1 A D)_pq = A_pq i^(l_q - l_p) are real,
         and expm(A) = D expm(D^-1 A D) D^-1 is a real expm multiplied
-        entrywise by i^(l_p - l_q).  Both products are exact, each factor
-        being +-1 or +-i.  1-wide blocks (k = 0 and the |m| = N blocks on
-        the z axis of a wide operator) take the complex expm, whose 1 x 1
+        entrywise by i^(l_p - l_q).  No complex factor is formed: with d =
+        (l_q - l_p) mod 4, A_pq is real for even d and imaginary for odd d,
+        so the real entry is s_d (Re A_pq + Im A_pq) with the sign s_d =
+        Re(i^d) - Im(i^d), and the propagator's entry is s_d E_pq times
+        i^(d mod 2), all exact.  1-wide blocks (k = 0 and the |m| = N blocks
+        on the z axis of a wide operator) take the complex expm, whose 1 x 1
         path the dense one shares."""
         if not self._split(c):
             return expm(A)
@@ -565,12 +576,19 @@ class PnOperator:
         degree = sh.moment_degrees(self.N)
         for idx in self._blocks[c]:
             square = (idx[:, :, None], idx[:, None, :])
+            block = A[square]
             if idx.shape[1] == 1:
-                P[square] = expm(A[square])
+                P[square] = expm(block)
                 continue
             l = degree[idx]
-            turn = _I_POWERS[(l[:, None, :] - l[:, :, None]) % 4]  # i^(l_q - l_p)
-            P[square] = expm((A[square] * turn).real) * turn.conj()
+            d = (l[:, None, :] - l[:, :, None]) & 3  # i^d = i^(l_q - l_p)
+            sign = _FRAME_SIGNS[d]
+            frame = block.real + block.imag
+            frame *= sign
+            del block  # freed before the expm runs
+            E = expm(frame)
+            E *= sign
+            P[square] = E * _FRAME_PHASES[d & 1]
         return P
 
     def _rep(self, c, h: float, L=None) -> np.ndarray:
@@ -612,8 +630,11 @@ class PnOperator:
         otherwise exponential plus Gauss-Legendre Duhamel on substeps (a
         positive integer, substeps_for(h) when None) from the finite start
         time t0.  The coefficients must be Hermitian, c(-k) = conj c(k), and
-        source(t) is the isotropic re-emission drive, the e_0 moment of the
-        forcing on the half-space H: one value per mode of H, in box order."""
+        source(times) is the isotropic re-emission drive, the e_0 moment of
+        the forcing on the half-space H, at the Duhamel nodes of a substep:
+        given that substep's 12 node times as one array, it returns one row
+        per time and one value per mode of H in box order, shaped (12, H).
+        So source is called once per substep."""
         h = _step_length(h)
         if source is not None:
             t0 = _start_time(t0)
@@ -648,10 +669,11 @@ class PnOperator:
         # the representatives' frames, where the state stays between substeps.
         for j in range(nsub):
             ta = t0 + j * hs
-            q = np.stack([source(ta + tau) for tau in taus])
+            q = np.asarray(source(ta + taus))
             if q.shape != (_DUHAMEL_NODES, len(stack.rows)):
-                raise ValueError(f"source samples must be shaped ({len(stack.rows)},), one "
-                                 f"drive per half-space mode, got {q.shape[1:]}")
+                raise ValueError(f"source samples must be shaped ({_DUHAMEL_NODES}, "
+                                 f"{len(stack.rows)}), one drive per Duhamel node and "
+                                 f"half-space mode, got {q.shape}")
             q = q[:, stack.drive]
             for rows, P, cols in props:
                 u[rows] = (P @ v[rows].T).T
@@ -786,54 +808,72 @@ class UncollidedFlow:
     profiles: tuple
     pairs: int
 
-    def advance(self, values: np.ndarray, a: float, b: float) -> np.ndarray:
+    def advance(self, values: np.ndarray, a: float, b) -> np.ndarray:
         """The half-space H of the nodal values, shaped grid.shape + (nodes,),
-        advanced from a to b, shaped (H modes, nodes): the decay
-        exp(-lam (b - a)) plus the exact source integral of
+        advanced from a to b, one time or a 1-D array of times: shaped (H
+        modes, nodes) for one time and (times, H modes, nodes) for an array.
+        That is the decay exp(-lam (b - a)) plus the exact source integral of
         exp(-lam (b - tau)) q(tau) over [a, b], each term's response
         (_source_response) taken on the distinct rates, gathered and
-        multiplied by its profile.  grid.from_half completes the box."""
+        multiplied by its profile.  Each time's values are bit for bit those
+        of a call at that time alone.  grid.from_half completes the box."""
+        h = np.asarray(b, dtype=float) - a
         # One complex exp per conjugate pair: exp(conj z) is conj exp(z)
         # bit for bit, and -lam h of a pair are conjugates up to the sign of
         # a zero real part, which exp ignores.
         own = self.distinct.size - self.pairs
-        decay = np.empty_like(self.distinct)
-        decay[:own] = np.exp(-self.distinct[:own] * (b - a))
-        np.conj(decay[own - self.pairs:own], out=decay[own:])
-        out = gr.half_space(values.reshape(-1, self.index.shape[-1])) * decay[self.index]
+        decay = np.empty(h.shape + self.distinct.shape, dtype=complex)
+        decay[..., :own] = np.exp(-self.distinct[:own] * h[..., None])
+        np.conj(decay[..., own - self.pairs:own], out=decay[..., own:])
+        # take gathers a C-contiguous stack, and each product is written over
+        # its gathered operand (no second stack).  The values stay the left
+        # operand, so the complex product rounds as it does at one time.
+        out = np.take(decay, self.index, axis=-1)
+        np.multiply(gr.half_space(values.reshape(-1, self.index.shape[-1])), out, out=out)
         for tm, profile in self.profiles:
-            out = out + self._source_response(tm, decay, a, b)[self.index] * profile
+            response = np.take(self._source_response(tm, decay, a, b), self.index, axis=-1)
+            response *= profile
+            out += response
         return out
 
-    def _source_response(self, tm, decay: np.ndarray, a: float, b: float) -> np.ndarray:
+    def _source_response(self, tm, decay: np.ndarray, a: float, b) -> np.ndarray:
         """e^(mu b) sum_j p^(j)(a) h^(j+1) phi_(j+1)(z) per distinct rate, for
-        the term p(t) e^(mu t), h = b - a and z = -(lam + mu) h, in one pass.
+        the term p(t) e^(mu t), h = b - a and z = -(lam + mu) h, in one pass;
+        b is one time or a 1-D array of times, one row of the result each.
         Where |z| >= PHI_SERIES_BELOW the recurrence phi_(j+1) = (phi_j -
-        1/j!)/z runs on e^(mu b) phi_j, from e^(mu b) phi_0(z) =
-        e^(mu a) decay, decay = e^(-lam h) being the carrier's exponential;
-        no factor leaves the range that e^(mu t) keeps on [a, b].  Elsewhere
-        the sum is one power series in z, sum_m c_m z^m with the scalar
-        coefficients c_m = sum_j p^(j)(a) h^(j+1)/(m+j+1)!."""
-        h, mu = b - a, tm.time_exp
-        at_end = math.exp(mu * b)
-        scaled = np.array([d * h ** (j + 1) for j, d in enumerate(tm.time_derivatives(a))])
-        z = -(self.distinct + mu) * h
+        1/j!)/z runs on e^(mu b) phi_j, from e^(mu b) phi_0(z) = e^(mu a)
+        decay, decay = e^(-lam h) being the carrier's exponential; no factor
+        leaves the range that e^(mu t) keeps on [a, b].  Elsewhere the sum is
+        one power series in z, sum_m c_m z^m with the scalar coefficients c_m
+        = sum_j p^(j)(a) h^(j+1)/(m+j+1)!, which differ by time, so that
+        branch takes the times in turn.  e^(mu b) and h^(j+1) are taken one
+        time at a time, with scalar math, so each row keeps the bits of a
+        call at its time alone."""
+        mu = tm.time_exp
+        b = np.asarray(b, dtype=float)
+        h = b - a
+        at_end = np.array([math.exp(mu * t) for t in b.reshape(-1)]).reshape(h.shape)
+        scaled = np.array([[d * s ** (j + 1) for j, d in enumerate(tm.time_derivatives(a))]
+                           for s in h.reshape(-1)]).reshape(h.shape + (-1,))
+        z = -(self.distinct + mu) * h[..., None]
         small = np.abs(z) < PHI_SERIES_BELOW
         acc = np.empty_like(z)
         if not small.all():
             big = ~small
             zb = z[big]
+            ends = np.broadcast_to(at_end[..., None], z.shape)[big]
             phi = decay[big] * math.exp(mu * a)
             total = 0.0
-            for j, d in enumerate(scaled):
-                phi = (phi - at_end / math.factorial(j)) / zb
-                total = total + d * phi
+            for j in range(scaled.shape[-1]):
+                phi = (phi - ends / math.factorial(j)) / zb
+                total = total + np.broadcast_to(scaled[..., j, None], z.shape)[big] * phi
             acc[big] = total
-        if small.any():
-            zs = z[small]
-            powers = np.cumprod(np.broadcast_to(zs, (_PHI_SERIES_TERMS - 1, zs.size)), axis=0)
-            c = _series_table(len(scaled)) @ scaled
-            acc[small] = at_end * (c[0] + c[1:] @ powers)
+        for row in np.ndindex(h.shape):
+            if small[row].any():
+                zs = z[row][small[row]]
+                powers = np.cumprod(np.broadcast_to(zs, (_PHI_SERIES_TERMS - 1, zs.size)), axis=0)
+                c = _series_table(scaled.shape[-1]) @ scaled[row]
+                acc[row][small[row]] = at_end[row] * (c[0] + c[1:] @ powers)
         return acc
 
 

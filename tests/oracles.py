@@ -1,12 +1,13 @@
 """Reference routines the tests check the program against, none of which
 the program itself calls: the time factor's derivatives through
 numpy.polynomial and the phi-functions on a whole array, each taken afresh
-on every call; the Hermitian part of a coefficient box, for test data real
-in physical space; single harmonics and the angular Sobolev norms; the
-damping-integral formulas; a sampled source, random vectors over the
-half-space and the box source of a re-emission drive, the dense per-mode
-Duhamel step with a source of any moments, the energy balance of a step
-and the absorption change of variables."""
+on every call; the uncollided flow's advance to one time; the Hermitian
+part of a coefficient box, for test data real in physical space; single
+harmonics and the angular Sobolev norms; the damping-integral formulas; a
+sampled source, random vectors over the half-space and the box source of a
+re-emission drive, the dense per-mode Duhamel step with a source of any
+moments, the energy balance of a step and the absorption change of
+variables."""
 
 import functools
 import math
@@ -70,6 +71,48 @@ def source_response(lam, tm, a: float, b: float):
     phis = phi_functions(-(lam + tm.time_exp) * h, len(derivs))
     acc = sum(d * h ** (j + 1) * phis[j + 1] for j, d in enumerate(derivs))
     return math.exp(tm.time_exp * b) * acc
+
+
+def advance_at(flow: tr.UncollidedFlow, values: np.ndarray, a: float, b: float) -> np.ndarray:
+    """flow.advance(values, a, b) at the one time b, as the flow took it one
+    time per call: the half-space H of the values times the decay, each
+    source term's response gathered and multiplied by its profile.  The
+    batched advance must keep these bits at every time of its array."""
+    own = flow.distinct.size - flow.pairs
+    decay = np.empty_like(flow.distinct)
+    decay[:own] = np.exp(-flow.distinct[:own] * (b - a))
+    np.conj(decay[own - flow.pairs:own], out=decay[own:])
+    out = gr.half_space(values.reshape(-1, flow.index.shape[-1])) * decay[flow.index]
+    for tm, profile in flow.profiles:
+        out = out + _response_at(flow, tm, decay, a, b)[flow.index] * profile
+    return out
+
+
+def _response_at(flow: tr.UncollidedFlow, tm, decay, a: float, b: float) -> np.ndarray:
+    """The source response of advance_at per distinct rate: the phi
+    recurrence from the decay where |z| >= tr.PHI_SERIES_BELOW, one power
+    series with scalar coefficients below."""
+    h, mu = b - a, tm.time_exp
+    at_end = math.exp(mu * b)
+    scaled = np.array([d * h ** (j + 1) for j, d in enumerate(tm.time_derivatives(a))])
+    z = -(flow.distinct + mu) * h
+    small = np.abs(z) < tr.PHI_SERIES_BELOW
+    acc = np.empty_like(z)
+    if not small.all():
+        big = ~small
+        zb = z[big]
+        phi = decay[big] * math.exp(mu * a)
+        total = 0.0
+        for j, d in enumerate(scaled):
+            phi = (phi - at_end / math.factorial(j)) / zb
+            total = total + d * phi
+        acc[big] = total
+    if small.any():
+        zs = z[small]
+        powers = np.cumprod(np.broadcast_to(zs, (PHI_SERIES_TERMS - 1, zs.size)), axis=0)
+        c = tr._series_table(len(scaled)) @ scaled
+        acc[small] = at_end * (c[0] + c[1:] @ powers)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -225,33 +268,35 @@ def half_space_vectors(rng, op: tr.PnOperator, count: int) -> list:
 
 
 def drive_source(op: tr.PnOperator, drive):
-    """The box source dense_step reads for a re-emission drive t -> (H
-    modes,), the source PnOperator.step takes: e_0 holds the drive on H,
-    every other moment is zero, and each other mode is the conjugate of its
-    -k."""
+    """The box source t -> coefficients that dense_step reads for a
+    re-emission drive times -> (times, H modes), the source PnOperator.step
+    takes: e_0 holds the drive at t on H, every other moment is zero, and
+    each other mode is the conjugate of its -k."""
     def source(t):
         box = np.zeros(op.grid.shape + (op.nm,), dtype=complex)
-        box.reshape(-1, op.nm)[len(op.modes()) // 2:, 0] = drive(t)
+        box.reshape(-1, op.nm)[len(op.modes()) // 2:, 0] = drive(np.array([t]))[0]
         return conjugate_rest(op, box)
 
     return source
 
 
-def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
+def audit_energy_identity(state: gr.MomentField, h, eps, sigma, drive=None,
                           t0=0.0):
     """Residual of the balance law over one step, relative to the initial
     squared norm: the decrease of ||psi||^2 must match the dissipation
     (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
-    The steps are PnOperator.step's without a source and dense_step's with
-    one, whose moments need not be isotropic.  Every OpenBLAS pool runs at
-    one thread, as in tr.solve_pn.
+    Every step is PnOperator.step's, with the isotropic re-emission drive
+    times -> (times, H modes) when one is given, whose box (drive_source)
+    does the work.  Every OpenBLAS pool runs at one thread, as in
+    tr.solve_pn.
     """
     with blas.single_thread():
         op = tr.PnOperator(state.grid, state.N, eps, sigma, 0.0)
-        advance = op.step if source is None else functools.partial(dense_step, op)
+        advance = functools.partial(op.step, source=drive)
+        source = None if drive is None else drive_source(op, drive)
         measure = state.grid.measure
         u0 = state.coeffs
-        u1 = advance(u0, h, source=source, t0=t0)
+        u1 = advance(u0, h, t0=t0)
         lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
 
         nsub = op.substeps_for(h, 0.0)
@@ -263,7 +308,7 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
             ta = t0 + j * hs
             for xi, wi in zip(x, w):
                 tau = 0.5 * hs * (xi + 1.0)
-                mid = advance(coeffs, tau, source=source, t0=ta)
+                mid = advance(coeffs, tau, t0=ta)
                 fluct = mid.copy()
                 fluct[..., 0] = 0.0
                 rate = -(2.0 * sigma / eps**2) * float(np.sum(np.abs(fluct) ** 2))
@@ -271,7 +316,7 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, source=None,
                     qv = source(ta + tau)
                     rate += 2.0 * float(np.sum((np.conj(qv) * mid).real))
                 total += 0.5 * hs * wi * measure * rate
-            coeffs = advance(coeffs, hs, source=source, t0=ta)
+            coeffs = advance(coeffs, hs, t0=ta)
     denom = max(measure * float(np.sum(np.abs(u0) ** 2)), 1e-300)
     return abs(lhs - total) / denom
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pnhybrid import blas
 from pnhybrid import grid as gr
@@ -262,11 +264,86 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counting)
     hy.hybrid_step(psi_u, 0.0, 0.25, op, flow)
-    # One closed-form sample of the uncollided field per Duhamel node of
-    # every substep, one closed-form advance of the carrier, and no nodal
-    # field built inside the step: the source profiles come with the flow.
+    # One closed-form advance of the uncollided field to the 12 Duhamel node
+    # times of every substep, one closed-form advance of the carrier, and no
+    # nodal field built inside the step: the source profiles come with the flow.
     nsub = op.substeps_for(0.25, extra_rate=op.max_rate + abs(spec.q[0].time_exp))
-    assert calls == {"advance": 12 * nsub + 1, "nodal_field": 0}
+    assert calls == {"advance": nsub + 1, "nodal_field": 0}
+
+
+def test_hybrid_step_refuses_a_state_that_is_not_hermitian():
+    # With the k = -1 row multiplied by i, hybrid_step once returned a
+    # Hermitian carrier built from the half-space H alone, where
+    # solve_uncollided refused the same state.
+    spec = tr.problem("iso", eps=1.0, sigma_t=1.0, g=[_iso_cosine()], T=1)
+    grid = tr.default_grid(spec)
+    quad = sh.build_sphere_quadrature(6)
+    values = gr.nodal_field(grid, quad, spec.g).values.copy()
+    values[grid.index_of((-1, 0, 0))] *= 1j
+    bad = gr.NodalField(grid, quad, values)
+    op = tr.PnOperator(grid, 3, 1.0, 1.0)
+    message = r"^state values must satisfy c\(-k\) = conj c\(k\), got a deviation of 0\.707$"
+    with pytest.raises(ValueError, match=message):
+        hy.hybrid_step(bad, 0.0, 0.5, op, _flow(bad, op))
+    with pytest.raises(ValueError, match=message):
+        tr.solve_uncollided(bad, 0.0, 0.5, 1.0, 1.0)
+
+
+# The drive hybrid_step hands PnOperator.step advances the uncollided flow
+# to a substep's 12 node times in one call.  Every time's values, and the
+# drive's node averages, must keep the bits of the flow advanced to that
+# time alone (oracles.advance_at), with a source term or without, on every
+# grid dimension; the rates of every such flow include conjugate pairs.
+# mu = -(sigma/eps^2 + sigma_a) makes z = 0 on k = 0, so the source response
+# takes its series and its recurrence branch at one time.
+@given(dim=st.sampled_from([1, 2, 3]), sourced=st.booleans(), eps=st.floats(0.3, 1.5),
+       sigma=st.floats(0.2, 3.0), absorb=st.floats(0.0, 1.0),
+       mu=st.sampled_from([0.0, -0.5, None]), a=st.floats(0.0, 1.0),
+       h=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(dim=1, sourced=False, eps=0.05, sigma=1.0, absorb=0.0, mu=0.0, a=0.25, h=0.25,
+         seed=1)
+@example(dim=3, sourced=True, eps=0.7, sigma=1.2, absorb=0.3, mu=None, a=0.5, h=1.0,
+         seed=2)
+@settings(max_examples=30)
+def test_batched_drive_matches_per_time_oracle_bytes(dim, sourced, eps, sigma, absorb, mu,
+                                                     a, h, seed):
+    grid = gr.SpatialGrid(dim, 3)
+    quad = sh.build_sphere_quadrature(3)
+    sigma_a = absorb * sigma
+    q = []
+    if sourced:
+        mu = -(sigma / eps**2 + sigma_a) if mu is None else mu
+        q = [gr.term({(0, 0, 0): 0.7, (1, 0, 0): 0.5 - 0.25j, (-1, 0, 0): 0.5 + 0.25j},
+                     (1.0, 0.0, 0.6, 0.2), time_poly=(0.3, -1.0, 0.5), time_exp=mu)]
+    op = tr.PnOperator(grid, 2, eps, sigma, sigma_a)
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (len(quad),)
+    psi_u = gr.NodalField(grid, quad, oracles.hermitian(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    flow = _flow(psi_u, op, q)
+    assert flow.pairs > 0
+    steps = []
+    real = tr.PnOperator.step
+
+    def recording(self, coeffs, length, source=None, t0=0.0, substeps=None):
+        steps.append((source, length, t0, substeps))
+        return real(self, coeffs, length, source=source, t0=t0, substeps=substeps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr.PnOperator, "step", recording)
+        carrier, _ = hy.hybrid_step(psi_u, a, a + h, op, flow)
+    assert gr.half_space(carrier.values.reshape(-1, len(quad))).tobytes() == \
+        oracles.advance_at(flow, psi_u.values, a, a + h).tobytes()
+    [(drive, length, t0, nsub)] = steps
+    emit = sigma / eps**2 * math.sqrt(4.0 * math.pi)
+    x, _ = tr._duhamel_rule()
+    hs = length / nsub
+    for j in range(nsub):
+        times = t0 + j * hs + 0.5 * hs * (x + 1.0)
+        at = [oracles.advance_at(flow, psi_u.values, a, t) for t in times]
+        assert flow.advance(psi_u.values, a, times).tobytes() == np.stack(at).tobytes()
+        want = [emit * ((v[:, None, :] @ quad.weights) / (4.0 * math.pi))[:, 0] for v in at]
+        assert drive(times).tobytes() == np.stack(want).tobytes()
 
 
 @pytest.mark.parametrize("mu", [-300.0, -30.0])

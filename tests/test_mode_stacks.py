@@ -4,9 +4,10 @@ class, and takes every other mode as the conjugate of its -k.
 The oracle, oracles.dense_step, is a loop over the modes of H with a dense
 expm of each mode's own generator: one matrix-vector product per mode and
 propagator, with no symmetry and no rotation, and the other modes filled as
-the conjugates.  A Duhamel step takes a random re-emission drive on H,
-which the oracle reads as boxes holding it in e_0 (oracles.drive_source)
-and multiplies by whole node propagators.  On a 1D grid every class holds
+the conjugates.  A Duhamel step takes a random re-emission drive on H at
+a substep's 12 node times in one call, which the oracle reads one time at
+a time as boxes holding it in e_0 (oracles.drive_source) and multiplies by
+whole node propagators.  On a 1D grid every class holds
 one mode of H, which is its own representative, so the class product is
 that loop's gemv and the step must agree byte for byte, on one BLAS thread
 and on several.  On 2D and 3D grids a class holds several modes, some
@@ -35,10 +36,12 @@ def _hermitian_box(rng, shape):
 
 
 def _random_drive(rng, op):
-    """A smooth callable re-emission drive t -> (H modes,), random per draw."""
+    """A smooth callable re-emission drive times -> (times, H modes), random
+    per draw."""
     a, b, rate = oracles.half_space_vectors(rng, op, 3)
 
-    def drive(t):
+    def drive(times):
+        t = times[:, None]
         return a + t * b + np.cos(3.0 * t) * rate
 
     return drive
@@ -169,7 +172,7 @@ def test_step_refuses_a_box_that_is_not_hermitian(where):
     with pytest.raises(ValueError, match=message):
         op.step(u, 0.25)
     with pytest.raises(ValueError, match=message):
-        op.step(u, 0.25, source=lambda t: np.zeros(14))
+        op.step(u, 0.25, source=lambda t: np.zeros((t.size, 14)))
     with pytest.raises(ValueError, match=message):
         tr.SourcedModes(op, []).step(u, 0.25, 0.0)
 

@@ -204,12 +204,21 @@ def test_energy_identity_without_source():
 
 
 def test_energy_identity_with_source():
+    # The source is isotropic, so its moments are its e_0 drive on H: the
+    # steps take that drive, as hybrid_step's re-emission, and its box does
+    # the work.
     q = [gr.isotropic_term({(1, 0, 0): 0.25, (-1, 0, 0): 0.25}, time_exp=-0.4)]
     spec = tr.problem("iso-q", eps=0.7, sigma_t=1.0, g=[_iso_cosine()], q=q, T=1)
     grid = tr.default_grid(spec)
     state = tr.initial_field(spec, grid, N=3)
     sampler = oracles.source_sampler(spec, grid, N=3)
-    resid = oracles.audit_energy_identity(state, 0.5, spec.eps, spec.sigma_t, source=sampler)
+    nm = sh.n_moments(3)
+    assert not np.any(sampler(0.3)[..., 1:])
+
+    def drive(times):
+        return np.stack([gr.half_space(sampler(t).reshape(-1, nm))[:, 0] for t in times])
+
+    resid = oracles.audit_energy_identity(state, 0.5, spec.eps, spec.sigma_t, drive=drive)
     assert resid < 1e-10
 
 
@@ -570,7 +579,8 @@ def test_cubic_orbit_sourced_step_matches_dense_oracle():
     u = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     a, b = oracles.half_space_vectors(rng, op, 2)
 
-    def drive(t):
+    def drive(times):
+        t = times[:, None]
         return a + np.cos(2.0 * (t - 0.25)) * b
 
     got = op.step(u, h, source=drive, t0=0.25, substeps=2)
@@ -584,9 +594,10 @@ def test_cubic_orbit_sourced_step_matches_dense_oracle():
 
 
 def test_half_space_drive_matches_dense_oracle_and_nothing_else_is_read():
-    # The source of a Duhamel step is the re-emission drive on H, one value
-    # per mode of H in box order; the dense oracle reads it as the e_0
-    # moment of a box.  A sample shaped otherwise, a coefficient box above
+    # The source of a Duhamel step is the re-emission drive on H at a
+    # substep's 12 node times, one row per time and one value per mode of H
+    # in box order; the dense oracle reads it as the e_0 moment of a box.  A
+    # sample shaped otherwise, a coefficient box or one time's drive above
     # all, is refused rather than read in part.
     op = tr.PnOperator(_GRID3, 3, 0.7, 1.2, 0.3)
     rng = np.random.default_rng(8)
@@ -594,7 +605,8 @@ def test_half_space_drive_matches_dense_oracle_and_nothing_else_is_read():
     u = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     a, b = oracles.half_space_vectors(rng, op, 2)
 
-    def drive(t):
+    def drive(times):
+        t = times[:, None]
         return a * np.exp(-t) + t * b
 
     got = op.step(u, 0.4, source=drive, t0=0.1, substeps=2)
@@ -602,9 +614,9 @@ def test_half_space_drive_matches_dense_oracle_and_nothing_else_is_read():
                               substeps=2)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert a.shape == (14,)
-    for bad in (np.zeros(shape), np.zeros(27), np.zeros(15), np.zeros((14, 1)),
-                np.zeros((14, op.nm))):
-        with pytest.raises(ValueError, match=r"^source samples must be shaped \(14,\)"):
+    for bad in (np.zeros(shape), np.zeros(14), np.zeros((12, 27)), np.zeros((12, 15)),
+                np.zeros((11, 14)), np.zeros((12, 14, 1)), np.zeros((12, 14, op.nm))):
+        with pytest.raises(ValueError, match=r"^source samples must be shaped \(12, 14\)"):
             op.step(u, 0.4, source=lambda t, bad=bad: bad)
 
 
@@ -627,7 +639,7 @@ def test_cubic_orbits_take_one_expm_each(monkeypatch):
     # A sourced step of the same length adds one expm per (class, Duhamel
     # node); the substep's propagator is the cached one.
     calls.clear()
-    op.step(u, 0.5, source=lambda t: np.ones(172), substeps=1)
+    op.step(u, 0.5, source=lambda t: np.ones((t.size, 172)), substeps=1)
     assert calls == [c for c, _ in classes for _ in range(tr._DUHAMEL_NODES)]
 
 
@@ -640,7 +652,7 @@ def test_sourced_step_assembles_each_class_generator_once(monkeypatch):
                         lambda k, *args: calls.append(k) or real(k, *args))
     op = tr.PnOperator(_GRID7, 3, 0.5, 1.0, 0.25)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
-    op.step(u, 0.5, source=lambda t: np.ones(172), substeps=2)
+    op.step(u, 0.5, source=lambda t: np.ones((t.size, 172)), substeps=2)
     assert sorted(calls) == sorted(c for c, _ in op._stack.classes)
 
 
@@ -672,7 +684,8 @@ def test_flat_grids_take_no_rotation(monkeypatch, dim):
     op = tr.PnOperator(gr.SpatialGrid(dim, 5), 4, 0.5, 1.0, 0.25)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     op.step(u, 0.375)
-    op.step(u, 0.375, source=lambda t: np.ones(len(op.modes()) // 2 + 1), substeps=1)
+    op.step(u, 0.375, source=lambda t: np.ones((t.size, len(op.modes()) // 2 + 1)),
+            substeps=1)
     assert op._stack.turned == []
     off_axis = [c for c, _ in op._stack.classes if np.count_nonzero(c) > 1]
     assert len(off_axis) == (0 if dim == 1 else 3)
@@ -941,7 +954,7 @@ def test_operator_rejects_bad_step_length(h):
     with pytest.raises(ValueError, match="^h must"):
         op.step(u, h)
     with pytest.raises(ValueError, match="^h must"):
-        op.step(u, h, source=lambda t: np.zeros(2))
+        op.step(u, h, source=lambda t: np.zeros((t.size, 2)))
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -957,7 +970,7 @@ def test_sourced_step_rejects_bad_substeps_and_start(field, value, message):
     op = tr.PnOperator(gr.SpatialGrid(1, 3), 2, 1.0, 1.0)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     with pytest.raises(ValueError, match=f"^{field} {message}"):
-        op.step(u, 0.5, source=lambda t: np.zeros(2), **{field: value})
+        op.step(u, 0.5, source=lambda t: np.zeros((t.size, 2)), **{field: value})
     if field == "t0":
         q = gr.term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, (1.0,), time_poly=(1.0, 0.5),
                     time_exp=-1.0)
