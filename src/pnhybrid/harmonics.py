@@ -301,52 +301,59 @@ def assemble_coupling(N: int) -> CouplingSet:
 
     Entry (r, c) of a_l^(i) is the integral of Omega_i * m_{l-1,k'} * m_{l,k}
     with k' = r - (l-1) and k = c - l.  Verified entrywise against
-    coupling_oracle, which is the convention's ground truth.
+    coupling_oracle, which is the convention's ground truth.  The blocks of
+    degree l depend on l alone: each is built once per process
+    (_coupling_degree) and shared read-only, so this only collects degrees
+    1..N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    degrees = [_coupling_degree(l) for l in range(1, N + 1)]
+    return CouplingSet(N=N, blocks=tuple(zip(*degrees)))
+
+
+@functools.lru_cache(maxsize=None)
+def _coupling_degree(l: int) -> tuple:
+    """(a_l^(1), a_l^(2), a_l^(3)), read-only."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    ax1, ax2, ax3 = [], [], []
-    for l in range(1, N + 1):
-        a1 = np.zeros((2 * l - 1, 2 * l + 1))
-        a2 = np.zeros((2 * l - 1, 2 * l + 1))
-        a3 = np.zeros((2 * l - 1, 2 * l + 1))
+    a1 = np.zeros((2 * l - 1, 2 * l + 1))
+    a2 = np.zeros((2 * l - 1, 2 * l + 1))
+    a3 = np.zeros((2 * l - 1, 2 * l + 1))
 
-        def put(a, kp, k, val):
-            if abs(kp) <= l - 1 and val != 0.0:
-                a[kp + l - 1, k + l] += val
+    def put(a, kp, k, val):
+        if abs(kp) <= l - 1 and val != 0.0:
+            a[kp + l - 1, k + l] += val
 
-        for k in range(-l, l + 1):
-            kk = abs(k)
-            # axis 3: Omega_3 = cos(theta), diagonal in order.
-            put(a3, k, k, _alpha(l - 1, kk))
-            em = _e_minus(l, kk)
-            fm = _f_minus(l, kk)
-            if k >= 2:
-                put(a1, k + 1, k, -0.5 * em)
-                put(a1, k - 1, k, 0.5 * fm)
-                put(a2, -(k + 1), k, -0.5 * em)
-                put(a2, -(k - 1), k, -0.5 * fm)
-            elif k == 1:
-                put(a1, 2, k, -0.5 * em)
-                put(a1, 0, k, inv_sqrt2 * fm)
-                put(a2, -2, k, -0.5 * em)
-            elif k == 0:
-                put(a1, 1, k, -inv_sqrt2 * em)
-                put(a2, -1, k, -inv_sqrt2 * em)
-            elif k == -1:
-                put(a1, -2, k, -0.5 * em)
-                put(a2, 0, k, inv_sqrt2 * fm)
-                put(a2, 2, k, 0.5 * em)
-            else:  # k <= -2
-                put(a1, -(kk + 1), k, -0.5 * em)
-                put(a1, -(kk - 1), k, 0.5 * fm)
-                put(a2, kk - 1, k, 0.5 * fm)
-                put(a2, kk + 1, k, 0.5 * em)
-        ax1.append(a1)
-        ax2.append(a2)
-        ax3.append(a3)
-    return CouplingSet(N=N, blocks=(tuple(ax1), tuple(ax2), tuple(ax3)))
+    for k in range(-l, l + 1):
+        kk = abs(k)
+        # axis 3: Omega_3 = cos(theta), diagonal in order.
+        put(a3, k, k, _alpha(l - 1, kk))
+        em = _e_minus(l, kk)
+        fm = _f_minus(l, kk)
+        if k >= 2:
+            put(a1, k + 1, k, -0.5 * em)
+            put(a1, k - 1, k, 0.5 * fm)
+            put(a2, -(k + 1), k, -0.5 * em)
+            put(a2, -(k - 1), k, -0.5 * fm)
+        elif k == 1:
+            put(a1, 2, k, -0.5 * em)
+            put(a1, 0, k, inv_sqrt2 * fm)
+            put(a2, -2, k, -0.5 * em)
+        elif k == 0:
+            put(a1, 1, k, -inv_sqrt2 * em)
+            put(a2, -1, k, -inv_sqrt2 * em)
+        elif k == -1:
+            put(a1, -2, k, -0.5 * em)
+            put(a2, 0, k, inv_sqrt2 * fm)
+            put(a2, 2, k, 0.5 * em)
+        else:  # k <= -2
+            put(a1, -(kk + 1), k, -0.5 * em)
+            put(a1, -(kk - 1), k, 0.5 * fm)
+            put(a2, kk - 1, k, 0.5 * fm)
+            put(a2, kk + 1, k, 0.5 * em)
+    for a in (a1, a2, a3):
+        a.flags.writeable = False
+    return a1, a2, a3
 
 
 def coupling_oracle(N: int, quad: SphereQuadrature) -> CouplingSet:
@@ -365,8 +372,7 @@ def coupling_oracle(N: int, quad: SphereQuadrature) -> CouplingSet:
         for l in range(1, N + 1):
             rows = B[:, degree_slice(l - 1)]
             cols = B[:, degree_slice(l)]
-            a = np.einsum("j,j,jr,jc->rc", w, om, rows, cols)
-            blocks.append(a)
+            blocks.append(((w * om)[:, None] * rows).T @ cols)
         axes.append(tuple(blocks))
     return CouplingSet(N=N, blocks=tuple(axes))
 

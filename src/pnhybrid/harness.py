@@ -60,6 +60,10 @@ _KINDS = {"run": _RUN_KINDS, "sweep": {k: a.kind for k, a in _AXES.items()}}
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
+# The largest s whose s! is a float (170! is about 7.3e306): the bounds and
+# the regime advisor take s! as one.
+MAX_S = 170
+
 
 @dataclass
 class RunSpec:
@@ -274,7 +278,47 @@ def parse_config_text(lines) -> RunSpec:
         if Tf / dtf > tr.MAX_INTERVALS:
             raise ConfigError(f"dt must leave at most {tr.MAX_INTERVALS} intervals "
                               f"M = T/dt, got dt={dt} for T={rs.T}")
+    _require_float_powers(rs, float(Tf))
     return rs
+
+
+def _float_power(x: float, p: int) -> float:
+    """x^p, inf where it overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+def _require_float_powers(rs: RunSpec, T: float) -> None:
+    """Refuse a value that a solver or bound would take past the float
+    range, where the run would end in an arithmetic error after its solve:
+    every solver divides by eps^2, and the P_N and hybrid bounds (with
+    solve-pn's regime advisor) take s! as a float and raise eps, T/eps, T
+    and sigma_t to powers up to s + 1.  Scalar checks only, on the run's
+    and every swept value."""
+    s = 2 if rs.s is None else rs.s
+    bounded = rs.solver in ("pn", "hybrid")
+    sigma_key = "sigma" if rs.sweep_sigma else "sigma_t"
+    for key, values, ok, need in (
+        ("s", (s,), lambda v: not bounded or v <= MAX_S,
+         f"at most {MAX_S}, the largest s whose s! is a float"),
+        ("eps", (rs.eps,) + rs.sweep_eps, lambda v: 0.0 < _float_power(v, 2) < math.inf,
+         "such that eps^2 is a nonzero float"),
+        ("eps", (rs.eps,) + rs.sweep_eps,
+         lambda v: not bounded or (0.0 < _float_power(v, s + 1) < math.inf
+                                   and _float_power(T / v, s + 1) < math.inf),
+         f"such that eps^(s+1) is a nonzero float and (T/eps)^(s+1) a float "
+         f"for T = {rs.T} and s = {s}"),
+        ("T", (T,), lambda v: not bounded or _float_power(v, s + 1) < math.inf,
+         f"such that T^(s+1) is a float for s = {s}"),
+        (sigma_key, rs.sweep_sigma or (rs.sigma_t,),
+         lambda v: not bounded or v == 0.0 or 0.0 < _float_power(v, s) < math.inf,
+         f"0 or such that {sigma_key}^s is a nonzero float for s = {s}"),
+    ):
+        for v in values:
+            if not ok(v):
+                raise ConfigError(f"{key} must be {need}, got {v}")
 
 
 def _emit(kind, value) -> str:

@@ -30,21 +30,24 @@ X is one column, numpy runs the gemv of a single mode, and a 1D step is
 bit-identical to a loop over modes.  A class of several modes (2D and 3D
 grids) takes a gemm, which sums in another order than the loop and agrees
 with it to 1e-12 relative.  assemble_mode_operator is the one builder of a
-dense generator: a class representative's, a sourced mode's (inside its
-augmented generator), and the tests' dense oracle.
+generator, a class representative's and a sourced mode's (inside its
+augmented generator): it adds the coupling blocks of each degree, shared
+read-only per process (sh.assemble_coupling), straight into the matrix.
 
 Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
-generic k, a diagonal at k = 0), and so is its exponential.  A
+generic k, a diagonal at k = 0), and so is its exponential.  The blocks
+follow from the symmetries that fix k, so they are set once per degree and
+pattern of zero components (_generator_blocks), with no search.  A
 representative off the axes, one with two or more nonzero components,
-finds its blocks once (connected_blocks) and takes one stacked expm per
-block width, at every N; so does every representative of a wide operator,
-one whose moment space is wider than DENSE_EXPM_MAX_MOMENTS (N >= 17): at
-N = 28 and k = (1,0,0) the four blocks are at most 225 wide, where the
-dense generator is 841.  Streaming couples degree l only to l +- 1, so
-with D = diag(i^l) every D^-1 L_k D is real, and each block wider than 1
-is exponentiated as a real matrix (about half the work of the complex one)
-and turned back by exact products with +-1 and +-i.  On one BLAS thread of
+takes one stacked expm per block width, at every N; so does every
+representative of a wide operator, one whose moment space is wider than
+DENSE_EXPM_MAX_MOMENTS (N >= 17): at N = 28 and k = (1,0,0) the four
+blocks are at most 225 wide, where the dense generator is 841.  Streaming
+couples degree l only to l +- 1, so with D = diag(i^l) every D^-1 L_k D is
+real, and each block wider than 1 is exponentiated as a real matrix (about
+half the work of the complex one) and turned back by exact products with
++-1 and +-i.  On one BLAS thread of
 a shared 2-core machine at N = 11, eps = 0.5, sigma = 1 and h = 0.375, one
 144-wide class took 6.2-6.8 ms as a dense complex expm, 0.9-1.2 ms split
 in a coordinate plane (blocks 66 and 78 wide) and 2.5-2.6 ms as one real
@@ -150,8 +153,8 @@ def _series_table(n: int) -> np.ndarray:
 # Widest moment space, n_moments(N) = (N+1)^2, whose representatives on the
 # axis (k = 0 and k = (a, 0, 0)) take one dense complex expm (N <= 16);
 # wider ones, and every representative off the axis at any N, split it over
-# the generator's connected blocks and take each block in the real frame
-# (PnOperator._exp).
+# the generator's blocks (_generator_blocks) and take each block in the real
+# frame (PnOperator._exp).
 # On one BLAS thread of a 2-core machine at k = (1,0,0), eps = sigma = 1,
 # the dense complex, split complex and split real-frame expm took
 #     N = 17:  49.9,  5.9,  2.9 ms      N = 20: 117.5, 12.7,  6.1 ms
@@ -296,14 +299,20 @@ def assemble_mode_operator(
     sigma_a: float = 0.0,
 ) -> np.ndarray:
     """Dense generator of spatial mode k in moment space, from a coupling
-    set of degree N or above."""
+    set of degree N or above: each nonzero axis, in axis order, adds
+    s a_l and s a_l^T degree by degree, s = -i k_ax/eps, into the zeros,
+    and then the diagonal follows.  No dense streaming matrix is formed."""
     if coupling.N < N:
         raise ValueError(f"coupling set holds degrees <= {coupling.N} < N={N}")
     nm = sh.n_moments(N)
     L = np.zeros((nm, nm), dtype=complex)
     for ax in range(3):
         if k[ax] != 0:
-            L += (-1j * k[ax] / eps) * coupling.full_matrix(ax + 1)[:nm, :nm]
+            s = -1j * k[ax] / eps
+            for l, a in enumerate(coupling.blocks[ax][:N], start=1):
+                low, high = sh.degree_slice(l - 1), sh.degree_slice(l)
+                L[low, high] += s * a
+                L[high, low] += s * a.T
     scatter = np.full(nm, -sigma / eps**2)
     scatter[0] = 0.0
     L[np.diag_indices(nm)] += scatter - sigma_a
@@ -317,31 +326,43 @@ def is_narrow(N: int) -> bool:
     return sh.n_moments(N) <= DENSE_EXPM_MAX_MOMENTS
 
 
-def connected_blocks(L: np.ndarray) -> list:
-    """The connected components of the nonzero pattern of the square matrix
-    L, symmetrised: one (blocks, w) index array per block width w, in
-    ascending w, each block's indices ascending.  L is block-diagonal under
-    the permutation that lists the blocks in turn, and so is every function
-    of it, expm(h L) included.  Labels are propagated along the nonzeros
-    (each index takes the least label of its neighbours, then its label's
-    label) until they settle on each component's least index."""
-    n = L.shape[0]
-    rows, cols = np.nonzero(L)
-    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    label = np.arange(n)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    # A stable sort keeps each component's indices ascending.
+@functools.lru_cache(maxsize=None)
+def _generator_blocks(N: int, nonzero: tuple) -> list:
+    """The blocks of every generator L_k of degree N whose nonzero
+    components of k are those flagged in nonzero: one read-only (blocks, w)
+    index array per block width w, in ascending w, each block's indices
+    ascending.  L_k is block-diagonal under the permutation that lists the
+    blocks in turn, and so is every function of it, expm(h L_k) included.
+    The blocks follow from the symmetries fixing k.  At k = 0 L_k is
+    diagonal, and on the z axis rotations about z keep each signed order
+    apart.  Otherwise the reflection of each axis where k is 0 commutes
+    with L_k and gives every moment a sign (sh.lattice_symmetry), and the
+    blocks are the moments' joint sign classes: for a representative
+    (a, 0, 0) the four classes of ((l + |m|) mod 2, m < 0), (a, b, 0) the
+    two of (l + |m|) mod 2, and one block for (a, b, c).  Each moment is
+    labelled by the least index of its class."""
+    degree = sh.moment_degrees(N)
+    if not any(nonzero):
+        key = np.arange(degree.size)
+    elif nonzero == (False, False, True):
+        key = np.arange(degree.size) - degree * degree - degree
+    else:
+        key = np.zeros(degree.size, dtype=int)
+        for ax in range(3):
+            if not nonzero[ax]:
+                flip = [i == ax for i in range(3)]
+                key |= (sh.lattice_symmetry(N, flip, False)[1] < 0) << ax
+    _, least, inverse = np.unique(key, return_index=True, return_inverse=True)
+    label = least[inverse]
+    # A stable sort keeps each block's indices ascending.
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    widths = np.diff(np.append(starts, n))
-    return [np.stack([order[s:s + w] for s in starts[widths == w]])
-            for w in np.unique(widths)]
+    widths = np.diff(np.append(starts, degree.size))
+    stacks = [np.stack([order[s:s + w] for s in starts[widths == w]])
+              for w in np.unique(widths)]
+    for idx in stacks:
+        idx.flags.writeable = False
+    return stacks
 
 
 def cubic_representative(c) -> tuple:
@@ -493,12 +514,13 @@ class PnOperator:
     exponential is taken by _exp: one dense complex expm for a
     representative on the axis (k = 0 or (a, 0, 0)) of a narrow operator
     (is_narrow), and otherwise (_split) one stacked real-frame expm per
-    block width of the generator's connected blocks, found once per
-    representative, scattered into the dense propagator.  step takes one
-    product P_(c*) @ X per class, X holding the class's H vectors as
-    columns, and per Duhamel node its e_0 column times the class's drive
-    (every turn fixes e_0); on a 1D grid every class holds one H mode, so
-    those products keep the bits of a loop over modes."""
+    block width of the generator's blocks, which the symmetries of c* set
+    once per degree and pattern of zeros (_generator_blocks), scattered
+    into the dense propagator.  step takes one product P_(c*) @ X per
+    class, X holding the class's H vectors as columns, and per Duhamel node
+    its e_0 column times the class's drive (every turn fixes e_0); on a 1D
+    grid every class holds one H mode, so those products keep the bits of
+    a loop over modes."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         sh.require_integer("N", N)
@@ -528,7 +550,6 @@ class PnOperator:
             for _, k in self._modes
         )
         self._narrow = is_narrow(self.N)
-        self._blocks: dict = {}  # c -> connected_blocks(L_c), split classes only
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
         self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c)[:, 0], (nodes, nm)
 
@@ -543,25 +564,23 @@ class PnOperator:
         return not self._narrow or np.count_nonzero(c) > 1
 
     def _generator(self, c) -> np.ndarray:
-        """L_c; when c is split its connected blocks are found, and kept,
-        the first time."""
-        L = assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
-                                   self.sigma_a)
-        if self._split(c) and c not in self._blocks:
-            self._blocks[c] = connected_blocks(L)
-        return L
+        """L_c, written block by block by assemble_mode_operator."""
+        return assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
+                                      self.sigma_a)
 
-    def _exp(self, c, A: np.ndarray) -> np.ndarray:
-        """expm(A) for A = h L_c, a multiple of representative c's generator:
+    def _exp(self, c, h: float, L: np.ndarray) -> np.ndarray:
+        """expm(A) for A = h L, L = L_c the generator of representative c:
         the one place a representative's exponential is taken.  A narrow
         operator's representatives on the axis take one dense complex expm,
         which keeps the bits of every 1D grid.  Every other c (_split) takes
-        one stacked expm per block width of L_c's connected blocks, shaped
-        (blocks, w, w), and scatters the blocks into the dense propagator,
-        whose other entries are exactly zero.  Blocks wider than 1 are taken
-        in the real frame: streaming couples degree l only to l +- 1 through
-        -i times a real matrix, and the diagonal is real, so with D =
-        diag(i^l) the entries (D^-1 A D)_pq = A_pq i^(l_q - l_p) are real,
+        one stacked expm per block width of L_c's blocks (_generator_blocks,
+        set by the symmetries of c), shaped (blocks, w, w), each gathered
+        from L and multiplied by h, the entries of h L with no dense product,
+        and scatters the blocks into the dense propagator, whose other
+        entries are exactly zero.  Blocks wider than 1 are taken in the real
+        frame: streaming couples degree l only to l +- 1 through -i times a
+        real matrix, and the diagonal is real, so with D = diag(i^l) the
+        entries (D^-1 A D)_pq = A_pq i^(l_q - l_p) are real,
         and expm(A) = D expm(D^-1 A D) D^-1 is a real expm multiplied
         entrywise by i^(l_p - l_q).  No complex factor is formed: with d =
         (l_q - l_p) mod 4, A_pq is real for even d and imaginary for odd d,
@@ -570,13 +589,21 @@ class PnOperator:
         i^(d mod 2), all exact.  1-wide blocks (k = 0 and the |m| = N blocks
         on the z axis of a wide operator) take the complex expm, whose 1 x 1
         path the dense one shares."""
+        # A generator _rep assembled is freed before the expms run: L is
+        # dropped once h L, or its blocks, are taken.
         if not self._split(c):
+            A = h * L
+            del L
             return expm(A)
-        P = np.zeros_like(A)
+        stacks = _generator_blocks(self.N, tuple(x != 0 for x in c))
+        blocks = [L[idx[:, :, None], idx[:, None, :]] for idx in stacks]
+        del L
+        P = np.zeros((self.nm, self.nm), dtype=complex)
         degree = sh.moment_degrees(self.N)
-        for idx in self._blocks[c]:
+        for idx in stacks:
             square = (idx[:, :, None], idx[:, None, :])
-            block = A[square]
+            block = blocks.pop(0)
+            block *= h
             if idx.shape[1] == 1:
                 P[square] = expm(block)
                 continue
@@ -596,9 +623,7 @@ class PnOperator:
         unless the caller passes it."""
         P = self._reps.get((c, h))
         if P is None:
-            # An assembled L_c is a temporary, freed before the expm runs.
-            A = h * (self._generator(c) if L is None else L)
-            P = self._reps[(c, h)] = self._exp(c, A)
+            P = self._reps[(c, h)] = self._exp(c, h, self._generator(c) if L is None else L)
         return P
 
     def _substep(self, c, hs: float, taus) -> tuple:
@@ -611,7 +636,7 @@ class PnOperator:
         P = self._rep(c, hs, L)
         cols = np.empty((len(taus), self.nm), dtype=complex)
         for m, tau in enumerate(taus):
-            cols[m] = self._exp(c, float(hs - tau) * L)[:, 0]
+            cols[m] = self._exp(c, float(hs - tau), L)[:, 0]
         self._nodes[(c, hs)] = cols
         return P, cols
 
@@ -662,11 +687,13 @@ class PnOperator:
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
         props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.classes]
-        u = np.empty_like(v)
-        t = np.empty((_DUHAMEL_NODES,) + v.shape, dtype=complex)
+        wts = wts[:, None, None]
+        t = np.empty((1 + _DUHAMEL_NODES,) + v.shape, dtype=complex)
         # Per substep each class takes the propagated state and every node's
-        # e_0 column times the shared drive samples, summed node by node in
-        # the representatives' frames, where the state stays between substeps.
+        # e_0 column times the shared drive samples, in the representatives'
+        # frames, where the state stays between substeps.  One reduction over
+        # the first axis of t sums them in node order, ((t_0 + t_1) + t_2) +
+        # ..., the propagated state first.
         for j in range(nsub):
             ta = t0 + j * hs
             q = np.asarray(source(ta + taus))
@@ -676,11 +703,10 @@ class PnOperator:
                                  f"half-space mode, got {q.shape}")
             q = q[:, stack.drive]
             for rows, P, cols in props:
-                u[rows] = (P @ v[rows].T).T
-                t[:, rows] = (cols[:, :, None] @ q[:, None, rows]).swapaxes(1, 2)
-            for m in range(_DUHAMEL_NODES):
-                u += wts[m] * t[m]
-            u, v = v, u
+                t[0, rows] = (P @ v[rows].T).T
+                t[1:, rows] = (cols[:, :, None] @ q[:, None, rows]).swapaxes(1, 2)
+            t[1:] *= wts
+            np.add.reduce(t, axis=0, out=v)
         stack.from_rep(v, box)
         return out
 

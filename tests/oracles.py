@@ -7,7 +7,8 @@ harmonics and the angular Sobolev norms; the damping-integral formulas; a
 sampled source, random vectors over the half-space and the box source of a
 re-emission drive, the dense per-mode Duhamel step with a source of any
 moments, the energy balance of a step and the absorption change of
-variables."""
+variables; the mode generator from dense streaming matrices, and the
+connected blocks of a generator's nonzero pattern by label propagation."""
 
 import functools
 import math
@@ -207,6 +208,49 @@ def source_sampler(spec: tr.ProblemSpec, grid: gr.SpatialGrid, N: int):
         return gr.moment_field(grid, L, spec.q, t).truncate(N).coeffs
 
     return sample
+
+
+def dense_mode_operator(k, N, eps, sigma, coupling, sigma_a=0.0):
+    """tr.assemble_mode_operator's generator from the dense streaming
+    matrices: L = 0, then (-i k_ax/eps) A^(ax) added for each nonzero axis
+    in axis order, then the diagonal."""
+    if coupling.N < N:
+        raise ValueError(f"coupling set holds degrees <= {coupling.N} < N={N}")
+    nm = sh.n_moments(N)
+    L = np.zeros((nm, nm), dtype=complex)
+    for ax in range(3):
+        if k[ax] != 0:
+            L += (-1j * k[ax] / eps) * coupling.full_matrix(ax + 1)[:nm, :nm]
+    scatter = np.full(nm, -sigma / eps**2)
+    scatter[0] = 0.0
+    L[np.diag_indices(nm)] += scatter - sigma_a
+    return L
+
+
+def connected_blocks(L):
+    """The connected components of the nonzero pattern of the square matrix
+    L, symmetrised: one (blocks, w) index array per block width w, in
+    ascending w, each block's indices ascending.  Labels are propagated
+    along the nonzeros (each index takes the least label of its neighbours,
+    then its label's label) until they settle on each component's least
+    index."""
+    n = L.shape[0]
+    rows, cols = np.nonzero(L)
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # A stable sort keeps each component's indices ascending.
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    widths = np.diff(np.append(starts, n))
+    return [np.stack([order[s:s + w] for s in starts[widths == w]])
+            for w in np.unique(widths)]
 
 
 def conjugate_rest(op: tr.PnOperator, out):

@@ -138,6 +138,23 @@ def test_coupling_matches_oracle_to_n9():
             assert diff < 1e-12, f"axis {ax} degree {l}: {diff}"
 
 
+@pytest.mark.parametrize("N", [1, 5, 12])
+def test_coupling_cache_is_read_only_fresh_and_nested(N):
+    # Each degree's blocks are built once per process and shared read-only:
+    # byte for byte a fresh build, and the first N blocks of every larger set.
+    cs, wider = sh.assemble_coupling(N), sh.assemble_coupling(N + 4)
+    for ax in range(3):
+        assert len(cs.blocks[ax]) == N
+        assert all(a is b for a, b in zip(cs.blocks[ax], wider.blocks[ax][:N]))
+        for l, a in enumerate(cs.blocks[ax], start=1):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+            fresh = sh._coupling_degree.__wrapped__(l)[ax]
+            assert a.dtype == fresh.dtype and a.shape == fresh.shape
+            assert a.tobytes() == fresh.tobytes()
+
+
 def test_coupling_oracle_requires_exactness():
     quad = sh.build_sphere_quadrature(4)  # exactness 7
     with pytest.raises(ValueError):

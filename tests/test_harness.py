@@ -358,6 +358,25 @@ def test_bad_values_rejected_at_parse(tmp_path, capsys, body, key):
     assert "Traceback" not in err
 
 
+# Legal numerals that a solver or a bound takes past the float range: each
+# passed the parser and ended in a traceback out of cli.main after its solve.
+@pytest.mark.parametrize("line,key", [
+    ("eps = 1e-200", "eps"),  # eps^2 underflows to 0: ZeroDivisionError
+    ("eps = 1e-150", "eps"),  # (T/eps)^3 overflows: OverflowError
+    ("sigma_t = 1e300", "sigma_t"),  # sigma^2 overflows: OverflowError
+    ("sigma_t = 1e-320", "sigma_t"),  # sigma^2 underflows: ZeroDivisionError
+    ("s = 400", "s"),  # s! is no float: OverflowError
+])
+def test_values_past_the_float_range_refused_before_any_solve(tmp_path, capsys, line, key):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"[run]\nproblem = iso-smooth\nsolver = pn\nN = 3\n{line}\n")
+    assert cli.main(["solve-pn", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {key} must")
+    assert float(err.rsplit("got ", 1)[1]) == float(line.split(" = ")[1])
+
+
 def test_edge_values_accepted():
     rs = _parse_text("[run]\nproblem = sobolev-s\nN = 5\nn_ref = 6\ns = 1\n"
                      "band = 0\nsigma_t = 0.5\nsigma_a = 0.5\n")
@@ -369,6 +388,11 @@ def test_edge_values_accepted():
                      "[sweep]\nsigma = 0.5, 1\n")
     assert rs.sweep_sigma == (0.5, 1.0)
     assert _parse_text("[run]\nproblem = sobolev-s\nsigma_t = 0\n").sigma_t == 0.0
+    # The float-range checks refuse only what overflows or underflows.
+    assert _parse_text(f"[run]\nproblem = iso-smooth\ns = {hn.MAX_S}\n").s == 170
+    rs = _parse_text("[run]\nproblem = iso-smooth\neps = 1e-100\nsigma_t = 1e150\n")
+    assert (rs.eps, rs.sigma_t) == (1e-100, 1e150)
+    assert _parse_text("[run]\nproblem = iso-smooth\nsolver = diffusion\ns = 400\n").s == 400
 
 
 def test_diffusion_solver_refuses_the_streaming_problem(tmp_path, capsys):

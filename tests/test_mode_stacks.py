@@ -218,9 +218,9 @@ def test_sourced_modes_add_the_augmented_forcing_to_a_step(monkeypatch):
         sizes.append(A.shape[-1])
         return real(A)
 
-    def class_exp(self, c, A):
+    def class_exp(self, c, *args):
         classes.append(c)
-        return real_exp(self, c, A)
+        return real_exp(self, c, *args)
 
     monkeypatch.setattr(tr, "expm", counting)
     monkeypatch.setattr(tr.PnOperator, "_exp", class_exp)

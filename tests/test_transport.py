@@ -376,6 +376,27 @@ def test_substep_count_follows_stiffness():
     assert op.substeps_for(1e-6) == 1
 
 
+@given(
+    k=st.tuples(*[st.integers(-3, 3)] * 3),
+    N=st.integers(0, 12),
+    extra=st.integers(0, 3),
+    eps=st.one_of(st.just(1.0), st.floats(0.05, 2.0)),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    absorb=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@example(k=(3, -1, 3), N=17, extra=0, eps=0.3, sigma=1.0, absorb=0.25)
+@example(k=(1, 0, 0), N=28, extra=2, eps=0.5, sigma=0.0, absorb=0.0)
+@settings(max_examples=60)
+def test_generator_bytes_match_dense_oracle(k, N, extra, eps, sigma, absorb):
+    # Written degree block by degree block, the generator keeps every bit of
+    # the sum of dense streaming matrices, from a coupling set of degree N
+    # or above.
+    coupling = sh.assemble_coupling(max(N, 1) + extra)
+    got = tr.assemble_mode_operator(k, N, eps, sigma, coupling, absorb * sigma)
+    want = oracles.dense_mode_operator(k, N, eps, sigma, coupling, absorb * sigma)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_mode_operator_dissipative_spectrum():
     cs = sh.assemble_coupling(5)
     A = tr.assemble_mode_operator((2, 0, -1), 5, 0.5, 1.0, cs, sigma_a=0.25)
@@ -475,9 +496,9 @@ def _count_exps(monkeypatch) -> list:
     calls = []
     real = tr.PnOperator._exp
 
-    def counting(self, c, A):
+    def counting(self, c, *args):
         calls.append(c)
-        return real(self, c, A)
+        return real(self, c, *args)
 
     monkeypatch.setattr(tr.PnOperator, "_exp", counting)
     return calls
@@ -742,7 +763,7 @@ def _wide_operator(N, eps, sigma, sigma_a):
 def test_block_split_exponential_matches_dense_oracle(k, N, eps, sigma, absorb, h):
     sigma_a = absorb * sigma
     op = _wide_operator(N, eps, sigma, sigma_a)
-    P = op._exp(k, h * op._generator(k))
+    P = op._exp(k, h, op._generator(k))
     Q = _dense_oracle(k, N, eps, sigma, sigma_a, h)
     assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
     if k == (0, 0, 0):
@@ -774,8 +795,25 @@ def test_real_frame_generator_is_real(k, N, eps, sigma, absorb, h):
 
 
 def _block_stacks(k, N):
-    L = tr.assemble_mode_operator(k, N, 0.5, 1.0, sh.assemble_coupling(N), 0.25)
-    return tr.connected_blocks(L)
+    L = tr.assemble_mode_operator(k, N, 0.5, 1.0, sh.assemble_coupling(max(N, 1)), 0.25)
+    return oracles.connected_blocks(L)
+
+
+@pytest.mark.parametrize("N", list(range(17)) + [20, 28])
+def test_symmetry_blocks_match_connected_blocks_oracle(N):
+    # The blocks PnOperator._exp takes come from the symmetries of k's
+    # pattern of zeros, with no search: index stacks equal to the connected
+    # components of the generator's nonzeros, for every pattern, a
+    # representative's four (k = 0, (a,0,0), (a,b,0), (a,b,c)) included.
+    for nonzero in itertools.product((False, True), repeat=3):
+        got = tr._generator_blocks(N, nonzero)
+        assert not any(idx.flags.writeable for idx in got)
+        for scale in ((1, 2, 3), (-3, 1, -1), (2, 2, 2)):
+            k = tuple(x if f else 0 for x, f in zip(scale, nonzero))
+            want = _block_stacks(k, N)
+            assert len(got) == len(want), k
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), k
 
 
 @pytest.mark.parametrize("N", [3, 8])
@@ -843,7 +881,7 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
     assert len(calls) == len(widths)
     # On the z axis the |m| = 17 blocks are 1 wide and stay complex.
     calls.clear()
-    op._exp((0, 0, 1), h * op._generator((0, 0, 1)))
+    op._exp((0, 0, 1), h, op._generator((0, 0, 1)))
     assert [(s[1], kind) for s, kind in calls] == [(1, "c")] + [(w, "f") for w in range(2, 19)]
     # The z axis is not a cubic representative: a step of its modes takes
     # the propagator of (1, 0, 0) alone and turns their vectors.
