@@ -72,10 +72,13 @@ def _load(args) -> hn.RunSpec:
 
 def _cmd_solve(args, solver) -> int:
     rs = _load(args)
-    mf = hn.manufactured(rs.problem, eps=rs.eps, sigma_t=rs.sigma_t,
-                         sigma_a=rs.sigma_a, T=rs.T, dt=rs.dt, s=rs.s,
-                         band=rs.band, n_ref=rs.n_ref)
-    out = hn.run_single(mf, solver, rs.N)
+    try:
+        mf = hn.manufactured(rs.problem, eps=rs.eps, sigma_t=rs.sigma_t,
+                             sigma_a=rs.sigma_a, T=rs.T, dt=rs.dt, s=rs.s,
+                             band=rs.band, n_ref=rs.n_ref)
+        out = hn.run_single(mf, solver, rs.N)
+    except hn.ConfigError as exc:
+        raise _Exit(f"config error: {exc}") from None
     dt = f"  dt={out.dt:g}" if solver == "hybrid" else ""
     print(f"problem        {rs.problem}")
     print(f"solver         {solver}  N={rs.N}{dt}  eps={rs.eps:g}  sigma_t={rs.sigma_t:g}"

@@ -284,18 +284,6 @@ class CouplingSet:
         )
 
 
-def _e_minus(l: int, k: int) -> float:
-    # sin(theta) ladder, k-raising, degree-lowering coefficient.
-    num = (l - k) * (l - k - 1)
-    return math.sqrt(max(num, 0) / ((2 * l + 1.0) * (2 * l - 1.0)))
-
-
-def _f_minus(l: int, k: int) -> float:
-    # sin(theta) ladder, k-lowering, degree-lowering coefficient.
-    num = (l + k) * (l + k - 1)
-    return math.sqrt(max(num, 0) / ((2 * l + 1.0) * (2 * l - 1.0)))
-
-
 def assemble_coupling(N: int) -> CouplingSet:
     """Closed-form coupling matrices from the normalized recurrence weights.
 
@@ -314,46 +302,38 @@ def assemble_coupling(N: int) -> CouplingSet:
 
 @functools.lru_cache(maxsize=None)
 def _coupling_degree(l: int) -> tuple:
-    """(a_l^(1), a_l^(2), a_l^(3)), read-only."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    a1 = np.zeros((2 * l - 1, 2 * l + 1))
-    a2 = np.zeros((2 * l - 1, 2 * l + 1))
-    a3 = np.zeros((2 * l - 1, 2 * l + 1))
-
-    def put(a, kp, k, val):
-        if abs(kp) <= l - 1 and val != 0.0:
-            a[kp + l - 1, k + l] += val
-
-    for k in range(-l, l + 1):
-        kk = abs(k)
-        # axis 3: Omega_3 = cos(theta), diagonal in order.
-        put(a3, k, k, _alpha(l - 1, kk))
-        em = _e_minus(l, kk)
-        fm = _f_minus(l, kk)
-        if k >= 2:
-            put(a1, k + 1, k, -0.5 * em)
-            put(a1, k - 1, k, 0.5 * fm)
-            put(a2, -(k + 1), k, -0.5 * em)
-            put(a2, -(k - 1), k, -0.5 * fm)
-        elif k == 1:
-            put(a1, 2, k, -0.5 * em)
-            put(a1, 0, k, inv_sqrt2 * fm)
-            put(a2, -2, k, -0.5 * em)
-        elif k == 0:
-            put(a1, 1, k, -inv_sqrt2 * em)
-            put(a2, -1, k, -inv_sqrt2 * em)
-        elif k == -1:
-            put(a1, -2, k, -0.5 * em)
-            put(a2, 0, k, inv_sqrt2 * fm)
-            put(a2, 2, k, 0.5 * em)
-        else:  # k <= -2
-            put(a1, -(kk + 1), k, -0.5 * em)
-            put(a1, -(kk - 1), k, 0.5 * fm)
-            put(a2, kk - 1, k, 0.5 * fm)
-            put(a2, kk + 1, k, 0.5 * em)
-    for a in (a1, a2, a3):
-        a.flags.writeable = False
-    return a1, a2, a3
+    """(a_l^(1), a_l^(2), a_l^(3)), read-only.  Column k + l (order k of
+    degree l) couples to rows k' + l - 1 (order k' of degree l - 1): along
+    axis 3 to k' = k by alpha(l - 1, |k|), along axes 1 and 2 to |k'| =
+    |k| + 1 by the sin(theta) ladder's weight e and to |k'| = |k| - 1 by
+    its weight f, with the cos/sin pairing setting each sign and order 0
+    taking 1/sqrt(2) in place of 1/2.  So every column has one entry per
+    ladder, all written by one indexed assignment: into padding rows where
+    k' lies outside degree l - 1, and as +0 where the weight is 0 or the
+    column has no such entry."""
+    k = np.arange(-l, l + 1)
+    kk = np.abs(k)
+    sign = np.where(k < 0, -1, 1)  # of k, and +1 at k = 0
+    width = (2 * l + 1.0) * (2 * l - 1.0)
+    e = np.sqrt(np.maximum((l - kk) * (l - kk - 1), 0) / width)
+    f = np.sqrt(np.maximum((l + kk) * (l + kk - 1), 0) / width)
+    alpha = np.sqrt((l * l - kk * kk) / ((2 * l - 1.0) * (2 * l + 1.0)))  # _alpha(l - 1, |k|)
+    # One row per ladder: axis 1 up and down, axis 2 up and down, axis 3.
+    axes = np.array([0, 0, 1, 1, 2])
+    orders = np.stack([sign * (kk + 1), sign * (kk - 1), -sign * (kk + 1), -sign * (kk - 1), k])
+    half_e, half_f = 0.5 * e, 0.5 * f
+    values = np.stack([-half_e, half_f, -sign * half_e, -sign * half_f, alpha])
+    root = 1.0 / math.sqrt(2.0)
+    values[[0, 2], l] = -root * e[l]  # k = 0 up
+    values[1, l + 1] = root * f[l + 1]  # k = 1 down on axis 1
+    values[3, l - 1] = root * f[l - 1]  # k = -1 down on axis 2
+    values[1, l - 1:l + 1] = 0.0  # k = -1 and 0 have no axis-1 step down,
+    values[3, l:l + 2] = 0.0  # k = 0 and 1 no axis-2 step down
+    values += 0.0  # -0 to +0
+    blocks = np.zeros((3, 2 * l + 3, 2 * l + 1))  # two padding rows each side
+    blocks[axes[:, None], orders + l + 1, k + l] = values
+    blocks.flags.writeable = False
+    return tuple(blocks[:, 2:-2])
 
 
 def coupling_oracle(N: int, quad: SphereQuadrature) -> CouplingSet:

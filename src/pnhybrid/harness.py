@@ -279,6 +279,7 @@ def parse_config_text(lines) -> RunSpec:
             raise ConfigError(f"dt must leave at most {tr.MAX_INTERVALS} intervals "
                               f"M = T/dt, got dt={dt} for T={rs.T}")
     _require_float_powers(rs, float(Tf))
+    _require_substeps(rs, Tf)
     return rs
 
 
@@ -319,6 +320,32 @@ def _require_float_powers(rs: RunSpec, T: float) -> None:
         for v in values:
             if not ok(v):
                 raise ConfigError(f"{key} must be {need}, got {v}")
+
+
+def _require_substeps(rs: RunSpec, T: Fraction) -> None:
+    """Refuse a hybrid run that would take more than tr.MAX_INTERVALS
+    Duhamel substeps at some sweep point.  hybrid_step sizes its substeps
+    by twice the fastest rate, at least 2 (sigma/eps^2 + sigma_a), so the
+    count taken from that rate never exceeds the run's own.  A point
+    without scattering takes no substep."""
+    if rs.solver != "hybrid":
+        return
+    sigma_key = "sigma" if rs.sweep_sigma else "sigma_t"
+    for eps in rs.sweep_eps or (rs.eps,):
+        for sigma in rs.sweep_sigma or (rs.sigma_t,):
+            if sigma == 0.0:
+                continue
+            rate = 2.0 * (sigma / eps**2 + rs.sigma_a)
+            for dt in rs.sweep_dt or (rs.dt,):
+                dtf = T if dt is None else Fraction(dt)
+                h = float(dtf)
+                need = (T / dtf * tr.duhamel_substeps(rate, h)
+                        if math.isfinite(rate * h) else math.inf)
+                if need > tr.MAX_INTERVALS:
+                    raise ConfigError(
+                        f"eps and {sigma_key} must leave at most {tr.MAX_INTERVALS} "
+                        f"Duhamel substeps per hybrid run, got eps={eps} and "
+                        f"{sigma_key}={sigma}, at least {float(need):.3g} at dt={h:g}")
 
 
 def _emit(kind, value) -> str:
@@ -562,9 +589,14 @@ def run_single(mf: Manufactured, solver: str, N: int, dt=None) -> SingleResult:
                                            q_terms=spec.q)
 
     reference, unc = mf.reference(solver, N, quad)
+    error = distance(solution, reference)
+    if not (math.isfinite(error) and math.isfinite(unc)):
+        raise ConfigError(f"eps and sigma_t must keep the {solver} solve and its reference "
+                          f"within the float range, got error {error} and oracle "
+                          f"uncertainty {unc} at eps={spec.eps:g}, "
+                          f"sigma_t={spec.sigma_t:g}")
     bound, branch, rep = _evaluate_bound(spec, solver, mf.s, N, grid)
-    return SingleResult(distance(solution, reference), unc, bound, branch, dt_run,
-                        rep, hybrid=res)
+    return SingleResult(error, unc, bound, branch, dt_run, rep, hybrid=res)
 
 
 def sweep_points(rs: RunSpec):

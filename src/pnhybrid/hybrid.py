@@ -17,7 +17,10 @@ the carrier's advance and the re-emission (step's drive, one e_0 value per
 Duhamel node and mode of H) go through one transport.UncollidedFlow per
 run, which takes each distinct decay rate's exponential once per time and
 gathers it; the drive advances it to a substep's 12 node times in one
-call.  Every field is real in physical space, so the flow, the
+call.  Without a source every characteristic decays at sigma/eps^2 +
+sigma_a, so each interval hands step an envelope of the drive, and step
+skips the substeps on which the drive has fallen below the last bit of the
+collided state.  Every field is real in physical space, so the flow, the
 re-emission and remap's evaluation and projections work on the half-space
 H of the modes (grid.half_space) and take each other mode as the conjugate
 of its -k (grid.from_half).
@@ -74,6 +77,28 @@ class HybridResult:
     records: list         # one IntervalRecord per interval
 
 
+def _substeps(op: tr.PnOperator, flow: tr.UncollidedFlow, h: float) -> int:
+    """Duhamel substeps of an interval of length h: the drive varies at the
+    uncollided rates, at most op.max_rate, and at the source's rates."""
+    source_rate = max((abs(tm.time_exp) for tm, _ in flow.profiles), default=0.0)
+    return op.substeps_for(h, extra_rate=op.max_rate + source_rate)
+
+
+def _envelope(psi_u: gr.NodalField, a: float, emit: float, flow: tr.UncollidedFlow):
+    """A bound on the modulus of the re-emission drive of a flow without a
+    source at every time t >= a, per mode of H: every rate's real part is c
+    = sigma/eps^2 + sigma_a, so each characteristic decays as e^(-c (t-a))
+    and |drive_k(t)| <= emit e^(-c (t-a)) sum_j (w_j/4 pi) |v_kj(a)| (the
+    weights are positive).  The factor 2 covers the rounding of the
+    exponentials, the products and the node sum, and the bound never
+    rounds to 0 on a mode whose state is not 0."""
+    rate = float(flow.distinct.real.min())
+    values = gr.half_space(psi_u.values.reshape(-1, len(psi_u.quad)))
+    at_a = 2.0 * emit * ((np.abs(values) @ psi_u.quad.weights) / _FOUR_PI)
+    floor = np.where(values.any(axis=-1), np.finfo(float).tiny, 0.0)
+    return lambda t: np.maximum(at_a * math.exp(-rate * (t - a)), floor)
+
+
 def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
                 flow: tr.UncollidedFlow):
     """Advance the state psi_u over [a, b] without remapping: returns
@@ -87,10 +112,14 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
     be Hermitian, real in physical space.  flow is the
     transport.uncollided_flow of psi_u's grid and quadrature, op's cross
     sections and the source terms; it depends on no interval, so run_hybrid
-    builds it once per run.  The flow is advanced to 12 x substeps + 1
-    times in substeps + 1 calls: one per substep, at its 12 Duhamel node
-    times, and one for the carrier.  Each takes its exponentials and source
-    responses once per distinct rate and time, not once per (mode, node).
+    builds it once per run.  The flow is advanced to at most 12 x substeps
+    + 1 times in at most substeps + 1 calls: one per substep, at its 12
+    Duhamel node times, and one for the carrier.  Each takes its
+    exponentials and source responses once per distinct rate and time, not
+    once per (mode, node).  A flow without a source also hands step the
+    drive's decay envelope (_envelope), and step samples no substep on which
+    the drive cannot change a bit of the collided moments, so the result is
+    the same byte for byte.
     """
     if psi_u.quad.exactness < 2 * op.N:
         raise ValueError(
@@ -110,9 +139,9 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
             vals = flow.advance(psi_u.values, a, times)
             return emit * ((vals[..., None, :] @ psi_u.quad.weights) / _FOUR_PI)[..., 0]
 
-        source_rate = max((abs(tm.time_exp) for tm, _ in flow.profiles), default=0.0)
-        nsub = op.substeps_for(b - a, extra_rate=op.max_rate + source_rate)
-        coeffs = op.step(collided.coeffs, b - a, source=sample, t0=a, substeps=nsub)
+        coeffs = op.step(collided.coeffs, b - a, source=sample, t0=a,
+                         substeps=_substeps(op, flow, b - a),
+                         envelope=None if flow.profiles else _envelope(psi_u, a, emit, flow))
         collided = gr.MomentField(psi_u.grid, op.N, coeffs)
     values = gr.from_half(flow.advance(psi_u.values, a, b), shape)
     carrier = gr.NodalField(psi_u.grid, psi_u.quad, values)
@@ -125,7 +154,9 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None,
 
     dt, if given, replaces spec.dt and the schedule is the problem's own
     (ProblemSpec.M, interval_edges), so a dt that is not positive or does
-    not divide T raises ValueError.  The returned total is the left limit at
+    not divide T raises ValueError, and so does a run whose Duhamel
+    substeps, summed over its intervals, exceed tr.MAX_INTERVALS, before
+    its first step.  The returned total is the left limit at
     T: the pair just before the final remap, evaluated at the quadrature
     directions, which is the carrier that remap returns.  Every OpenBLAS
     pool runs at one thread (blas.single_thread).
@@ -145,6 +176,13 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None,
             spec = replace(spec, dt=tr._as_fraction(dt, "dt"))
         edges = spec.interval_edges()
         flow = tr.uncollided_flow(grid, quad, op.eps, op.sigma, op.sigma_a, spec.q)
+        if op.sigma != 0.0:
+            lengths, counts = np.unique(np.diff(edges), return_counts=True)
+            need = sum(int(n) * _substeps(op, flow, float(h)) for h, n in zip(lengths, counts))
+            if need > tr.MAX_INTERVALS:
+                raise ValueError(f"the run must take at most {tr.MAX_INTERVALS} Duhamel "
+                                 f"substeps, got {need} for sigma/eps^2 = "
+                                 f"{op.sigma / op.eps**2:g}")
         psi = gr.nodal_field(grid, quad, spec.g)
         records = []
         for m in range(spec.M):

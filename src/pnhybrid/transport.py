@@ -70,7 +70,12 @@ phi-functions (Hochbruck-Ostermann, Acta Numerica 2010).  PnOperator.step
 also takes the hybrid's isotropic re-emission drive on H, which reaches
 each mode through e_0 alone, by Gauss-Legendre Duhamel quadrature on short
 substeps, keeping only the e_0 column of each node propagator; the drive
-is sampled once per substep, at its 12 node times together.  The
+is sampled at most once per substep, at its 12 node times together.  Given
+a bound on the drive that decays in time (the envelope of a flow without a
+source), a substep whose node terms that bound cannot lift above half the
+spacing of floats at any component of the propagated state keeps that
+state and samples nothing: the sum rounds back to it, so every bit is
+kept.  The
 uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
 so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
 the source's nodal profiles, and its advance takes the exponentials and
@@ -378,6 +383,15 @@ def cubic_representative(c) -> tuple:
     return star, tuple(order.index(i) for i in range(3))
 
 
+def duhamel_substeps(rate: float, h: float) -> int:
+    """Substeps of a Duhamel step of length h under rates up to rate, each
+    spanning at most _SUBSTEP_BUDGET / rate; rate * h must be a float."""
+    span = rate * h
+    if not math.isfinite(span):
+        raise ValueError(f"rate * h must be finite, got {rate} * {h}")
+    return max(1, math.ceil(span / _SUBSTEP_BUDGET))
+
+
 def _step_length(h) -> float:
     h = float(h)
     if not (math.isfinite(h) and h >= 0.0):
@@ -390,6 +404,33 @@ def _start_time(t0) -> float:
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0}")
     return t0
+
+
+def _drive_below_last_bit(state: np.ndarray, bound: np.ndarray, reach: np.ndarray) -> bool:
+    """Whether a Duhamel substep's node terms provably leave every bit of
+    the propagated state (stack rows, nm) as it is, so the substep can keep
+    it without sampling the drive.  bound holds each row's bound on |drive|
+    over the substep's nodes, reach each component's sum over the nodes of
+    weight times |e_0 column entry|, so B = bound[row] reach[e] bounds the
+    sum of the moduli of the node terms that reach component e of that row,
+    and each term's real and imaginary parts.  A sum x + d rounds back to x
+    when |d| is below half the spacing of floats at x (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, sec. 2.1); for 2^p <=
+    |x| < 2^(p+1) that half spacing is at least 2^(p-54), the floats below
+    a power of two being twice as dense, and so above |x| 2^-55.  Every
+    real and imaginary component x must therefore have x != 0 and B < |x|
+    2^-55, which bounds every partial sum of the terms too, so it holds for
+    the terms added in any order, or be +0 with B exactly 0 (a bound or
+    reach of 0, not a product that underflows): the terms are then +-0,
+    which leave +0 as it is.  A -0 component facing any term, or a zero
+    component facing B > 0, keeps the drive.  One vectorized pass over the
+    stack."""
+    parts = state.view(float).reshape(state.shape + (2,))
+    B = (bound[:, None] * reach)[..., None]
+    keep = B < np.abs(parts) * 2.0**-55
+    zero = (bound == 0.0)[:, None, None] | (reach == 0.0)[..., None]
+    keep |= zero & (parts.view(np.uint64) == 0)  # +0 is the all-zero pattern
+    return bool(keep.all())
 
 
 def _real_view_block(R: np.ndarray) -> np.ndarray:
@@ -506,7 +547,8 @@ class PnOperator:
     applied to the vector, so no per-mode or turned matrix is ever formed
     and a class costs one expm per step length or Duhamel node.  The
     representatives' propagators are cached per (class, h) in _reps and
-    the e_0 columns of their Duhamel nodes per (class, substep) in _nodes:
+    the e_0 columns of their Duhamel nodes, with the columns' weighted sums
+    of moduli that bound the node terms, per (class, substep) in _nodes:
     memory grows with classes and step lengths, not with modes, and
     repeated equal-length steps cost no further expm.  A generator is
     assembled for each batch of expm calls on its class (one step length,
@@ -551,7 +593,8 @@ class PnOperator:
         )
         self._narrow = is_narrow(self.N)
         self._reps: dict = {}  # (c, h) -> expm(h L_c)
-        self._nodes: dict = {}  # (c, hs) -> expm((hs - tau_m) L_c)[:, 0], (nodes, nm)
+        # (c, hs) -> (expm((hs - tau_m) L_c)[:, 0] shaped (nodes, nm), its reach)
+        self._nodes: dict = {}
 
     def modes(self) -> list:
         """[(index, wavevector)] of every spatial mode of the grid."""
@@ -626,19 +669,26 @@ class PnOperator:
             P = self._reps[(c, h)] = self._exp(c, h, self._generator(c) if L is None else L)
         return P
 
-    def _substep(self, c, hs: float, taus) -> tuple:
+    def _substep(self, c, hs: float, taus, wts) -> tuple:
         """(expm(hs L_c), the e_0 column of expm((hs - tau) L_c) per Duhamel
-        node, stacked (nodes, nm)), all taken from one assembly of L_c."""
-        cols = self._nodes.get((c, hs))
-        if cols is not None:
-            return self._rep(c, hs), cols
+        node, stacked (nodes, nm), and its reach, the sum over the nodes of
+        weight times |column entry|, shaped (nm,)), all taken from one
+        assembly of L_c."""
+        nodes = self._nodes.get((c, hs))
+        if nodes is not None:
+            return (self._rep(c, hs),) + nodes
         L = self._generator(c)
         P = self._rep(c, hs, L)
         cols = np.empty((len(taus), self.nm), dtype=complex)
         for m, tau in enumerate(taus):
             cols[m] = self._exp(c, float(hs - tau), L)[:, 0]
-        self._nodes[(c, hs)] = cols
-        return P, cols
+        # A reach is 0 only on a zero column, which _drive_below_last_bit
+        # trusts, and at least the smallest normal float elsewhere, above
+        # the absolute error of sums that underflow.
+        reach = np.where(cols.any(axis=0),
+                         np.maximum(wts @ np.abs(cols), np.finfo(float).tiny), 0.0)
+        nodes = self._nodes[(c, hs)] = (cols, reach)
+        return (P,) + nodes
 
     def _box(self, out: np.ndarray) -> np.ndarray:
         """out, shaped (modes, nm) without a copy."""
@@ -648,9 +698,9 @@ class PnOperator:
         return out.reshape(-1, self.nm)
 
     def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
-        return max(1, math.ceil((self.max_rate + extra_rate) * h / _SUBSTEP_BUDGET))
+        return duhamel_substeps(self.max_rate + extra_rate, h)
 
-    def step(self, coeffs, h, source=None, t0=0.0, substeps=None):
+    def step(self, coeffs, h, source=None, t0=0.0, substeps=None, envelope=None):
         """Advance coefficients by h: exact exponential when source is None,
         otherwise exponential plus Gauss-Legendre Duhamel on substeps (a
         positive integer, substeps_for(h) when None) from the finite start
@@ -659,7 +709,12 @@ class PnOperator:
         the forcing on the half-space H, at the Duhamel nodes of a substep:
         given that substep's 12 node times as one array, it returns one row
         per time and one value per mode of H in box order, shaped (12, H).
-        So source is called once per substep."""
+        So source is called at most once per substep.  envelope(t), when
+        given, bounds |source| at every time from t on, one nonnegative
+        value per mode of H in box order; a substep whose node terms that
+        bound, taken at its first node, proves unable to change a bit of the
+        propagated state (_drive_below_last_bit) keeps that state and does
+        not sample the drive, so the result is bit for bit the same."""
         h = _step_length(h)
         if source is not None:
             t0 = _start_time(t0)
@@ -686,7 +741,11 @@ class PnOperator:
         x, w = _duhamel_rule()
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
-        props = [(rows,) + self._substep(c, hs, taus) for c, rows in stack.classes]
+        props = [(rows,) + self._substep(c, hs, taus, wts) for c, rows in stack.classes]
+        if envelope is not None:
+            reach = np.empty(v.shape)
+            for rows, _, _, r in props:
+                reach[rows] = r
         wts = wts[:, None, None]
         t = np.empty((1 + _DUHAMEL_NODES,) + v.shape, dtype=complex)
         # Per substep each class takes the propagated state and every node's
@@ -695,15 +754,20 @@ class PnOperator:
         # the first axis of t sums them in node order, ((t_0 + t_1) + t_2) +
         # ..., the propagated state first.
         for j in range(nsub):
-            ta = t0 + j * hs
-            q = np.asarray(source(ta + taus))
+            times = t0 + j * hs + taus
+            for rows, P, _, _ in props:
+                t[0, rows] = (P @ v[rows].T).T
+            if envelope is not None and _drive_below_last_bit(
+                    t[0], envelope(times[0])[stack.drive], reach):
+                v[...] = t[0]
+                continue
+            q = np.asarray(source(times))
             if q.shape != (_DUHAMEL_NODES, len(stack.rows)):
                 raise ValueError(f"source samples must be shaped ({_DUHAMEL_NODES}, "
                                  f"{len(stack.rows)}), one drive per Duhamel node and "
                                  f"half-space mode, got {q.shape}")
             q = q[:, stack.drive]
-            for rows, P, cols in props:
-                t[0, rows] = (P @ v[rows].T).T
+            for rows, _, cols, _ in props:
                 t[1:, rows] = (cols[:, :, None] @ q[:, None, rows]).swapaxes(1, 2)
             t[1:] *= wts
             np.add.reduce(t, axis=0, out=v)

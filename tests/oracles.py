@@ -7,8 +7,9 @@ harmonics and the angular Sobolev norms; the damping-integral formulas; a
 sampled source, random vectors over the half-space and the box source of a
 re-emission drive, the dense per-mode Duhamel step with a source of any
 moments, the energy balance of a step and the absorption change of
-variables; the mode generator from dense streaming matrices, and the
-connected blocks of a generator's nonzero pattern by label propagation."""
+variables; each degree's coupling blocks filled entry by entry, the mode
+generator from dense streaming matrices, and the connected blocks of a
+generator's nonzero pattern by label propagation."""
 
 import functools
 import math
@@ -208,6 +209,60 @@ def source_sampler(spec: tr.ProblemSpec, grid: gr.SpatialGrid, N: int):
         return gr.moment_field(grid, L, spec.q, t).truncate(N).coeffs
 
     return sample
+
+
+def _e_minus(l: int, k: int) -> float:
+    # sin(theta) ladder, k-raising, degree-lowering coefficient.
+    num = (l - k) * (l - k - 1)
+    return math.sqrt(max(num, 0) / ((2 * l + 1.0) * (2 * l - 1.0)))
+
+
+def _f_minus(l: int, k: int) -> float:
+    # sin(theta) ladder, k-lowering, degree-lowering coefficient.
+    num = (l + k) * (l + k - 1)
+    return math.sqrt(max(num, 0) / ((2 * l + 1.0) * (2 * l - 1.0)))
+
+
+def coupling_degree(l: int) -> tuple:
+    """sh._coupling_degree's (a_l^(1), a_l^(2), a_l^(3)) filled entry by
+    entry, order k by order k, from scalar recurrence weights."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    a1 = np.zeros((2 * l - 1, 2 * l + 1))
+    a2 = np.zeros((2 * l - 1, 2 * l + 1))
+    a3 = np.zeros((2 * l - 1, 2 * l + 1))
+
+    def put(a, kp, k, val):
+        if abs(kp) <= l - 1 and val != 0.0:
+            a[kp + l - 1, k + l] += val
+
+    for k in range(-l, l + 1):
+        kk = abs(k)
+        # axis 3: Omega_3 = cos(theta), diagonal in order.
+        put(a3, k, k, sh._alpha(l - 1, kk))
+        em = _e_minus(l, kk)
+        fm = _f_minus(l, kk)
+        if k >= 2:
+            put(a1, k + 1, k, -0.5 * em)
+            put(a1, k - 1, k, 0.5 * fm)
+            put(a2, -(k + 1), k, -0.5 * em)
+            put(a2, -(k - 1), k, -0.5 * fm)
+        elif k == 1:
+            put(a1, 2, k, -0.5 * em)
+            put(a1, 0, k, inv_sqrt2 * fm)
+            put(a2, -2, k, -0.5 * em)
+        elif k == 0:
+            put(a1, 1, k, -inv_sqrt2 * em)
+            put(a2, -1, k, -inv_sqrt2 * em)
+        elif k == -1:
+            put(a1, -2, k, -0.5 * em)
+            put(a2, 0, k, inv_sqrt2 * fm)
+            put(a2, 2, k, 0.5 * em)
+        else:  # k <= -2
+            put(a1, -(kk + 1), k, -0.5 * em)
+            put(a1, -(kk - 1), k, 0.5 * fm)
+            put(a2, kk - 1, k, 0.5 * fm)
+            put(a2, kk + 1, k, 0.5 * em)
+    return a1, a2, a3
 
 
 def dense_mode_operator(k, N, eps, sigma, coupling, sigma_a=0.0):

@@ -54,7 +54,20 @@ def _verdict(config):
     return hn.fit_and_check(hn.run_sweep(rs))
 
 
-@pytest.mark.parametrize("config", ["hybrid-dt-streaming", "aniso-decay-n-sweep"])
+# hybrid-dt-diffusive's bound is flat in dt, 7.854e-02 at every dt and some
+# 36,000 times the error without a defect (2.149e-06), so a 10% defect stays
+# under it at C = 1 (errors up to 8.6e-03) and the fitted C checks nothing
+# further.  Under either defect the error grows as dt shrinks, where the
+# config says it should be independent of dt: a refinement rule on that
+# trend would catch both rows.
+_FLAT_BOUND = pytest.mark.xfail(
+    strict=True, reason="the flat bound of hybrid-dt-diffusive sits above the defect's "
+                        "error at C = 1; a refinement rule on the error's trend in dt "
+                        "would catch it")
+
+
+@pytest.mark.parametrize("config", ["hybrid-dt-streaming", "hybrid-dt-diffusive",
+                                    "aniso-decay-n-sweep"])
 def test_configs_conform_without_a_defect(config):
     rep = _verdict(config)
     assert rep.ok, rep.violations
@@ -66,6 +79,9 @@ def test_configs_conform_without_a_defect(config):
     ("aniso-decay-n-sweep", "scattering", "zero"),    # all 3 rows
     pytest.param("sobolev-n-sweep", "streaming", "stated", marks=_OWN_REFERENCE),
     pytest.param("sobolev-n-sweep", "scattering", "stated", marks=_OWN_REFERENCE),
+    # Both through the skipped re-emission drive of the diffusive substeps.
+    pytest.param("hybrid-dt-diffusive", "streaming", "stated", marks=_FLAT_BOUND),
+    pytest.param("hybrid-dt-diffusive", "scattering", "stated", marks=_FLAT_BOUND),
 ])
 def test_injected_defect_fails_verification(monkeypatch, config, defect, rule):
     monkeypatch.setattr(tr, "assemble_mode_operator", _DEFECTS[defect])

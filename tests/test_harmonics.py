@@ -153,6 +153,12 @@ def test_coupling_cache_is_read_only_fresh_and_nested(N):
             fresh = sh._coupling_degree.__wrapped__(l)[ax]
             assert a.dtype == fresh.dtype and a.shape == fresh.shape
             assert a.tobytes() == fresh.tobytes()
+    # The blocks are written ladder by ladder with array operations, byte
+    # for byte the entry-by-entry fill.
+    for l in range(1, 29):
+        for a, want in zip(sh._coupling_degree(l), oracles.coupling_degree(l)):
+            assert a.dtype == want.dtype and a.shape == want.shape
+            assert a.tobytes() == want.tobytes()
 
 
 def test_coupling_oracle_requires_exactness():

@@ -12,6 +12,7 @@ from pnhybrid import cli
 from pnhybrid import grid as gr
 from pnhybrid import harmonics as sh
 from pnhybrid import harness as hn
+from pnhybrid import hybrid as hy
 from pnhybrid import transport as tr
 
 import oracles
@@ -375,6 +376,68 @@ def test_values_past_the_float_range_refused_before_any_solve(tmp_path, capsys, 
     assert out == ""
     assert err.startswith(f"config error: {key} must")
     assert float(err.rsplit("got ", 1)[1]) == float(line.split(" = ")[1])
+
+
+# Legal numerals whose P_N solve and reference leave the float range: each
+# printed "error nan" and exited 0.  At N = 3, sigma_t/eps^2 = 1e30 still
+# solves to a finite error.
+@pytest.mark.parametrize("line", [
+    "eps = 1e-20",
+    "eps = 1e-100",
+    "sigma_t = 1e40",
+    "sigma_t = 1e150",
+])
+def test_solves_that_leave_the_float_range_are_refused(tmp_path, capsys, line):
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(f"[run]\nproblem = iso-smooth\nsolver = pn\nN = 3\n{line}\n")
+    assert cli.main(["solve-pn", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: eps and sigma_t must keep the pn solve")
+    assert "got error nan" in err and "Traceback" not in err
+
+
+# Stiff hybrid configs asked hybrid_step for about 2 (sigma/eps^2) dt / 3
+# substeps per interval with nothing to bound them: eps = 1e-20 ran past
+# 120 s.  They are refused at parse time; no solve may start.
+@pytest.mark.parametrize("body,need", [
+    ("eps = 1e-20", "6.67e+39"),
+    ("eps = 1e-4", "6.67e+07"),
+    ("eps = 1e-3\nT = 2\ndt = 0.5", "1.33e+06"),
+    ("eps = 1e-80\n[sweep]\nsigma = 1e150, 2e150", "inf"),  # sigma/eps^2 overflows
+])
+def test_stiff_hybrid_configs_refused_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                       body, need):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a refused config started a solve")
+
+    monkeypatch.setattr(hn, "run_single", no_solve)
+    monkeypatch.setattr(hy, "run_hybrid", no_solve)
+    text = f"[run]\nproblem = iso-smooth\nsolver = hybrid\nN = 3\n{body}\n"
+    key = "sigma" if "[sweep]" in body else "sigma_t"
+    with pytest.raises(hn.ConfigError, match=f"^eps and {key} must leave at most "
+                                             f"{tr.MAX_INTERVALS} Duhamel substeps"):
+        _parse_text(text)
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(text)
+    assert cli.main(["solve-hybrid", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eps and")
+    assert f"at least {need} at dt=" in err
+
+
+def test_hybrid_substep_limit_counts_every_interval():
+    # 2 (sigma/eps^2) dt / 3 = 666,667 substeps in one interval: accepted, and
+    # twice that over two intervals refused.  Parsed only, never solved.
+    rs = _parse_text("[run]\nproblem = iso-smooth\nsolver = hybrid\neps = 1e-3\n")
+    assert rs.eps == 1e-3
+    with pytest.raises(hn.ConfigError, match="at least 1.33e\\+06 at dt=1$"):
+        _parse_text("[run]\nproblem = iso-smooth\nsolver = hybrid\neps = 1e-3\nT = 2\n"
+                    "dt = 1\n")
+    # Without scattering the hybrid takes no substep.
+    rs = _parse_text("[run]\nproblem = iso-smooth\nsolver = hybrid\neps = 1e-20\n"
+                     "sigma_t = 0\n")
+    assert rs.sigma_t == 0.0
 
 
 def test_edge_values_accepted():

@@ -219,6 +219,24 @@ def test_too_many_intervals_rejected(monkeypatch, dt):
     assert most.M == tr.MAX_INTERVALS
 
 
+@pytest.mark.parametrize("eps,T,intervals", [(1e-4, 1, 1), (1.25e-3, 4, 4)])
+def test_too_many_substeps_rejected_before_the_first_step(monkeypatch, eps, T, intervals):
+    # The substeps of every interval count: at eps = 1.25e-3 each of four
+    # unit intervals takes about 2 (640,000 + 800) / 3 = 427,200, under the
+    # limit alone and over it in all.
+    def step(*args):
+        raise AssertionError("a hybrid step started")
+
+    monkeypatch.setattr(hy, "hybrid_step", step)
+    spec = tr.problem("stiff", eps=eps, sigma_t=1.0, g=[_iso_cosine()], T=T, dt=1)
+    with pytest.raises(ValueError, match=r"^the run must take at most 1000000 Duhamel "
+                                         r"substeps, got \d+ for sigma/eps\^2 = ") as info:
+        hy.run_hybrid(spec, N=1)
+    need = int(str(info.value).split("got ")[1].split()[0])
+    assert need % intervals == 0 and need > tr.MAX_INTERVALS
+    assert need // intervals == math.ceil(2 * (1 / eps**2 + 1 / eps) / 3)
+
+
 def test_absorbing_hybrid_matches_transformed():
     spec = tr.problem("abs", eps=0.6, sigma_t=1.0, sigma_a=0.4,
                       g=[_iso_cosine(), _aniso_cosine()], T="0.5", dt="1/4")
@@ -325,9 +343,10 @@ def test_batched_drive_matches_per_time_oracle_bytes(dim, sourced, eps, sigma, a
     steps = []
     real = tr.PnOperator.step
 
-    def recording(self, coeffs, length, source=None, t0=0.0, substeps=None):
+    def recording(self, coeffs, length, source=None, t0=0.0, substeps=None, envelope=None):
         steps.append((source, length, t0, substeps))
-        return real(self, coeffs, length, source=source, t0=t0, substeps=substeps)
+        return real(self, coeffs, length, source=source, t0=t0, substeps=substeps,
+                    envelope=envelope)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tr.PnOperator, "step", recording)
@@ -344,6 +363,128 @@ def test_batched_drive_matches_per_time_oracle_bytes(dim, sourced, eps, sigma, a
         assert flow.advance(psi_u.values, a, times).tobytes() == np.stack(at).tobytes()
         want = [emit * ((v[:, None, :] @ quad.weights) / (4.0 * math.pi))[:, 0] for v in at]
         assert drive(times).tobytes() == np.stack(want).tobytes()
+
+
+def _step_with_and_without_skip(psi_u, a, b, op, flow):
+    """hybrid_step's (carrier, collided) with the re-emission envelope, the
+    same step with the envelope withheld, and the first step's (substeps,
+    drive calls)."""
+    real = op.step
+    seen = []
+
+    def counting(coeffs, h, source=None, t0=0.0, substeps=None, envelope=None):
+        calls = []
+
+        def sample(times):
+            calls.append(times)
+            return source(times)
+
+        out = real(coeffs, h, sample, t0, substeps, envelope=envelope)
+        seen.append((substeps, len(calls)))
+        return out
+
+    try:
+        op.step = counting
+        skipping = hy.hybrid_step(psi_u, a, b, op, flow)
+        op.step = lambda coeffs, h, source=None, t0=0.0, substeps=None, envelope=None: \
+            real(coeffs, h, source, t0, substeps)
+        sampling = hy.hybrid_step(psi_u, a, b, op, flow)
+    finally:
+        del op.step
+    [counts] = seen
+    return skipping, sampling, counts
+
+
+# Without a source every uncollided characteristic decays at sigma/eps^2 +
+# sigma_a, and step skips the drive of a substep once its node terms cannot
+# change a bit of the propagated collided state.  The skip must keep every
+# byte of the carrier and the collided moments, on every grid dimension and
+# degree, diffusive (eps = 0.02) to streaming (eps = 1).  A sourced flow has
+# no envelope and samples every substep.  A state with a nonzero mean samples
+# every substep too (the k = 0 moments' imaginary parts are +0 and face a
+# positive bound), so mean_free zeroes the k = 0 mode; and so does a 2D or 3D
+# state at N >= 2, whose moments that the drive cannot reach hold -0 entries.
+# The examples' least_skipped counts skipped substeps, so the property is not
+# vacuous.
+@given(dim=st.sampled_from([1, 2, 3]), N=st.integers(1, 5),
+       eps=st.sampled_from([0.02, 0.05, 0.1, 0.5, 1.0]), sigma=st.floats(0.2, 1.0),
+       absorb=st.sampled_from([0.0, 0.1]), sourced=st.booleans(), a=st.floats(0.0, 1.0),
+       h=st.floats(0.02, 0.25), mean_free=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       least_skipped=st.just(0))
+@example(dim=1, N=3, eps=0.05, sigma=1.0, absorb=0.0, sourced=False, a=0.0, h=0.25,
+         mean_free=True, seed=1, least_skipped=10)
+@example(dim=2, N=1, eps=0.02, sigma=1.0, absorb=0.1, sourced=False, a=0.5, h=0.1,
+         mean_free=True, seed=2, least_skipped=100)
+@example(dim=3, N=1, eps=0.05, sigma=0.8, absorb=0.1, sourced=False, a=0.25, h=0.25,
+         mean_free=True, seed=3, least_skipped=10)
+@example(dim=1, N=3, eps=0.05, sigma=1.0, absorb=0.0, sourced=True, a=0.0, h=0.25,
+         mean_free=True, seed=1, least_skipped=0)
+@settings(max_examples=20, deadline=None)
+def test_skipped_drive_keeps_hybrid_step_bytes(dim, N, eps, sigma, absorb, sourced, a, h,
+                                               mean_free, seed, least_skipped):
+    grid = gr.SpatialGrid(dim, 3)
+    quad = sh.build_sphere_quadrature(N + 1)
+    q = [gr.term({(0, 0, 0): 0.7, (1, 0, 0): 0.5, (-1, 0, 0): 0.5},
+                 (1.0, 0.0, 0.6, 0.2), time_poly=(0.3, -1.0), time_exp=-0.5)] if sourced else []
+    op = tr.PnOperator(grid, N, eps, sigma, absorb * sigma)
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (len(quad),)
+    values = oracles.hermitian(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if mean_free:
+        values[grid.index_of((0, 0, 0))] = 0.0
+    psi_u = gr.NodalField(grid, quad, values)
+    flow = _flow(psi_u, op, q)
+    skipping, sampling, (nsub, drives) = _step_with_and_without_skip(
+        psi_u, a, a + h, op, flow)
+    assert skipping[0].values.tobytes() == sampling[0].values.tobytes()
+    assert skipping[1].coeffs.tobytes() == sampling[1].coeffs.tobytes()
+    if sourced:
+        assert drives == nsub
+    assert nsub - drives >= least_skipped
+
+
+_REACH = np.array([1.0, 0.5])  # one row's reach over two moments
+
+
+def _below(state, bound, reach=_REACH):
+    return tr._drive_below_last_bit(np.array([state], dtype=complex), np.array([bound]),
+                                    reach)
+
+
+def test_drive_skip_rule_at_a_power_of_two():
+    # Below a power of two the floats are twice as dense, so half their
+    # spacing is 2^-54 |x|: a term of 1.01 * 2^-54 moves x = 1, and the rule
+    # asks B < |x| 2^-55.  Here B = bound * reach, largest on moment 0.
+    x = np.array([1.0, 0.75])
+    assert x[0] - 1.01 * 2.0**-54 != x[0]
+    edge = 2.0**-55
+    assert not _below(x + 1j * x, edge)
+    below = np.nextafter(edge, 0.0)
+    assert _below(x + 1j * x, below)
+    assert x[0] - below == x[0] and x[0] + below == x[0]
+    # The second moment's reach is half, so it passes too.
+    assert x[1] - 0.5 * below == x[1]
+
+
+def test_drive_skip_rule_keeps_the_drive_at_a_negative_zero():
+    # -0 + +0 is +0: a -0 component keeps the drive even where every term
+    # is an exact zero, a zero bound (a mode whose state is 0) or a zero
+    # column; +0 there skips.
+    assert np.float64(-0.0) + np.float64(0.0) == 0.0
+    assert not np.signbit(np.float64(-0.0) + np.float64(0.0))
+    assert not _below([complex(-0.0, 1.0), 1.0 + 1.0j], 0.0)
+    assert not _below([1.0 + 1.0j, complex(1.0, -0.0)], 1e-30, np.array([1.0, 0.0]))
+    assert _below([0.0, 1.0 + 1.0j], 0.0)
+    assert _below([1.0 + 1.0j, 0.0], 1e-30, np.array([1.0, 0.0]))
+
+
+def test_drive_skip_rule_keeps_the_drive_at_a_positive_zero_it_reaches():
+    # A +0 component whose e_0 column is not zero would take the drive's
+    # terms, however small the bound.
+    assert not _below([1.0 + 1.0j, 0.0], 1e-300)
+    assert not _below([0.0, 1.0 + 1.0j], 5e-324)
+    # B = 5e-324 * 0.5 underflows to 0, but the reach is not 0.
+    assert not _below([1.0 + 1.0j, 0.0], 5e-324)
 
 
 @pytest.mark.parametrize("mu", [-300.0, -30.0])

@@ -482,8 +482,9 @@ def test_orbit_propagator_matches_dense_oracle(k, N, eps, sigma_t, absorb, h):
     # The e_0 columns of the Duhamel nodes of the mode's cubic
     # representative, from expm calls.
     star = tuple(sorted((abs(x) for x in k), reverse=True))
-    taus = 0.5 * h * (np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)[0] + 1.0)
-    _, cols = op._substep(star, h, taus)
+    x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
+    taus = 0.5 * h * (x + 1.0)
+    _, cols, _ = op._substep(star, h, taus, 0.5 * h * w)
     assert cols.shape == (tr._DUHAMEL_NODES, op.nm)
     for m, tau in enumerate(taus):
         Q = _dense_oracle(star, N, eps, sigma_t, sigma_a, float(h - tau))[:, 0]
@@ -897,7 +898,7 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
     # Duhamel node of a substep.
     calls.clear()
     taus = np.array([0.0, 0.125, 0.25])
-    op._substep((0, 0, 0), h, taus)
+    op._substep((0, 0, 0), h, taus, np.full(len(taus), h / len(taus)))
     assert calls == [((op.nm, 1, 1), "c")] * (1 + len(taus))
 
 
@@ -918,7 +919,8 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
 
     monkeypatch.setattr(tr, "expm", counting)
     eps, sigma, sigma_a, h = 0.5, 1.0, 0.25, 0.375
-    taus = 0.5 * h * (tr._duhamel_rule()[0] + 1.0)
+    x, w = tr._duhamel_rule()
+    taus, wts = 0.5 * h * (x + 1.0), 0.5 * h * w
     assert tr.is_narrow(N)
     op = tr.PnOperator(gr.SpatialGrid(3, 5), N, eps, sigma, sigma_a)
     assert {c for c, _ in op._stack.classes} >= {(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0),
@@ -931,7 +933,7 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
         step = [(op._rep(c, h), h)]
         taken = list(calls)
         calls.clear()
-        P, cols = op._substep(c, 2 * h, taus)
+        P, cols, _ = op._substep(c, 2 * h, taus, wts)
         substep = [(P, 2 * h)] + [(col, float(2 * h - tau)) for col, tau in zip(cols, taus)]
         return [(taken, step), (list(calls), substep)]
 
