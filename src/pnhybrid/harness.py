@@ -64,6 +64,10 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # the regime advisor take s! as one.
 MAX_S = 170
 
+# Bytes one dense complex matrix of a run may take (_require_memory); the
+# shipped configs' widest, a degree-28 reference's, takes 11.3 MB.
+DENSE_MATRIX_BYTES = 2**28
+
 
 @dataclass
 class RunSpec:
@@ -200,6 +204,9 @@ def parse_config_text(lines) -> RunSpec:
     for no, section, key, value in _parse_lines(lines):
         if key not in _KINDS[section]:
             raise ConfigError(f"line {no}: unknown key '{key}' in [{section}]")
+        if key in given[section]:
+            raise ConfigError(f"line {no}: key '{key}' in [{section}] repeats line "
+                              f"{given[section][key][0]}")
         given[section][key] = (no, value)
     run, sweep = given["run"], given["sweep"]
     if "problem" not in run:
@@ -278,9 +285,28 @@ def parse_config_text(lines) -> RunSpec:
         if Tf / dtf > tr.MAX_INTERVALS:
             raise ConfigError(f"dt must leave at most {tr.MAX_INTERVALS} intervals "
                               f"M = T/dt, got dt={dt} for T={rs.T}")
+    _require_memory(rs, max(Ns))
     _require_float_powers(rs, float(Tf))
     _require_substeps(rs, Tf)
     return rs
+
+
+def _require_memory(rs: RunSpec, N: int) -> None:
+    """Refuse a run, N its largest degree, one of whose dense complex
+    matrices would exceed DENSE_MATRIX_BYTES: (n+1)^4 x 16 B for a degree-n
+    generator, n = reference_degree + 4 under P_N references and N
+    otherwise, and (band+1)^2 x 16 B per mode of the problem's grid for the
+    data's coefficients (the data's spatial modes do not depend on band)."""
+    key, value, n = "N", N, N
+    if PROBLEMS[rs.problem][1] == "" and rs.solver != "diffusion":
+        n = reference_degree(N, rs.n_ref) + 4
+        key, value = ("N", N) if rs.n_ref is None else ("n_ref", rs.n_ref)
+    modes = math.prod(gr.grid_for(PROBLEMS[rs.problem][0](1, 0)).shape)
+    for key, value, size in ((key, value, 16 * (n + 1) ** 4),
+                             ("band", rs.band, 16 * (rs.band + 1) ** 2 * modes)):
+        if size > DENSE_MATRIX_BYTES:
+            raise ConfigError(f"{key} must keep each dense matrix within {DENSE_MATRIX_BYTES} "
+                              f"B, got {key}={value}, whose widest takes {size} B")
 
 
 def _float_power(x: float, p: int) -> float:
@@ -324,10 +350,10 @@ def _require_float_powers(rs: RunSpec, T: float) -> None:
 
 def _require_substeps(rs: RunSpec, T: Fraction) -> None:
     """Refuse a hybrid run that would take more than tr.MAX_INTERVALS
-    Duhamel substeps at some sweep point.  hybrid_step sizes its substeps
-    by twice the fastest rate, at least 2 (sigma/eps^2 + sigma_a), so the
-    count taken from that rate never exceeds the run's own.  A point
-    without scattering takes no substep."""
+    Duhamel substeps at some sweep point, counted by hy.drive_substeps
+    from sigma/eps^2 + sigma_a, which the operator's fastest rate is at
+    least, and no source, so the count never exceeds the run's own.  A
+    point without scattering takes no substep."""
     if rs.solver != "hybrid":
         return
     sigma_key = "sigma" if rs.sweep_sigma else "sigma_t"
@@ -335,12 +361,13 @@ def _require_substeps(rs: RunSpec, T: Fraction) -> None:
         for sigma in rs.sweep_sigma or (rs.sigma_t,):
             if sigma == 0.0:
                 continue
-            rate = 2.0 * (sigma / eps**2 + rs.sigma_a)
             for dt in rs.sweep_dt or (rs.dt,):
                 dtf = T if dt is None else Fraction(dt)
                 h = float(dtf)
-                need = (T / dtf * tr.duhamel_substeps(rate, h)
-                        if math.isfinite(rate * h) else math.inf)
+                try:
+                    need = T / dtf * hy.drive_substeps(sigma / eps**2 + rs.sigma_a, 0.0, h)
+                except ValueError:  # the rate times h is past the float range
+                    need = math.inf
                 if need > tr.MAX_INTERVALS:
                     raise ConfigError(
                         f"eps and {sigma_key} must leave at most {tr.MAX_INTERVALS} "

@@ -77,11 +77,17 @@ class HybridResult:
     records: list         # one IntervalRecord per interval
 
 
-def _substeps(op: tr.PnOperator, flow: tr.UncollidedFlow, h: float) -> int:
-    """Duhamel substeps of an interval of length h: the drive varies at the
-    uncollided rates, at most op.max_rate, and at the source's rates."""
-    source_rate = max((abs(tm.time_exp) for tm, _ in flow.profiles), default=0.0)
-    return op.substeps_for(h, extra_rate=op.max_rate + source_rate)
+def drive_substeps(max_rate: float, source_rate: float, h: float) -> int:
+    """The hybrid's one count of Duhamel substeps over an interval of length
+    h: the collided moments move at rates up to max_rate, the operator's
+    fastest, and the drive at the uncollided rates, up to max_rate too, and
+    the source's time rates, up to source_rate (tr.duhamel_substeps)."""
+    return tr.duhamel_substeps(max_rate + (max_rate + source_rate), h)
+
+
+def _source_rate(flow: tr.UncollidedFlow) -> float:
+    """The fastest time rate |mu| of the flow's source terms, 0 without one."""
+    return max((abs(tm.time_exp) for tm, _ in flow.profiles), default=0.0)
 
 
 def _envelope(psi_u: gr.NodalField, a: float, emit: float, flow: tr.UncollidedFlow):
@@ -107,9 +113,10 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
     The collided moments start from zero at a and absorb the isotropic
     re-emission of the decaying uncollided average, step's drive on H, by
     Duhamel quadrature over the closed-form uncollided field (source
-    included) on substeps that follow its rates and the source's; the
-    carrier advances exactly, picking up the external source.  psi_u must
-    be Hermitian, real in physical space.  flow is the
+    included) on drive_substeps(op.max_rate, the source's fastest time
+    rate, b - a) substeps; the carrier advances exactly, picking up the
+    external source.  psi_u must be Hermitian, real in physical space.
+    flow is the
     transport.uncollided_flow of psi_u's grid and quadrature, op's cross
     sections and the source terms; it depends on no interval, so run_hybrid
     builds it once per run.  The flow is advanced to at most 12 x substeps
@@ -140,7 +147,7 @@ def hybrid_step(psi_u: gr.NodalField, a: float, b: float, op: tr.PnOperator,
             return emit * ((vals[..., None, :] @ psi_u.quad.weights) / _FOUR_PI)[..., 0]
 
         coeffs = op.step(collided.coeffs, b - a, source=sample, t0=a,
-                         substeps=_substeps(op, flow, b - a),
+                         substeps=drive_substeps(op.max_rate, _source_rate(flow), b - a),
                          envelope=None if flow.profiles else _envelope(psi_u, a, emit, flow))
         collided = gr.MomentField(psi_u.grid, op.N, coeffs)
     values = gr.from_half(flow.advance(psi_u.values, a, b), shape)
@@ -155,10 +162,10 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None,
     dt, if given, replaces spec.dt and the schedule is the problem's own
     (ProblemSpec.M, interval_edges), so a dt that is not positive or does
     not divide T raises ValueError, and so does a run whose Duhamel
-    substeps, summed over its intervals, exceed tr.MAX_INTERVALS, before
-    its first step.  The returned total is the left limit at
-    T: the pair just before the final remap, evaluated at the quadrature
-    directions, which is the carrier that remap returns.  Every OpenBLAS
+    substeps (drive_substeps), summed over its intervals, exceed
+    tr.MAX_INTERVALS, before its first step.  The returned total is the
+    left limit at T: the pair just before the final remap, evaluated at the
+    quadrature directions, which is the carrier that remap returns.  Every OpenBLAS
     pool runs at one thread (blas.single_thread).
     """
     with blas.single_thread():
@@ -178,7 +185,8 @@ def run_hybrid(spec: tr.ProblemSpec, N: int, dt=None, grid=None,
         flow = tr.uncollided_flow(grid, quad, op.eps, op.sigma, op.sigma_a, spec.q)
         if op.sigma != 0.0:
             lengths, counts = np.unique(np.diff(edges), return_counts=True)
-            need = sum(int(n) * _substeps(op, flow, float(h)) for h, n in zip(lengths, counts))
+            need = sum(int(n) * drive_substeps(op.max_rate, _source_rate(flow), float(h))
+                       for h, n in zip(lengths, counts))
             if need > tr.MAX_INTERVALS:
                 raise ValueError(f"the run must take at most {tr.MAX_INTERVALS} Duhamel "
                                  f"substeps, got {need} for sigma/eps^2 = "

@@ -21,9 +21,9 @@ with one block per degree (harmonics.axis_permutation).  So the modes of H
 fall into cubic classes, and only a class's representative c*, |k| sorted
 in descending order, gets a dense generator and an expm: a mode k =
 g Pi c* turns its vector into c*'s frame, R^T S_g^T v, and the result back,
-S_g R y, degree block by degree block.  One propagator is stored per class
-and step length, none per mode, and a generator lives only while its
-class's exponentials are taken.  A step takes one product P @ X per class,
+S_g R y, one complex product per degree block.  One propagator is stored
+per class and step length, none per mode, and a generator lives only while
+its class's exponentials are taken.  A step takes one product P @ X per class,
 X holding the class's vectors in c*'s frame as columns.  A 1D wavevector
 is its own representative and every 1D class holds one mode of H, so there
 X is one column, numpy runs the gemv of a single mode, and a 1D step is
@@ -47,20 +47,13 @@ blocks are at most 225 wide, where the dense generator is 841.  Streaming
 couples degree l only to l +- 1, so with D = diag(i^l) every D^-1 L_k D is
 real, and each block wider than 1 is exponentiated as a real matrix (about
 half the work of the complex one) and turned back by exact products with
-+-1 and +-i.  On one BLAS thread of
-a shared 2-core machine at N = 11, eps = 0.5, sigma = 1 and h = 0.375, one
-144-wide class took 6.2-6.8 ms as a dense complex expm, 0.9-1.2 ms split
-in a coordinate plane (blocks 66 and 78 wide) and 2.5-2.6 ms as one real
-block off the planes; at N = 5, 0.20 ms against 0.10-0.13 ms.  Only a
-narrow operator's representatives on the axis, k = 0 and k = (a, 0, 0),
-which are all the classes a 1D grid has, take one dense complex expm: the
-split and the real frame move last bits of the propagators, which the
-benchmark goldens pin up to 289 moments on 1D grids.  On one BLAS thread
-of a shared 2-core machine, building one axis permutation's blocks, once
-per (N, permutation) and process, took 40-55 ms at N = 20 and 120-160 ms
-at N = 28, where the block-split expm a class saves took 3-4 and 16-19 ms
-on the z axis, 18-21 and 80-93 ms at k = (1,0,1), and 50-58 and 258-287 ms
-at k = (2,1,3).
++-1 and +-i; the split and the real frame each cut a class's expm several
+fold.  Only a narrow operator's representatives on the axis, k = 0 and
+k = (a, 0, 0), which are all the classes a 1D grid has, take one dense
+complex expm: the split and the real frame move last bits of the
+propagators, which the benchmark goldens pin up to 289 moments on 1D
+grids.  An axis permutation's blocks are built once per (N, permutation)
+and process.  CHANGES.md keeps the timings behind each of these choices.
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -75,28 +68,24 @@ a bound on the drive that decays in time (the envelope of a flow without a
 source), a substep whose node terms that bound cannot lift above half the
 spacing of floats at any component of the propagated state keeps that
 state and samples nothing: the sum rounds back to it, so every bit is
-kept.  The
-uncollided rates lambda(k, Omega) depend on (k, Omega) only through k.Omega,
-so an UncollidedFlow (uncollided_flow) stores each distinct rate once, with
-the source's nodal profiles, and its advance takes the exponentials and
-each source term's response on those alone and gathers them per (mode of
-H, node), at one time or at an array of times in one call.  The decay is
-bit for bit the full-array evaluation, and each time of an array keeps the
-bits of a call at that time alone.  On one BLAS thread of a shared 2-core
-machine, one call per substep, not per node, took a hybrid-dt-diffusive
-sweep from 0.41-0.52 s to 0.31 s (minima of 7 runs, three alternating
-sets).  A term's response, sum_j p^(j) h^(j+1) phi_(j+1), is one pass over
-the rates: the phi recurrence started from the carrier's exponential where
-|z| is large, one power series with scalar coefficients where it is small
-(taken one time at a time, as its coefficients depend on the time).  Each term
-forms its derivative polynomials once (grid.FieldTerm) and every sourced
-path reads them from there.
+kept.  The caller sets the substeps; the hybrid's count is
+hybrid.drive_substeps.  The uncollided rates lambda(k, Omega) depend on
+(k, Omega) only through k.Omega, so an UncollidedFlow (uncollided_flow)
+stores each distinct rate once, with the source's nodal profiles, and its
+advance takes the exponentials and each source term's response on those
+alone and gathers them per (mode of H, node), at one time or at an array
+of times in one call.  The decay is bit for bit the full-array
+evaluation, and each time of an array keeps the bits of a call at that
+time alone; a substep's 12 node times take one call, not 12.  A term's
+response, sum_j p^(j) h^(j+1) phi_(j+1), is one pass over the rates: the
+phi recurrence started from the carrier's exponential where |z| is large,
+one power series with scalar coefficients where it is small (taken one
+time at a time, as its coefficients depend on the time).  Each term forms
+its derivative polynomials once (grid.FieldTerm) and every sourced path
+reads them from there.
 
 Each mode's matrices are small, and OpenBLAS threads cost more than they
-give on them: on a 2-core machine with 2-thread pools a 36-wide expm took
-8.0 ms threaded and 0.24 ms serial, and a perfbench verify-pn pass, whose
-degree-24 and 28 references take the block-split exponentials, 0.60 s
-threaded and 0.51 s serial (medians, serial faster in 10 of 10 pairs).  So
+give on them, on one expm and on a whole perfbench verify-pn pass.  So
 solve_pn (and hybrid.run_hybrid) run with every OpenBLAS pool at one
 thread, restoring the pools' counts when the solve returns or raises
 (blas.single_thread).  Other BLAS builds are untouched.
@@ -433,15 +422,6 @@ def _drive_below_last_bit(state: np.ndarray, bound: np.ndarray, reach: np.ndarra
     return bool(keep.all())
 
 
-def _real_view_block(R: np.ndarray) -> np.ndarray:
-    """kron(R, I_2): a complex vector's real view interleaves real and
-    imaginary parts, so v^T R is that view times this real matrix."""
-    K = np.zeros((2 * R.shape[0], 2 * R.shape[1]))
-    K[0::2, 0::2] = R
-    K[1::2, 1::2] = R
-    return K
-
-
 class _ClassStack:
     """The half-space H of a box's spatial modes, grouped by cubic class for
     one product per class.
@@ -460,11 +440,10 @@ class _ClassStack:
     Row i of the stack is mode rows[i], a flat index into the mode box.
     S_g^T v = sign_in * v[inv] and S_g y = sign * y[perm], with the identity
     permutation and all-ones signs on the rows g leaves alone, which
-    multiply exactly.  turned lists (stack rows, per-degree real-view
-    blocks of R) per axis permutation; a 1D or 2D wavevector (k3 = 0)
-    needs none, so flat grids turn nothing.  A class's rows are
-    contiguous, in box order, and classes lists (c*, slice) in order of
-    first appearance."""
+    multiply exactly.  turned lists (stack rows, R's read-only blocks) per
+    axis permutation; a wavevector with k3 = 0 needs none, so 1D and 2D
+    grids turn nothing.  A class's rows are contiguous, in box order, and
+    classes lists (c*, slice) in order of first appearance."""
 
     def __init__(self, modes, N):
         nm = sh.n_moments(N)
@@ -489,8 +468,7 @@ class _ClassStack:
                 self.perm[i], self.sign[i] = symmetries[g]
             if turn is not None:
                 turned.setdefault(turn, []).append(i)
-        self.turned = [(np.array(rows, dtype=np.intp),
-                        [_real_view_block(R) for R in sh.axis_permutation(N, turn)])
+        self.turned = [(np.array(rows, dtype=np.intp), sh.axis_permutation(N, turn))
                        for turn, rows in sorted(turned.items())]
         self.rows = np.array([e[1] for e in keyed], dtype=np.intp)
         self.drive = self.rows - len(modes) // 2  # each row's entry of a vector over H
@@ -506,14 +484,14 @@ class _ClassStack:
 
     def _turn(self, x: np.ndarray, transpose: bool) -> None:
         """Every turned row's vector, in place on x (..., stack rows, nm),
-        times R^T (into the frame) or, with transpose, R (out of it), degree
-        block by degree block; the vectors are rows, so R^T v is v^T R."""
+        times R^T (into the frame) or, with transpose, R (out of it), one
+        complex product per degree block; the vectors are rows, so R^T v
+        is v^T R."""
         for rows, blocks in self.turned:
             xs = x[..., rows, :]
-            real = xs.view(float)
-            for l, K in enumerate(blocks):
-                s = slice(2 * l * l, 2 * (l + 1) ** 2)
-                real[..., s] = real[..., s] @ (K.T if transpose else K)
+            for l, R in enumerate(blocks):
+                s = sh.degree_slice(l)
+                xs[..., s] = xs[..., s] @ (R.T if transpose else R)
             x[..., rows, :] = xs
 
     def into_rep(self, box: np.ndarray) -> np.ndarray:
@@ -535,34 +513,20 @@ class _ClassStack:
 
 
 class PnOperator:
-    """Propagators of one discretization, applied only through step.  Only
-    the half-space H of the modes is advanced: L_(-k) is conj L_k, so on a
-    box that is real in physical space, c(-k) = conj c(k) (which step
-    requires), each other mode is the conjugate of its -k.  H is grouped by
-    cubic class (_ClassStack): one representative c* per orbit of the axis
-    permutations, reflections and the x <-> y swap, c* sorted in descending
-    order (cubic_representative).  A mode k = g Pi c* is advanced in c*'s
-    frame, P_k v = S_g R P_(c*) R^T S_g^T v, with the signed permutation S_g
-    and the axis permutation's degree blocks R (sh.axis_permutation)
-    applied to the vector, so no per-mode or turned matrix is ever formed
-    and a class costs one expm per step length or Duhamel node.  The
-    representatives' propagators are cached per (class, h) in _reps and
-    the e_0 columns of their Duhamel nodes, with the columns' weighted sums
-    of moduli that bound the node terms, per (class, substep) in _nodes:
-    memory grows with classes and step lengths, not with modes, and
-    repeated equal-length steps cost no further expm.  A generator is
-    assembled for each batch of expm calls on its class (one step length,
-    or one Duhamel substep's propagators) and dropped after it.  Every such
-    exponential is taken by _exp: one dense complex expm for a
-    representative on the axis (k = 0 or (a, 0, 0)) of a narrow operator
-    (is_narrow), and otherwise (_split) one stacked real-frame expm per
-    block width of the generator's blocks, which the symmetries of c* set
-    once per degree and pattern of zeros (_generator_blocks), scattered
-    into the dense propagator.  step takes one product P_(c*) @ X per
-    class, X holding the class's H vectors as columns, and per Duhamel node
-    its e_0 column times the class's drive (every turn fixes e_0); on a 1D
-    grid every class holds one H mode, so those products keep the bits of
-    a loop over modes."""
+    """Propagators of one discretization, applied only through step, which
+    advances the half-space H of a Hermitian box (c(-k) = conj c(k)) class
+    by class (_ClassStack): a mode k = g Pi c* is advanced in its cubic
+    representative's frame, P_k v = S_g R P_(c*) R^T S_g^T v, so no
+    per-mode or turned matrix is formed.  _reps caches expm(h L_c*) per
+    (class, h), and _nodes the e_0 columns of a Duhamel substep's node
+    propagators, with their reach, per (class, substep): memory grows with
+    classes and step lengths, not modes.  A generator is assembled for each
+    batch of its class's exponentials, all taken by _exp, and dropped after
+    it.  step takes one product P_(c*) @ X per class, X holding the class's
+    H vectors as columns, and per Duhamel node one broadcast product of its
+    e_0 column and the class's drive (every turn fixes e_0); on a 1D grid
+    every class holds one H mode, so the products keep the bits of a loop
+    over modes.  The caller of a Duhamel step sets its substeps."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         sh.require_integer("N", N)
@@ -697,14 +661,12 @@ class PnOperator:
                              f"{self.grid.shape + (self.nm,)}")
         return out.reshape(-1, self.nm)
 
-    def substeps_for(self, h: float, extra_rate: float = 0.0) -> int:
-        return duhamel_substeps(self.max_rate + extra_rate, h)
-
     def step(self, coeffs, h, source=None, t0=0.0, substeps=None, envelope=None):
         """Advance coefficients by h: exact exponential when source is None,
-        otherwise exponential plus Gauss-Legendre Duhamel on substeps (a
-        positive integer, substeps_for(h) when None) from the finite start
-        time t0.  The coefficients must be Hermitian, c(-k) = conj c(k), and
+        otherwise exponential plus Gauss-Legendre Duhamel on substeps, a
+        positive integer that a source needs (the caller owns the count:
+        hybrid.drive_substeps for the hybrid's drive), from the finite
+        start time t0.  The coefficients must be Hermitian, c(-k) = conj c(k), and
         source(times) is the isotropic re-emission drive, the e_0 moment of
         the forcing on the half-space H, at the Duhamel nodes of a substep:
         given that substep's 12 node times as one array, it returns one row
@@ -718,10 +680,11 @@ class PnOperator:
         h = _step_length(h)
         if source is not None:
             t0 = _start_time(t0)
-            if substeps is not None:
-                sh.require_integer("substeps", substeps)
-                if substeps < 1:
-                    raise ValueError(f"substeps must be positive, got {substeps}")
+            if substeps is None:
+                raise ValueError("substeps must be given with a source")
+            sh.require_integer("substeps", substeps)
+            if substeps < 1:
+                raise ValueError(f"substeps must be positive, got {substeps}")
         out = np.array(coeffs, dtype=complex, copy=True)
         stack = self._stack
         box = self._box(out)
@@ -736,8 +699,7 @@ class PnOperator:
                     y[rows] = (self._rep(c, h) @ v[rows].T).T
             stack.from_rep(y, box)
             return out
-        nsub = substeps if substeps is not None else self.substeps_for(h)
-        hs = h / nsub
+        hs = h / substeps
         x, w = _duhamel_rule()
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
@@ -753,7 +715,7 @@ class PnOperator:
         # frames, where the state stays between substeps.  One reduction over
         # the first axis of t sums them in node order, ((t_0 + t_1) + t_2) +
         # ..., the propagated state first.
-        for j in range(nsub):
+        for j in range(substeps):
             times = t0 + j * hs + taus
             for rows, P, _, _ in props:
                 t[0, rows] = (P @ v[rows].T).T
@@ -768,7 +730,7 @@ class PnOperator:
                                  f"half-space mode, got {q.shape}")
             q = q[:, stack.drive]
             for rows, _, cols, _ in props:
-                t[1:, rows] = (cols[:, :, None] @ q[:, None, rows]).swapaxes(1, 2)
+                np.multiply(cols[:, None, :], q[:, rows, None], out=t[1:, rows])
             t[1:] *= wts
             np.add.reduce(t, axis=0, out=v)
         stack.from_rep(v, box)

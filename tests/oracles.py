@@ -2,16 +2,17 @@
 the program itself calls: the time factor's derivatives through
 numpy.polynomial and the phi-functions on a whole array, each taken afresh
 on every call; the uncollided flow's advance to one time; the Hermitian
-part of a coefficient box, for test data real in physical space; single
-harmonics and the angular Sobolev norms; the damping-integral formulas; a
-sampled source, random vectors over the half-space and the box source of a
-re-emission drive, the dense per-mode Duhamel step with a source of any
-moments, the energy balance of a step and the absorption change of
-variables; each degree's coupling blocks filled entry by entry, the mode
-generator from dense streaming matrices, and the connected blocks of a
-generator's nonzero pattern by label propagation."""
+part of a coefficient box, for test data real in physical space, and the
+deviation from it with the box flipped axis by axis; single harmonics and
+the angular Sobolev norms; the damping-integral formulas; a sampled
+source, random vectors over the half-space and the box source of a
+re-emission drive, the axis turns of a class stack on real views, the
+dense per-mode Duhamel step with a source of any moments, the energy
+balance of a step and the absorption change of variables; each degree's
+coupling blocks filled entry by entry, the mode generator from dense
+streaming matrices, and the connected blocks of a generator's nonzero
+pattern by label propagation."""
 
-import functools
 import math
 from dataclasses import replace
 
@@ -317,12 +318,40 @@ def conjugate_rest(op: tr.PnOperator, out):
     return out
 
 
+def real_view_turn(stack, x: np.ndarray, transpose: bool) -> None:
+    """tr._ClassStack._turn taken on real views: each turned row's vector,
+    in place on x (..., stack rows, nm), its real and imaginary parts
+    interleaved, times kron(R_l^T, I_2) into the frame or, with transpose,
+    kron(R_l, I_2) out of it, degree block by degree block, the blocks R_l
+    being those in stack.turned."""
+    for rows, blocks in stack.turned:
+        xs = x[..., rows, :]
+        real = xs.view(float)
+        for l, R in enumerate(blocks):
+            K = np.zeros((2 * R.shape[0], 2 * R.shape[1]))
+            K[0::2, 0::2] = R
+            K[1::2, 1::2] = R
+            s = slice(2 * l * l, 2 * (l + 1) ** 2)
+            real[..., s] = real[..., s] @ (K.T if transpose else K)
+        x[..., rows, :] = xs
+
+
+def reality_residual(field) -> float:
+    """gr.reality_residual with the box flipped along each active axis in
+    turn: max |c(-k) - conj c(k)|."""
+    data = field.coeffs if isinstance(field, gr.MomentField) else field.values
+    flipped = data
+    for ax in range(field.grid.dim):
+        flipped = np.flip(flipped, axis=ax)
+    return float(np.max(np.abs(flipped - np.conj(data))))
+
+
 def dense_step(op: tr.PnOperator, coeffs, h, source=None, t0=0.0, substeps=None):
     """PnOperator.step as a loop over the modes of H, each with the dense
     expm of its own generator, then c(-k) = conj c(k) for the others.  The
     source, when given, is a callable t -> coefficient box whose every
     moment drives (of which H is read), folded in by the Gauss-Legendre
-    Duhamel rule of step on substeps (op.substeps_for(h) when None)."""
+    Duhamel rule of step on substeps, which a source needs."""
     coupling = sh.assemble_coupling(max(op.N, 1))
     props = {}
 
@@ -339,12 +368,11 @@ def dense_step(op: tr.PnOperator, coeffs, h, source=None, t0=0.0, substeps=None)
         for idx, k in half:
             out[idx] = prop(k, h) @ out[idx]
     else:
-        nsub = substeps if substeps is not None else op.substeps_for(h)
-        hs = h / nsub
+        hs = h / substeps
         x, w = np.polynomial.legendre.leggauss(tr._DUHAMEL_NODES)
         taus = 0.5 * hs * (x + 1.0)
         wts = 0.5 * hs * w
-        for j in range(nsub):
+        for j in range(substeps):
             ta = t0 + j * hs
             q_samples = [source(ta + tau) for tau in taus]
             for idx, k in half:
@@ -386,19 +414,24 @@ def audit_energy_identity(state: gr.MomentField, h, eps, sigma, drive=None,
     (2 sigma/eps^2) int ||psi - psi_bar||^2 plus twice the work of the source.
     Every step is PnOperator.step's, with the isotropic re-emission drive
     times -> (times, H modes) when one is given, whose box (drive_source)
-    does the work.  Every OpenBLAS pool runs at one thread, as in
+    does the work, on substeps that follow the operator's fastest rate
+    (tr.duhamel_substeps).  Every OpenBLAS pool runs at one thread, as in
     tr.solve_pn.
     """
     with blas.single_thread():
         op = tr.PnOperator(state.grid, state.N, eps, sigma, 0.0)
-        advance = functools.partial(op.step, source=drive)
+
+        def advance(coeffs, length, t0):
+            return op.step(coeffs, length, source=drive, t0=t0,
+                           substeps=tr.duhamel_substeps(op.max_rate, length))
+
         source = None if drive is None else drive_source(op, drive)
         measure = state.grid.measure
         u0 = state.coeffs
         u1 = advance(u0, h, t0=t0)
         lhs = measure * (float(np.sum(np.abs(u1) ** 2)) - float(np.sum(np.abs(u0) ** 2)))
 
-        nsub = op.substeps_for(h, 0.0)
+        nsub = tr.duhamel_substeps(op.max_rate, h)
         x, w = tr._duhamel_rule()
         total = 0.0
         hs = h / nsub

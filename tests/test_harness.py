@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import re
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -43,6 +44,52 @@ def test_unknown_key_reports_line():
         _parse_text("[experiment]\n")
     with pytest.raises(hn.ConfigError, match="line 2"):
         _parse_text("[run]\nno equals sign here\n")
+
+
+# A repeated key once kept its last value: N = 9 in the first row, (2, 4)
+# from the second [sweep] section in the other.
+@pytest.mark.parametrize("body,message", [
+    ("[run]\nproblem = iso-smooth\nN = 3\nN = 9\n",
+     "line 4: key 'N' in [run] repeats line 3"),
+    ("[run]\nproblem = iso-smooth\n[sweep]\nN = 1\n[sweep]\nN = 2, 4\n",
+     "line 6: key 'N' in [sweep] repeats line 4"),
+])
+def test_repeated_key_is_refused(tmp_path, capsys, body, message):
+    with pytest.raises(hn.ConfigError, match=f"^{re.escape(message)}$"):
+        _parse_text(body)
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(body)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# Dense matrices past hn.DENSE_MATRIX_BYTES (256 MiB): the widest degree n
+# a run assembles takes (n + 1)^4 x 16 B, n = reference_degree + 4 for a
+# problem measured against P_N references and N otherwise, and the band-b
+# data (b + 1)^2 x 16 B per mode (3 modes for sobolev-s).  Parsed only,
+# never solved.
+@pytest.mark.parametrize("problem,body,refused", [
+    ("sobolev-s", "N = 26", None),  # degree 62: 252 MB
+    ("sobolev-s", "N = 27", ("N", 27, 285610000)),  # degree 64
+    ("sobolev-s", "[sweep]\nN = 1, 27", ("N", 27, 285610000)),
+    ("sobolev-s", "n_ref = 59", None),
+    ("sobolev-s", "n_ref = 60", ("n_ref", 60, 285610000)),
+    ("sobolev-s", "solver = diffusion\nN = 63", None),  # no P_N reference
+    ("aniso-decay", "N = 63", None),  # exact oracle: degree N, 256 MiB
+    ("aniso-decay", "N = 64", ("N", 64, 285610000)),
+    ("sobolev-s", "band = 2363", None),
+    ("sobolev-s", "band = 2364", ("band", 2364, 268474800)),
+])
+def test_configs_past_the_dense_matrix_budget_are_refused(problem, body, refused):
+    text = f"[run]\nproblem = {problem}\n{body}\n"
+    if refused is None:
+        _parse_text(text)
+        return
+    key, value, size = refused
+    with pytest.raises(hn.ConfigError, match=(
+            f"^{key} must keep each dense matrix within 268435456 B, got {key}={value}, "
+            f"whose widest takes {size} B$")):
+        _parse_text(text)
 
 
 def test_schedule_constraint_in_config():

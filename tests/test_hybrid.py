@@ -237,6 +237,50 @@ def test_too_many_substeps_rejected_before_the_first_step(monkeypatch, eps, T, i
     assert need // intervals == math.ceil(2 * (1 / eps**2 + 1 / eps) / 3)
 
 
+def test_one_substep_rule_counts_the_step_the_run_and_the_config(monkeypatch):
+    # hy.drive_substeps is the one owner of the Duhamel substep count:
+    # hybrid_step hands step its count, run_hybrid refuses a run by its sum,
+    # and the parser refuses a config by it, counted from sigma/eps^2 +
+    # sigma_a without a source, a lower bound on the run's own.
+    calls = []
+
+    def rule(max_rate, source_rate, h):
+        calls.append((max_rate, source_rate, h))
+        return count
+
+    monkeypatch.setattr(hy, "drive_substeps", rule)
+    spec = tr.problem("iso", eps=0.5, sigma_t=1.0, sigma_a=0.25, g=[_iso_cosine()], T=1,
+                      dt="1/2")
+    grid = tr.default_grid(spec)
+    quad = sh.build_sphere_quadrature(6)
+    op = tr.PnOperator(grid, 3, spec.eps, spec.sigma_t, spec.sigma_a)
+    psi_u = gr.nodal_field(grid, quad, spec.g)
+    seen = []
+    real_step = tr.PnOperator.step
+
+    def recording(self, coeffs, h, source=None, t0=0.0, substeps=None, envelope=None):
+        seen.append(substeps)
+        return real_step(self, coeffs, h, source, t0, substeps, envelope)
+
+    monkeypatch.setattr(tr.PnOperator, "step", recording)
+    count = 3
+    hy.hybrid_step(psi_u, 0.0, 0.5, op, _flow(psi_u, op))
+    assert seen == [3] and calls == [(op.max_rate, 0.0, 0.5)]
+    count = tr.MAX_INTERVALS // 2 + 1
+    with pytest.raises(ValueError, match=r"^the run must take at most 1000000 Duhamel "
+                                         r"substeps, got 1000002 "):
+        hy.run_hybrid(spec, N=3)
+    calls.clear()
+    with pytest.raises(hn.ConfigError, match=r"Duhamel substeps per hybrid run, got eps=0.5 "
+                                             r"and sigma_t=1.0, at least 1e\+06 at dt=0.5$"):
+        hn.parse_config_text(["[run]", "problem = iso-smooth", "solver = hybrid",
+                              "eps = 0.5", "sigma_a = 0.25", "dt = 0.5"])
+    assert calls == [(1.0 / 0.5**2 + 0.25, 0.0, 0.5)]
+    count = 1
+    hn.parse_config_text(["[run]", "problem = iso-smooth", "solver = hybrid", "eps = 0.5",
+                          "sigma_a = 0.25", "dt = 0.5"])
+
+
 def test_absorbing_hybrid_matches_transformed():
     spec = tr.problem("abs", eps=0.6, sigma_t=1.0, sigma_a=0.4,
                       g=[_iso_cosine(), _aniso_cosine()], T="0.5", dt="1/4")
@@ -285,7 +329,7 @@ def test_hybrid_step_samples_source_in_closed_form(monkeypatch):
     # One closed-form advance of the uncollided field to the 12 Duhamel node
     # times of every substep, one closed-form advance of the carrier, and no
     # nodal field built inside the step: the source profiles come with the flow.
-    nsub = op.substeps_for(0.25, extra_rate=op.max_rate + abs(spec.q[0].time_exp))
+    nsub = hy.drive_substeps(op.max_rate, abs(spec.q[0].time_exp), 0.25)
     assert calls == {"advance": nsub + 1, "nodal_field": 0}
 
 
@@ -497,9 +541,8 @@ def test_hybrid_substeps_follow_the_source_time_rate(monkeypatch, mu):
     q = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, time_poly=(-mu,), time_exp=mu)]
     spec = tr.problem("fast", eps=1.0, sigma_t=0.5, g=[_iso_cosine()], q=q, T=1)
     got = hy.run_hybrid(spec, 3).total.values
-    real = tr.PnOperator.substeps_for
-    monkeypatch.setattr(tr.PnOperator, "substeps_for",
-                        lambda self, h, extra_rate=0.0: 10 * real(self, h, extra_rate))
+    real = hy.drive_substeps
+    monkeypatch.setattr(hy, "drive_substeps", lambda *args: 10 * real(*args))
     want = hy.run_hybrid(spec, 3).total.values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

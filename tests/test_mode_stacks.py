@@ -15,6 +15,7 @@ reached through an axis permutation, and the step agrees to 1e-12
 relative.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -160,6 +161,40 @@ def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
         op.step(u[..., :-1], 0.25)
 
 
+@pytest.mark.parametrize("N", range(1, 12))
+def test_axis_turns_agree_with_the_real_view_turn(N):
+    # _ClassStack._turn multiplies the complex vectors by each degree block
+    # R_l of an axis permutation; the oracle multiplies their real views by
+    # kron(R_l, I_2).  Each real and imaginary component is then a dot
+    # product of width n = 2l + 1 in both, which BLAS sums in its own order
+    # (zgemm against dgemm on the interleaved view), so they differ by at
+    # most twice its rounding bound gamma_n sum_j |x_j| |R_jl|, gamma_n =
+    # n u / (1 - n u).  Each of the six permutations, into the frame and out
+    # of it, on a stack of the 3D 5 x 5 x 5 grid.
+    op = tr.PnOperator(gr.SpatialGrid(3, 5), N, 0.5, 1.0)
+    stack = op._stack
+    assert len(stack.turned) == 2
+    rng = np.random.default_rng(N)
+    rows = np.arange(len(stack.rows))
+    u = 2.0**-53
+    for perm in itertools.permutations(range(3)):
+        blocks = sh.axis_permutation(N, perm)
+        stack.turned = [(rows, blocks)]
+        for transpose in (False, True):
+            shape = (len(rows), op.nm)
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got, want = x.copy(), x.copy()
+            stack._turn(got, transpose)
+            oracles.real_view_turn(stack, want, transpose)
+            for l, R in enumerate(blocks):
+                s, n = sh.degree_slice(l), 2 * l + 1
+                M = np.abs(R.T if transpose else R)
+                gamma = n * u / (1.0 - n * u)
+                for part in (np.real, np.imag):
+                    bound = 2.0 * gamma * (np.abs(part(x[:, s])) @ M)
+                    assert np.all(np.abs(part(got[:, s]) - part(want[:, s])) <= bound), (perm, l)
+
+
 @pytest.mark.parametrize("where", ["pair", "zero"])
 def test_step_refuses_a_box_that_is_not_hermitian(where):
     op = tr.PnOperator(gr.SpatialGrid(3, 3), 2, 0.5, 1.0)
@@ -172,7 +207,7 @@ def test_step_refuses_a_box_that_is_not_hermitian(where):
     with pytest.raises(ValueError, match=message):
         op.step(u, 0.25)
     with pytest.raises(ValueError, match=message):
-        op.step(u, 0.25, source=lambda t: np.zeros((t.size, 14)))
+        op.step(u, 0.25, source=lambda t: np.zeros((t.size, 14)), substeps=1)
     with pytest.raises(ValueError, match=message):
         tr.SourcedModes(op, []).step(u, 0.25, 0.0)
 

@@ -371,9 +371,9 @@ def test_substep_count_follows_stiffness():
     grid = tr.default_grid(spec)
     op = tr.PnOperator(grid, 1, spec.eps, spec.sigma_t)
     # Fastest mode: sigma/eps^2 + |k|/eps = 100 + 10 = 110.
-    assert op.substeps_for(1.0) == math.ceil(110.0 / 3.0)
-    assert op.substeps_for(1.0, extra_rate=10.0) == 40
-    assert op.substeps_for(1e-6) == 1
+    assert tr.duhamel_substeps(op.max_rate, 1.0) == math.ceil(110.0 / 3.0)
+    assert tr.duhamel_substeps(op.max_rate + 10.0, 1.0) == 40
+    assert tr.duhamel_substeps(op.max_rate, 1e-6) == 1
 
 
 @given(
@@ -639,7 +639,7 @@ def test_half_space_drive_matches_dense_oracle_and_nothing_else_is_read():
     for bad in (np.zeros(shape), np.zeros(14), np.zeros((12, 27)), np.zeros((12, 15)),
                 np.zeros((11, 14)), np.zeros((12, 14, 1)), np.zeros((12, 14, op.nm))):
         with pytest.raises(ValueError, match=r"^source samples must be shaped \(12, 14\)"):
-            op.step(u, 0.4, source=lambda t, bad=bad: bad)
+            op.step(u, 0.4, source=lambda t, bad=bad: bad, substeps=2)
 
 
 def test_cubic_orbits_take_one_expm_each(monkeypatch):
@@ -998,6 +998,7 @@ def test_operator_rejects_bad_step_length(h):
 
 
 @pytest.mark.parametrize("field,value,message", [
+    ("substeps", None, "must be given with a source"),
     ("substeps", 0, "must be positive"), ("substeps", -1, "must be positive"),
     ("substeps", 2.5, "must be an integer"), ("substeps", True, "must be an integer"),
     ("t0", math.nan, "must be finite"), ("t0", math.inf, "must be finite"),
@@ -1006,7 +1007,8 @@ def test_operator_rejects_bad_step_length(h):
 def test_sourced_step_rejects_bad_substeps_and_start(field, value, message):
     # Unchecked, substeps = 0 would divide by zero, 2.5 fail inside range(),
     # -1 return the input unchanged, and a non-finite t0 make every moment
-    # the source reaches non-finite.
+    # the source reaches non-finite.  None once took a count from the
+    # operator's fastest rate alone, too few substeps for the hybrid's drive.
     op = tr.PnOperator(gr.SpatialGrid(1, 3), 2, 1.0, 1.0)
     u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
     with pytest.raises(ValueError, match=f"^{field} {message}"):
@@ -1069,7 +1071,7 @@ def test_exact_source_matches_quadrature_oracle(data, N, eps, sigma, absorb, T):
         h = t1 - t0
         got = sourced.step(got, h, t0)
         u = oracles.dense_step(op, u, h, source=sampler, t0=t0,
-                               substeps=4 * op.substeps_for(h, fastest))
+                               substeps=4 * tr.duhamel_substeps(op.max_rate + fastest, h))
         assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
 
 
@@ -1077,7 +1079,8 @@ def test_solve_pn_integrates_source_without_quadrature(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("solve_pn must not run the Duhamel quadrature")
 
-    monkeypatch.setattr(tr.PnOperator, "substeps_for", forbidden)
+    monkeypatch.setattr(tr, "duhamel_substeps", forbidden)
+    monkeypatch.setattr(tr, "_duhamel_rule", forbidden)
     q = [gr.isotropic_term({(1, 0, 0): 0.5, (-1, 0, 0): 0.5}, time_poly=(1.0, 2.0),
                            time_exp=-0.5)]
     spec = tr.problem("q", 0.5, 1.0, [_iso_cosine()], q=q, T=1)
