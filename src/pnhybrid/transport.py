@@ -27,9 +27,9 @@ its class's exponentials are taken.  A step takes one product P @ X per class,
 X holding the class's vectors in c*'s frame as columns.  A 1D wavevector
 is its own representative and every 1D class holds one mode of H, so there
 X is one column, numpy runs the gemv of a single mode, and a 1D step is
-bit-identical to a loop over modes.  A class of several modes (2D and 3D
-grids) takes a gemm, which sums in another order than the loop and agrees
-with it to 1e-12 relative.  assemble_mode_operator is the one builder of a
+bit-identical to a loop over modes with the same propagators.  A class of
+several modes (2D and 3D grids) takes a gemm, which sums in another order
+than the loop and agrees with it to 1e-12 relative.  assemble_mode_operator is the one builder of a
 generator, a class representative's and a sourced mode's (inside its
 augmented generator): it adds the coupling blocks of each degree, shared
 read-only per process (sh.assemble_coupling), straight into the matrix.
@@ -38,22 +38,18 @@ Up to a permutation a generator is block-diagonal (four blocks for k on
 the x or y axis, 2N+1 on the z axis, two in a coordinate plane, one for a
 generic k, a diagonal at k = 0), and so is its exponential.  The blocks
 follow from the symmetries that fix k, so they are set once per degree and
-pattern of zero components (_generator_blocks), with no search.  A
-representative off the axes, one with two or more nonzero components,
-takes one stacked expm per block width, at every N; so does every
-representative of a wide operator, one whose moment space is wider than
-DENSE_EXPM_MAX_MOMENTS (N >= 17): at N = 28 and k = (1,0,0) the four
-blocks are at most 225 wide, where the dense generator is 841.  Streaming
-couples degree l only to l +- 1, so with D = diag(i^l) every D^-1 L_k D is
-real, and each block wider than 1 is exponentiated as a real matrix (about
-half the work of the complex one) and turned back by exact products with
-+-1 and +-i; the split and the real frame each cut a class's expm several
-fold.  Only a narrow operator's representatives on the axis, k = 0 and
-k = (a, 0, 0), which are all the classes a 1D grid has, take one dense
-complex expm: the split and the real frame move last bits of the
-propagators, which the benchmark goldens pin up to 289 moments on 1D
-grids.  An axis permutation's blocks are built once per (N, permutation)
-and process.  CHANGES.md keeps the timings behind each of these choices.
+pattern of zero components (_generator_blocks), with no search.  Every
+representative of an operator wider than DENSE_EXPM_MAX_MOMENTS (N >= 4),
+on the axis and at k = 0 too, takes one stacked expm per block width: at
+N = 28 and k = (1,0,0) the four blocks are at most 225 wide, where the
+dense generator is 841.  Streaming couples degree l only to l +- 1, so with
+D = diag(i^l) every D^-1 L_k D is real, and each block wider than 1 is
+exponentiated as a real matrix (about half the work of the complex one) and
+turned back by exact products with +-1 and +-i; the split and the real
+frame each cut a class's expm several fold.  Up to N = 3 (is_narrow) every
+representative takes one dense complex expm, which is as fast there.  An
+axis permutation's blocks are built once per (N, permutation) and process.
+CHANGES.md keeps the timings behind each of these choices.
 
 External sources are finite sums of polynomial-times-exponential terms and
 are integrated exactly in time: in moment space by a step plus the source
@@ -144,24 +140,31 @@ def _series_table(n: int) -> np.ndarray:
     return table
 
 
-# Widest moment space, n_moments(N) = (N+1)^2, whose representatives on the
-# axis (k = 0 and k = (a, 0, 0)) take one dense complex expm (N <= 16);
-# wider ones, and every representative off the axis at any N, split it over
-# the generator's blocks (_generator_blocks) and take each block in the real
-# frame (PnOperator._exp).
-# On one BLAS thread of a 2-core machine at k = (1,0,0), eps = sigma = 1,
-# the dense complex, split complex and split real-frame expm took
+# Widest moment space, n_moments(N) = (N+1)^2, whose representatives take
+# one dense complex expm (N <= 3); every representative of a wider one, on
+# the axis and at k = 0 too, splits it over the generator's blocks
+# (_generator_blocks) and takes each block in the real frame
+# (PnOperator._exp).  The cut-off is where the two cross.  On one BLAS
+# thread of a 2-core machine, dense complex / split real-frame expm in ms
+# (median of 15 calls), each k's first row at eps = sigma = 1, h = 0.5 and
+# its second at eps = 0.05, sigma = 1, h = 1:
+#     k          N = 1      N = 3      N = 4      N = 5      N = 7      N = 8
+#     (1,0,0)  .03/.04    .03/.09    .08/.10    .13/.11    .48/.15   1.09/.23
+#              .04/.06    .08/.15    .13/.14    .23/.16   1.02/.28   2.04/.36
+#     (1,1,0)  .01/.04    .03/.06    .07/.08    .13/.09    .49/.16    .89/.31
+#              .05/.06    .09/.12    .13/.15    .31/.16   1.07/.30   1.66/.45
+#     (2,1,1)  .01/.05    .03/.04    .07/.06    .15/.11    .64/.27   1.16/.66
+#              .04/.06    .08/.08    .17/.12    .31/.18   1.13/.32   1.83/.58
+# and at k = (1,0,0), eps = sigma = 1, dense complex, split complex and
+# split real-frame
 #     N = 17:  49.9,  5.9,  2.9 ms      N = 20: 117.5, 12.7,  6.1 ms
 #     N = 24:   311, 29.7, 13.8 ms      N = 28:   694, 64.1, 27.7 ms.
 # The split moves last bits of a propagator, and the perfbench goldens
 # compare the padded %.17g cells of the plot tables as text, where a value
-# that loses a digit changes the padding: splitting the 169- and 289-wide
-# references of the hybrid dt sweeps moved 2.1485115505547617e-06 to
-# 2.148511550556308e-06.  289 wide (N = 16) is the widest moment space
-# whose propagators those goldens pin (those references, and the degree-12
-# and 16 references of sobolev-n-sweep), so its on-axis classes, the only
-# ones a 1D grid has, stay dense.
-DENSE_EXPM_MAX_MOMENTS = 289
+# that loses a digit changes the padding.  The hybrid's own N = 3 operators
+# are pinned so: a cut-off below 16 splits them and fails plot
+# hybrid-dt-diffusive with "golden txt: text differs".
+DENSE_EXPM_MAX_MOMENTS = 16
 
 # Re(i^d) - Im(i^d) and i^(d mod 2), indexed by d mod 4 and d mod 2: the
 # real-frame factors of PnOperator._exp.
@@ -315,8 +318,8 @@ def assemble_mode_operator(
 
 def is_narrow(N: int) -> bool:
     """Whether the degree-N moment space is at most DENSE_EXPM_MAX_MOMENTS
-    wide, so that each on-axis representative's exponential is one dense
-    expm."""
+    wide (N <= 3), so that every representative's exponential is one dense
+    complex expm rather than one stacked expm per block width."""
     return sh.n_moments(N) <= DENSE_EXPM_MAX_MOMENTS
 
 
@@ -521,12 +524,15 @@ class PnOperator:
     (class, h), and _nodes the e_0 columns of a Duhamel substep's node
     propagators, with their reach, per (class, substep): memory grows with
     classes and step lengths, not modes.  A generator is assembled for each
-    batch of its class's exponentials, all taken by _exp, and dropped after
-    it.  step takes one product P_(c*) @ X per class, X holding the class's
-    H vectors as columns, and per Duhamel node one broadcast product of its
-    e_0 column and the class's drive (every turn fixes e_0); on a 1D grid
-    every class holds one H mode, so the products keep the bits of a loop
-    over modes.  The caller of a Duhamel step sets its substeps."""
+    batch of its class's exponentials, all taken by _exp (one dense complex
+    expm up to N = 3, is_narrow, and one stacked real-frame expm per block
+    width above it, whatever the class), and dropped after it.  step takes
+    one product P_(c*) @ X per class, X holding the class's H vectors as
+    columns, and per Duhamel node one broadcast product of its e_0 column
+    and the class's drive (every turn fixes e_0); on a 1D grid every class
+    holds one H mode, so the products keep the bits of a loop over modes
+    with the same propagators.  The caller of a Duhamel step sets its
+    substeps."""
 
     def __init__(self, grid, N, eps, sigma, sigma_a=0.0):
         sh.require_integer("N", N)
@@ -564,12 +570,6 @@ class PnOperator:
         """[(index, wavevector)] of every spatial mode of the grid."""
         return self._modes
 
-    def _split(self, c) -> bool:
-        """Whether c's exponential is taken block by block: always off the
-        axis (two or more nonzero components), and on it (k = 0 and the
-        axes) only on a wide operator."""
-        return not self._narrow or np.count_nonzero(c) > 1
-
     def _generator(self, c) -> np.ndarray:
         """L_c, written block by block by assemble_mode_operator."""
         return assemble_mode_operator(c, self.N, self.eps, self.sigma, self._coupling,
@@ -578,9 +578,9 @@ class PnOperator:
     def _exp(self, c, h: float, L: np.ndarray) -> np.ndarray:
         """expm(A) for A = h L, L = L_c the generator of representative c:
         the one place a representative's exponential is taken.  A narrow
-        operator's representatives on the axis take one dense complex expm,
-        which keeps the bits of every 1D grid.  Every other c (_split) takes
-        one stacked expm per block width of L_c's blocks (_generator_blocks,
+        operator (is_narrow, N <= 3) takes one dense complex expm for every
+        c.  A wide one takes, for every c, k = 0 and the axis included, one
+        stacked expm per block width of L_c's blocks (_generator_blocks,
         set by the symmetries of c), shaped (blocks, w, w), each gathered
         from L and multiplied by h, the entries of h L with no dense product,
         and scatters the blocks into the dense propagator, whose other
@@ -594,11 +594,11 @@ class PnOperator:
         so the real entry is s_d (Re A_pq + Im A_pq) with the sign s_d =
         Re(i^d) - Im(i^d), and the propagator's entry is s_d E_pq times
         i^(d mod 2), all exact.  1-wide blocks (k = 0 and the |m| = N blocks
-        on the z axis of a wide operator) take the complex expm, whose 1 x 1
-        path the dense one shares."""
+        on the z axis) take the complex expm, whose 1 x 1 path the dense one
+        shares."""
         # A generator _rep assembled is freed before the expms run: L is
         # dropped once h L, or its blocks, are taken.
-        if not self._split(c):
+        if self._narrow:
             A = h * L
             del L
             return expm(A)

@@ -346,19 +346,24 @@ def reality_residual(field) -> float:
     return float(np.max(np.abs(flipped - np.conj(data))))
 
 
-def dense_step(op: tr.PnOperator, coeffs, h, source=None, t0=0.0, substeps=None):
+def dense_step(op: tr.PnOperator, coeffs, h, source=None, t0=0.0, substeps=None,
+               propagator=None):
     """PnOperator.step as a loop over the modes of H, each with the dense
-    expm of its own generator, then c(-k) = conj c(k) for the others.  The
-    source, when given, is a callable t -> coefficient box whose every
-    moment drives (of which H is read), folded in by the Gauss-Legendre
-    Duhamel rule of step on substeps, which a source needs."""
+    expm of its own generator, or with propagator(k, length) when given,
+    then c(-k) = conj c(k) for the others.  The source, when given, is a
+    callable t -> coefficient box whose every moment drives (of which H is
+    read), folded in by the Gauss-Legendre Duhamel rule of step on
+    substeps, which a source needs."""
     coupling = sh.assemble_coupling(max(op.N, 1))
     props = {}
 
+    def dense(k, length):
+        return expm(length * tr.assemble_mode_operator(k, op.N, op.eps, op.sigma, coupling,
+                                                       op.sigma_a))
+
     def prop(k, length):
         if (k, length) not in props:
-            L = tr.assemble_mode_operator(k, op.N, op.eps, op.sigma, coupling, op.sigma_a)
-            props[(k, length)] = expm(length * L)
+            props[(k, length)] = (propagator or dense)(k, length)
         return props[(k, length)]
 
     out = np.array(coeffs, dtype=complex, copy=True)

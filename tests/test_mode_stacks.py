@@ -9,8 +9,13 @@ a substep's 12 node times in one call, which the oracle reads one time at
 a time as boxes holding it in e_0 (oracles.drive_source) and multiplies by
 whole node propagators.  On a 1D grid every class holds
 one mode of H, which is its own representative, so the class product is
-that loop's gemv and the step must agree byte for byte, on one BLAS thread
-and on several.  On 2D and 3D grids a class holds several modes, some
+that loop's gemv, on one BLAS thread and on several: where the operator
+takes one dense expm per class (N <= 3, tr.is_narrow) the step must agree
+with the oracle byte for byte, which pins the bytes of the Duhamel node
+products; above that the class exponentials are split into real-frame
+blocks, and the step must agree byte for byte with the same loop over the
+operator's own propagators (PnOperator._rep) and to 1e-12 relative with
+the dense one.  On 2D and 3D grids a class holds several modes, some
 reached through an axis permutation, and the step agrees to 1e-12
 relative.
 """
@@ -79,12 +84,19 @@ def _forced(op, sourced, want, h, t0):
     return oracles.conjugate_rest(op, want)
 
 
-def _agree(got, want, dim):
-    """Byte for byte on a 1D grid, to 1e-12 relative elsewhere."""
-    if dim == 1:
+def _agree(op, got, oracle):
+    """got against oracle(propagator), a per-mode loop over the propagators
+    propagator(k, length), None taking each mode's dense expm: byte for byte
+    against the dense loop on a 1D grid of a narrow operator; on a wider 1D
+    grid byte for byte against the loop over op._rep and to 1e-12 relative
+    against the dense loop; to 1e-12 relative on 2D and 3D grids."""
+    want = oracle(None)
+    if op.grid.dim == 1 and tr.is_narrow(op.N):
         assert got.tobytes() == want.tobytes()
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        return
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if op.grid.dim == 1:
+        assert got.tobytes() == oracle(op._rep).tobytes()
 
 
 def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, seed):
@@ -95,13 +107,12 @@ def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, s
     rng = np.random.default_rng(seed)
     shape = grid.shape + (op.nm,)
     u = _hermitian_box(rng, shape)
-    plain = op.step(u, h)
-    _agree(plain, oracles.dense_step(op, u, h), dim)
+    _agree(op, op.step(u, h), lambda prop: oracles.dense_step(op, u, h, propagator=prop))
     drive = _random_drive(rng, op)
-    got = op.step(u, h, source=drive, t0=t0, substeps=substeps)
-    want = oracles.dense_step(op, u, h, source=oracles.drive_source(op, drive), t0=t0,
-                              substeps=substeps)
-    _agree(got, want, dim)
+    source = oracles.drive_source(op, drive)
+    _agree(op, op.step(u, h, source=drive, t0=t0, substeps=substeps),
+           lambda prop: oracles.dense_step(op, u, h, source=source, t0=t0, substeps=substeps,
+                                           propagator=prop))
     ks = [k for _, k in op.modes()]
     reached = [ks[i] for i in rng.choice(len(ks), size=min(2, len(ks)), replace=False)]
     amps = {}
@@ -110,8 +121,9 @@ def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, s
         amps[k], amps[tuple(-x for x in k)] = a, a.conjugate()
     term = gr.term(amps, (1.0, 0.0, 0.5, 0.0)[:op.nm], time_poly=(0.5, 1.0), time_exp=-0.7)
     sourced = tr.SourcedModes(op, [term])
-    _agree(sourced.step(u, h, t0), _forced(op, sourced, oracles.dense_step(op, u, h), h, t0),
-           dim)
+    _agree(op, sourced.step(u, h, t0),
+           lambda prop: _forced(op, sourced, oracles.dense_step(op, u, h, propagator=prop),
+                                h, t0))
 
 
 @given(
@@ -133,10 +145,11 @@ def _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, s
 @settings(max_examples=90)
 def test_stacked_step_matches_per_mode_loop_bit_for_bit(dim, modes, N, eps, sigma, absorb,
                                                         h, t0, substeps, seed):
-    # Plain, Duhamel and exactly sourced steps against the dense per-mode
-    # oracle on one BLAS thread, as solve_pn and run_hybrid step: byte for
-    # byte on 1D grids, to 1e-12 on 2D and 3D ones.  About 30 draws per
-    # dimension.
+    # Plain, Duhamel and exactly sourced steps against the per-mode oracle
+    # on one BLAS thread, as solve_pn and run_hybrid step: byte for byte on
+    # 1D grids (against the dense loop up to N = 3, against the loop over
+    # the operator's propagators above), to 1e-12 on 2D and 3D ones.  About
+    # 30 draws per dimension.
     with blas.single_thread():
         _check_half_space_step(dim, modes, N, eps, sigma, absorb, h, t0, substeps, seed)
 
@@ -144,9 +157,11 @@ def test_stacked_step_matches_per_mode_loop_bit_for_bit(dim, modes, N, eps, sigm
 def test_stacked_step_matches_per_mode_loop_on_default_pools():
     # One fixed example per kind on the pools as the process found them
     # (two threads in the CI step that sets OPENBLAS_NUM_THREADS=2): byte for
-    # byte in 1D, and in 3D through every axis permutation.
-    for dim in (1, 3):
-        _check_half_space_step(dim, 5, 5, 0.5, 1.0, 0.25, 0.3, 0.2, 2, 7)
+    # byte in 1D, against the dense loop at N = 3 and the loop over the
+    # operator's propagators at N = 5, and in 3D through every axis
+    # permutation.
+    for dim, N in ((1, 3), (1, 5), (3, 5)):
+        _check_half_space_step(dim, 5, N, 0.5, 1.0, 0.25, 0.3, 0.2, 2, 7)
 
 
 def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
@@ -155,7 +170,7 @@ def test_stacked_step_keeps_zero_modes_and_rejects_wrong_shape():
     u[op.grid.index_of((2, -1, 0))] = 1.0 + 0.5j
     u[op.grid.index_of((-2, 1, 0))] = 1.0 - 0.5j
     out = op.step(u, 0.25)
-    _agree(out, oracles.dense_step(op, u, 0.25), 2)
+    _agree(op, out, lambda prop: oracles.dense_step(op, u, 0.25, propagator=prop))
     assert np.count_nonzero(np.abs(out).sum(axis=-1)) == 2
     with pytest.raises(ValueError, match="shape"):
         op.step(u[..., :-1], 0.25)

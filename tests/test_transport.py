@@ -699,25 +699,27 @@ def test_cubic_representative_sorts_and_permutes():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_flat_grids_take_no_rotation(monkeypatch, dim):
     # Every wavevector with k3 = 0 is its own cubic representative, so 1D
-    # and 2D operators turn no vector.  The classes on the axis (every
-    # class of a 1D grid) keep expm(h L_c) byte for byte; the 2D ones off
-    # it take the real frame and agree to 1e-12.
+    # and 2D operators turn no vector.  At N = 3 every class, on the axis
+    # and off it, keeps expm(h L_c) byte for byte; at N = 4 every class
+    # takes the real-frame blocks and agrees to 1e-12, and k = 0, a stack of
+    # 1-wide complex blocks, keeps its bytes.
     monkeypatch.setattr(sh, "axis_permutation", lambda *a: pytest.fail("rotation taken"))
-    op = tr.PnOperator(gr.SpatialGrid(dim, 5), 4, 0.5, 1.0, 0.25)
-    u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
-    op.step(u, 0.375)
-    op.step(u, 0.375, source=lambda t: np.ones((t.size, len(op.modes()) // 2 + 1)),
-            substeps=1)
-    assert op._stack.turned == []
-    off_axis = [c for c, _ in op._stack.classes if np.count_nonzero(c) > 1]
-    assert len(off_axis) == (0 if dim == 1 else 3)
-    for c, _ in op._stack.classes:
-        want = expm(0.375 * op._generator(c))
-        got = op._rep(c, 0.375)
-        if c in off_axis:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), c
-        else:
-            assert got.tobytes() == want.tobytes(), c
+    for N in (3, 4):
+        op = tr.PnOperator(gr.SpatialGrid(dim, 5), N, 0.5, 1.0, 0.25)
+        u = np.ones(op.grid.shape + (op.nm,), dtype=complex)
+        op.step(u, 0.375)
+        op.step(u, 0.375, source=lambda t: np.ones((t.size, len(op.modes()) // 2 + 1)),
+                substeps=1)
+        assert op._stack.turned == []
+        assert len([c for c, _ in op._stack.classes if np.count_nonzero(c) > 1]) == (
+            0 if dim == 1 else 3)
+        for c, _ in op._stack.classes:
+            want = expm(0.375 * op._generator(c))
+            got = op._rep(c, 0.375)
+            if tr.is_narrow(N) or not any(c):
+                assert got.tobytes() == want.tobytes(), (N, c)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (N, c)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -861,32 +863,33 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
 
     monkeypatch.setattr(tr, "expm", counting)
     h = 0.375
-    # At N = 16 (289 moments, narrow) one dense expm per orbit, byte for byte.
-    op = tr.PnOperator(gr.SpatialGrid(1, 3), 16, 0.5, 1.0, 0.25)
-    for c in ((1, 0, 0), (0, 0, 0)):
+    # At N = 3 (16 moments, narrow) one dense expm per orbit, byte for byte,
+    # on the axis and off it.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 3, 0.5, 1.0, 0.25)
+    for c in ((1, 0, 0), (0, 0, 0), (1, 1, 0), (2, 1, 1)):
         calls.clear()
         P = op._rep(c, h)
         assert calls == [((op.nm, op.nm), "c")]
         assert P.tobytes() == real(h * op._generator(c)).tobytes()
-    # At N = 17 (324 moments, wide) one stacked real expm per block width.
-    op = tr.PnOperator(gr.SpatialGrid(1, 3), 17, 0.5, 1.0, 0.25)
-    assert not tr.is_narrow(17) and tr.is_narrow(16)
+    # At N = 4 (25 moments, wide) one stacked real expm per block width.
+    op = tr.PnOperator(gr.SpatialGrid(1, 3), 4, 0.5, 1.0, 0.25)
+    assert not tr.is_narrow(4) and tr.is_narrow(3)
     calls.clear()
     P = op._rep((1, 0, 0), h)
-    widths = [idx.shape[1] for idx in _block_stacks((1, 0, 0), 17)]
+    widths = [idx.shape[1] for idx in _block_stacks((1, 0, 0), 4)]
     assert [s[1] for s, _ in calls] == widths and all(s[1] == s[2] for s, _ in calls)
     assert sum(s[0] for s, _ in calls) == 4 and {kind for _, kind in calls} == {"f"}
     Q = real(h * op._generator((1, 0, 0)))
     assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
     op._rep((1, 0, 0), h)
     assert len(calls) == len(widths)
-    # On the z axis the |m| = 17 blocks are 1 wide and stay complex.
+    # On the z axis the |m| = 4 blocks are 1 wide and stay complex.
     calls.clear()
     op._exp((0, 0, 1), h, op._generator((0, 0, 1)))
-    assert [(s[1], kind) for s, kind in calls] == [(1, "c")] + [(w, "f") for w in range(2, 19)]
+    assert [(s[1], kind) for s, kind in calls] == [(1, "c")] + [(w, "f") for w in range(2, 6)]
     # The z axis is not a cubic representative: a step of its modes takes
     # the propagator of (1, 0, 0) alone and turns their vectors.
-    op = tr.PnOperator(gr.SpatialGrid(3, 3), 17, 0.5, 1.0, 0.25)
+    op = tr.PnOperator(gr.SpatialGrid(3, 3), 4, 0.5, 1.0, 0.25)
     e = np.zeros(op.nm)
     e[sh.ordinal(1, 0)] = 1.0
     calls.clear()
@@ -902,14 +905,15 @@ def test_wide_operators_take_one_expm_per_block_width(monkeypatch):
     assert calls == [((op.nm, 1, 1), "c")] * (1 + len(taus))
 
 
-@pytest.mark.parametrize("N", [5, 11])
-def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
-    # On a narrow operator k = 0 and the axis take one dense complex expm,
-    # byte for byte expm(h L_c) (every class of a 1D grid is one of them);
-    # every representative off the axis takes one stacked real expm per
-    # block width of its connected blocks.  Both for a step's propagator
-    # and for each Duhamel node of a substep, of which the e_0 column is
-    # kept.
+@pytest.mark.parametrize("N", [3, 5, 11])
+def test_classes_take_dense_or_real_frame_exponentials_by_width(monkeypatch, N):
+    # Up to N = 3 (tr.is_narrow) every representative, off the axis too,
+    # takes one dense complex expm, byte for byte expm(h L_c).  Above it
+    # every representative, k = 0 and the axis included, takes one stacked
+    # expm per block width of its connected blocks, real for blocks wider
+    # than 1 and complex for the 1-wide ones of k = 0, within 1e-12 of the
+    # dense expm.  Both for a step's propagator and for each Duhamel node of
+    # a substep, of which the e_0 column is kept.
     calls = []
     real = tr.expm
 
@@ -921,10 +925,9 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
     eps, sigma, sigma_a, h = 0.5, 1.0, 0.25, 0.375
     x, w = tr._duhamel_rule()
     taus, wts = 0.5 * h * (x + 1.0), 0.5 * h * w
-    assert tr.is_narrow(N)
     op = tr.PnOperator(gr.SpatialGrid(3, 5), N, eps, sigma, sigma_a)
-    assert {c for c, _ in op._stack.classes} >= {(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0),
-                                                (2, 1, 0), (1, 1, 1), (2, 2, 1)}
+    classes = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (2, 1, 0), (1, 1, 1), (2, 2, 1)]
+    assert {c for c, _ in op._stack.classes} >= set(classes)
 
     def groups(c):
         """(scipy calls, [(propagator or e_0 column, length)]) of c's step
@@ -941,35 +944,48 @@ def test_narrow_operators_take_the_real_frame_off_the_axis(monkeypatch, N):
         """Q, or its e_0 column where P is a node's column."""
         return Q if P.ndim == 2 else Q[:, 0]
 
-    for c in [(0, 0, 0), (1, 0, 0), (2, 0, 0)]:
-        for taken, props in groups(c):
-            assert taken == [((op.nm, op.nm), "c")] * len(props), c
-            for P, t in props:
-                assert P.tobytes() == cut(real(t * op._generator(c)), P).tobytes(), c
-    for c in [(1, 1, 0), (2, 1, 0), (1, 1, 1), (2, 2, 1)]:
+    for c in classes:
+        if tr.is_narrow(N):
+            for taken, props in groups(c):
+                assert taken == [((op.nm, op.nm), "c")] * len(props), c
+                for P, t in props:
+                    assert P.tobytes() == cut(real(t * op._generator(c)), P).tobytes(), c
+            continue
         stacks = _block_stacks(c, N)
-        assert sum(idx.shape[0] for idx in stacks) == (2 if 0 in c else 1)
+        blocks = {0: op.nm, 1: 4, 2: 2, 3: 1}[np.count_nonzero(c)]
+        assert sum(idx.shape[0] for idx in stacks) == blocks, c
+        per_width = [((idx.shape[1],) * 2, "c" if idx.shape[1] == 1 else "f") for idx in stacks]
         for taken, props in groups(c):
-            assert all(kind == "f" and len(shape) == 3 for shape, kind in taken), c
-            widths = [idx.shape[1] for idx in stacks]
-            assert [shape[1] for shape, _ in taken] == widths * len(props), c
+            assert [(shape[1:], kind) for shape, kind in taken] == per_width * len(props), c
             for P, t in props:
                 Q = cut(_dense_oracle(c, N, eps, sigma, sigma_a, t), P)
                 assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q)), c
 
 
+# (eps, sigma, sigma_a, h): a mild step, then the stiff ones of
+# hybrid-dt-diffusive, its references' one step to T = 1 and a Duhamel
+# substep of its hybrid, h = 1/280.
+_FRAME_SETTINGS = [(1.0, 1.0, 0.2, 0.5), (0.05, 1.0, 0.0, 1.0), (0.05, 1.0, 0.0, 1 / 280)]
+
+
 @pytest.mark.parametrize("N,k", [(17, (1, 0, 0)), (17, (1, 1, 0)), (17, (0, 0, 1)),
                                  (17, (2, 1, 1)), (20, (1, 0, 0)), (24, (1, 0, 0)),
-                                 (28, (1, 0, 0))])
+                                 (28, (1, 0, 0))]
+                         + list(itertools.product((4, 5, 8, 12, 13, 16),
+                                                  [(1, 0, 0), (2, 0, 0)])))
 def test_real_frame_exponential_matches_dense_oracle(N, k):
     # The widths the P_N references reach: every split propagator against
-    # the dense complex expm of the whole generator.
-    op = tr.PnOperator(gr.SpatialGrid(3, 5), N, 1.0, 1.0, 0.2)
+    # the dense complex expm of the whole generator.  The on-axis classes of
+    # N = 4 to 16, every class of the 1D references, also in the stiff
+    # settings; above that the mild one alone, which keeps the 324- to
+    # 841-wide dense oracles to one each.
     assert not tr.is_narrow(N)
-    with blas.single_thread():
-        P = op._rep(k, 0.5)
-        Q = _dense_oracle(k, N, 1.0, 1.0, 0.2, 0.5)
-    assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q))
+    for eps, sigma, sigma_a, h in _FRAME_SETTINGS if N <= 16 else _FRAME_SETTINGS[:1]:
+        op = tr.PnOperator(gr.SpatialGrid(3, 5), N, eps, sigma, sigma_a)
+        with blas.single_thread():
+            P = op._rep(k, h)
+            Q = _dense_oracle(k, N, eps, sigma, sigma_a, h)
+        assert np.max(np.abs(P - Q)) <= 1e-12 * np.max(np.abs(Q)), (eps, h)
 
 
 def test_wide_solve_matches_dense_expm_loop():
